@@ -43,11 +43,9 @@ def run(base, delta, label):
             seed=1000 + rep,
         )
         series, t_star = gen_series(spec)
-        lr = long_run_covariance(series)
-        curve = cusum(series)
-        q = quadform(curve, lr)
-        stats.append(q.q.max())
-        est = estimate_changepoint(series, method="quadform_argmax", sigma=lr)
+        curve = quadform(cusum(series), long_run_covariance(series))
+        stats.append(curve.q.max())
+        est = estimate_changepoint(curve, method="quadform_argmax")
         devs.append(abs(est.t_hat - t_star))
     dt = time.time() - t0
     devs = np.array(devs, float)

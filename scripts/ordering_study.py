@@ -4,13 +4,14 @@ filter, exchangeable(0.5) innovations, d=2, quadform argmax)."""
 
 import numpy as np
 
-from mvcusum.engine import estimate_changepoint
+from mvcusum.engine import cusum, estimate_changepoint, quadform
 from mvcusum.simulate import (
     SimulationSpec,
     exchangeable_cov,
     gen_series,
     geometric_coefficients,
 )
+from mvcusum.spectral import long_run_covariance
 
 REPS = 30
 
@@ -29,7 +30,8 @@ def cell(T, m, delta, k_star, seed0=1000):
             seed=seed0 + rep,
         )
         series, t_star = gen_series(spec)
-        est = estimate_changepoint(series, method="quadform_argmax")
+        curve = quadform(cusum(series), long_run_covariance(series))
+        est = estimate_changepoint(curve, method="quadform_argmax")
         devs.append(abs(est.t_hat - t_star))
     return float(np.mean(devs))
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from mvcusum.engine import cusum, estimate_changepoint, quadform
 from mvcusum.simulate import SimulationSpec, exchangeable_cov, gen_series
+from mvcusum.spectral import long_run_covariance
 
 
 def mean_abs_dev(T, seeds):
@@ -28,7 +29,8 @@ def mean_abs_dev(T, seeds):
             seed=s,
         )
         series, t_star = gen_series(spec)
-        est = estimate_changepoint(series)
+        est = estimate_changepoint(
+            quadform(cusum(series), long_run_covariance(series)))
         devs.append(abs(est.t_hat - t_star))
     return float(np.mean(devs))
 

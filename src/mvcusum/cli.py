@@ -22,7 +22,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,40 +60,18 @@ from .spectral import (
     spectral_estimate,
 )
 
-__all__ = ["CommandConfig", "apply_transform", "build_parser", "main"]
+__all__ = ["apply_transform", "build_parser", "main"]
 
-_SUBCOMMANDS = ("simulate", "spectrum", "detect", "estimate", "scan",
-                "critval", "bench")
 _TRANSFORMS = ("none", "center", "log", "diff")
 _SIM_KEYS = frozenset(_CELL_KEYS) - {"cell", "reps"}
 
 
-@dataclass(frozen=True)
-class CommandConfig:
-    """One parsed invocation: the subcommand, its paths, and its flags.
-
-    Input paths are checked for existence at construction, before any work
-    or output happens.
-    """
-
-    subcommand: str
-    inputs: tuple = ()
-    outputs: tuple = ()
-    alpha: float | None = None
-    bandwidth: int | None = None
-    method: str | None = None
-    transform: str | None = None
-    smoothing_window: int | None = None
-    min_prominence: float | None = None
-    seed: int | None = None
-    budget: Budget | None = None
-
-    def __post_init__(self):
-        if self.subcommand not in _SUBCOMMANDS:
-            raise DomainError(f"unknown subcommand {self.subcommand!r}")
-        for path in self.inputs:
-            if not os.path.exists(path):
-                raise FileNotFoundError(f"no such input file: {path}")
+def _check_inputs(*paths) -> None:
+    """Fail on a missing input file before any work or output happens;
+    a None path (an input flag not given) is skipped."""
+    for path in paths:
+        if path is not None and not os.path.exists(path):
+            raise FileNotFoundError(f"no such input file: {path}")
 
 
 def apply_transform(series: MultivariateSeries, name: str) -> MultivariateSeries:
@@ -248,13 +226,8 @@ def _write_sim_meta(path, spec, t_star) -> None:
 def cmd_simulate(args) -> int:
     out = _resolve_out(args, args.out)
     meta_out = _resolve_out(args, args.meta) if args.meta else out + ".meta"
-    config = CommandConfig(
-        subcommand="simulate",
-        inputs=(os.fspath(args.config),) if args.config else (),
-        outputs=(out, meta_out),
-        seed=args.seed,
-    )
-    source = config.inputs[0] if config.inputs else "command line"
+    _check_inputs(args.config)
+    source = args.config or "command line"
     kv = _read_sim_config(args.config) if args.config else {}
     overrides = (
         ("d", args.d), ("T", args.T), ("m", args.m), ("rho", args.rho),
@@ -283,17 +256,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     out = _resolve_out(args, args.out)
-    config = CommandConfig(
-        subcommand="spectrum",
-        inputs=(args.input,),
-        outputs=(out,),
-        bandwidth=args.h,
-        transform=args.transform,
-    )
+    _check_inputs(args.input)
     if args.freqs < 2:
         raise DomainError(f"need at least 2 frequencies, got {args.freqs}")
     series = _load_input(args)
-    lr = long_run_covariance(series, config.bandwidth)
+    lr = long_run_covariance(series, args.h)
     est = spectral_estimate(dft(center(series)), sma_kernel(lr.h_used))
     omegas = np.linspace(0.0, math.pi, args.freqs)
     export_spectrum_csv(out, omegas, [est.at(w) for w in omegas])
@@ -314,8 +281,8 @@ def _two_pass_sigma(series, method, trim, h):
     """Pilot estimate on the first-pass covariance, then re-estimate the
     long-run covariance after demeaning each segment at the pilot break."""
     first = long_run_covariance(series, h)
-    pilot = engine.estimate_changepoint(series, method=method, sigma=first,
-                                        trim=trim)
+    pilot = engine.estimate_changepoint(
+        engine.quadform(engine.cusum(series), first), method=method, trim=trim)
     x = series.values.copy()
     k = pilot.t_hat
     x[:k] -= x[:k].mean(axis=0)
@@ -325,43 +292,27 @@ def _two_pass_sigma(series, method, trim, h):
 
 def cmd_detect(args) -> int:
     curve_out = _resolve_out(args, args.emit_curve) if args.emit_curve else None
-    inputs = (args.input,) + ((args.table,) if args.table else ())
-    config = CommandConfig(
-        subcommand="detect",
-        inputs=inputs,
-        outputs=(curve_out,) if curve_out else (),
-        alpha=args.alpha,
-        bandwidth=args.h,
-        method=args.method,
-        transform=args.transform,
-        smoothing_window=args.smoothing_window,
-        min_prominence=args.min_prominence,
-    )
+    _check_inputs(args.input, args.table)
     table = _load_table(args.table)
     series = _load_input(args)
 
     sigma = pilot = None
     if args.two_pass:
-        sigma, pilot = _two_pass_sigma(series, config.method, args.trim,
-                                       config.bandwidth)
-    result = engine.test(series, config.alpha, table, h=config.bandwidth,
-                         sigma=sigma)
+        sigma, pilot = _two_pass_sigma(series, args.method, args.trim, args.h)
+    result = engine.test(series, args.alpha, table, h=args.h, sigma=sigma)
     sys.stdout.write(engine.test_result_text(result))
     if args.two_pass:
         print("two_pass=true")
         print(f"pilot_t_hat={pilot.t_hat}")
     if result.reject:
-        est = engine.estimate_changepoint(series, method=config.method,
-                                          sigma=result.sigma, trim=args.trim)
-        _print_estimate(est)
-    if args.scan or curve_out:
-        curve = engine.quadform(engine.cusum(series), result.sigma)
-        if args.scan:
-            _print_scan(engine.scan_extrema(curve, config.smoothing_window,
-                                            config.min_prominence, args.trim))
-        if curve_out:
-            engine.export_curve_csv(curve, curve_out)
-            print(f"curve={curve_out}")
+        _print_estimate(engine.estimate_changepoint(
+            result.curve, method=args.method, trim=args.trim))
+    if args.scan:
+        _print_scan(engine.scan_extrema(result.curve, args.smoothing_window,
+                                        args.min_prominence, args.trim))
+    if curve_out:
+        engine.export_curve_csv(result.curve, curve_out)
+        print(f"curve={curve_out}")
     return 0
 
 
@@ -369,39 +320,27 @@ def cmd_detect(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config = CommandConfig(
-        subcommand="estimate",
-        inputs=(args.input,),
-        bandwidth=args.h,
-        method=args.method,
-        transform=args.transform,
-    )
+    _check_inputs(args.input)
     series = _load_input(args)
-    sigma = None
-    if config.method == "quadform_argmax":
-        sigma = long_run_covariance(series, config.bandwidth)
-    est = engine.estimate_changepoint(series, method=config.method,
-                                      sigma=sigma, trim=args.trim)
-    _print_estimate(est)
+    if args.method == "quadform_argmax":
+        # covariance first: the curve is not held during its large transient
+        lr = long_run_covariance(series, args.h)
+        curve = engine.quadform(engine.cusum(series), lr)
+    else:
+        curve = engine.cusum(series)
+    _print_estimate(engine.estimate_changepoint(curve, method=args.method,
+                                                trim=args.trim))
     return 0
 
 
 def cmd_scan(args) -> int:
     curve_out = _resolve_out(args, args.emit_curve) if args.emit_curve else None
-    config = CommandConfig(
-        subcommand="scan",
-        inputs=(args.input,),
-        outputs=(curve_out,) if curve_out else (),
-        bandwidth=args.h,
-        transform=args.transform,
-        smoothing_window=args.smoothing_window,
-        min_prominence=args.min_prominence,
-    )
+    _check_inputs(args.input)
     series = _load_input(args)
-    lr = long_run_covariance(series, config.bandwidth)
+    lr = long_run_covariance(series, args.h)
     curve = engine.quadform(engine.cusum(series), lr)
-    _print_scan(engine.scan_extrema(curve, config.smoothing_window,
-                                    config.min_prominence, args.trim))
+    _print_scan(engine.scan_extrema(curve, args.smoothing_window,
+                                    args.min_prominence, args.trim))
     if curve_out:
         engine.export_curve_csv(curve, curve_out)
         print(f"curve={curve_out}")
@@ -419,8 +358,6 @@ def cmd_critval(args) -> int:
             grid=DEFAULT_GRID if args.grid is None else args.grid,
             seed=args.seed,
         )
-    CommandConfig(subcommand="critval", alpha=args.alpha, seed=args.seed,
-                  budget=budget)
     if args.table and os.path.exists(args.table):
         table = CriticalValueTable.load_csv(args.table)
     elif args.table:
@@ -448,12 +385,11 @@ def cmd_critval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    extra = (args.table,) if args.table else ()
     if os.path.exists(args.grid):
-        CommandConfig(subcommand="bench", inputs=(args.grid,) + extra)
+        _check_inputs(args.table)
         grid = load_grid(args.grid)
     elif args.grid in SHIPPED_GRIDS:
-        CommandConfig(subcommand="bench", inputs=extra)
+        _check_inputs(args.table)
         grid = load_shipped_grid(args.grid)
     else:
         raise DomainError(
@@ -651,7 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fraction of the grid excluded at each end "
                           "(default: 0)")
     scn.add_argument("--emit-curve", default=None, metavar="FILE",
-                     help="write the smoothed-input curve to this CSV")
+                     help="write the test curve to this CSV (the same file "
+                          "as detect --emit-curve)")
     scn.set_defaults(func=cmd_scan)
 
     crit = subs.add_parser(

@@ -18,8 +18,8 @@ from scipy.signal import find_peaks
 
 from .critical import CriticalValueTable
 from .errors import DimensionMismatch, DomainError, TooShort
-from .series import MultivariateSeries
-from .spectral import LongRunCovariance, long_run_covariance
+from .series import MultivariateSeries, _frozen
+from .spectral import LongRunCovariance, _int_fourth_root, long_run_covariance
 
 __all__ = [
     "ChangePointEstimate",
@@ -35,11 +35,6 @@ __all__ = [
     "test",
     "test_result_text",
 ]
-
-
-def _frozen(a):
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -64,12 +59,17 @@ class CusumCurve:
 
 @dataclass(frozen=True)
 class TestResult:
+    """Outcome of `test`.  ``curve`` is the studentized curve (q filled)
+    whose maximum is the statistic; the estimate, the scan and the curve
+    export read it instead of rebuilding it."""
+
     statistic: float
     critical_value: float
     alpha: float
     reject: bool
     d: int
     sigma: LongRunCovariance
+    curve: CusumCurve
 
     @property
     def sigma_diag(self) -> np.ndarray:
@@ -168,7 +168,14 @@ def test(
         reject=bool(statistic > value),
         d=series.d,
         sigma=lr,
+        curve=curve,
     )
+
+
+def _q(curve: CusumCurve) -> np.ndarray:
+    if curve.q is None:
+        raise DomainError("curve has no quadratic-form values; apply quadform first")
+    return curve.q
 
 
 def _interior_bounds(N: int, trim: float) -> tuple[int, int]:
@@ -182,28 +189,25 @@ def _interior_bounds(N: int, trim: float) -> tuple[int, int]:
 
 
 def estimate_changepoint(
-    series: MultivariateSeries,
+    curve: CusumCurve,
     method: str = "quadform_argmax",
-    sigma: LongRunCovariance | None = None,
     trim: float = 0.0,
 ) -> ChangePointEstimate:
     """Argmax change-point estimate over the interior grid k = 1..N-1.
 
     ``norm_argmax`` maximizes the Euclidean norm of the curve;
-    ``quadform_argmax`` maximizes the studentized quadratic form (the
-    long-run covariance is estimated from the full series when not given).
+    ``quadform_argmax`` maximizes its studentized quadratic form, so the
+    curve must come from `quadform` (as `TestResult.curve` does).
     Ties go to the smallest index; ``trim`` optionally excludes the outer
     fraction of the grid on each side.
     """
-    N = series.T
+    N = curve.N
     if N < 3:
         raise TooShort(f"need at least 3 observations, got {N}")
-    curve = cusum(series)
     if method == "norm_argmax":
         values = np.linalg.norm(curve.s_tilde, axis=1)
     elif method == "quadform_argmax":
-        lr = long_run_covariance(series) if sigma is None else sigma
-        values = quadform(curve, lr).q
+        values = _q(curve)
     else:
         raise DomainError(
             f"unknown method {method!r}; use norm_argmax or quadform_argmax"
@@ -213,13 +217,6 @@ def estimate_changepoint(
     return ChangePointEstimate(
         k_hat=k / N, t_hat=k, method=method, curve_value=float(values[k])
     )
-
-
-def _int_fourth_root(n: int) -> int:
-    r = 1
-    while (r + 1) ** 4 <= n:
-        r += 1
-    return r
 
 
 def _smooth(q: np.ndarray, window: int) -> np.ndarray:
@@ -244,9 +241,7 @@ def scan_extrema(
     average of width 2*floor(N^(1/4))+1; prominence floor at 10% of the
     smoothed range), and both are overridable.
     """
-    if curve.q is None:
-        raise DomainError("curve has no quadratic-form values; apply quadform first")
-    q = curve.q
+    q = _q(curve)
     N = curve.N
     if smoothing_window is None:
         smoothing_window = 2 * _int_fourth_root(N) + 1
@@ -285,8 +280,7 @@ def scan_extrema(
 def export_curve_csv(curve: CusumCurve, path) -> None:
     """Write the curve to CSV: k, t = k/N, q, q/N (the plotting scale of the
     argmax estimator), then the curve components s_0..s_{d-1}."""
-    if curve.q is None:
-        raise DomainError("curve has no quadratic-form values; apply quadform first")
+    q = _q(curve)
     N = curve.N
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -297,8 +291,8 @@ def export_curve_csv(curve: CusumCurve, path) -> None:
             row = [
                 str(k),
                 format(k / N, ".17g"),
-                format(curve.q[k], ".17g"),
-                format(curve.q[k] / N, ".17g"),
+                format(q[k], ".17g"),
+                format(q[k] / N, ".17g"),
             ]
             row += [format(v, ".17g") for v in curve.s_tilde[k]]
             w.writerow(row)

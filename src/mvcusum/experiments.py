@@ -172,7 +172,7 @@ def run_cell(
             if result.reject:
                 rejects += 1
             if result.reject or always_estimate:
-                est = estimate_changepoint(series, method="quadform_argmax")
+                est = estimate_changepoint(result.curve, method="quadform_argmax")
                 estimates.append(est.t_hat)
                 if t_star is not None:
                     errors.append(t_star - est.t_hat)

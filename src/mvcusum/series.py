@@ -34,12 +34,17 @@ __all__ = [
 _MAX_FINDINGS = 200
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Write-protect an array in place and return it."""
+    a.setflags(write=False)
+    return a
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.float64, copy=True)
     if out.ndim == 1:
         out = out[:, None]
-    out.setflags(write=False)
-    return out
+    return _frozen(out)
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,7 @@ class CenteredSeries:
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
         m = np.array(self.mean, dtype=np.float64, copy=True).reshape(-1)
-        m.setflags(write=False)
-        object.__setattr__(self, "mean", m)
+        object.__setattr__(self, "mean", _frozen(m))
 
     @property
     def T(self) -> int:

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from .errors import DimensionMismatch, DomainError
-from .series import MultivariateSeries
+from .series import MultivariateSeries, _frozen
 
 __all__ = [
     "CoefficientScheme",
@@ -42,12 +42,6 @@ __all__ = [
     "gen_series",
     "geometric_coefficients",
 ]
-
-
-def _frozen(arr) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ class CoefficientScheme:
     K_max: int
 
     def __post_init__(self):
-        object.__setattr__(self, "base", _frozen(self.base))
+        object.__setattr__(self, "base", _frozen(np.array(self.base, np.float64)))
 
     @property
     def d(self) -> int:
@@ -197,14 +191,14 @@ class SimulationSpec:
             )
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
             raise DomainError("innovation_cov must be symmetric")
-        object.__setattr__(self, "innovation_cov", _frozen(cov))
+        object.__setattr__(self, "innovation_cov", _frozen(np.array(cov, np.float64)))
         delta = self.delta
         delta = np.zeros(self.d) if delta is None else np.asarray(delta, np.float64)
         if delta.shape != (self.d,):
             raise DimensionMismatch(
                 f"delta must have shape ({self.d},), got {delta.shape}"
             )
-        object.__setattr__(self, "delta", _frozen(delta))
+        object.__setattr__(self, "delta", _frozen(np.array(delta, np.float64)))
         if self.k_star is not None and not 0.0 < self.k_star < 1.0:
             raise DomainError(
                 f"break fraction must be in (0, 1), got {self.k_star}"

@@ -21,7 +21,7 @@ from .errors import (
     DomainError,
     TooShort,
 )
-from .series import CenteredSeries, MultivariateSeries, center
+from .series import CenteredSeries, MultivariateSeries, _frozen, center
 
 __all__ = [
     "Periodogram",
@@ -39,11 +39,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _frozen(a):
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -165,15 +160,20 @@ def sma_kernel(h: int) -> KernelWeights:
     return KernelWeights(h=h, weights=np.full(2 * h + 1, 1.0 / (2 * h + 1)))
 
 
+def _int_fourth_root(n: int) -> int:
+    """floor(n^(1/4)), at least 1, in exact integer arithmetic (no float
+    rounding near perfect fourth powers)."""
+    r = 1
+    while (r + 1) ** 4 <= n:
+        r += 1
+    return r
+
+
 def default_bandwidth(T: int) -> int:
-    """Integer fourth root of the series length (exact integer arithmetic,
-    no float rounding near perfect fourth powers)."""
+    """Integer fourth root of the series length."""
     if T < 16:
         raise TooShort(f"need at least 16 observations for a bandwidth, got {T}")
-    h = 1
-    while (h + 1) ** 4 <= T:
-        h += 1
-    return h
+    return _int_fourth_root(T)
 
 
 def _window_mean(pgram: Periodogram, kernel: KernelWeights, k0: int) -> np.ndarray:

@@ -83,6 +83,7 @@ def _run_cli(*argv):
 # ---------------------------------------------------------------- criteria
 
 
+@pytest.mark.slow
 def test_criterion_1_critical_value_matches_analytic_d1():
     # The d=1 limit distribution is the squared sup of a Brownian bridge, so
     # the 0.95 quantile is the squared Kolmogorov 0.95 point; the Monte

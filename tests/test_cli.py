@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import mvcusum
-from mvcusum import cli
+from mvcusum import cli, engine
 from mvcusum.critical import CriticalEntry, CriticalValueTable, default_table
-from mvcusum.engine import estimate_changepoint
+from mvcusum.engine import cusum, estimate_changepoint, quadform
 from mvcusum.series import IngestConfig, load_csv, write_csv
 from mvcusum.simulate import SimulationSpec, gen_series
 from mvcusum.spectral import long_run_covariance
@@ -122,6 +122,7 @@ def test_detect_help_documents_defaults(capsys):
 
 def test_no_subcommand_is_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
+    assert run_cli(capsys, "frobnicate")[0] == 2
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -129,21 +130,17 @@ def test_unknown_flag_is_usage_error(capsys):
     assert rc == 2
 
 
-def test_command_config_rejects_unknown_subcommand():
-    with pytest.raises(Exception) as info:
-        cli.CommandConfig(subcommand="frobnicate")
-    assert "frobnicate" in str(info.value)
-
-
-def test_command_config_validates_input_paths(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        cli.CommandConfig(subcommand="detect", inputs=(str(tmp_path / "no.csv"),))
-
-
-def test_missing_input_is_data_error(capsys, tmp_path):
-    rc, _, err = run_cli(capsys, "detect", tmp_path / "absent.csv")
+@pytest.mark.parametrize(
+    "argv",
+    [("detect",), ("estimate",), ("scan",), ("spectrum",),
+     ("bench", "table1", "--table")],
+    ids=["detect", "estimate", "scan", "spectrum", "bench"],
+)
+def test_missing_input_is_data_error(capsys, tmp_path, argv):
+    rc, _, err = run_cli(capsys, *argv, tmp_path / "absent.csv",
+                         "--output-dir", tmp_path)
     assert rc == 2
-    assert "error: FileNotFoundError" in err
+    assert "error: FileNotFoundError: no such input file:" in err
     assert "absent.csv" in err
 
 
@@ -416,6 +413,25 @@ def test_detect_emit_curve_writes_quadform_curve(capsys, tmp_path, ha_csv, cv2_c
     assert float(rows[-1][2]) == 0.0
 
 
+def test_detect_builds_covariance_and_curve_once(capsys, tmp_path, monkeypatch,
+                                                 ha_csv, cv2_csv):
+    # the test's curve feeds the estimate, the scan and the export
+    path, _, _ = ha_csv
+    calls = {}
+    for name in ("cusum", "quadform", "long_run_covariance"):
+        def counted(*args, _f=getattr(engine, name), _n=name, **kwargs):
+            calls[_n] = calls.get(_n, 0) + 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(engine, name, counted)
+    rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv, "--scan",
+                         "--emit-curve", "curve.csv", "--output-dir", tmp_path)
+    assert rc == 0
+    lines = kv_lines(out)
+    assert lines["reject"] == "true" and "t_hat" in lines
+    assert "extrema_count" in lines and "curve" in lines
+    assert calls == {"cusum": 1, "quadform": 1, "long_run_covariance": 1}
+
+
 def test_detect_scan_lists_extrema(capsys, tmp_path, cv2_csv):
     path = tmp_path / "prices.csv"
     write_price_csv(path)
@@ -459,7 +475,8 @@ def test_estimate_matches_library_oracle(capsys, tmp_path, ha_csv):
     rc, out, _ = run_cli(capsys, "estimate", path, "--output-dir", tmp_path)
     assert rc == 0
     lines = kv_lines(out)
-    oracle = estimate_changepoint(series)
+    oracle = estimate_changepoint(
+        quadform(cusum(series), long_run_covariance(series)))
     assert int(lines["t_hat"]) == oracle.t_hat
     assert float(lines["k_hat"]) == oracle.k_hat
     assert lines["method"] == "quadform_argmax"
@@ -472,7 +489,7 @@ def test_estimate_norm_method(capsys, tmp_path, ha_csv):
                          "--output-dir", tmp_path)
     assert rc == 0
     lines = kv_lines(out)
-    oracle = estimate_changepoint(series, method="norm_argmax")
+    oracle = estimate_changepoint(cusum(series), method="norm_argmax")
     assert int(lines["t_hat"]) == oracle.t_hat
     assert lines["method"] == "norm_argmax"
 
@@ -520,6 +537,11 @@ def test_scan_emit_curve(capsys, tmp_path, ha_csv):
     assert rc == 0
     assert (tmp_path / "q.csv").exists()
     assert "smoothing_window=" in out
+    # the scan exports the unsmoothed test curve, byte for byte as detect does
+    rc, _, _ = run_cli(capsys, "detect", path, "--emit-curve", "d.csv",
+                       "--output-dir", tmp_path)
+    assert rc == 0
+    assert (tmp_path / "q.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
 
 
 # ---------------------------------------------------------------- critval

@@ -131,6 +131,7 @@ def test_bridges_dimension_dominance():
         assert m1 < m2 < m4
 
 
+@pytest.mark.slow
 def test_bridges_tail_probability_near_analytic():
     # P(sup > x) at the 5% point, modest budget, pinned seed; the discrete
     # grid biases the sup low by ~0.016 at grid=10000, i.e. ~0.0016 in
@@ -141,6 +142,7 @@ def test_bridges_tail_probability_near_analytic():
     assert p == pytest.approx(0.05, abs=0.003)
 
 
+@pytest.mark.slow
 def test_grid_refinement_increases_quantile():
     # the discrete supremum under-measures the continuous one, so refining
     # the grid must raise the quantile (paired budget, fixed seed)

@@ -213,6 +213,11 @@ def test_test_statistic_is_sup_of_quadform():
     curve = quadform(cusum(s), lr)
     assert res.statistic == float(curve.q.max())
     np.testing.assert_array_equal(res.sigma_diag, np.diag(lr.sigma))
+    # the result carries the curve the statistic came from, frozen
+    assert res.curve.q.max() == res.statistic
+    np.testing.assert_array_equal(res.curve.q, curve.q)
+    assert not res.curve.q.flags.writeable
+    assert not res.curve.s_tilde.flags.writeable
 
 
 def test_test_bandwidth_passthrough():
@@ -242,9 +247,10 @@ def test_test_statistic_detects_big_shift():
 def test_estimate_deterministic_jump():
     x = np.concatenate([np.zeros(100), np.full(100, 10.0)])
     s = MultivariateSeries(x)
-    e1 = estimate_changepoint(s, method="norm_argmax")
+    e1 = estimate_changepoint(cusum(s), method="norm_argmax")
     assert e1.t_hat == 100 and e1.k_hat == 0.5
-    e2 = estimate_changepoint(s, method="quadform_argmax", sigma=manual_lr([[1.0]]))
+    e2 = estimate_changepoint(quadform(cusum(s), manual_lr([[1.0]])),
+                              method="quadform_argmax")
     assert e2.t_hat == 100 and e2.k_hat == 0.5
     assert e1.method == "norm_argmax" and e2.method == "quadform_argmax"
 
@@ -252,7 +258,7 @@ def test_estimate_deterministic_jump():
 def test_estimate_bounds_and_types():
     rng = np.random.default_rng(0)
     s = MultivariateSeries(rng.normal(size=(50, 2)))
-    e = estimate_changepoint(s, method="norm_argmax")
+    e = estimate_changepoint(cusum(s), method="norm_argmax")
     assert isinstance(e, ChangePointEstimate)
     assert 1 <= e.t_hat <= 49
     assert 0.0 < e.k_hat < 1.0
@@ -262,7 +268,7 @@ def test_estimate_bounds_and_types():
 def test_estimate_first_index_wins_ties():
     # alternating +-1 gives equal curve heights at k=1 and k=3
     s = MultivariateSeries(np.array([1.0, -1.0, 1.0, -1.0]))
-    e = estimate_changepoint(s, method="norm_argmax")
+    e = estimate_changepoint(cusum(s), method="norm_argmax")
     assert e.t_hat == 1
 
 
@@ -273,7 +279,7 @@ def test_estimate_quadform_matches_brute_force():
         X[T // 3 :] += 0.8
         s = MultivariateSeries(X)
         lr = manual_lr(np.eye(2))
-        e = estimate_changepoint(s, method="quadform_argmax", sigma=lr)
+        e = estimate_changepoint(quadform(cusum(s), lr), method="quadform_argmax")
         q = quadform(cusum(s), lr).q
         # brute force: first maximizer over the interior
         best = 1
@@ -286,7 +292,7 @@ def test_estimate_quadform_matches_brute_force():
 
 def test_estimate_norm_curve_value_is_norm():
     x = np.concatenate([np.zeros(10), np.full(10, 4.0)])
-    e = estimate_changepoint(MultivariateSeries(x), method="norm_argmax")
+    e = estimate_changepoint(cusum(MultivariateSeries(x)), method="norm_argmax")
     c = cusum(MultivariateSeries(x))
     assert e.curve_value == pytest.approx(
         np.linalg.norm(c.s_tilde[e.t_hat]), rel=1e-15
@@ -295,12 +301,29 @@ def test_estimate_norm_curve_value_is_norm():
 
 def test_estimate_unknown_method():
     with pytest.raises(DomainError):
-        estimate_changepoint(_h0_series(), method="midpoint")
+        estimate_changepoint(cusum(_h0_series()), method="midpoint")
+
+
+def test_curve_consumers_require_q_alike(tmp_path):
+    # the estimate, the scan and the export refuse a curve without q the
+    # same way
+    c = cusum(_h0_series())
+    messages = set()
+    for consume in (
+        lambda: estimate_changepoint(c, method="quadform_argmax"),
+        lambda: scan_extrema(c),
+        lambda: export_curve_csv(c, tmp_path / "x.csv"),
+    ):
+        with pytest.raises(DomainError) as info:
+            consume()
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 def test_estimate_too_short():
     with pytest.raises(TooShort):
-        estimate_changepoint(MultivariateSeries(np.array([1.0, 2.0])), "norm_argmax")
+        estimate_changepoint(cusum(MultivariateSeries(np.array([1.0, 2.0]))),
+                             "norm_argmax")
 
 
 def test_estimate_trim_excludes_edges():
@@ -308,13 +331,13 @@ def test_estimate_trim_excludes_edges():
     x = np.zeros(40)
     x[0] = 50.0
     x[20:] += 1.0
-    s = MultivariateSeries(x)
-    e0 = estimate_changepoint(s, method="norm_argmax")
+    c = cusum(MultivariateSeries(x))
+    e0 = estimate_changepoint(c, method="norm_argmax")
     assert e0.t_hat == 1
-    e = estimate_changepoint(s, method="norm_argmax", trim=0.2)
+    e = estimate_changepoint(c, method="norm_argmax", trim=0.2)
     assert 8 <= e.t_hat <= 32
     with pytest.raises(DomainError):
-        estimate_changepoint(s, method="norm_argmax", trim=0.6)
+        estimate_changepoint(c, method="norm_argmax", trim=0.6)
 
 
 def test_scale_equivariance_of_statistic():
@@ -388,12 +411,14 @@ def test_scan_requires_q():
 
 
 def test_scan_invariants_and_defaults():
-    scan = _scanned(_two_shift_series(480))
-    assert scan.smoothing_window == 2 * int(480**0.25) + 1
-    idx = [e.index for e in scan.extrema]
-    assert idx == sorted(idx) and len(set(idx)) == len(idx)
-    assert all(e.prominence >= scan.min_prominence for e in scan.extrema)
-    assert all(1 <= e.index <= 479 for e in scan.extrema)
+    # 625 = 5^4: the default window needs the exact integer fourth root
+    for T, window in ((480, 2 * int(480**0.25) + 1), (625, 11)):
+        scan = _scanned(_two_shift_series(T))
+        assert scan.smoothing_window == window
+        idx = [e.index for e in scan.extrema]
+        assert idx == sorted(idx) and len(set(idx)) == len(idx)
+        assert all(e.prominence >= scan.min_prominence for e in scan.extrema)
+        assert all(1 <= e.index <= T - 1 for e in scan.extrema)
 
 
 def test_scan_prominence_filter():
@@ -477,7 +502,8 @@ def test_argmax_consistency_trend_paired_seeds():
                 seed=seed,
             )
             series, t_star = gen_series(spec)
-            devs.append(abs(estimate_changepoint(series).t_hat - t_star))
+            curve = quadform(cusum(series), long_run_covariance(series))
+            devs.append(abs(estimate_changepoint(curve).t_hat - t_star))
         return float(np.mean(devs))
 
     shorter = mean_abs_dev(8000)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mvcusum import engine
 from mvcusum.critical import CriticalEntry, CriticalValueTable
-from mvcusum.engine import estimate_changepoint
+from mvcusum.engine import cusum, estimate_changepoint, quadform
 from mvcusum.errors import DomainError, GridParseError, ToolkitError
 from mvcusum.experiments import (
     ExperimentCell,
@@ -28,6 +28,7 @@ from mvcusum.simulate import (
     gen_series,
     geometric_coefficients,
 )
+from mvcusum.spectral import long_run_covariance
 
 
 def fake_table(pairs):
@@ -80,6 +81,11 @@ def test_metric_inequalities(errors):
 # ---------------------------------------------------------------- run_cell
 
 
+def studentized_curve(series):
+    """The quadform curve, built independently of `engine.test`."""
+    return quadform(cusum(series), long_run_covariance(series))
+
+
 def manual_cell(template, reps, alpha, table, always=False):
     """Protocol oracle: the documented per-rep sequence, written out."""
     rejects, errors, estimates, failures = 0, [], [], []
@@ -91,7 +97,8 @@ def manual_cell(template, reps, alpha, table, always=False):
             if result.reject:
                 rejects += 1
             if result.reject or always:
-                est = estimate_changepoint(series, method="quadform_argmax")
+                est = estimate_changepoint(studentized_curve(series),
+                                           method="quadform_argmax")
                 estimates.append(est.t_hat)
                 if t_star is not None:
                     errors.append(t_star - est.t_hat)
@@ -126,8 +133,23 @@ def test_run_cell_seeds_are_base_plus_rep():
     row = run_cell(template, 3, 0.05, table)
     for rep in range(3):
         series, _ = gen_series(replace(template, seed=17 + rep))
-        est = estimate_changepoint(series, method="quadform_argmax")
+        est = estimate_changepoint(studentized_curve(series),
+                                   method="quadform_argmax")
         assert row.estimates[rep] == est.t_hat
+
+
+def test_run_cell_estimates_covariance_once_per_rep(monkeypatch):
+    # every rep rejects and is estimated, from the test's own curve
+    calls = []
+
+    def counted(*args, _f=engine.long_run_covariance, **kwargs):
+        calls.append(1)
+        return _f(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "long_run_covariance", counted)
+    row = run_cell(ha_template(seed=17), 3, 0.05, fake_table([(2, 0.05, 1e-9)]))
+    assert len(row.estimates) == 3
+    assert len(calls) == 3
 
 
 def test_run_cell_conditions_on_rejection():
