@@ -21,27 +21,20 @@ from .errors import (
     ToolkitError,
 )
 from .spectral import (
-    KernelWeights,
     LongRunCovariance,
     Periodogram,
-    SpectralEstimate,
     default_bandwidth,
     dft,
     export_spectrum_csv,
     long_run_covariance,
-    nearest_fourier,
-    sma_kernel,
     smoothed_spectrum,
-    spectral_estimate,
 )
 from .series import (
     CenteredSeries,
     IngestConfig,
     MultivariateSeries,
-    ValidationReport,
     center,
     load_csv,
-    validate,
     write_csv,
 )
 from .engine import (

@@ -52,13 +52,7 @@ from .experiments import (
 )
 from .series import IngestConfig, MultivariateSeries, center, load_csv, write_csv
 from .simulate import gen_series
-from .spectral import (
-    dft,
-    export_spectrum_csv,
-    long_run_covariance,
-    sma_kernel,
-    spectral_estimate,
-)
+from .spectral import export_spectrum_csv, long_run_covariance, smoothed_spectrum
 
 __all__ = ["apply_transform", "build_parser", "main"]
 
@@ -261,9 +255,8 @@ def cmd_spectrum(args) -> int:
         raise DomainError(f"need at least 2 frequencies, got {args.freqs}")
     series = _load_input(args)
     lr = long_run_covariance(series, args.h)
-    est = spectral_estimate(dft(center(series)), sma_kernel(lr.h_used))
     omegas = np.linspace(0.0, math.pi, args.freqs)
-    export_spectrum_csv(out, omegas, [est.at(w) for w in omegas])
+    export_spectrum_csv(out, omegas, smoothed_spectrum(series, lr.h_used, omegas))
     print(f"T={series.T}")
     print(f"d={series.d}")
     print(f"h_used={lr.h_used}")
@@ -279,15 +272,18 @@ def cmd_spectrum(args) -> int:
 
 def _two_pass_sigma(series, method, trim, h):
     """Pilot estimate on the first-pass covariance, then re-estimate the
-    long-run covariance after demeaning each segment at the pilot break."""
+    long-run covariance after demeaning each segment at the pilot break.
+    Also returns the unstudentized curve, for the test to studentize under
+    the re-estimated covariance."""
     first = long_run_covariance(series, h)
-    pilot = engine.estimate_changepoint(
-        engine.quadform(engine.cusum(series), first), method=method, trim=trim)
+    curve = engine.cusum(series)
+    pilot = engine.estimate_changepoint(engine.quadform(curve, first),
+                                        method=method, trim=trim)
     x = series.values.copy()
     k = pilot.t_hat
     x[:k] -= x[:k].mean(axis=0)
     x[k:] -= x[k:].mean(axis=0)
-    return long_run_covariance(MultivariateSeries(x), h), pilot
+    return long_run_covariance(MultivariateSeries(x), h), pilot, curve
 
 
 def cmd_detect(args) -> int:
@@ -296,10 +292,12 @@ def cmd_detect(args) -> int:
     table = _load_table(args.table)
     series = _load_input(args)
 
-    sigma = pilot = None
+    sigma = pilot = curve = None
     if args.two_pass:
-        sigma, pilot = _two_pass_sigma(series, args.method, args.trim, args.h)
-    result = engine.test(series, args.alpha, table, h=args.h, sigma=sigma)
+        sigma, pilot, curve = _two_pass_sigma(series, args.method, args.trim,
+                                              args.h)
+    result = engine.test(series, args.alpha, table, h=args.h, sigma=sigma,
+                         curve=curve)
     sys.stdout.write(engine.test_result_text(result))
     if args.two_pass:
         print("two_pass=true")
@@ -449,6 +447,18 @@ def _add_bandwidth_flag(sub) -> None:
                           "integer fourth root of T)")
 
 
+def _add_seed_flag(sub) -> None:
+    sub.add_argument("--seed", type=int, default=None,
+                     help="integer seed override (default: per-command "
+                          "deterministic default)")
+
+
+def _add_output_dir_flag(sub) -> None:
+    sub.add_argument("--output-dir", default=None, metavar="DIR",
+                     help="directory for relative output paths (default: "
+                          "current directory)")
+
+
 def _add_scan_flags(sub) -> None:
     sub.add_argument("--smoothing-window", type=int, default=None, metavar="W",
                      help="odd moving-average width for the scan (default: "
@@ -466,20 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "covariance, Monte Carlo critical values, simulation "
                     "benchmarks.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="integer seed override (default: per-command "
-                             "deterministic default)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker thread cap for bench cells (default: 1)")
-    common.add_argument("--output-dir", default=None, metavar="DIR",
-                        help="directory for relative output paths (default: "
-                             "current directory)")
     subs = parser.add_subparsers(dest="subcommand", required=True,
                                  metavar="subcommand")
 
     sim = subs.add_parser(
-        "simulate", parents=[common],
+        "simulate",
         help="draw one synthetic series and write it as CSV",
         description="Draw one series from the geometric linear-process "
                     "model with m-dependent Gaussian innovations and an "
@@ -511,10 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output series CSV (default: series.csv)")
     sim.add_argument("--meta", default=None, metavar="FILE",
                      help="metadata sidecar path (default: <out>.meta)")
+    _add_seed_flag(sim)
+    _add_output_dir_flag(sim)
     sim.set_defaults(func=cmd_simulate)
 
     spec = subs.add_parser(
-        "spectrum", parents=[common],
+        "spectrum",
         help="long-run covariance and smoothed-spectrum export",
         description="Estimate the smoothed spectral density of a series, "
                     "print the long-run covariance (2*pi times the real "
@@ -527,10 +530,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: 257)")
     spec.add_argument("--out", default="spectrum.csv", metavar="FILE",
                       help="output spectrum CSV (default: spectrum.csv)")
+    _add_output_dir_flag(spec)
     spec.set_defaults(func=cmd_spectrum)
 
     det = subs.add_parser(
-        "detect", parents=[common],
+        "detect",
         help="mean-shift test, with optional estimate, scan, and curve export",
         description="Run the CUSUM mean-shift test on a series; on "
                     "rejection also print the change-point estimate. "
@@ -558,10 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--emit-curve", default=None, metavar="FILE",
                      help="write the test curve to this CSV")
     _add_scan_flags(det)
+    _add_output_dir_flag(det)
     det.set_defaults(func=cmd_detect)
 
     est = subs.add_parser(
-        "estimate", parents=[common],
+        "estimate",
         help="change-point estimate without the test",
         description="Argmax change-point estimate on a series (no "
                     "hypothesis test).")
@@ -576,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(func=cmd_estimate)
 
     scn = subs.add_parser(
-        "scan", parents=[common],
+        "scan",
         help="local extrema of the test curve (multiple breaks)",
         description="Smooth the studentized test curve and list its local "
                     "extrema, a reading surface for multiple mean shifts.")
@@ -589,10 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
     scn.add_argument("--emit-curve", default=None, metavar="FILE",
                      help="write the test curve to this CSV (the same file "
                           "as detect --emit-curve)")
+    _add_output_dir_flag(scn)
     scn.set_defaults(func=cmd_scan)
 
     crit = subs.add_parser(
-        "critval", parents=[common],
+        "critval",
         help="look up or compute a critical value",
         description="Look up the critical value for (d, alpha) in a table, "
                     "simulating it at the given Monte Carlo budget on a "
@@ -608,10 +614,11 @@ def build_parser() -> argparse.ArgumentParser:
     crit.add_argument("--table", default=None, metavar="FILE",
                       help="table CSV to read and extend (default: the "
                            "shipped table, read-only)")
+    _add_seed_flag(crit)
     crit.set_defaults(func=cmd_critval)
 
     ben = subs.add_parser(
-        "bench", parents=[common],
+        "bench",
         help="run a benchmark grid of simulation cells",
         description="Run every cell of a benchmark grid (a file, or a "
                     "shipped name: " + ", ".join(SHIPPED_GRIDS) + ") and "
@@ -628,6 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "only on rejections")
     ben.add_argument("--keep-going", action="store_true",
                      help="exit 0 even when some replications fail")
+    ben.add_argument("--threads", type=int, default=1,
+                     help="worker thread cap for bench cells (default: 1)")
+    _add_output_dir_flag(ben)
     ben.set_defaults(func=cmd_bench)
     return parser
 

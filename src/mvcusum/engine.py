@@ -147,6 +147,7 @@ def test(
     cv: CriticalValueTable,
     h: int | None = None,
     sigma: LongRunCovariance | None = None,
+    curve: CusumCurve | None = None,
 ) -> TestResult:
     """Mean-shift test: sup of the studentized quadratic form against the
     cached critical value for (d, alpha).
@@ -155,11 +156,13 @@ def test(
     raises MissingCriticalValue (extend the table with the `critval`
     subcommand).  Propagates DegenerateSpectrum from covariance estimation.
     ``sigma`` overrides the internally estimated long-run covariance — the
-    two-pass pipeline passes one estimated from segment-demeaned residuals.
+    two-pass pipeline passes one estimated from segment-demeaned residuals,
+    together with ``curve``, the ``cusum(series)`` curve its pilot already
+    built, which is then studentized under ``sigma`` instead of rebuilt.
     """
     value = cv.lookup(series.d, alpha)
     lr = long_run_covariance(series, h) if sigma is None else sigma
-    curve = quadform(cusum(series), lr)
+    curve = quadform(cusum(series) if curve is None else curve, lr)
     statistic = float(curve.q.max())
     return TestResult(
         statistic=statistic,

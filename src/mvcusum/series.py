@@ -1,4 +1,4 @@
-"""Core series types, CSV ingestion, validation, and centering.
+"""Core series types, CSV ingestion, and centering.
 
 The observation container is a plain T x d float matrix with optional column
 labels and row timestamps. CSV dialect is fixed: comma separated, first row
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,17 +21,10 @@ __all__ = [
     "MultivariateSeries",
     "CenteredSeries",
     "IngestConfig",
-    "Finding",
-    "ValidationReport",
     "load_csv",
     "write_csv",
     "center",
-    "validate",
 ]
-
-# cap on findings collected by validate(); keeps reports on pathological
-# inputs bounded
-_MAX_FINDINGS = 200
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -62,9 +55,8 @@ class MultivariateSeries:
 
     Notes
     -----
-    Construction does not validate; `load_csv` raises typed errors at ingest
-    and `validate` produces a finding report for anything else. Instances are
-    immutable (the values array is write-protected).
+    Construction does not validate; `load_csv` raises typed errors at
+    ingest. Instances are immutable (the values array is write-protected).
     """
 
     values: np.ndarray
@@ -120,23 +112,6 @@ class IngestConfig:
     columns: Sequence[str]
     date_column: Optional[str] = None
     skip_rows: int = 0
-
-
-@dataclass(frozen=True)
-class Finding:
-    kind: str
-    row: Optional[int]
-    col: Optional[int]
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
 
 
 def load_csv(path, config: IngestConfig) -> MultivariateSeries:
@@ -242,37 +217,3 @@ def center(series: MultivariateSeries) -> CenteredSeries:
     mean = series.values.mean(axis=0)
     return CenteredSeries(series.values - mean, mean)
 
-
-def validate(series: MultivariateSeries) -> ValidationReport:
-    """Report violations of the series invariants without raising.
-
-    Checks: T >= 2, d >= 1, all entries finite, label count == d,
-    timestamp count == T. An empty report means the series is valid.
-    """
-    findings = []
-    T, d = series.values.shape
-    if T < 2:
-        findings.append(Finding("TooShort", None, None, f"T={T} < 2"))
-    if d < 1:
-        findings.append(Finding("DimensionMismatch", None, None, "d < 1"))
-    bad = np.argwhere(~np.isfinite(series.values))
-    for r, c in bad[:_MAX_FINDINGS]:
-        findings.append(
-            Finding("NonFinite", int(r), int(c), f"non-finite entry at ({r}, {c})")
-        )
-    if series.labels is not None and len(series.labels) != d:
-        findings.append(
-            Finding(
-                "LabelMismatch", None, None, f"{len(series.labels)} labels for d={d}"
-            )
-        )
-    if series.timestamps is not None and len(series.timestamps) != T:
-        findings.append(
-            Finding(
-                "TimestampMismatch",
-                None,
-                None,
-                f"{len(series.timestamps)} timestamps for T={T}",
-            )
-        )
-    return ValidationReport(tuple(findings))

@@ -1,11 +1,12 @@
-"""Frequency-domain estimation: periodogram, kernel smoothing, long-run
-covariance.
+"""Frequency-domain estimation: periodogram ordinates, smoothed spectrum,
+long-run covariance.
 
 The long-run covariance of a stationary multivariate series equals 2*pi times
 its spectral density at frequency zero, so the estimation chain here is:
-discrete Fourier transform -> matrix periodogram -> kernel-smoothed spectrum
--> long-run covariance (with an eigenvalue floor so the inverse stays usable
-on near-degenerate input).
+one real FFT -> the 2h+1 matrix-periodogram ordinates around each requested
+frequency (and no others) -> their flat average, the smoothed spectrum ->
+long-run covariance (with an eigenvalue floor so the inverse stays usable on
+near-degenerate input).
 """
 
 from __future__ import annotations
@@ -25,15 +26,10 @@ from .series import CenteredSeries, MultivariateSeries, _frozen, center
 
 __all__ = [
     "Periodogram",
-    "KernelWeights",
-    "SpectralEstimate",
     "LongRunCovariance",
     "dft",
-    "nearest_fourier",
-    "sma_kernel",
     "default_bandwidth",
     "smoothed_spectrum",
-    "spectral_estimate",
     "long_run_covariance",
     "export_spectrum_csv",
 ]
@@ -43,12 +39,12 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class Periodogram:
-    """Matrix periodogram on the Fourier grid omega_j = 2*pi*j/N.
+    """Matrix periodogram ordinates at integer frequencies omega_j = 2*pi*j/N.
 
-    ``js`` holds the ascending integer grid -[(N-1)/2] .. [N/2] and
-    ``ordinates[a]`` is the d x d matrix at js[a].  The grid is 2*pi-periodic,
-    and the rank-one construction W W* makes every ordinate exactly Hermitian
-    with conjugate symmetry across j <-> -j.
+    ``ordinates[a]`` is the d x d matrix at js[a]; ``js`` holds the indices
+    as requested, and the grid is N-periodic in j.  The rank-one
+    construction W W* makes every ordinate exactly Hermitian, with
+    I(-omega_j) = conj(I(omega_j)) bit for bit.
     """
 
     js: np.ndarray
@@ -58,47 +54,6 @@ class Periodogram:
     def __post_init__(self):
         _frozen(self.js)
         _frozen(self.ordinates)
-
-    @property
-    def d(self) -> int:
-        return self.ordinates.shape[1]
-
-    def at_index(self, j: int) -> np.ndarray:
-        """Ordinate at integer index j, wrapped onto the stored grid."""
-        pos = (int(j) - int(self.js[0])) % self.N
-        return self.ordinates[pos]
-
-
-@dataclass(frozen=True)
-class KernelWeights:
-    """Symmetric nonnegative smoothing weights for lags |k| <= h, summing
-    to one."""
-
-    h: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        _frozen(self.weights)
-
-
-@dataclass(frozen=True)
-class SpectralEstimate:
-    """Callable smoothed-spectrum estimate bound to one periodogram and one
-    kernel."""
-
-    pgram: Periodogram
-    kernel: KernelWeights
-
-    @property
-    def h_used(self) -> int:
-        return self.kernel.h
-
-    @property
-    def N(self) -> int:
-        return self.pgram.N
-
-    def at(self, omega: float) -> np.ndarray:
-        return smoothed_spectrum(self.pgram, self.kernel, omega)
 
 
 @dataclass(frozen=True)
@@ -121,43 +76,25 @@ class LongRunCovariance:
         _frozen(self.sigma_inv)
 
 
-def dft(series: CenteredSeries) -> Periodogram:
-    """Matrix periodogram of a centered series via FFT.
+def dft(series: CenteredSeries, js) -> Periodogram:
+    """Matrix periodogram of a centered series at the integer frequencies js.
 
-    Uses one real FFT per coordinate and mirrors the redundant half with an
-    explicit conjugate copy, so the symmetry I(-omega) = conj(I(omega)) holds
-    bitwise rather than to rounding.
+    Takes one real FFT per coordinate and forms only the requested
+    ordinates, wrapping each index modulo N.  Row n of the transform is
+    conj(rfft[n]) for n <= N/2 and rfft[N-n] above, so the symmetry
+    I(-omega) = conj(I(omega)) holds bitwise rather than to rounding.
     """
     X = series.values
-    N, d = X.shape
+    N = X.shape[0]
     if N < 2:
         raise TooShort(f"need at least 2 observations, got {N}")
-    half = N // 2
-    G = np.conj(np.fft.rfft(X, axis=0))
-    full = np.empty((N, d), dtype=complex)
-    full[: half + 1] = G
-    full[half + 1 :] = np.conj(G[1 : N - half][::-1])
-    mats = np.einsum("kp,kq->kpq", full, np.conj(full)) / N
-    js = np.arange(-((N - 1) // 2), half + 1)
-    ordinates = mats[np.mod(js, N)]
+    js = np.array(js, dtype=np.int64).reshape(-1)
+    n = np.mod(js, N)
+    low = n <= N // 2
+    rows = np.fft.rfft(X, axis=0)[np.where(low, n, N - n)]
+    rows[low] = np.conj(rows[low])
+    ordinates = np.einsum("kp,kq->kpq", rows, np.conj(rows)) / N
     return Periodogram(js=js, ordinates=ordinates, N=N)
-
-
-def nearest_fourier(N: int, omega: float) -> float:
-    """Closest Fourier-grid frequency 2*pi*k/N to omega, ties resolved to
-    the larger k."""
-    if not 0.0 <= omega <= math.pi:
-        raise DomainError(f"frequency {omega} outside [0, pi]")
-    k = math.floor(omega * N / _TWO_PI + 0.5)
-    return _TWO_PI * k / N
-
-
-def sma_kernel(h: int) -> KernelWeights:
-    """Flat moving-average weights: 2h+1 points of mass 1/(2h+1)."""
-    if int(h) != h or h < 1:
-        raise DomainError(f"bandwidth must be a positive integer, got {h}")
-    h = int(h)
-    return KernelWeights(h=h, weights=np.full(2 * h + 1, 1.0 / (2 * h + 1)))
 
 
 def _int_fourth_root(n: int) -> int:
@@ -176,41 +113,43 @@ def default_bandwidth(T: int) -> int:
     return _int_fourth_root(T)
 
 
-def _window_mean(pgram: Periodogram, kernel: KernelWeights, k0: int) -> np.ndarray:
-    h = kernel.h
-    pos = (k0 + np.arange(-h, h + 1) - int(pgram.js[0])) % pgram.N
-    return np.tensordot(kernel.weights, pgram.ordinates[pos], axes=1) / _TWO_PI
-
-
 def smoothed_spectrum(
-    pgram: Periodogram, kernel: KernelWeights, omega: float
+    series: MultivariateSeries | CenteredSeries, h: int, omegas
 ) -> np.ndarray:
-    """Kernel-smoothed spectral density at one frequency.
+    """Smoothed spectral density at each frequency in omegas, shape (n, d, d).
 
-    Averages the 2h+1 periodogram ordinates centered on the grid frequency
-    nearest |omega|, wrapping indices modulo the grid (the 2*pi-periodic
-    extension with conjugate symmetry), then conjugates when omega < 0.
+    The series is centered first.  At each omega the 2h+1 periodogram
+    ordinates centered on the grid frequency nearest |omega| are averaged
+    with weight 1/(2h+1), wrapping indices modulo the grid (the
+    2*pi-periodic extension with conjugate symmetry); the mean is
+    conjugated when omega < 0.  Only the ordinates some window reads are
+    formed.
     """
-    N = pgram.N
-    if 2 * kernel.h + 1 > N:
+    N = series.values.shape[0]
+    if int(h) != h or h < 1:
+        raise DomainError(f"bandwidth must be a positive integer, got {h}")
+    h = int(h)
+    if 2 * h + 1 > N:
         raise BandwidthTooLarge(
-            f"smoothing window 2h+1 = {2 * kernel.h + 1} exceeds series length {N}"
+            f"smoothing window 2h+1 = {2 * h + 1} exceeds series length {N}"
         )
-    if not -math.pi <= omega <= math.pi:
-        raise DomainError(f"frequency {omega} outside [-pi, pi]")
-    a = abs(omega)
-    k0 = math.floor(a * N / _TWO_PI + 0.5)
-    f = _window_mean(pgram, kernel, k0)
-    return np.conj(f) if omega < 0 else f
-
-
-def spectral_estimate(pgram: Periodogram, kernel: KernelWeights) -> SpectralEstimate:
-    """Bind a periodogram and kernel into a reusable frequency -> matrix map."""
-    if 2 * kernel.h + 1 > pgram.N:
-        raise BandwidthTooLarge(
-            f"smoothing window 2h+1 = {2 * kernel.h + 1} exceeds series length {pgram.N}"
-        )
-    return SpectralEstimate(pgram=pgram, kernel=kernel)
+    omegas = [float(w) for w in omegas]
+    for omega in omegas:
+        if not -math.pi <= omega <= math.pi:
+            raise DomainError(f"frequency {omega} outside [-pi, pi]")
+    k0 = [math.floor(abs(w) * N / _TWO_PI + 0.5) for w in omegas]
+    windows = np.mod(np.add.outer(k0, np.arange(-h, h + 1)), N)
+    js = np.unique(windows)
+    centered = series if isinstance(series, CenteredSeries) else center(series)
+    pgram = dft(centered, js)
+    weights = np.full(2 * h + 1, 1.0 / (2 * h + 1))
+    out = []
+    for omega, window in zip(omegas, windows):
+        f = np.tensordot(
+            weights, pgram.ordinates[np.searchsorted(js, window)], axes=1
+        ) / _TWO_PI
+        out.append(np.conj(f) if omega < 0 else f)
+    return np.array(out)
 
 
 def long_run_covariance(
@@ -223,17 +162,11 @@ def long_run_covariance(
     floor eps0 = 1e-8 * trace/d, the inverse is taken of sigma plus a ridge
     just large enough to restore the floor, and the ridge size is reported.
     """
-    centered = series if isinstance(series, CenteredSeries) else center(series)
-    T, d = centered.values.shape
+    T, d = series.values.shape
     if T < 16:
         raise TooShort(f"need at least 16 observations, got {T}")
     h_used = default_bandwidth(T) if h is None else h
-    kernel = sma_kernel(h_used)
-    if 2 * kernel.h + 1 > T:
-        raise BandwidthTooLarge(
-            f"smoothing window 2h+1 = {2 * kernel.h + 1} exceeds series length {T}"
-        )
-    f0 = smoothed_spectrum(dft(centered), kernel, 0.0)
+    f0 = smoothed_spectrum(series, h_used, [0.0])[0]
     sigma = _TWO_PI * f0.real
     sigma = (sigma + sigma.T) / 2.0
     trace = float(np.trace(sigma))
@@ -247,7 +180,7 @@ def long_run_covariance(
     inv = np.linalg.inv(sigma + ridge * np.eye(d))
     inv = (inv + inv.T) / 2.0
     return LongRunCovariance(
-        sigma=sigma, sigma_inv=inv, ridge_applied=ridge, h_used=kernel.h, N=T
+        sigma=sigma, sigma_inv=inv, ridge_applied=ridge, h_used=int(h_used), N=T
     )
 
 

@@ -31,7 +31,6 @@ from mvcusum.spectral import (
     default_bandwidth,
     dft,
     long_run_covariance,
-    sma_kernel,
     smoothed_spectrum,
 )
 
@@ -189,8 +188,8 @@ def test_criterion_6_spectral_consistency():
     rng = np.random.default_rng(5)
     z = rng.standard_normal(16001)
     x = z[1:] + 0.5 * z[:-1]
-    pg = dft(center(MultivariateSeries(x)))
-    f0 = smoothed_spectrum(pg, sma_kernel(default_bandwidth(16000)), 0.0)[0, 0].real
+    f0 = smoothed_spectrum(center(MultivariateSeries(x)),
+                           default_bandwidth(16000), [0.0])[0, 0, 0].real
     target = 1.5**2 / (2 * np.pi)
     assert abs(f0 - target) < 0.06, f"f(0) {f0:.4f} vs {target:.4f}"
     print(
@@ -207,7 +206,7 @@ def test_criterion_7_property_suites():
 
     # Parseval: total periodogram mass equals the centered sum of squares.
     cent = center(MultivariateSeries(rng.normal(size=(300, 3)) * 2.0))
-    pg = dft(cent)
+    pg = dft(cent, np.arange(-149, 151))
     lhs = float(np.trace(pg.ordinates.sum(axis=0)).real)
     rhs = float((cent.values**2).sum())
     assert lhs == pytest.approx(rhs, rel=1e-8)
@@ -220,14 +219,13 @@ def test_criterion_7_property_suites():
 
     # FFT path matches the O(N^2) transform definition.
     vals = center(MultivariateSeries(rng.normal(size=(64, 2)))).values
-    pg64 = dft(center(MultivariateSeries(vals)))
+    c64 = center(MultivariateSeries(vals))
+    pg64 = dft(c64, (-31, -7, 0, 1, 19, 32))
     n = np.arange(1, 65)
-    for j in (-31, -7, 0, 1, 19, 32):
+    for j, M in zip(pg64.js, pg64.ordinates):
         w = 2 * np.pi * j / 64
         W = (vals * np.exp(1j * n * w)[:, None]).sum(axis=0) / np.sqrt(64)
-        np.testing.assert_allclose(
-            pg64.at_index(j), np.outer(W, np.conj(W)), rtol=1e-9, atol=1e-9
-        )
+        np.testing.assert_allclose(M, np.outer(W, np.conj(W)), rtol=1e-9, atol=1e-9)
 
     # CUSUM curve: exact endpoint zeros; integer data make constant-shift
     # invariance bit-exact.
@@ -246,12 +244,14 @@ def test_criterion_7_property_suites():
     oracle = np.einsum("kd,de,ke->k", engine.cusum(s).s_tilde, lr.sigma_inv, engine.cusum(s).s_tilde)
     np.testing.assert_allclose(q, oracle, rtol=1e-9, atol=1e-12)
 
-    # Smoothing kernel contract: odd length, symmetric, nonnegative, unit mass.
-    for h in (1, 4, 11):
-        w = sma_kernel(h).weights
-        assert len(w) == 2 * h + 1 and np.all(w >= 0)
-        np.testing.assert_array_equal(w, w[::-1])
-        assert abs(w.sum() - 1.0) < 1e-12
+    # Smoothed spectrum: the flat mean of the 2h+1 periodogram ordinates
+    # around omega_j, divided by 2*pi (windows wrap around 0 and N/2).
+    for h, j in ((1, 0), (4, 19), (11, 32)):
+        window = dft(c64, np.arange(j - h, j + h + 1)).ordinates
+        np.testing.assert_allclose(
+            smoothed_spectrum(c64, h, [2 * np.pi * j / 64])[0],
+            window.mean(axis=0) / (2 * np.pi), rtol=1e-12, atol=1e-15,
+        )
 
     # Metric inequalities on arbitrary error samples.
     errs = rng.normal(size=40) * 30

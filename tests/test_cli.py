@@ -125,9 +125,17 @@ def test_no_subcommand_is_usage_error(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
 
 
-def test_unknown_flag_is_usage_error(capsys):
+def test_unknown_flag_is_usage_error(capsys, ha_csv):
     rc, _, _ = run_cli(capsys, "detect", "--bogus")
     assert rc == 2
+    # each shared flag is accepted only by the commands that read it
+    path, _, _ = ha_csv
+    for argv in (("detect", path, "--seed", 1),
+                 ("estimate", path, "--threads", 2),
+                 ("critval", "--d", 1, "--output-dir", "x")):
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize(
@@ -137,8 +145,9 @@ def test_unknown_flag_is_usage_error(capsys):
     ids=["detect", "estimate", "scan", "spectrum", "bench"],
 )
 def test_missing_input_is_data_error(capsys, tmp_path, argv):
-    rc, _, err = run_cli(capsys, *argv, tmp_path / "absent.csv",
-                         "--output-dir", tmp_path)
+    # estimate writes no file, so it takes no --output-dir
+    out_dir = () if argv[0] == "estimate" else ("--output-dir", tmp_path)
+    rc, _, err = run_cli(capsys, *argv, tmp_path / "absent.csv", *out_dir)
     assert rc == 2
     assert "error: FileNotFoundError: no such input file:" in err
     assert "absent.csv" in err
@@ -418,11 +427,13 @@ def test_detect_builds_covariance_and_curve_once(capsys, tmp_path, monkeypatch,
     # the test's curve feeds the estimate, the scan and the export
     path, _, _ = ha_csv
     calls = {}
-    for name in ("cusum", "quadform", "long_run_covariance"):
-        def counted(*args, _f=getattr(engine, name), _n=name, **kwargs):
+    for module, name in ((engine, "cusum"), (engine, "quadform"),
+                         (engine, "long_run_covariance"),
+                         (cli, "long_run_covariance")):
+        def counted(*args, _f=getattr(module, name), _n=name, **kwargs):
             calls[_n] = calls.get(_n, 0) + 1
             return _f(*args, **kwargs)
-        monkeypatch.setattr(engine, name, counted)
+        monkeypatch.setattr(module, name, counted)
     rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv, "--scan",
                          "--emit-curve", "curve.csv", "--output-dir", tmp_path)
     assert rc == 0
@@ -430,6 +441,15 @@ def test_detect_builds_covariance_and_curve_once(capsys, tmp_path, monkeypatch,
     assert lines["reject"] == "true" and "t_hat" in lines
     assert "extrema_count" in lines and "curve" in lines
     assert calls == {"cusum": 1, "quadform": 1, "long_run_covariance": 1}
+    # --two-pass studentizes the pilot's curve again under the second
+    # covariance instead of rebuilding it
+    calls.clear()
+    rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv,
+                         "--two-pass", "--scan")
+    assert rc == 0
+    lines = kv_lines(out)
+    assert lines["two_pass"] == "true" and "extrema_count" in lines
+    assert calls == {"cusum": 1, "quadform": 2, "long_run_covariance": 2}
 
 
 def test_detect_scan_lists_extrema(capsys, tmp_path, cv2_csv):
@@ -472,7 +492,7 @@ def test_detect_column_subset(capsys, tmp_path):
 
 def test_estimate_matches_library_oracle(capsys, tmp_path, ha_csv):
     path, series, _ = ha_csv
-    rc, out, _ = run_cli(capsys, "estimate", path, "--output-dir", tmp_path)
+    rc, out, _ = run_cli(capsys, "estimate", path)
     assert rc == 0
     lines = kv_lines(out)
     oracle = estimate_changepoint(
@@ -485,8 +505,7 @@ def test_estimate_matches_library_oracle(capsys, tmp_path, ha_csv):
 
 def test_estimate_norm_method(capsys, tmp_path, ha_csv):
     path, series, _ = ha_csv
-    rc, out, _ = run_cli(capsys, "estimate", path, "--method", "norm_argmax",
-                         "--output-dir", tmp_path)
+    rc, out, _ = run_cli(capsys, "estimate", path, "--method", "norm_argmax")
     assert rc == 0
     lines = kv_lines(out)
     oracle = estimate_changepoint(cusum(series), method="norm_argmax")

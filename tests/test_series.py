@@ -8,7 +8,6 @@ from mvcusum.series import (
     MultivariateSeries,
     center,
     load_csv,
-    validate,
     write_csv,
 )
 
@@ -128,39 +127,6 @@ def test_center_idempotent():
     once = center(s)
     twice = center(MultivariateSeries(once.values))
     assert np.all(np.abs(twice.mean) < 1e-9)
-
-
-def test_validate_valid_series():
-    s = MultivariateSeries(np.ones((10, 2)))
-    assert validate(s).ok
-    assert validate(s).findings == ()
-
-
-def test_validate_nan_finding():
-    vals = np.ones((10, 2))
-    vals[3, 1] = np.nan
-    rep = validate(MultivariateSeries(vals))
-    assert not rep.ok
-    assert len(rep.findings) == 1
-    f = rep.findings[0]
-    assert f.kind == "NonFinite" and f.row == 3 and f.col == 1
-
-
-def test_validate_too_short():
-    rep = validate(MultivariateSeries(np.ones((1, 2))))
-    assert any(f.kind == "TooShort" for f in rep.findings)
-
-
-def test_validate_label_count():
-    s = MultivariateSeries(np.ones((5, 2)), labels=("only_one",))
-    rep = validate(s)
-    assert any(f.kind == "LabelMismatch" for f in rep.findings)
-
-
-def test_validate_timestamp_count():
-    s = MultivariateSeries(np.ones((5, 1)), timestamps=("t0", "t1"))
-    rep = validate(s)
-    assert any(f.kind == "TimestampMismatch" for f in rep.findings)
 
 
 def test_round_trip_identity(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,16 +13,10 @@ from mvcusum.errors import (
 )
 from mvcusum.series import MultivariateSeries, center
 from mvcusum.spectral import (
-    KernelWeights,
-    Periodogram,
-    SpectralEstimate,
     default_bandwidth,
     dft,
     long_run_covariance,
-    nearest_fourier,
-    sma_kernel,
     smoothed_spectrum,
-    spectral_estimate,
 )
 
 
@@ -32,11 +28,16 @@ SEED_MA1 = 5
 SEED_LRCOV = 26
 
 
+def full_grid(N):
+    """The integer Fourier grid -[(N-1)/2] .. [N/2]."""
+    return np.arange(-((N - 1) // 2), N // 2 + 1)
+
+
 def direct_periodogram(values):
     """O(N^2) oracle: W(w_j) = N^{-1/2} sum_{n=1..N} X_n exp(i n w_j),
     I(w_j) = W W*, on the grid j = -[(N-1)/2] .. [N/2]."""
     N, d = values.shape
-    js = np.arange(-((N - 1) // 2), N // 2 + 1)
+    js = full_grid(N)
     mats = np.empty((len(js), d, d), dtype=complex)
     n = np.arange(1, N + 1)
     for a, j in enumerate(js):
@@ -55,7 +56,7 @@ def _series(rng, T, d, scale=1.0):
 
 def test_dft_zero_series():
     c = center(MultivariateSeries(np.zeros((16, 2))))
-    pg = dft(c)
+    pg = dft(c, full_grid(16))
     assert np.all(pg.ordinates == 0)
 
 
@@ -63,21 +64,21 @@ def test_dft_hand_value_two_points():
     # X = {1, -1}: W(pi) = (1/sqrt 2)(e^{i pi} - e^{2 i pi}) = -2/sqrt 2,
     # so I(pi) = 2
     c = center(MultivariateSeries(np.array([[1.0], [-1.0]])))
-    pg = dft(c)
-    np.testing.assert_allclose(pg.at_index(1)[0, 0], 2.0, rtol=1e-12)
+    pg = dft(c, [1])
+    np.testing.assert_allclose(pg.ordinates[0][0, 0], 2.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("T,d", [(8, 1), (17, 2), (64, 2), (101, 3), (256, 2)])
 def test_dft_matches_direct_oracle(T, d):
     rng = np.random.default_rng(100 + T + d)
     c = center(_series(rng, T, d))
-    pg = dft(c)
     js, mats = direct_periodogram(c.values)
+    pg = dft(c, js)
     np.testing.assert_array_equal(pg.js, js)
     scale = np.abs(mats).max()
-    for a, j in enumerate(js):
+    for a in range(len(js)):
         np.testing.assert_allclose(
-            pg.at_index(j), mats[a], rtol=1e-9, atol=1e-9 * scale
+            pg.ordinates[a], mats[a], rtol=1e-9, atol=1e-9 * scale
         )
 
 
@@ -85,7 +86,7 @@ def test_dft_matches_direct_oracle(T, d):
 def test_parseval(T, d):
     rng = np.random.default_rng(T * 7 + d)
     cent = center(MultivariateSeries(rng.normal(size=(T, d)) * 3.0))
-    pg = dft(cent)
+    pg = dft(cent, full_grid(T))
     lhs = np.trace(pg.ordinates.sum(axis=0)).real
     rhs = float((cent.values**2).sum())
     assert lhs == pytest.approx(rhs, rel=1e-8)
@@ -93,7 +94,7 @@ def test_parseval(T, d):
 
 def test_periodogram_hermitian_psd():
     rng = np.random.default_rng(3)
-    pg = dft(center(_series(rng, 50, 3)))
+    pg = dft(center(_series(rng, 50, 3)), full_grid(50))
     for a in range(len(pg.js)):
         M = pg.ordinates[a]
         assert np.array_equal(M, np.conj(M.T))  # exactly Hermitian (rank-1)
@@ -104,97 +105,35 @@ def test_periodogram_hermitian_psd():
 @pytest.mark.parametrize("T", [9, 16])
 def test_periodogram_conjugate_symmetry(T):
     rng = np.random.default_rng(T)
-    pg = dft(center(_series(rng, T, 2)))
-    for j in range(0, T // 2 + 1):
-        np.testing.assert_array_equal(pg.at_index(-j), np.conj(pg.at_index(j)))
+    c = center(_series(rng, T, 2))
+    js = np.arange(0, T // 2 + 1)
+    np.testing.assert_array_equal(
+        dft(c, -js).ordinates, np.conj(dft(c, js).ordinates)
+    )
 
 
 def test_periodogram_index_wraps():
     rng = np.random.default_rng(9)
-    pg = dft(center(_series(rng, 10, 1)))
+    pg = dft(center(_series(rng, 10, 1)), [7, -3, 12, 2])
     # grid is 10-periodic in j
-    np.testing.assert_array_equal(pg.at_index(7), pg.at_index(-3))
-    np.testing.assert_array_equal(pg.at_index(12), pg.at_index(2))
+    np.testing.assert_array_equal(pg.ordinates[0], pg.ordinates[1])
+    np.testing.assert_array_equal(pg.ordinates[2], pg.ordinates[3])
 
 
-# ---------------------------------------------------------------- nearest_fourier
-
-
-def nearest_oracle(N, omega):
-    ks = np.arange(0, N + 1)
-    dist = np.abs(2 * np.pi * ks / N - omega)
-    best = dist.min()
-    # ties upward: largest k achieving the minimum within exact float equality
-    return 2 * np.pi * ks[dist == best].max() / N
-
-
-def test_nearest_fourier_frozen_examples():
-    assert nearest_fourier(8, 0.0) == 0.0
-    # midpoint pi/8 resolves upward to k=1
-    assert nearest_fourier(8, np.pi / 8) == pytest.approx(2 * np.pi / 8, rel=1e-15)
-    assert nearest_fourier(8, np.pi / 8 + 1e-12) == pytest.approx(
-        2 * np.pi / 8, rel=1e-15
-    )
-    # scan oracle picks k=159 for N=1000, omega=1
-    assert nearest_fourier(1000, 1.0) == pytest.approx(
-        2 * np.pi * 159 / 1000, rel=1e-15
-    )
-    assert abs(2 * np.pi * 159 / 1000 - 1.0) < abs(2 * np.pi * 160 / 1000 - 1.0)
-
-
-@given(
-    st.integers(min_value=2, max_value=400),
-    st.floats(min_value=0.0, max_value=np.pi, allow_nan=False),
-)
-@settings(max_examples=200, deadline=None)
-def test_nearest_fourier_matches_scan(N, omega):
-    got = nearest_fourier(N, omega)
-    want = nearest_oracle(N, omega)
-    # the scan oracle and the closed form may disagree only at exact midpoints
-    # that float rounding perturbs; both must be within half a grid step
-    step = 2 * np.pi / N
-    assert abs(got - omega) <= step / 2 + 1e-12
-    assert got == pytest.approx(want, abs=step * 1e-9) or abs(got - omega) == pytest.approx(
-        abs(want - omega), abs=1e-12
-    )
-
-
-def test_nearest_fourier_domain():
-    with pytest.raises(DomainError):
-        nearest_fourier(8, -0.1)
-    with pytest.raises(DomainError):
-        nearest_fourier(8, np.pi + 0.1)
-
-
-# ---------------------------------------------------------------- kernels
-
-
-def test_sma_kernel_h2():
-    k = sma_kernel(2)
-    assert k.h == 2
-    np.testing.assert_allclose(k.weights, np.full(5, 0.2), rtol=0, atol=0)
-
-
-def test_sma_kernel_h1():
-    np.testing.assert_allclose(sma_kernel(1).weights, np.full(3, 1 / 3), rtol=1e-16)
-
-
-def test_sma_kernel_domain():
-    with pytest.raises(DomainError):
-        sma_kernel(0)
-
-
-@given(st.integers(min_value=1, max_value=300))
-@settings(max_examples=60, deadline=None)
-def test_kernel_contract(h):
-    k = sma_kernel(h)
-    w = k.weights
-    assert len(w) == 2 * h + 1
-    assert np.all(w >= 0)
-    np.testing.assert_array_equal(w, w[::-1])  # symmetry
-    assert abs(w.sum() - 1.0) < 1e-12
-    # sum of squares 1/(2h+1) -> 0
-    assert w @ w == pytest.approx(1 / (2 * h + 1), rel=1e-12)
+@pytest.mark.parametrize("T", [10, 11, 64])
+def test_dft_wrapped_indices_match_full_grid(T):
+    # indices below -N/2, above N/2 and at or past N land on the full-grid
+    # ordinate of their residue, bit for bit
+    rng = np.random.default_rng(200 + T)
+    c = center(_series(rng, T, 3))
+    full = dft(c, full_grid(T))
+    js = np.array([-T - 3, -T // 2 - 1, -(T - 1), T // 2 + 1, T - 1, T,
+                   T + 2, 3 * T + 1])
+    pg = dft(c, js)
+    np.testing.assert_array_equal(pg.js, js)
+    assert pg.N == T
+    pos = (js - full.js[0]) % T
+    np.testing.assert_array_equal(pg.ordinates, full.ordinates[pos])
 
 
 # ---------------------------------------------------------------- bandwidth
@@ -224,23 +163,20 @@ def test_default_bandwidth_is_integer_fourth_root(T):
 
 
 def test_smoothed_zero_series():
-    pg = dft(center(MultivariateSeries(np.zeros((32, 2)))))
-    f = smoothed_spectrum(pg, sma_kernel(3), 0.7)
+    f = smoothed_spectrum(MultivariateSeries(np.zeros((32, 2))), 3, [0.7])[0]
     np.testing.assert_array_equal(f, np.zeros((2, 2)))
 
 
 def test_smoothed_bandwidth_too_large():
     rng = np.random.default_rng(0)
-    pg = dft(center(_series(rng, 10, 1)))
     with pytest.raises(BandwidthTooLarge):
-        smoothed_spectrum(pg, sma_kernel(5), 0.0)  # 2*5+1 = 11 > 10
+        smoothed_spectrum(_series(rng, 10, 1), 5, [0.0])  # 2*5+1 = 11 > 10
 
 
 def test_smoothed_omega_domain():
     rng = np.random.default_rng(0)
-    pg = dft(center(_series(rng, 32, 1)))
     with pytest.raises(DomainError):
-        smoothed_spectrum(pg, sma_kernel(2), 3.5)
+        smoothed_spectrum(_series(rng, 32, 1), 2, [3.5])
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.31, 1.0, np.pi - 0.01, np.pi])
@@ -248,41 +184,49 @@ def test_smoothed_matches_manual_window(omega):
     # oracle: explicit loop over the window with modular ordinate lookup
     rng = np.random.default_rng(17)
     c = center(_series(rng, 37, 2))
-    pg = dft(c)
+    pg = dft(c, full_grid(37))
     h = 4
-    f = smoothed_spectrum(pg, sma_kernel(h), omega)
+    f = smoothed_spectrum(c, h, [omega])[0]
     k0 = int(np.floor(omega * 37 / (2 * np.pi) + 0.5))
     want = np.zeros((2, 2), dtype=complex)
     for k in range(-h, h + 1):
-        want += pg.at_index(k0 + k) / (2 * h + 1)
+        want += pg.ordinates[(k0 + k - pg.js[0]) % 37] / (2 * h + 1)
     want /= 2 * np.pi
     np.testing.assert_allclose(f, want, rtol=1e-12, atol=1e-15)
 
 
+def test_smoothed_grid_matches_single_frequency_calls():
+    # overlapping windows share their ordinates; each frequency still gets
+    # exactly the value it gets alone
+    rng = np.random.default_rng(19)
+    s = _series(rng, 16, 3)
+    omegas = np.linspace(-np.pi, np.pi, 41)
+    grid = smoothed_spectrum(s, 2, omegas)
+    assert grid.shape == (41, 3, 3)
+    for a, om in enumerate(omegas):
+        np.testing.assert_array_equal(grid[a], smoothed_spectrum(s, 2, [om])[0])
+
+
 def test_smoothed_negative_omega_conjugate():
     rng = np.random.default_rng(23)
-    pg = dft(center(_series(rng, 64, 3)))
-    k = sma_kernel(5)
+    c = center(_series(rng, 64, 3))
     for om in (0.3, 1.2, 2.9):
         np.testing.assert_array_equal(
-            smoothed_spectrum(pg, k, -om), np.conj(smoothed_spectrum(pg, k, om))
+            smoothed_spectrum(c, 5, [-om]), np.conj(smoothed_spectrum(c, 5, [om]))
         )
 
 
 def test_smoothed_hermitian_everywhere():
     rng = np.random.default_rng(29)
-    pg = dft(center(_series(rng, 128, 3)))
-    k = sma_kernel(6)
-    for om in np.linspace(0, np.pi, 9):
-        f = smoothed_spectrum(pg, k, om)
+    c = center(_series(rng, 128, 3))
+    for f in smoothed_spectrum(c, 6, np.linspace(0, np.pi, 9)):
         np.testing.assert_allclose(f, np.conj(f.T), atol=1e-12)
 
 
 def test_imaginary_part_at_zero_is_noise():
     # f_hat(0) pairs +-k ordinates, so its imaginary part cancels
     rng = np.random.default_rng(31)
-    pg = dft(center(_series(rng, 2048, 2)))
-    f0 = smoothed_spectrum(pg, sma_kernel(6), 0.0)
+    f0 = smoothed_spectrum(_series(rng, 2048, 2), 6, [0.0])[0]
     assert np.linalg.norm(f0.imag) < 1e-6 * np.linalg.norm(f0.real)
 
 
@@ -297,8 +241,7 @@ def test_smoothed_white_noise_level():
     # in tests/README-seeds.txt); computation itself is untouched.
     rng = np.random.default_rng(SEED_WHITE)
     s = MultivariateSeries(rng.standard_normal((16384, 1)))
-    pg = dft(center(s))
-    f0 = smoothed_spectrum(pg, sma_kernel(11), 0.0)
+    f0 = smoothed_spectrum(center(s), 11, [0.0])[0]
     assert 2 * np.pi * f0[0, 0].real == pytest.approx(1.0, abs=0.15)
 
 
@@ -307,24 +250,10 @@ def test_smoothed_ma1_closed_form():
     rng = np.random.default_rng(SEED_MA1)
     z = rng.standard_normal(16385)
     x = z[1:] + 0.5 * z[:-1]
-    pg = dft(center(MultivariateSeries(x[:, None])))
-    f0 = smoothed_spectrum(pg, sma_kernel(11), 0.0)
+    f0 = smoothed_spectrum(center(MultivariateSeries(x[:, None])), 11, [0.0])[0]
     want = 1.5**2 / (2 * np.pi)
     assert f0[0, 0].real == pytest.approx(want, abs=0.06)
     assert want == pytest.approx(0.3581, abs=2e-4)
-
-
-# ---------------------------------------------------------------- estimate wrapper
-
-
-def test_spectral_estimate_wrapper():
-    rng = np.random.default_rng(5)
-    pg = dft(center(_series(rng, 100, 2)))
-    k = sma_kernel(3)
-    est = spectral_estimate(pg, k)
-    assert isinstance(est, SpectralEstimate)
-    assert est.h_used == 3 and est.N == 100
-    np.testing.assert_array_equal(est.at(0.5), smoothed_spectrum(pg, k, 0.5))
 
 
 # ---------------------------------------------------------------- long-run covariance
@@ -367,6 +296,26 @@ def test_lrcov_ridge_on_collinear_input():
     assert ev.min() > 0
     resid = lr.sigma_inv @ (lr.sigma + lr.ridge_applied * np.eye(2)) - np.eye(2)
     assert np.linalg.norm(resid) < 1e-6
+
+
+def test_lrcov_bandwidth_domain():
+    s = _series(np.random.default_rng(2), 100, 2)
+    for h in (0, -1, 2.5):
+        with pytest.raises(DomainError, match="bandwidth must be a positive integer"):
+            long_run_covariance(s, h=h)
+
+
+def test_lrcov_peak_memory_scales_with_input():
+    # only the 2h+1 ordinates around zero are formed, never the N x d x d
+    # periodogram, which alone is 10x the input at d = 5
+    s = MultivariateSeries(np.random.default_rng(53).normal(size=(200_000, 5)))
+    tracemalloc.start()
+    try:
+        long_run_covariance(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * s.values.nbytes
 
 
 def test_lrcov_too_short():
