@@ -9,7 +9,6 @@ quadratic form against the sup of a sum of squared Brownian bridges.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ from scipy.signal import find_peaks
 
 from .critical import CriticalValueTable
 from .errors import DimensionMismatch, DomainError, TooShort
-from .series import MultivariateSeries, _frozen
+from .series import MultivariateSeries, _frozen, _write_table
 from .spectral import LongRunCovariance, _int_fourth_root, long_run_covariance
 
 __all__ = [
@@ -285,20 +284,12 @@ def export_curve_csv(curve: CusumCurve, path) -> None:
     argmax estimator), then the curve components s_0..s_{d-1}."""
     q = _q(curve)
     N = curve.N
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["k", "t", "q", "q_over_n"] + [f"s_{i}" for i in range(curve.d)]
-        )
-        for k in range(N + 1):
-            row = [
-                str(k),
-                format(k / N, ".17g"),
-                format(q[k], ".17g"),
-                format(q[k] / N, ".17g"),
-            ]
-            row += [format(v, ".17g") for v in curve.s_tilde[k]]
-            w.writerow(row)
+    k = np.arange(N + 1, dtype=np.float64)  # %.17g prints whole floats as integers
+    _write_table(
+        path,
+        ["k", "t", "q", "q_over_n"] + [f"s_{i}" for i in range(curve.d)],
+        [k, k / N, q, q / N, curve.s_tilde],
+    )
 
 
 def test_result_text(result: TestResult) -> str:

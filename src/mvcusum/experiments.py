@@ -47,6 +47,7 @@ from .critical import CriticalValueTable
 from .engine import estimate_changepoint
 from .engine import test as _run_test
 from .errors import DomainError, GridParseError, ToolkitError
+from .series import _write_table
 from .simulate import (
     SimulationSpec,
     exchangeable_cov,
@@ -67,8 +68,6 @@ __all__ = [
     "run_grid",
     "write_grid_outputs",
 ]
-
-_KNOWN_METRICS = ("deviation", "abs_deviation", "rms_deviation")
 
 SHIPPED_GRIDS = ("table1", "table2", "table3", "table4", "h0")
 
@@ -96,20 +95,15 @@ class ExperimentGrid:
     name: str
     cells: Tuple[ExperimentCell, ...]
     alpha: float = 0.05
-    metrics_requested: Tuple[str, ...] = _KNOWN_METRICS
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(self, "metrics_requested", tuple(self.metrics_requested))
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
         names = [c.name for c in self.cells]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise DomainError(f"duplicate cell names: {dupes}")
-        unknown = [m for m in self.metrics_requested if m not in _KNOWN_METRICS]
-        if unknown:
-            raise DomainError(f"unknown metrics requested: {unknown}")
 
 
 @dataclass(frozen=True)
@@ -319,11 +313,11 @@ def write_grid_outputs(grid: ExperimentGrid, rows, output_dir) -> None:
     for row in rows:
         if not row.estimates:
             continue
-        with open(out / f"{root}_{row.cell_id}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t_hat"])
-            for t_hat in row.estimates:
-                w.writerow([t_hat])
+        _write_table(
+            out / f"{root}_{row.cell_id}.csv",
+            ["t_hat"],
+            [np.array(row.estimates, np.float64)],
+        )
 
     completed = sum(1 for row in rows if not row.failures)
     with open(out / "summary.txt", "w") as fh:
@@ -345,7 +339,7 @@ def write_grid_outputs(grid: ExperimentGrid, rows, output_dir) -> None:
 # ---------------------------------------------------------------------------
 # grid config files
 
-_HEADER_KEYS = {"name", "alpha", "metrics"}
+_HEADER_KEYS = {"name", "alpha"}
 _CELL_KEYS = {
     "cell",
     "d",
@@ -516,7 +510,6 @@ def parse_grid(text: str, source: str = "<string>") -> ExperimentGrid:
 
     name = "grid"
     alpha = 0.05
-    metrics = _KNOWN_METRICS
     defaults: dict = {}
     start = 0
     if blocks and not any(key == "cell" for _, key, _ in blocks[0]):
@@ -525,8 +518,6 @@ def parse_grid(text: str, source: str = "<string>") -> ExperimentGrid:
                 name = value
             elif key == "alpha":
                 alpha = _parse_float(value, lineno, source)
-            elif key == "metrics":
-                metrics = tuple(part.strip() for part in value.split(","))
             else:
                 defaults[key] = (lineno, value)
         start = 1
@@ -555,9 +546,7 @@ def parse_grid(text: str, source: str = "<string>") -> ExperimentGrid:
         cells.append(_build_cell(cell_name, merged, source))
 
     try:
-        return ExperimentGrid(
-            name=name, cells=tuple(cells), alpha=alpha, metrics_requested=metrics
-        )
+        return ExperimentGrid(name=name, cells=tuple(cells), alpha=alpha)
     except DomainError as exc:
         raise GridParseError(f"{source}: {exc}") from exc
 

@@ -81,15 +81,15 @@ class MultivariateSeries:
 
 @dataclass(frozen=True)
 class CenteredSeries:
-    """Column-centered values plus the subtracted column means."""
+    """Column-centered values plus the subtracted column means. Both arrays
+    are write-protected in place, not copied: `center` allocates them."""
 
     values: np.ndarray
     mean: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        m = np.array(self.mean, dtype=np.float64, copy=True).reshape(-1)
-        object.__setattr__(self, "mean", _frozen(m))
+        _frozen(self.values)
+        _frozen(self.mean)
 
     @property
     def T(self) -> int:
@@ -192,23 +192,43 @@ def load_csv(path, config: IngestConfig) -> MultivariateSeries:
     )
 
 
+_CHUNK_ROWS = 10_000
+
+
+def _write_table(path, header, columns, first=None) -> None:
+    """Write a CSV table: the header, then the rows of ``columns`` (1-D or
+    2-D float arrays of equal length, side by side) at 17 significant digits,
+    so a reload round-trips every value exactly. ``first`` is an optional
+    leading column of strings (row timestamps).
+
+    Quoting and line ends are csv.writer's. Floats never need quoting, so
+    they are formatted a chunk of rows at a time; the columns are stacked per
+    chunk too, so no copy of the whole table is made."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = np.column_stack([c[lo:lo + _CHUNK_ROWS] for c in columns])
+            rows, width = chunk.shape
+            cells = tuple(chunk.ravel().tolist())
+            if first is None:
+                line = ",".join(["%.17g"] * width) + "\r\n"
+                fh.write((line * rows) % cells)
+            else:
+                fields = (("%.17g " * len(cells)) % cells).split()
+                stamps = first[lo:lo + _CHUNK_ROWS]
+                by_column = (fields[j::width] for j in range(width))
+                writer.writerows(zip(stamps, *by_column))
+
+
 def write_csv(series: MultivariateSeries, path) -> None:
     """Write a series as CSV with full float precision (17 significant
     digits), so a subsequent load_csv round-trips the values exactly."""
-    labels = series.labels or tuple(f"x{j}" for j in range(series.d))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if series.timestamps is not None:
-            writer.writerow(("date",) + tuple(labels))
-            for t in range(series.T):
-                writer.writerow(
-                    (series.timestamps[t],)
-                    + tuple(format(v, ".17g") for v in series.values[t])
-                )
-        else:
-            writer.writerow(labels)
-            for t in range(series.T):
-                writer.writerow(tuple(format(v, ".17g") for v in series.values[t]))
+    labels = tuple(series.labels or (f"x{j}" for j in range(series.d)))
+    if series.timestamps is None:
+        _write_table(path, labels, [series.values])
+    else:
+        _write_table(path, ("date",) + labels, [series.values], series.timestamps)
 
 
 def center(series: MultivariateSeries) -> CenteredSeries:

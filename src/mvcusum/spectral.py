@@ -22,7 +22,7 @@ from .errors import (
     DomainError,
     TooShort,
 )
-from .series import CenteredSeries, MultivariateSeries, _frozen, center
+from .series import CenteredSeries, MultivariateSeries, _frozen, _write_table, center
 
 __all__ = [
     "Periodogram",
@@ -188,23 +188,13 @@ def export_spectrum_csv(path, omegas, matrices) -> None:
     """Write smoothed-spectrum matrices to CSV: one row per frequency, with
     the d*d entries flattened row-major as interleaved real/imaginary
     columns."""
-    import csv
-
-    mats = [np.asarray(m) for m in matrices]
-    if not mats:
+    f = np.asarray(matrices)
+    if len(f) == 0:
         raise DomainError("nothing to export: no frequencies given")
-    d = mats[0].shape[0]
+    n, d = f.shape[:2]
     header = ["omega"]
     for p in range(d):
         for q in range(d):
             header += [f"re_{p}_{q}", f"im_{p}_{q}"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for om, m in zip(omegas, mats):
-            row = [format(float(om), ".17g")]
-            for p in range(d):
-                for q in range(d):
-                    row.append(format(float(m[p, q].real), ".17g"))
-                    row.append(format(float(m[p, q].imag), ".17g"))
-            w.writerow(row)
+    reim = np.stack([f.real, f.imag], -1).reshape(n, -1)
+    _write_table(path, header, [np.asarray(omegas, np.float64), reim])

@@ -55,11 +55,17 @@ def _run_traced(tmp_path, *argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("spectrum", "in.csv"), ("detect", "in.csv", "--two-pass", "--scan")],
-    ids=["spectrum", "detect-two-pass-scan"],
+    "argv, out_mb",
+    [
+        (("spectrum", "in.csv"), ("spectral.dft",)),
+        (("detect", "in.csv", "--two-pass", "--scan"), ("spectral.dft",)),
+        (("simulate", "--d", "2", "--T", "64", "--m", "1"), ("series.write_csv",)),
+        (("detect", "in.csv", "--scan", "--emit-curve", "curve.csv"),
+         ("spectral.dft", "engine.export_curve_csv")),
+    ],
+    ids=["spectrum", "detect-two-pass-scan", "simulate", "detect-emit-curve"],
 )
-def test_traced_commands_run(tmp_path, argv):
+def test_traced_commands_run(tmp_path, argv, out_mb):
     rng = np.random.default_rng(3)
     x = rng.normal(size=(64, 2))
     x[32:] += 1.0
@@ -67,8 +73,10 @@ def test_traced_commands_run(tmp_path, argv):
     stats = {}
     for name, _, _, _, span_stats in _run_traced(tmp_path, *argv):
         stats.setdefault(name, []).append(span_stats)
-    assert stats["spectral.dft"]
-    assert all("out_mb" in s for s in stats["spectral.dft"])
-    lrcov = stats["spectral.long_run_covariance"]
-    assert all("ordinate_ratio" in s for s in lrcov)
-    assert any("peak_mb" in s for s in lrcov)
+    for name in out_mb:
+        assert stats[name], name
+        assert all("out_mb" in s for s in stats[name]), name
+    if "spectral.dft" in out_mb:
+        lrcov = stats["spectral.long_run_covariance"]
+        assert all("ordinate_ratio" in s for s in lrcov)
+        assert any("peak_mb" in s for s in lrcov)

@@ -251,12 +251,6 @@ def test_cell_validates_replications():
         ExperimentCell("a", ha_template(), 0)
 
 
-def test_grid_rejects_unknown_metric():
-    cell = ExperimentCell("a", ha_template(), 2)
-    with pytest.raises(DomainError):
-        ExperimentGrid(name="g", cells=(cell,), metrics_requested=("median",))
-
-
 # ---------------------------------------------------------------- run_grid
 
 
@@ -437,6 +431,8 @@ def test_parse_grid_header_only_is_empty_grid():
 def test_parse_grid_unknown_key_line():
     with pytest.raises(GridParseError, match=r":4: unknown key 'bogus'"):
         parse_grid("name=x\n\ncell=a\nbogus=1\n")
+    with pytest.raises(GridParseError, match=r":2: unknown key 'metrics'"):
+        parse_grid("name=x\nmetrics=deviation\n\ncell=a\nd=1\nT=32\nm=0\nreps=1\n")
 
 
 def test_parse_grid_not_key_value_line():

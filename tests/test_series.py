@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,15 @@ def test_centered_series_type():
     assert isinstance(c, CenteredSeries)
     assert c.values.shape == (4, 2)
     assert c.mean.shape == (2,)
+
+
+def test_center_peak_memory_is_one_copy():
+    # the centered array is frozen where center allocates it, not copied
+    s = MultivariateSeries(np.random.default_rng(17).normal(size=(200_000, 5)))
+    tracemalloc.start()
+    try:
+        center(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * s.values.nbytes
