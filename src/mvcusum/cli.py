@@ -18,7 +18,6 @@ the same flags and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -38,7 +37,6 @@ from .critical import (
 from .errors import (
     DomainError,
     GridParseError,
-    MissingColumn,
     ToolkitError,
     TooShort,
 )
@@ -50,9 +48,19 @@ from .experiments import (
     load_shipped_grid,
     run_grid,
 )
-from .series import IngestConfig, MultivariateSeries, center, load_csv, write_csv
+from .series import (
+    MultivariateSeries,
+    _HeaderDefaults,
+    center,
+    load_csv,
+    write_csv,
+)
 from .simulate import gen_series
-from .spectral import export_spectrum_csv, long_run_covariance, smoothed_spectrum
+from .spectral import (
+    _spectrum_and_covariance,
+    export_spectrum_csv,
+    long_run_covariance,
+)
 
 __all__ = ["apply_transform", "build_parser", "main"]
 
@@ -78,12 +86,12 @@ def apply_transform(series: MultivariateSeries, name: str) -> MultivariateSeries
         return series
     if name == "center":
         return MultivariateSeries(center(series).values, labels=series.labels,
-                                  timestamps=series.timestamps)
+                                  timestamps=series.timestamps, _fresh=True)
     if name == "log":
         if np.any(series.values <= 0.0):
             raise DomainError("log transform needs strictly positive values")
         return MultivariateSeries(np.log(series.values), labels=series.labels,
-                                  timestamps=series.timestamps)
+                                  timestamps=series.timestamps, _fresh=True)
     if name == "diff":
         if series.T < 3:
             raise TooShort(
@@ -91,7 +99,8 @@ def apply_transform(series: MultivariateSeries, name: str) -> MultivariateSeries
             )
         stamps = None if series.timestamps is None else series.timestamps[1:]
         return MultivariateSeries(np.diff(series.values, axis=0),
-                                  labels=series.labels, timestamps=stamps)
+                                  labels=series.labels, timestamps=stamps,
+                                  _fresh=True)
     raise DomainError(f"unknown transform {name!r}")
 
 
@@ -117,37 +126,17 @@ def _load_table(path) -> CriticalValueTable:
     return CriticalValueTable.load_csv(path) if path else default_table()
 
 
-def _read_header(path, skip_rows: int) -> list[str]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for _ in range(skip_rows):
-            next(reader, None)
-        header = next(reader, None)
-    if not header:
-        raise MissingColumn(f"{path}: no header row")
-    return [h.strip() for h in header]
-
-
 def _load_input(args) -> MultivariateSeries:
     """Load the input CSV per the column flags, then apply --transform.
 
     Without --columns, every column is loaded except the date column
     (--date-column, or a column literally named 'date' if present).
     """
-    path = args.input
-    header = _read_header(path, args.skip_rows)
-    date = args.date_column
-    if date is None:
-        date = next((h for h in header if h.lower() == "date"), None)
+    columns = ()
     if args.columns:
         columns = tuple(c.strip() for c in args.columns.split(","))
-    else:
-        columns = tuple(h for h in header if h != date)
-        if not columns:
-            raise MissingColumn(f"{path}: no value columns besides the date column")
-    series = load_csv(path, IngestConfig(columns=columns, date_column=date,
-                                         skip_rows=args.skip_rows))
-    return apply_transform(series, args.transform)
+    config = _HeaderDefaults(columns, args.date_column, args.skip_rows)
+    return apply_transform(load_csv(args.input, config), args.transform)
 
 
 def _print_estimate(est) -> None:
@@ -254,9 +243,9 @@ def cmd_spectrum(args) -> int:
     if args.freqs < 2:
         raise DomainError(f"need at least 2 frequencies, got {args.freqs}")
     series = _load_input(args)
-    lr = long_run_covariance(series, args.h)
     omegas = np.linspace(0.0, math.pi, args.freqs)
-    export_spectrum_csv(out, omegas, smoothed_spectrum(series, lr.h_used, omegas))
+    spectrum, lr = _spectrum_and_covariance(series, args.h, omegas)
+    export_spectrum_csv(out, omegas, spectrum)
     print(f"T={series.T}")
     print(f"d={series.d}")
     print(f"h_used={lr.h_used}")
@@ -283,7 +272,7 @@ def _two_pass_sigma(series, method, trim, h):
     k = pilot.t_hat
     x[:k] -= x[:k].mean(axis=0)
     x[k:] -= x[k:].mean(axis=0)
-    return long_run_covariance(MultivariateSeries(x), h), pilot, curve
+    return long_run_covariance(MultivariateSeries(x, _fresh=True), h), pilot, curve
 
 
 def cmd_detect(args) -> int:
@@ -435,7 +424,8 @@ def _add_input_flags(sub) -> None:
                      help="timestamp column carried through to outputs "
                           "(default: a column named 'date', if present)")
     sub.add_argument("--skip-rows", type=int, default=0, metavar="N",
-                     help="lines to skip before the header row (default: 0)")
+                     help="CSV records to skip before the header row "
+                          "(default: 0)")
     sub.add_argument("--transform", choices=_TRANSFORMS, default="none",
                      help="pre-analysis transform (default: none)")
 

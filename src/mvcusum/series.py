@@ -1,16 +1,18 @@
 """Core series types, CSV ingestion, and centering.
 
 The observation container is a plain T x d float matrix with optional column
-labels and row timestamps. CSV dialect is fixed: comma separated, first row
-(after ``skip_rows``) is the header, '.' decimal separator, UTF-8. Missing
-values are rejected, never imputed.
+labels and row timestamps. CSV dialect is fixed: comma separated, '"'
+quoting, no comment character, the first record after ``skip_rows`` records
+is the header, '.' decimal separator, UTF-8. Missing values are rejected,
+never imputed.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,13 +35,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    if out.ndim == 1:
-        out = out[:, None]
-    return _frozen(out)
-
-
 @dataclass(frozen=True)
 class MultivariateSeries:
     """T x d real observation matrix with optional metadata.
@@ -57,14 +52,23 @@ class MultivariateSeries:
     -----
     Construction does not validate; `load_csv` raises typed errors at
     ingest. Instances are immutable (the values array is write-protected).
+    Package code that builds a fresh float64 array and drops it passes
+    ``_fresh=True``: the array is then write-protected in place, not copied.
     """
 
     values: np.ndarray
     labels: Optional[tuple] = None
     timestamps: Optional[tuple] = None
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
+    def __post_init__(self, _fresh):
+        if _fresh:
+            values = np.asarray(self.values, dtype=np.float64)
+        else:
+            values = np.array(self.values, dtype=np.float64, copy=True)
+        if values.ndim == 1:
+            values = values[:, None]
+        object.__setattr__(self, "values", _frozen(values))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
         if self.timestamps is not None:
@@ -106,12 +110,60 @@ class IngestConfig:
 
     columns: ordered names of the numeric columns to load (the output column
     order). date_column: optional name of a column collected verbatim as row
-    timestamps. skip_rows: lines to drop before the header row.
+    timestamps. skip_rows: CSV records to drop before the header row.
     """
 
     columns: Sequence[str]
     date_column: Optional[str] = None
     skip_rows: int = 0
+
+    def _pick(self, path, header):
+        """The value columns and the date column (or None) to read, given
+        the stripped header row (None when the file ends before it)."""
+        if not self.columns:
+            raise MissingColumn("no columns requested")
+        if header is None:
+            raise TooShort("file has no header row")
+        return tuple(self.columns), self.date_column
+
+
+class _HeaderDefaults(IngestConfig):
+    """The command line's choice of columns, made from the header: no
+    columns given means every column but the date column, and no date
+    column given means a column named 'date' (any case), if present."""
+
+    def _pick(self, path, header):
+        if not header:
+            raise MissingColumn(f"{path}: no header row")
+        date = self.date_column
+        if date is None:
+            date = next((h for h in header if h.lower() == "date"), None)
+        columns = tuple(self.columns) or tuple(h for h in header if h != date)
+        if not columns:
+            raise MissingColumn(f"{path}: no value columns besides the date column")
+        return columns, date
+
+
+def _records(fh, skip_rows):
+    """A csv.reader over fh past the skipped records and the header row,
+    and the stripped header (None when the file ends first). Records, not
+    lines, are counted, so a quoted newline does not shift the header."""
+    reader = csv.reader(fh)
+    for _ in range(skip_rows):
+        next(reader, None)
+    header = next(reader, None)
+    return reader, None if header is None else [h.strip() for h in header]
+
+
+def _index(header, name, what) -> int:
+    if name not in header:
+        raise MissingColumn(f"{what} {name!r} not in header {header}")
+    return header.index(name)
+
+
+def _cell(raw, j) -> str:
+    """Cell j of a csv record, stripped; empty past the record's end."""
+    return raw[j].strip() if j < len(raw) else ""
 
 
 def load_csv(path, config: IngestConfig) -> MultivariateSeries:
@@ -120,7 +172,8 @@ def load_csv(path, config: IngestConfig) -> MultivariateSeries:
     Parameters
     ----------
     path : path-like
-        CSV file: comma separated, header row, '.' decimals, UTF-8.
+        CSV file: comma separated, '"' quoting, one header row, '.'
+        decimals, UTF-8, no comment character.
     config : IngestConfig
 
     Returns
@@ -139,39 +192,68 @@ def load_csv(path, config: IngestConfig) -> MultivariateSeries:
         A selected cell parses to NaN or +/-inf.
     TooShort
         Fewer than 2 data rows.
-    """
-    if not config.columns:
-        raise MissingColumn("no columns requested")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for _ in range(config.skip_rows):
-            next(reader, None)
-        header = next(reader, None)
-        if header is None:
-            raise TooShort("file has no header row")
-        header = [h.strip() for h in header]
-        pos = {}
-        for name in config.columns:
-            if name not in header:
-                raise MissingColumn(f"column {name!r} not in header {header}")
-            pos[name] = header.index(name)
-        date_pos = None
-        if config.date_column is not None:
-            if config.date_column not in header:
-                raise MissingColumn(
-                    f"date column {config.date_column!r} not in header {header}"
-                )
-            date_pos = header.index(config.date_column)
 
+    Notes
+    -----
+    numpy's C reader parses the values. A file it cannot read in full, or
+    whose values are not all finite, or that has fewer than 2 rows is read
+    again cell by cell with Python's ``float``, which accepts a few more
+    spellings (``1_000``, non-ASCII digits) and names the row and column of
+    a bad cell. Timestamps are always read through ``csv.reader``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        _, header = _records(fh, config.skip_rows)
+        columns, date = config._pick(path, header)
+        usecols = [_index(header, name, "column") for name in columns]
+        date_pos = None if date is None else _index(header, date, "date column")
+        values = _read_values(fh, usecols)
+    stamps = None
+    if values is not None and date_pos is not None:
+        with open(path, newline="", encoding="utf-8") as fh:
+            stamps = [_cell(raw, date_pos)
+                      for raw in _records(fh, config.skip_rows)[0] if raw]
+    if values is None:
+        values, stamps = _parse_cells(path, config.skip_rows, columns, usecols,
+                                      date_pos)
+    return MultivariateSeries(
+        values,
+        labels=columns,
+        timestamps=None if stamps is None else tuple(stamps),
+        _fresh=True,
+    )
+
+
+def _read_values(fh, usecols):
+    """The selected columns of the data rows left in fh, through numpy's C
+    reader; None unless every value is finite and there are at least 2 rows.
+    ``comments=None``: the default '#' would cut a line short silently."""
+    try:
+        with warnings.catch_warnings():
+            # no data rows: the typed TooShort comes from the fallback
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(fh, dtype=np.float64, delimiter=",",
+                                comments=None, quotechar='"',
+                                usecols=usecols, ndmin=2)
+    except ValueError:
+        return None
+    if len(values) < 2 or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_cells(path, skip_rows, columns, usecols, date_pos):
+    """Parse the selected cells one by one with ``float``: the reference
+    reader, and the one that raises the typed errors with row and column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader, _ = _records(fh, skip_rows)
         rows = []
         stamps = [] if date_pos is not None else None
         for i, raw in enumerate(reader, start=1):
-            if not raw:  # blank trailing line
+            if not raw:  # blank line
                 continue
             vals = []
-            for name in config.columns:
-                j = pos[name]
-                cell = raw[j].strip() if j < len(raw) else ""
+            for name, j in zip(columns, usecols):
+                cell = _cell(raw, j)
                 try:
                     x = float(cell)  # float('') raises, so empty cells land here
                 except ValueError:
@@ -181,15 +263,10 @@ def load_csv(path, config: IngestConfig) -> MultivariateSeries:
                 vals.append(x)
             rows.append(vals)
             if stamps is not None:
-                stamps.append(raw[date_pos].strip() if date_pos < len(raw) else "")
-
+                stamps.append(_cell(raw, date_pos))
     if len(rows) < 2:
         raise TooShort(f"{len(rows)} data row(s); need at least 2")
-    return MultivariateSeries(
-        np.array(rows, dtype=np.float64),
-        labels=tuple(config.columns),
-        timestamps=tuple(stamps) if stamps is not None else None,
-    )
+    return np.array(rows, dtype=np.float64), stamps
 
 
 _CHUNK_ROWS = 10_000

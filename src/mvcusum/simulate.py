@@ -251,4 +251,4 @@ def gen_series(spec: SimulationSpec) -> Tuple[MultivariateSeries, Optional[int]]
     if spec.k_star is not None:
         t_star = math.floor(spec.k_star * spec.T)
         x[t_star:] += spec.delta
-    return MultivariateSeries(x), t_star
+    return MultivariateSeries(x, _fresh=True), t_star

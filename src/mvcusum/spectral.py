@@ -162,12 +162,18 @@ def long_run_covariance(
     floor eps0 = 1e-8 * trace/d, the inverse is taken of sigma plus a ridge
     just large enough to restore the floor, and the ridge size is reported.
     """
+    return _spectrum_and_covariance(series, h, [0.0])[1]
+
+
+def _spectrum_and_covariance(series, h, omegas):
+    """The smoothed spectrum at omegas, whose first entry must be 0, and the
+    long-run covariance read from that first row, from one periodogram."""
     T, d = series.values.shape
     if T < 16:
         raise TooShort(f"need at least 16 observations, got {T}")
     h_used = default_bandwidth(T) if h is None else h
-    f0 = smoothed_spectrum(series, h_used, [0.0])[0]
-    sigma = _TWO_PI * f0.real
+    f = smoothed_spectrum(series, h_used, omegas)
+    sigma = _TWO_PI * f[0].real
     sigma = (sigma + sigma.T) / 2.0
     trace = float(np.trace(sigma))
     if trace <= 0.0:
@@ -179,7 +185,7 @@ def long_run_covariance(
     ridge = eps0 - lam_min if lam_min <= eps0 else 0.0
     inv = np.linalg.inv(sigma + ridge * np.eye(d))
     inv = (inv + inv.T) / 2.0
-    return LongRunCovariance(
+    return f, LongRunCovariance(
         sigma=sigma, sigma_inv=inv, ridge_applied=ridge, h_used=int(h_used), N=T
     )
 
