@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .critical import CriticalValueTable
 from .errors import DimensionMismatch, DomainError, TooShort
@@ -229,6 +228,51 @@ def _smooth(q: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
 
 
+def _peaks(x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and prominences of the local maxima of ``x`` whose prominence
+    is at least ``floor``: ``scipy.signal.find_peaks(x, prominence=floor)``,
+    bit for bit.
+
+    A peak is an interior run of equal values higher than both neighbours,
+    reported at its midpoint ``(start + end) // 2``; edge runs never are.
+    Its prominence is ``x[p] - max(left_min, right_min)``, each side's
+    minimum taken from the peak to the first higher value or the array end.
+    No peak lies between two consecutive peaks (or a peak and an end), so
+    the values there fall and then rise: a side's minimum is the least of
+    the valleys passed before a higher peak, which one monotone stack per
+    side collects.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if len(x) < 3:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    v = x[starts]
+    top = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = (starts[top] + starts[top + 1] - 1) // 2
+    # valley[i] is the least value between peak i - 1 (or index 0) and peak
+    # i (or the end); the half-open span still holds each peak's lower left
+    # neighbour, so leaving out the peak itself changes no minimum
+    valley = np.minimum.reduceat(x, np.append(0, peaks)).tolist()
+    height = x[peaks].tolist()
+
+    def side_minima(heights, before):
+        # before[i] is the valley just before peak i; pop the lower peaks
+        # passed on the way out, keeping the least value seen
+        stack, out = [], []  # stack: (height, least value out to its base)
+        for h, low in zip(heights, before):
+            while stack and stack[-1][0] <= h:
+                low = min(low, stack.pop()[1])
+            stack.append((h, low))
+            out.append(low)
+        return out
+
+    left = side_minima(height, valley[:-1])
+    right = side_minima(height[::-1], valley[:0:-1])[::-1]
+    prominences = x[peaks] - np.maximum(left, right)
+    keep = prominences >= floor
+    return peaks[keep], prominences[keep]
+
+
 def scan_extrema(
     curve: CusumCurve,
     smoothing_window: int | None = None,
@@ -260,8 +304,7 @@ def scan_extrema(
     lo, hi = _interior_bounds(N, trim)
     found = []
     for sign, kind in ((1.0, "max"), (-1.0, "min")):
-        idx, props = find_peaks(sign * sm, prominence=min_prominence)
-        for i, p in zip(idx, props["prominences"]):
+        for i, p in zip(*_peaks(sign * sm, min_prominence)):
             if lo <= i <= hi:
                 found.append(
                     Extremum(

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import shutil
@@ -743,6 +744,53 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "value=" in result.stdout
+
+
+# Runs in a fresh interpreter: imports the package, then runs each command
+# through cli.main and records the scipy modules loaded so far.
+_NO_SCIPY_CHILD = """
+import contextlib, io, json, sys
+import mvcusum
+from mvcusum import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+report = [("import mvcusum", 0, loaded())]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    report.append((" ".join(argv), rc, loaded()))
+print(json.dumps(report))
+"""
+
+
+def test_runtime_commands_import_no_scipy(tmp_path):
+    (tmp_path / "mini.grid").write_text(MINI_GRID)
+    commands = [
+        ["simulate", "--d", "2", "--T", "400", "--m", "2", "--delta", "1,1",
+         "--k-star", "0.5", "--seed", "1", "--out", "series.csv"],
+        ["detect", "series.csv", "--scan", "--emit-curve", "curve.csv"],
+        ["scan", "series.csv"],
+        ["estimate", "series.csv"],
+        ["spectrum", "series.csv", "--out", "spec.csv"],
+        ["critval", "--d", "2", "--alpha", "0.05"],
+        ["bench", "mini.grid", "--output-dir", "grid"],
+    ]
+    env = dict(os.environ)
+    pkg_root = str(Path(mvcusum.__file__).resolve().parent.parent)
+    old = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = pkg_root + (os.pathsep + old if old else "")
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_CHILD, json.dumps(commands)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=300, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert len(report) == 1 + len(commands)
+    for step, rc, modules in report:
+        assert rc == 0, (step, result.stderr)
+        assert not modules, f"{step} loaded {len(modules)} scipy modules: {modules[:3]}"
 
 
 @pytest.mark.skipif(shutil.which("mvcusum") is None,

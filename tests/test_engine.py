@@ -427,6 +427,78 @@ def test_scan_prominence_filter():
     assert scan.extrema == ()
 
 
+# ---------------------------------------------------------------- peak helper
+
+
+def assert_peaks_match_scipy(x, floor):
+    """engine._peaks against its oracle, scipy's find_peaks: equal indices
+    and bit-equal prominences."""
+    from scipy.signal import find_peaks
+
+    x = np.asarray(x, dtype=float)
+    want, props = find_peaks(x, prominence=floor)
+    got, prominences = engine._peaks(x, floor)
+    np.testing.assert_array_equal(got, want)
+    assert prominences.dtype == np.float64
+    assert prominences.tobytes() == props["prominences"].tobytes()
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [],
+        [1.0],
+        [1.0, 2.0],
+        [2.0, 1.0],
+        [0.0, 1.0, 0.0],
+        [1.0, 0.0, 1.0],
+        [1.0, 1.0, 1.0],
+        np.full(50, 3.25),
+        [5.0, 5.0, 1.0, 3.0, 1.0, 4.0, 4.0],  # edge plateaus are never peaks
+        [0.0, 2.0, 2.0, 2.0, 0.0, 2.0, 2.0, 1.0, 2.0, 0.0],  # equal heights
+        [0.0, 3.0, 1.0, 3.0, 1.0, 3.0, 0.0],
+        [0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0],  # even and odd plateaus
+        [1.0, 2.0, 3.0, 2.0, 3.0, 4.0, 3.0, 1.0, 5.0],
+        [0.0, 1.0, 1.0, 2.0, 2.0, 1.0, 2.0, 2.0, 3.0],  # rising shelves
+    ],
+)
+@pytest.mark.parametrize("floor", [0.0, 0.5, 1.0, 1e9])  # 1.0 equals some prominences
+def test_peaks_match_find_peaks_fixed_cases(x, floor):
+    assert_peaks_match_scipy(x, floor)
+
+
+def test_peaks_match_find_peaks_random_arrays():
+    rng = np.random.default_rng(71)
+    for trial in range(400):
+        n = int(rng.integers(0, 200))
+        if trial % 3 == 0:
+            x = rng.standard_normal(n)
+        elif trial % 3 == 1:
+            x = rng.integers(0, 4, n).astype(float)  # plateaus everywhere
+        else:
+            x = np.round(np.cumsum(rng.standard_normal(n)), 1)
+        floor = float(rng.uniform(0.0, 1.0)) if trial % 2 else 0.0
+        assert_peaks_match_scipy(x, floor)
+        if n:
+            # a floor above every prominence keeps nothing
+            assert_peaks_match_scipy(x, float(np.ptp(x)) + 1.0)
+
+
+def test_peaks_match_find_peaks_on_two_break_curve():
+    T, d = 100_000, 5
+    x = np.random.default_rng(29).standard_normal((T, d))
+    x[T // 3 :] += 0.05
+    x[2 * T // 3 :] -= 0.1
+    series = MultivariateSeries(x)
+    q = quadform(cusum(series), long_run_covariance(series)).q
+    sm = engine._smooth(q, 2 * 17 + 1)  # the default window at N = 1e5
+    floor = 0.1 * float(sm.max() - sm.min())
+    for sign in (1.0, -1.0):
+        for p in (0.0, floor):
+            assert_peaks_match_scipy(sign * sm, p)
+    assert len(engine._peaks(sm, 0.0)[0]) > 100
+
+
 # ---------------------------------------------------------------- exports
 
 

@@ -245,6 +245,34 @@ def test_series_filter_matches_direct_convolution():
     np.testing.assert_allclose(series.values, np.array(rows), rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("k_max", [0, 1, 40])
+@pytest.mark.parametrize("m", [0, 10])
+@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("shift", [False, True])
+def test_series_filter_bit_identical_to_lfilter(k_max, m, d, shift):
+    from scipy.signal import lfilter
+
+    rng = np.random.default_rng(k_max + 7 * m + 31 * d)
+    base = np.eye(d) + 0.1 * rng.standard_normal((d, d))
+    s = SimulationSpec(
+        d=d,
+        T=700,
+        m=m,
+        coeff=CoefficientScheme("geometric", 0.5, base, k_max),
+        innovation_cov=exchangeable_cov(d, 0.5),
+        delta=np.linspace(0.5, 1.5, d) if shift else None,
+        k_star=0.3 if shift else None,
+        seed=k_max + m + d,
+    )
+    series, t_star = gen_series(s)
+    taps = 0.5 ** np.arange(k_max + 1)
+    want = lfilter(taps, [1.0], gen_innovations(s), axis=0)[k_max:] @ base.T
+    if shift:
+        want[t_star:] += s.delta
+    assert series.values.shape == want.shape
+    assert series.values.tobytes() == want.tobytes()
+
+
 def test_series_shift_is_strict_after_tstar():
     # identical seeds, with and without a huge shift: rows must agree up to
     # and including T*, and differ strictly after it
