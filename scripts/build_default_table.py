@@ -14,14 +14,11 @@ import pathlib
 import sys
 import time
 
-import numpy as np
-
 from mvcusum.critical import (
     DEFAULT_GRID,
     DEFAULT_PATHS,
-    CriticalEntry,
     CriticalValueTable,
-    _quantile_stderr,
+    _entry,
     default_seed,
     simulate_sup_bridges,
 )
@@ -59,18 +56,7 @@ def main(argv=None):
         t0 = time.time()
         sups = simulate_sup_bridges(d, args.paths, args.grid, seed)
         for alpha in alphas:
-            p = 1.0 - alpha
-            table.put(
-                d,
-                alpha,
-                CriticalEntry(
-                    value=float(np.quantile(sups, p)),
-                    paths=args.paths,
-                    grid=args.grid,
-                    seed=seed,
-                    stderr_estimate=_quantile_stderr(sups, p),
-                ),
-            )
+            table.put(d, alpha, _entry(sups, alpha, args.grid, seed))
         done = "  ".join(
             f"a={a}: {table.get(d, a).value:.5f}" for a in alphas
         )

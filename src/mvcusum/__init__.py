@@ -51,7 +51,6 @@ from .engine import (
     test_result_text,
 )
 from .critical import (
-    Budget,
     CriticalEntry,
     CriticalValueTable,
     critical_value,

@@ -29,14 +29,12 @@ from . import engine
 from .critical import (
     DEFAULT_GRID,
     DEFAULT_PATHS,
-    Budget,
     CriticalValueTable,
     critical_value,
     default_table,
 )
 from .errors import (
     DomainError,
-    GridParseError,
     ToolkitError,
     TooShort,
 )
@@ -44,9 +42,11 @@ from .experiments import (
     SHIPPED_GRIDS,
     _build_cell,
     _CELL_KEYS,
+    _key_value_blocks,
     load_grid,
     load_shipped_grid,
     run_grid,
+    write_grid_outputs,
 )
 from .series import (
     MultivariateSeries,
@@ -62,7 +62,7 @@ from .spectral import (
     long_run_covariance,
 )
 
-__all__ = ["apply_transform", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 _TRANSFORMS = ("none", "center", "log", "diff")
 _SIM_KEYS = frozenset(_CELL_KEYS) - {"cell", "reps"}
@@ -76,31 +76,29 @@ def _check_inputs(*paths) -> None:
             raise FileNotFoundError(f"no such input file: {path}")
 
 
-def apply_transform(series: MultivariateSeries, name: str) -> MultivariateSeries:
+def _apply_transform(series: MultivariateSeries, name: str) -> MultivariateSeries:
     """Pre-analysis value transform: none, center, log, or diff.
 
-    ``diff`` drops the first row (and its timestamp); ``log`` insists on
-    strictly positive values rather than silently producing -inf.
+    ``diff`` drops the first row; ``log`` insists on strictly positive
+    values rather than silently producing -inf.
     """
     if name == "none":
         return series
     if name == "center":
         return MultivariateSeries(center(series).values, labels=series.labels,
-                                  timestamps=series.timestamps, _fresh=True)
+                                  _fresh=True)
     if name == "log":
         if np.any(series.values <= 0.0):
             raise DomainError("log transform needs strictly positive values")
         return MultivariateSeries(np.log(series.values), labels=series.labels,
-                                  timestamps=series.timestamps, _fresh=True)
+                                  _fresh=True)
     if name == "diff":
         if series.T < 3:
             raise TooShort(
                 f"differencing needs at least 3 observations, got {series.T}"
             )
-        stamps = None if series.timestamps is None else series.timestamps[1:]
         return MultivariateSeries(np.diff(series.values, axis=0),
-                                  labels=series.labels, timestamps=stamps,
-                                  _fresh=True)
+                                  labels=series.labels, _fresh=True)
     raise DomainError(f"unknown transform {name!r}")
 
 
@@ -130,13 +128,14 @@ def _load_input(args) -> MultivariateSeries:
     """Load the input CSV per the column flags, then apply --transform.
 
     Without --columns, every column is loaded except the date column
-    (--date-column, or a column literally named 'date' if present).
+    (--date-column, or a column literally named 'date' if present); the
+    date column itself is never read.
     """
     columns = ()
     if args.columns:
         columns = tuple(c.strip() for c in args.columns.split(","))
     config = _HeaderDefaults(columns, args.date_column, args.skip_rows)
-    return apply_transform(load_csv(args.input, config), args.transform)
+    return _apply_transform(load_csv(args.input, config), args.transform)
 
 
 def _print_estimate(est) -> None:
@@ -156,34 +155,6 @@ def _print_scan(scan) -> None:
 
 
 # ------------------------------------------------------------------ simulate
-
-
-def _read_sim_config(path) -> dict:
-    """Flat key=value file with the same vocabulary as one grid cell
-    (minus ``cell`` and ``reps``); values stay raw strings for _build_cell."""
-    kv = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key:
-                raise GridParseError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}",
-                    line=lineno,
-                )
-            if key not in _SIM_KEYS:
-                raise GridParseError(
-                    f"{path}:{lineno}: unknown key {key!r}", line=lineno
-                )
-            if key in kv:
-                raise GridParseError(
-                    f"{path}:{lineno}: duplicate key {key!r}", line=lineno
-                )
-            kv[key] = (lineno, value)
-    return kv
 
 
 def _write_sim_meta(path, spec, t_star) -> None:
@@ -207,11 +178,18 @@ def _write_sim_meta(path, spec, t_star) -> None:
 
 
 def cmd_simulate(args) -> int:
+    _check_inputs(args.config)
     out = _resolve_out(args, args.out)
     meta_out = _resolve_out(args, args.meta) if args.meta else out + ".meta"
-    _check_inputs(args.config)
     source = args.config or "command line"
-    kv = _read_sim_config(args.config) if args.config else {}
+    kv = {}
+    if args.config:
+        # one block: a key may appear only once in the whole file
+        with open(args.config, encoding="utf-8") as fh:
+            kv = {key: (lineno, value)
+                  for block in _key_value_blocks(fh, args.config, _SIM_KEYS,
+                                                 blank_ends_block=False)
+                  for lineno, key, value in block}
     overrides = (
         ("d", args.d), ("T", args.T), ("m", args.m), ("rho", args.rho),
         ("tol", args.tol), ("base", args.base), ("cov", args.cov),
@@ -238,8 +216,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    out = _resolve_out(args, args.out)
     _check_inputs(args.input)
+    out = _resolve_out(args, args.out)
     if args.freqs < 2:
         raise DomainError(f"need at least 2 frequencies, got {args.freqs}")
     series = _load_input(args)
@@ -276,8 +254,8 @@ def _two_pass_sigma(series, method, trim, h):
 
 
 def cmd_detect(args) -> int:
-    curve_out = _resolve_out(args, args.emit_curve) if args.emit_curve else None
     _check_inputs(args.input, args.table)
+    curve_out = _resolve_out(args, args.emit_curve) if args.emit_curve else None
     table = _load_table(args.table)
     series = _load_input(args)
 
@@ -321,8 +299,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    curve_out = _resolve_out(args, args.emit_curve) if args.emit_curve else None
     _check_inputs(args.input)
+    curve_out = _resolve_out(args, args.emit_curve) if args.emit_curve else None
     series = _load_input(args)
     lr = long_run_covariance(series, args.h)
     curve = engine.quadform(engine.cusum(series), lr)
@@ -338,13 +316,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_critval(args) -> int:
-    budget = None
-    if args.paths is not None or args.grid is not None or args.seed is not None:
-        budget = Budget(
-            paths=DEFAULT_PATHS if args.paths is None else args.paths,
-            grid=DEFAULT_GRID if args.grid is None else args.grid,
-            seed=args.seed,
-        )
     if args.table and os.path.exists(args.table):
         table = CriticalValueTable.load_csv(args.table)
     elif args.table:
@@ -352,7 +323,7 @@ def cmd_critval(args) -> int:
     else:
         table = default_table()
     cached = table.get(args.d, args.alpha) is not None
-    critical_value(args.d, args.alpha, table, budget)
+    critical_value(args.d, args.alpha, table, args.paths, args.grid, args.seed)
     entry = table.get(args.d, args.alpha)
     print(f"d={args.d}")
     print(f"alpha={_fmt(args.alpha)}")
@@ -392,8 +363,9 @@ def cmd_bench(args) -> int:
         ))
     out_dir = args.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    rows = run_grid(grid, table, output_dir=out_dir,
-                    always_estimate=args.always_estimate, threads=args.threads)
+    rows = run_grid(grid, table, always_estimate=args.always_estimate,
+                    threads=args.threads)
+    write_grid_outputs(grid, rows, out_dir)
     failures = 0
     for row in rows:
         failures += len(row.failures)
@@ -421,8 +393,8 @@ def _add_input_flags(sub) -> None:
                      help="comma-separated column names to load (default: "
                           "every column except the date column)")
     sub.add_argument("--date-column", default=None, metavar="NAME",
-                     help="timestamp column carried through to outputs "
-                          "(default: a column named 'date', if present)")
+                     help="date column, left out of the values (default: "
+                          "a column named 'date', if present)")
     sub.add_argument("--skip-rows", type=int, default=0, metavar="N",
                      help="CSV records to skip before the header row "
                           "(default: 0)")
@@ -597,9 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
     crit.add_argument("--d", type=int, required=True, help="dimension")
     crit.add_argument("--alpha", type=float, default=0.05,
                       help="significance level (default: 0.05)")
-    crit.add_argument("--paths", type=int, default=None,
+    crit.add_argument("--paths", type=int, default=DEFAULT_PATHS,
                       help=f"Monte Carlo paths (default: {DEFAULT_PATHS})")
-    crit.add_argument("--grid", type=int, default=None,
+    crit.add_argument("--grid", type=int, default=DEFAULT_GRID,
                       help=f"time-grid resolution (default: {DEFAULT_GRID})")
     crit.add_argument("--table", default=None, metavar="FILE",
                       help="table CSV to read and extend (default: the "

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DomainError, MissingCriticalValue
 
 __all__ = [
-    "Budget",
     "CriticalEntry",
     "CriticalValueTable",
     "DEFAULT_GRID",
@@ -44,15 +43,6 @@ _SEED_BASE = 2
 
 # Work-array budget for path simulation: chunk_rows * grid floats ~ 20 MB.
 _CHUNK_CELLS = 2_560_000
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Monte Carlo effort for one critical-value computation."""
-
-    paths: int = DEFAULT_PATHS
-    grid: int = DEFAULT_GRID
-    seed: int | None = None  # None -> deterministic per-dimension default
 
 
 @dataclass(frozen=True)
@@ -140,6 +130,19 @@ def _quantile_stderr(sups: np.ndarray, p: float) -> float:
         return 0.0
     density = 2 * half / (hi - lo)
     return math.sqrt(p * (1 - p) / n) / density
+
+
+def _entry(sups: np.ndarray, alpha: float, grid: int, seed: int) -> CriticalEntry:
+    """The entry for level alpha from the simulated suprema of one run: their
+    empirical (1-alpha) quantile, its standard error, and the run's budget."""
+    p = 1.0 - alpha
+    return CriticalEntry(
+        value=float(np.quantile(sups, p)),
+        paths=len(sups),
+        grid=grid,
+        seed=seed,
+        stderr_estimate=_quantile_stderr(sups, p),
+    )
 
 
 class CriticalValueTable:
@@ -235,14 +238,17 @@ def critical_value(
     d: int,
     alpha: float,
     table: CriticalValueTable | None = None,
-    budget: Budget | None = None,
+    paths: int = DEFAULT_PATHS,
+    grid: int = DEFAULT_GRID,
+    seed: int | None = None,
 ) -> float:
     """Critical value for dimension d at level alpha.
 
     A table hit returns the cached value untouched.  On a miss the sup-bridge
-    distribution is simulated at the budget, the empirical (1-alpha) quantile
-    is returned, and the entry (with provenance) is stored back into the
-    table when one was given.
+    distribution is simulated with ``paths`` paths on a ``grid``-point grid
+    (``seed`` None: the deterministic per-dimension default), the empirical
+    (1-alpha) quantile is returned, and the entry (with provenance) is
+    stored back into the table when one was given.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"level must be in (0, 1), got {alpha}")
@@ -250,21 +256,12 @@ def critical_value(
         hit = table.get(d, alpha)
         if hit is not None:
             return hit.value
-    b = budget or Budget()
-    seed = default_seed(d) if b.seed is None else b.seed
-    sups = simulate_sup_bridges(d, b.paths, b.grid, seed)
-    p = 1.0 - alpha
-    value = float(np.quantile(sups, p))
-    entry = CriticalEntry(
-        value=value,
-        paths=b.paths,
-        grid=b.grid,
-        seed=seed,
-        stderr_estimate=_quantile_stderr(sups, p),
-    )
+    if seed is None:
+        seed = default_seed(d)
+    entry = _entry(simulate_sup_bridges(d, paths, grid, seed), alpha, grid, seed)
     if table is not None:
         table.put(d, alpha, entry)
-    return value
+    return entry.value
 
 
 def default_table() -> CriticalValueTable:

@@ -221,8 +221,6 @@ def estimate_changepoint(
 
 
 def _smooth(q: np.ndarray, window: int) -> np.ndarray:
-    if window == 1:
-        return q.astype(float)
     pad = window // 2
     padded = np.pad(q, pad, mode="reflect")
     return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")

@@ -76,9 +76,5 @@ class MissingCriticalValue(ToolkitError):
 
 
 class GridParseError(ToolkitError):
-    """A benchmark grid config file is malformed. The message carries
+    """A grid or simulation config is malformed. The message carries
     source:line provenance where a single line is to blame."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        super().__init__(message)

@@ -189,7 +189,6 @@ def run_cell(
 def run_grid(
     grid: ExperimentGrid,
     table: CriticalValueTable,
-    output_dir=None,
     always_estimate: bool = False,
     threads: int = 1,
 ):
@@ -197,8 +196,7 @@ def run_grid(
 
     A cell that fails outright (bad template interaction, etc.) yields a
     row with NaN metrics and the failure recorded; other cells proceed.
-    When ``output_dir`` is given, also writes ``<name>.csv``, one estimate
-    histogram per cell, and ``summary.txt`` (see `write_grid_outputs`).
+    `write_grid_outputs` writes the rows as files.
     """
 
     def one(cell: ExperimentCell) -> MetricsRow:
@@ -227,12 +225,8 @@ def run_grid(
 
     if threads > 1 and len(grid.cells) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, grid.cells))
-    else:
-        rows = [one(cell) for cell in grid.cells]
-    if output_dir is not None:
-        write_grid_outputs(grid, rows, output_dir)
-    return rows
+            return list(pool.map(one, grid.cells))
+    return [one(cell) for cell in grid.cells]
 
 
 def location_label(k_star: Optional[float]) -> str:
@@ -475,6 +469,43 @@ def _build_cell(name: str, kv: dict, source: str) -> ExperimentCell:
         ) from exc
 
 
+def _key_value_blocks(lines, source: str, keys, blank_ends_block: bool = True):
+    """The ``key=value`` lines of a config, as a list of blocks, each a list
+    of (lineno, key, value) with key and value stripped.
+
+    Lines starting with '#' are skipped; so are blank lines, which also end
+    a block when ``blank_ends_block`` is true (otherwise the whole text is
+    one block). Raises GridParseError with ``source:line`` provenance for a
+    line that is not ``key=value`` (an empty key included), a key not in
+    ``keys``, and a key repeated within its block.
+    """
+    blocks: list = []
+    current: list = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            if blank_ends_block and current:
+                blocks.append(current)
+                current = []
+            continue
+        if line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise GridParseError(
+                f"{source}:{lineno}: expected key=value, got {line!r}"
+            )
+        if key not in keys:
+            raise GridParseError(f"{source}:{lineno}: unknown key {key!r}")
+        if any(k == key for _, k, _ in current):
+            raise GridParseError(f"{source}:{lineno}: duplicate key {key!r}")
+        current.append((lineno, key, value.strip()))
+    if current:
+        blocks.append(current)
+    return blocks
+
+
 def parse_grid(text: str, source: str = "<string>") -> ExperimentGrid:
     """Parse a grid config (see the module docstring for the format).
 
@@ -482,32 +513,8 @@ def parse_grid(text: str, source: str = "<string>") -> ExperimentGrid:
     lines, unknown or duplicate keys, missing required keys, and values the
     simulation spec rejects.
     """
-    blocks: list = []
-    current: list = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            if current:
-                blocks.append(current)
-                current = []
-            continue
-        if line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise GridParseError(
-                f"{source}:{lineno}: expected key=value, got {line!r}"
-            )
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CELL_KEYS and key not in _HEADER_KEYS:
-            raise GridParseError(f"{source}:{lineno}: unknown key {key!r}")
-        if any(k == key for _, k, _ in current):
-            raise GridParseError(f"{source}:{lineno}: duplicate key {key!r}")
-        current.append((lineno, key, value))
-    if current:
-        blocks.append(current)
-
+    blocks = _key_value_blocks(text.splitlines(), source,
+                               _CELL_KEYS | _HEADER_KEYS)
     name = "grid"
     alpha = 0.05
     defaults: dict = {}

@@ -130,7 +130,11 @@ class IngestConfig:
 class _HeaderDefaults(IngestConfig):
     """The command line's choice of columns, made from the header: no
     columns given means every column but the date column, and no date
-    column given means a column named 'date' (any case), if present."""
+    column given means a column named 'date' (any case), if present.
+
+    The date column is only left out of the values; it is not read, so no
+    timestamps are collected. A date column named but absent is still an
+    error, reported after an absent value column."""
 
     def _pick(self, path, header):
         if not header:
@@ -141,7 +145,11 @@ class _HeaderDefaults(IngestConfig):
         columns = tuple(self.columns) or tuple(h for h in header if h != date)
         if not columns:
             raise MissingColumn(f"{path}: no value columns besides the date column")
-        return columns, date
+        if self.date_column is not None:
+            for name in columns:
+                _index(header, name, "column")
+            _index(header, self.date_column, "date column")
+        return columns, None
 
 
 def _records(fh, skip_rows):

@@ -154,6 +154,23 @@ def test_missing_input_is_data_error(capsys, tmp_path, argv):
     assert "absent.csv" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("detect", "absent.csv", "--emit-curve", "sub/curve.csv"),
+     ("scan", "absent.csv", "--emit-curve", "sub/curve.csv"),
+     ("spectrum", "absent.csv", "--out", "sub/spec.csv"),
+     ("simulate", "--config", "absent.csv", "--out", "sub/series.csv")],
+    ids=["detect", "scan", "spectrum", "simulate"],
+)
+def test_missing_input_creates_no_output_directory(capsys, tmp_path, monkeypatch,
+                                                   argv):
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert "error: FileNotFoundError: no such input file: absent.csv" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_internal_error_maps_to_exit_3(capsys, tmp_path, monkeypatch, ha_csv, cv2_csv):
     path, _, _ = ha_csv
 
@@ -258,6 +275,30 @@ def test_simulate_bad_config_line_reports_lineno(capsys, tmp_path):
     assert rc == 2
     assert "error: GridParseError" in err
     assert f"{conf}:2:" in err
+
+
+def test_simulate_config_skips_blank_and_comment_lines(capsys, tmp_path):
+    conf = tmp_path / "sim.conf"
+    conf.write_text("# a comment\nd=2\n\nT=40\n# T=50\nm=0\n")
+    rc, out, _ = run_cli(capsys, "simulate", "--config", conf,
+                         "--output-dir", tmp_path)
+    assert rc == 0
+    assert kv_lines(out)["T"] == "40"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [("d=2\nT=40\n\nT=50\nm=0\n", 4, "duplicate key 'T'"),
+     ("d=2\n=5\n", 2, "expected key=value, got '=5'")],
+    ids=["key-repeated-across-blank-line", "empty-key"],
+)
+def test_simulate_config_line_errors(capsys, tmp_path, text, line, message):
+    conf = tmp_path / "sim.conf"
+    conf.write_text(text)
+    rc, _, err = run_cli(capsys, "simulate", "--config", conf,
+                         "--output-dir", tmp_path)
+    assert rc == 2
+    assert err == f"error: GridParseError: {conf}:{line}: {message}\n"
 
 
 def test_simulate_is_bit_reproducible(capsys, tmp_path):
@@ -486,6 +527,49 @@ def test_detect_column_subset(capsys, tmp_path):
     )
     assert rc == 0
     assert kv_lines(out)["d"] == "2"
+
+
+def test_detect_dated_csv_matches_undated(capsys, tmp_path, monkeypatch):
+    # the date column is left out of the values, and no stamps are read
+    dated = tmp_path / "prices.csv"
+    write_price_csv(dated)
+    undated = tmp_path / "undated.csv"
+    with open(dated, newline="") as src, open(undated, "w", newline="") as dst:
+        csv.writer(dst).writerows(row[1:] for row in csv.reader(src))
+    table = table_file(tmp_path / "cv5.csv", [(5, 0.05, 2.0)])
+    stamps = []
+    real_load_csv = cli.load_csv
+
+    def spy(path, config):
+        series = real_load_csv(path, config)
+        stamps.append(series.timestamps)
+        return series
+
+    monkeypatch.setattr(cli, "load_csv", spy)
+    outs = []
+    for argv in ((dated,), (dated, "--date-column", "Date"), (undated,)):
+        rc, out, _ = run_cli(capsys, "detect", *argv, "--scan", "--table", table)
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert "t_hat=" in outs[0]
+    assert stamps == [None, None, None]
+
+
+def test_detect_missing_date_column_is_reported(capsys, tmp_path):
+    path = tmp_path / "prices.csv"
+    write_price_csv(path)
+    header = ["Date", "Opening Price", "High Price", "Low Price",
+              "Closing Price", "Volume"]
+    rc, _, err = run_cli(capsys, "detect", path, "--date-column", "Missing")
+    assert rc == 2
+    assert err == ("error: MissingColumn: date column 'Missing' not in header "
+                   f"{header}\n")
+    # an absent value column is reported first
+    rc, _, err = run_cli(capsys, "detect", path, "--columns", "Nope",
+                         "--date-column", "Missing")
+    assert rc == 2
+    assert err == f"error: MissingColumn: column 'Nope' not in header {header}\n"
 
 
 # ------------------------------------------------------- estimate and scan

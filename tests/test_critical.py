@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import brentq
 
 from mvcusum.critical import (
-    Budget,
     CriticalEntry,
     CriticalValueTable,
     critical_value,
@@ -173,21 +172,20 @@ def test_cache_hit_returns_stored_value():
 
 def test_cache_miss_stores_provenance_and_is_deterministic():
     table = CriticalValueTable()
-    b = Budget(paths=400, grid=64, seed=5)
-    v1 = critical_value(1, 0.10, table=table, budget=b)
+    b = dict(paths=400, grid=64, seed=5)
+    v1 = critical_value(1, 0.10, table=table, **b)
     e = table.get(1, 0.10)
     assert e is not None
     assert (e.paths, e.grid, e.seed) == (400, 64, 5)
     assert e.value == v1
     assert e.stderr_estimate > 0
     # second call is a hit; fresh table at same budget reproduces bit-for-bit
-    assert critical_value(1, 0.10, table=table, budget=b) == v1
-    assert critical_value(1, 0.10, table=CriticalValueTable(), budget=b) == v1
+    assert critical_value(1, 0.10, table=table, **b) == v1
+    assert critical_value(1, 0.10, table=CriticalValueTable(), **b) == v1
 
 
 def test_critical_value_matches_quantile_definition():
-    b = Budget(paths=500, grid=50, seed=2)
-    v = critical_value(2, 0.25, budget=b)
+    v = critical_value(2, 0.25, paths=500, grid=50, seed=2)
     sups = simulate_sup_bridges(2, 500, 50, 2)
     assert v == float(np.quantile(sups, 0.75))
 

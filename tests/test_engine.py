@@ -484,6 +484,23 @@ def test_peaks_match_find_peaks_random_arrays():
             assert_peaks_match_scipy(x, float(np.ptp(x)) + 1.0)
 
 
+def test_scan_window_one_reads_unsmoothed_curve():
+    x = np.random.default_rng(7).standard_normal(1001)
+    curve = quadform(cusum(MultivariateSeries(x)), manual_lr([[1.0]]))
+    q = curve.q
+    assert np.array_equal(engine._smooth(q, 1), q)
+    scan = scan_extrema(curve, smoothing_window=1)
+    assert scan.min_prominence == 0.1 * float(q.max() - q.min())
+    expected = sorted(
+        (int(i), kind)
+        for sign, kind in ((1.0, "max"), (-1.0, "min"))
+        for i in engine._peaks(sign * q, scan.min_prominence)[0]
+    )
+    assert [(e.index, e.kind) for e in scan.extrema] == expected
+    assert len(expected) > 0
+    assert all(e.value == q[e.index] for e in scan.extrema)
+
+
 def test_peaks_match_find_peaks_on_two_break_curve():
     T, d = 100_000, 5
     x = np.random.default_rng(29).standard_normal((T, d))

@@ -21,6 +21,7 @@ from mvcusum.experiments import (
     parse_grid,
     run_cell,
     run_grid,
+    write_grid_outputs,
 )
 from mvcusum.simulate import (
     SimulationSpec,
@@ -289,7 +290,8 @@ def test_run_grid_threads_match_sequential():
 def test_run_grid_empty_grid(tmp_path):
     table = fake_table([])
     grid = ExperimentGrid(name="empty", cells=(), alpha=0.05)
-    rows = run_grid(grid, table, output_dir=tmp_path)
+    rows = run_grid(grid, table)
+    write_grid_outputs(grid, rows, tmp_path)
     assert rows == []
     text = (tmp_path / "empty.csv").read_text()
     assert text.count("\n") == 1  # header only
@@ -310,7 +312,8 @@ def test_run_grid_isolates_cell_failures(tmp_path):
             ExperimentCell("bad", bad, 2),
         ),
     )
-    rows = run_grid(grid, table, output_dir=tmp_path)
+    rows = run_grid(grid, table)
+    write_grid_outputs(grid, rows, tmp_path)
     assert rows[0].failures == () and rows[0].reject_count == 2
     assert len(rows[1].failures) == 2
     summary = (tmp_path / "summary.txt").read_text()
@@ -320,7 +323,8 @@ def test_run_grid_isolates_cell_failures(tmp_path):
 def test_run_grid_artifacts(tmp_path):
     table = fake_table([(2, 0.05, 1e-9)])
     grid = mini_grid(name="table9")
-    rows = run_grid(grid, table, output_dir=tmp_path)
+    rows = run_grid(grid, table)
+    write_grid_outputs(grid, rows, tmp_path)
 
     with open(tmp_path / "table9.csv", newline="") as fh:
         got = list(csv.reader(fh))
@@ -438,6 +442,11 @@ def test_parse_grid_unknown_key_line():
 def test_parse_grid_not_key_value_line():
     with pytest.raises(GridParseError, match=r":2: expected key=value"):
         parse_grid("name=x\njust some words\n")
+
+
+def test_parse_grid_empty_key_line():
+    with pytest.raises(GridParseError, match=r":2: expected key=value, got '=5'"):
+        parse_grid("name=x\n=5\n")
 
 
 def test_parse_grid_bad_number_line():
