@@ -21,7 +21,10 @@ simulates; a cached critval; ``bench table1``. Then: a dated price table
 table without its date column; missing inputs with outputs in a
 subdirectory; simulate configs with blank and comment lines, an empty key
 and a key repeated across a blank line; a grid with an empty key; critval
-misses at a small Monte Carlo budget; ``detect --help``.
+misses at a small Monte Carlo budget; ``detect --help``. Last: a bad cell
+and an unknown simulate key with outputs in a subdirectory, ``scan
+--min-prominence nan``, ``--skip-rows -1``, and a ``--two-pass --method
+norm_argmax`` pilot on a 2-row and a dated input.
 
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
@@ -106,10 +109,12 @@ def write_inputs(root):
     put("headeronly.csv", "a,b\n")
     put("empty.csv", "")
     put("underscore.csv", "a,b\n" + ok + "\n1_000,2\n")
+    put("tworow.csv", "a,b\n1,2\n3,5\n")
 
     put("sim_ok.cfg", "# a comment\nd=2\nT=40\n\nm=1\nseed=3\n# T=50\n")
     put("sim_empty_key.cfg", "d=2\n=5\n")
     put("sim_dup.cfg", "d=2\nT=40\n\nT=50\nm=0\n")
+    put("sim_unknown_key.cfg", "d=2\nT=40\nm=1\nspeed=3\n")
     put("empty_key.grid", "name=x\n=5\n")
 
 
@@ -180,6 +185,22 @@ def commands():
         ("critval", "--d", "2", "--alpha", "0.3", "--paths", "1000", "--grid",
          "50", "--seed", "4", "--table", "t.csv"),
         ("detect", "--help"),
+    ]
+    # beyond the 65 above: outputs of a bad input, rejected flag values and
+    # the norm_argmax pilot
+    bad = IN + "badcell.csv"
+    cmds += [
+        ("detect", bad, "--emit-curve", "sub/curve.csv"),
+        ("scan", bad, "--emit-curve", "sub/curve.csv"),
+        ("spectrum", bad, "--out", "spec/s.csv"),
+        ("simulate", "--config", IN + "sim_unknown_key.cfg", "--out",
+         "simdir/x.csv"),
+        ("scan", IN + "dated.csv", "--min-prominence", "nan"),
+        ("detect", IN + "small.csv", "--skip-rows", "-1"),
+        ("detect", IN + "tworow.csv", "--two-pass", "--method", "norm_argmax"),
+        ("estimate", IN + "tworow.csv", "--method", "norm_argmax"),
+        ("detect", IN + "dated.csv", "--two-pass", "--method", "norm_argmax",
+         "--scan"),
     ]
     return cmds
 

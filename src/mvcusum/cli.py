@@ -49,8 +49,8 @@ from .experiments import (
     write_grid_outputs,
 )
 from .series import (
+    IngestConfig,
     MultivariateSeries,
-    _HeaderDefaults,
     center,
     load_csv,
     write_csv,
@@ -128,13 +128,13 @@ def _load_input(args) -> MultivariateSeries:
     """Load the input CSV per the column flags, then apply --transform.
 
     Without --columns, every column is loaded except the date column
-    (--date-column, or a column literally named 'date' if present); the
+    (--date-column, or a column named 'date' in any case if present); the
     date column itself is never read.
     """
     columns = ()
     if args.columns:
         columns = tuple(c.strip() for c in args.columns.split(","))
-    config = _HeaderDefaults(columns, args.date_column, args.skip_rows)
+    config = IngestConfig(columns, args.date_column, args.skip_rows)
     return _apply_transform(load_csv(args.input, config), args.transform)
 
 
@@ -179,8 +179,6 @@ def _write_sim_meta(path, spec, t_star) -> None:
 
 def cmd_simulate(args) -> int:
     _check_inputs(args.config)
-    out = _resolve_out(args, args.out)
-    meta_out = _resolve_out(args, args.meta) if args.meta else out + ".meta"
     source = args.config or "command line"
     kv = {}
     if args.config:
@@ -200,6 +198,8 @@ def cmd_simulate(args) -> int:
             kv[key] = ("--" + key.replace("_", "-"), str(value))
     kv["reps"] = ("<internal>", "1")
     spec = _build_cell("simulate", kv, source).template
+    out = _resolve_out(args, args.out)
+    meta_out = _resolve_out(args, args.meta) if args.meta else out + ".meta"
 
     series, t_star = gen_series(spec)
     write_csv(series, out)
@@ -217,10 +217,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     _check_inputs(args.input)
-    out = _resolve_out(args, args.out)
     if args.freqs < 2:
         raise DomainError(f"need at least 2 frequencies, got {args.freqs}")
     series = _load_input(args)
+    out = _resolve_out(args, args.out)
     omegas = np.linspace(0.0, math.pi, args.freqs)
     spectrum, lr = _spectrum_and_covariance(series, args.h, omegas)
     export_spectrum_csv(out, omegas, spectrum)
@@ -237,15 +237,23 @@ def cmd_spectrum(args) -> int:
 # -------------------------------------------------------------------- detect
 
 
+def _estimate(series, curve, method, trim, h):
+    """The change-point estimate on ``curve``, the ``cusum(series)`` curve.
+    Only ``quadform_argmax`` reads the long-run covariance and the
+    quadratic form, so only it builds them."""
+    if method == "quadform_argmax":
+        curve = engine.quadform(curve, long_run_covariance(series, h))
+    return engine.estimate_changepoint(curve, method=method, trim=trim)
+
+
 def _two_pass_sigma(series, method, trim, h):
-    """Pilot estimate on the first-pass covariance, then re-estimate the
-    long-run covariance after demeaning each segment at the pilot break.
+    """Pilot estimate (on the first-pass covariance for quadform_argmax),
+    then re-estimate the long-run covariance after demeaning each segment
+    at the pilot break.
     Also returns the unstudentized curve, for the test to studentize under
     the re-estimated covariance."""
-    first = long_run_covariance(series, h)
     curve = engine.cusum(series)
-    pilot = engine.estimate_changepoint(engine.quadform(curve, first),
-                                        method=method, trim=trim)
+    pilot = _estimate(series, curve, method, trim, h)
     x = series.values.copy()
     k = pilot.t_hat
     x[:k] -= x[:k].mean(axis=0)
@@ -255,9 +263,9 @@ def _two_pass_sigma(series, method, trim, h):
 
 def cmd_detect(args) -> int:
     _check_inputs(args.input, args.table)
-    curve_out = _resolve_out(args, args.emit_curve) if args.emit_curve else None
     table = _load_table(args.table)
     series = _load_input(args)
+    curve_out = _resolve_out(args, args.emit_curve) if args.emit_curve else None
 
     sigma = pilot = curve = None
     if args.two_pass:
@@ -287,21 +295,15 @@ def cmd_detect(args) -> int:
 def cmd_estimate(args) -> int:
     _check_inputs(args.input)
     series = _load_input(args)
-    if args.method == "quadform_argmax":
-        # covariance first: the curve is not held during its large transient
-        lr = long_run_covariance(series, args.h)
-        curve = engine.quadform(engine.cusum(series), lr)
-    else:
-        curve = engine.cusum(series)
-    _print_estimate(engine.estimate_changepoint(curve, method=args.method,
-                                                trim=args.trim))
+    _print_estimate(_estimate(series, engine.cusum(series), args.method,
+                              args.trim, args.h))
     return 0
 
 
 def cmd_scan(args) -> int:
     _check_inputs(args.input)
-    curve_out = _resolve_out(args, args.emit_curve) if args.emit_curve else None
     series = _load_input(args)
+    curve_out = _resolve_out(args, args.emit_curve) if args.emit_curve else None
     lr = long_run_covariance(series, args.h)
     curve = engine.quadform(engine.cusum(series), lr)
     _print_scan(engine.scan_extrema(curve, args.smoothing_window,

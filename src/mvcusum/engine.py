@@ -297,7 +297,7 @@ def scan_extrema(
     sm = _smooth(q, int(w))
     if min_prominence is None:
         min_prominence = 0.1 * float(sm.max() - sm.min())
-    if min_prominence < 0:
+    if not min_prominence >= 0:  # NaN fails this too
         raise DomainError(f"prominence floor must be >= 0, got {min_prominence}")
     lo, hi = _interior_bounds(N, trim)
     found = []

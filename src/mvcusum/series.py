@@ -1,10 +1,11 @@
 """Core series types, CSV ingestion, and centering.
 
 The observation container is a plain T x d float matrix with optional column
-labels and row timestamps. CSV dialect is fixed: comma separated, '"'
-quoting, no comment character, the first record after ``skip_rows`` records
-is the header, '.' decimal separator, UTF-8. Missing values are rejected,
-never imputed.
+labels; a row is known by its index only. CSV dialect is fixed: comma
+separated, '"' quoting, no comment character, the first record after
+``skip_rows`` records is the header, '.' decimal separator, UTF-8. A date
+column is left out of the values and never read. Missing values are
+rejected, never imputed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import MissingColumn, NonFinite, NonNumericCell, TooShort
+from .errors import DomainError, MissingColumn, NonFinite, NonNumericCell, TooShort
 
 __all__ = [
     "MultivariateSeries",
@@ -37,7 +38,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultivariateSeries:
-    """T x d real observation matrix with optional metadata.
+    """T x d real observation matrix with optional column labels.
 
     Parameters
     ----------
@@ -45,8 +46,6 @@ class MultivariateSeries:
         Observations, one row per time point. Copied and frozen.
     labels : tuple of str, optional
         Column names, length d when present.
-    timestamps : tuple of str, optional
-        Opaque row time labels, length T when present.
 
     Notes
     -----
@@ -58,7 +57,6 @@ class MultivariateSeries:
 
     values: np.ndarray
     labels: Optional[tuple] = None
-    timestamps: Optional[tuple] = None
     _fresh: InitVar[bool] = False
 
     def __post_init__(self, _fresh):
@@ -71,8 +69,6 @@ class MultivariateSeries:
         object.__setattr__(self, "values", _frozen(values))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
-        if self.timestamps is not None:
-            object.__setattr__(self, "timestamps", tuple(self.timestamps))
 
     @property
     def T(self) -> int:
@@ -109,34 +105,24 @@ class IngestConfig:
     """CSV ingestion settings.
 
     columns: ordered names of the numeric columns to load (the output column
-    order). date_column: optional name of a column collected verbatim as row
-    timestamps. skip_rows: CSV records to drop before the header row.
+    order); empty means every column but the date column, in file order.
+    date_column: a column left out of the values and never read; when None,
+    a column named 'date' in any case, if the header has one. A date column
+    named but absent is an error, reported after an absent value column.
+    skip_rows: CSV records to drop before the header row, at least 0.
     """
 
     columns: Sequence[str]
     date_column: Optional[str] = None
     skip_rows: int = 0
 
-    def _pick(self, path, header):
-        """The value columns and the date column (or None) to read, given
-        the stripped header row (None when the file ends before it)."""
-        if not self.columns:
-            raise MissingColumn("no columns requested")
-        if header is None:
-            raise TooShort("file has no header row")
-        return tuple(self.columns), self.date_column
-
-
-class _HeaderDefaults(IngestConfig):
-    """The command line's choice of columns, made from the header: no
-    columns given means every column but the date column, and no date
-    column given means a column named 'date' (any case), if present.
-
-    The date column is only left out of the values; it is not read, so no
-    timestamps are collected. A date column named but absent is still an
-    error, reported after an absent value column."""
+    def __post_init__(self):
+        if self.skip_rows < 0:
+            raise DomainError(f"skip_rows must be >= 0, got {self.skip_rows}")
 
     def _pick(self, path, header):
+        """The value column names and their positions in the stripped
+        header row (None when the file ends before it)."""
         if not header:
             raise MissingColumn(f"{path}: no header row")
         date = self.date_column
@@ -145,11 +131,10 @@ class _HeaderDefaults(IngestConfig):
         columns = tuple(self.columns) or tuple(h for h in header if h != date)
         if not columns:
             raise MissingColumn(f"{path}: no value columns besides the date column")
+        usecols = [_index(header, name, "column") for name in columns]
         if self.date_column is not None:
-            for name in columns:
-                _index(header, name, "column")
             _index(header, self.date_column, "date column")
-        return columns, None
+        return columns, usecols
 
 
 def _records(fh, skip_rows):
@@ -169,13 +154,8 @@ def _index(header, name, what) -> int:
     return header.index(name)
 
 
-def _cell(raw, j) -> str:
-    """Cell j of a csv record, stripped; empty past the record's end."""
-    return raw[j].strip() if j < len(raw) else ""
-
-
 def load_csv(path, config: IngestConfig) -> MultivariateSeries:
-    """Load selected numeric columns of a CSV file.
+    """Load the numeric columns of a CSV file.
 
     Parameters
     ----------
@@ -183,16 +163,19 @@ def load_csv(path, config: IngestConfig) -> MultivariateSeries:
         CSV file: comma separated, '"' quoting, one header row, '.'
         decimals, UTF-8, no comment character.
     config : IngestConfig
+        Which columns to load. The date column is left out and not read.
 
     Returns
     -------
     MultivariateSeries
-        Rows in file order, columns in ``config.columns`` order.
+        Rows in file order, columns in ``config.columns`` order (header
+        order when ``config.columns`` is empty).
 
     Raises
     ------
     MissingColumn
-        A requested column (or the date column) is not in the header.
+        The file has no header row, no value column, or a requested column
+        (or the named date column) is not in the header.
     NonNumericCell
         A selected cell fails to parse; reports 1-based data row and column
         name. Empty cells count as non-numeric (missing data is rejected).
@@ -203,32 +186,20 @@ def load_csv(path, config: IngestConfig) -> MultivariateSeries:
 
     Notes
     -----
-    numpy's C reader parses the values. A file it cannot read in full, or
+    numpy's C reader parses the values from the handle the header was read
+    from, so a clean file is opened once. A file it cannot read in full, or
     whose values are not all finite, or that has fewer than 2 rows is read
     again cell by cell with Python's ``float``, which accepts a few more
     spellings (``1_000``, non-ASCII digits) and names the row and column of
-    a bad cell. Timestamps are always read through ``csv.reader``.
+    a bad cell.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         _, header = _records(fh, config.skip_rows)
-        columns, date = config._pick(path, header)
-        usecols = [_index(header, name, "column") for name in columns]
-        date_pos = None if date is None else _index(header, date, "date column")
+        columns, usecols = config._pick(path, header)
         values = _read_values(fh, usecols)
-    stamps = None
-    if values is not None and date_pos is not None:
-        with open(path, newline="", encoding="utf-8") as fh:
-            stamps = [_cell(raw, date_pos)
-                      for raw in _records(fh, config.skip_rows)[0] if raw]
     if values is None:
-        values, stamps = _parse_cells(path, config.skip_rows, columns, usecols,
-                                      date_pos)
-    return MultivariateSeries(
-        values,
-        labels=columns,
-        timestamps=None if stamps is None else tuple(stamps),
-        _fresh=True,
-    )
+        values = _parse_cells(path, config.skip_rows, columns, usecols)
+    return MultivariateSeries(values, labels=columns, _fresh=True)
 
 
 def _read_values(fh, usecols):
@@ -249,19 +220,18 @@ def _read_values(fh, usecols):
     return values
 
 
-def _parse_cells(path, skip_rows, columns, usecols, date_pos):
+def _parse_cells(path, skip_rows, columns, usecols):
     """Parse the selected cells one by one with ``float``: the reference
     reader, and the one that raises the typed errors with row and column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader, _ = _records(fh, skip_rows)
         rows = []
-        stamps = [] if date_pos is not None else None
         for i, raw in enumerate(reader, start=1):
             if not raw:  # blank line
                 continue
             vals = []
             for name, j in zip(columns, usecols):
-                cell = _cell(raw, j)
+                cell = raw[j].strip() if j < len(raw) else ""  # short record
                 try:
                     x = float(cell)  # float('') raises, so empty cells land here
                 except ValueError:
@@ -270,50 +240,37 @@ def _parse_cells(path, skip_rows, columns, usecols, date_pos):
                     raise NonFinite(i, name)
                 vals.append(x)
             rows.append(vals)
-            if stamps is not None:
-                stamps.append(_cell(raw, date_pos))
     if len(rows) < 2:
         raise TooShort(f"{len(rows)} data row(s); need at least 2")
-    return np.array(rows, dtype=np.float64), stamps
+    return np.array(rows, dtype=np.float64)
 
 
 _CHUNK_ROWS = 10_000
 
 
-def _write_table(path, header, columns, first=None) -> None:
+def _write_table(path, header, columns) -> None:
     """Write a CSV table: the header, then the rows of ``columns`` (1-D or
     2-D float arrays of equal length, side by side) at 17 significant digits,
-    so a reload round-trips every value exactly. ``first`` is an optional
-    leading column of strings (row timestamps).
+    so a reload round-trips every value exactly.
 
-    Quoting and line ends are csv.writer's. Floats never need quoting, so
-    they are formatted a chunk of rows at a time; the columns are stacked per
-    chunk too, so no copy of the whole table is made."""
+    The header goes through csv.writer, for its quoting and line ends.
+    Floats never need quoting, so the rows are formatted a chunk at a time;
+    the columns are stacked per chunk too, so no copy of the whole table is
+    made."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for lo in range(0, len(columns[0]), _CHUNK_ROWS):
             chunk = np.column_stack([c[lo:lo + _CHUNK_ROWS] for c in columns])
             rows, width = chunk.shape
-            cells = tuple(chunk.ravel().tolist())
-            if first is None:
-                line = ",".join(["%.17g"] * width) + "\r\n"
-                fh.write((line * rows) % cells)
-            else:
-                fields = (("%.17g " * len(cells)) % cells).split()
-                stamps = first[lo:lo + _CHUNK_ROWS]
-                by_column = (fields[j::width] for j in range(width))
-                writer.writerows(zip(stamps, *by_column))
+            line = ",".join(["%.17g"] * width) + "\r\n"
+            fh.write((line * rows) % tuple(chunk.ravel().tolist()))
 
 
 def write_csv(series: MultivariateSeries, path) -> None:
     """Write a series as CSV with full float precision (17 significant
     digits), so a subsequent load_csv round-trips the values exactly."""
     labels = tuple(series.labels or (f"x{j}" for j in range(series.d)))
-    if series.timestamps is None:
-        _write_table(path, labels, [series.values])
-    else:
-        _write_table(path, ("date",) + labels, [series.values], series.timestamps)
+    _write_table(path, labels, [series.values])
 
 
 def center(series: MultivariateSeries) -> CenteredSeries:

@@ -154,21 +154,44 @@ def test_missing_input_is_data_error(capsys, tmp_path, argv):
     assert "absent.csv" in err
 
 
+MISSING = "error: FileNotFoundError: no such input file: absent.csv"
+BAD_CELL = "a\n1\nx\n"
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [("detect", "absent.csv", "--emit-curve", "sub/curve.csv"),
-     ("scan", "absent.csv", "--emit-curve", "sub/curve.csv"),
-     ("spectrum", "absent.csv", "--out", "sub/spec.csv"),
-     ("simulate", "--config", "absent.csv", "--out", "sub/series.csv")],
-    ids=["detect", "scan", "spectrum", "simulate"],
+    "argv, text, error",
+    [(("detect", "absent.csv", "--emit-curve", "sub/curve.csv"), None, MISSING),
+     (("scan", "absent.csv", "--emit-curve", "sub/curve.csv"), None, MISSING),
+     (("spectrum", "absent.csv", "--out", "sub/spec.csv"), None, MISSING),
+     (("simulate", "--config", "absent.csv", "--out", "sub/series.csv"), None,
+      MISSING),
+     (("detect", "bad.csv", "--emit-curve", "sub/curve.csv"), BAD_CELL,
+      "error: NonNumericCell"),
+     (("scan", "bad.csv", "--emit-curve", "sub/curve.csv"), BAD_CELL,
+      "error: NonNumericCell"),
+     (("spectrum", "bad.csv", "--out", "sub/spec.csv"), BAD_CELL,
+      "error: NonNumericCell"),
+     (("simulate", "--config", "bad.csv", "--out", "sub/series.csv"),
+      "d=2\nT=40\nm=1\nspeed=3\n",
+      "error: GridParseError: bad.csv:4: unknown key 'speed'"),
+     (("detect", "bad.csv", "--emit-curve", "sub/curve.csv", "--skip-rows",
+       "-1"), "a\n1\n2\n", "error: DomainError: skip_rows must be >= 0, got -1")],
+    ids=["detect", "scan", "spectrum", "simulate", "detect-bad-cell",
+         "scan-bad-cell", "spectrum-bad-cell", "simulate-unknown-key",
+         "negative-skip-rows"],
 )
 def test_missing_input_creates_no_output_directory(capsys, tmp_path, monkeypatch,
-                                                   argv):
+                                                   argv, text, error):
+    # the input is found and parsed before any output path is made
     monkeypatch.chdir(tmp_path)
-    rc, _, err = run_cli(capsys, *argv)
+    if text is not None:
+        (tmp_path / "bad.csv").write_text(text)
+    rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
-    assert "error: FileNotFoundError: no such input file: absent.csv" in err
-    assert list(tmp_path.iterdir()) == []
+    assert out == ""
+    assert err.startswith(error)
+    assert [p.name for p in tmp_path.iterdir()] == ([] if text is None
+                                                    else ["bad.csv"])
 
 
 def test_internal_error_maps_to_exit_3(capsys, tmp_path, monkeypatch, ha_csv, cv2_csv):
@@ -464,10 +487,8 @@ def test_detect_emit_curve_writes_quadform_curve(capsys, tmp_path, ha_csv, cv2_c
     assert float(rows[-1][2]) == 0.0
 
 
-def test_detect_builds_covariance_and_curve_once(capsys, tmp_path, monkeypatch,
-                                                 ha_csv, cv2_csv):
-    # the test's curve feeds the estimate, the scan and the export
-    path, _, _ = ha_csv
+def count_calls(monkeypatch):
+    """Count the cusum, quadform and long_run_covariance calls by name."""
     calls = {}
     for module, name in ((engine, "cusum"), (engine, "quadform"),
                          (engine, "long_run_covariance"),
@@ -476,6 +497,14 @@ def test_detect_builds_covariance_and_curve_once(capsys, tmp_path, monkeypatch,
             calls[_n] = calls.get(_n, 0) + 1
             return _f(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_detect_builds_covariance_and_curve_once(capsys, tmp_path, monkeypatch,
+                                                 ha_csv, cv2_csv):
+    # the test's curve feeds the estimate, the scan and the export
+    path, _, _ = ha_csv
+    calls = count_calls(monkeypatch)
     rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv, "--scan",
                          "--emit-curve", "curve.csv", "--output-dir", tmp_path)
     assert rc == 0
@@ -492,6 +521,34 @@ def test_detect_builds_covariance_and_curve_once(capsys, tmp_path, monkeypatch,
     lines = kv_lines(out)
     assert lines["two_pass"] == "true" and "extrema_count" in lines
     assert calls == {"cusum": 1, "quadform": 2, "long_run_covariance": 2}
+
+
+def test_norm_pilot_builds_no_covariance_or_quadform(capsys, tmp_path,
+                                                   monkeypatch, ha_csv, cv2_csv):
+    # the norm_argmax pilot reads the cusum curve only: one covariance and
+    # one quadratic form are left, both the test's
+    path, _, _ = ha_csv
+    calls = count_calls(monkeypatch)
+    rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv,
+                         "--two-pass", "--method", "norm_argmax")
+    assert rc == 0
+    lines = kv_lines(out)
+    assert lines["two_pass"] == "true" and lines["method"] == "norm_argmax"
+    assert calls == {"cusum": 1, "quadform": 1, "long_run_covariance": 1}
+    calls.clear()
+    rc, out, _ = run_cli(capsys, "estimate", path, "--method", "norm_argmax")
+    assert rc == 0
+    assert calls == {"cusum": 1}
+    # so on a 2-row input the pilot fails as the estimate does
+    short = tmp_path / "short.csv"
+    short.write_text("a,b\n1,2\n3,5\n")
+    rc, _, err = run_cli(capsys, "detect", short, "--two-pass", "--method",
+                         "norm_argmax")
+    assert rc == 2
+    assert err == "error: TooShort: need at least 3 observations, got 2\n"
+    rc, _, err = run_cli(capsys, "estimate", short, "--method", "norm_argmax")
+    assert rc == 2
+    assert err == "error: TooShort: need at least 3 observations, got 2\n"
 
 
 def test_detect_scan_lists_extrema(capsys, tmp_path, cv2_csv):
@@ -529,23 +586,14 @@ def test_detect_column_subset(capsys, tmp_path):
     assert kv_lines(out)["d"] == "2"
 
 
-def test_detect_dated_csv_matches_undated(capsys, tmp_path, monkeypatch):
-    # the date column is left out of the values, and no stamps are read
+def test_detect_dated_csv_matches_undated(capsys, tmp_path):
+    # the date column is left out of the values
     dated = tmp_path / "prices.csv"
     write_price_csv(dated)
     undated = tmp_path / "undated.csv"
     with open(dated, newline="") as src, open(undated, "w", newline="") as dst:
         csv.writer(dst).writerows(row[1:] for row in csv.reader(src))
     table = table_file(tmp_path / "cv5.csv", [(5, 0.05, 2.0)])
-    stamps = []
-    real_load_csv = cli.load_csv
-
-    def spy(path, config):
-        series = real_load_csv(path, config)
-        stamps.append(series.timestamps)
-        return series
-
-    monkeypatch.setattr(cli, "load_csv", spy)
     outs = []
     for argv in ((dated,), (dated, "--date-column", "Date"), (undated,)):
         rc, out, _ = run_cli(capsys, "detect", *argv, "--scan", "--table", table)
@@ -553,7 +601,6 @@ def test_detect_dated_csv_matches_undated(capsys, tmp_path, monkeypatch):
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
     assert "t_hat=" in outs[0]
-    assert stamps == [None, None, None]
 
 
 def test_detect_missing_date_column_is_reported(capsys, tmp_path):
@@ -624,6 +671,14 @@ def test_scan_respects_prominence_floor(capsys, tmp_path, ha_csv):
                          "--output-dir", tmp_path)
     assert rc == 0
     assert kv_lines(out)["extrema_count"] == "0"
+
+
+def test_scan_rejects_nan_prominence_floor(capsys, tmp_path, ha_csv):
+    path, _, _ = ha_csv
+    rc, out, err = run_cli(capsys, "scan", path, "--min-prominence", "nan")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: DomainError: prominence floor must be >= 0, got nan\n"
 
 
 def test_scan_rejects_even_window(capsys, tmp_path, ha_csv):

@@ -37,28 +37,20 @@ def _values(rows, d, seed=5):
 
 
 @pytest.mark.parametrize("labels", [None, ("a,b", 'q"x', "c\nd")], ids=["x_j", "quoted"])
-@pytest.mark.parametrize("stamped", [False, True], ids=["plain", "timestamps"])
-def test_write_csv_bytes_match_reference(tmp_path, labels, stamped):
+def test_write_csv_bytes_match_reference(tmp_path, labels):
     # one row past a chunk, so the chunk boundary is crossed
     x = _values(_CHUNK_ROWS + 1, 3)
-    stamps = None
-    if stamped:
-        stamps = ["Jan 1, 2020", "", 'x"y', "a\r\nb", " sp "]
-        stamps += [f"2020-{t}" for t in range(len(x) - len(stamps))]
-    write_csv(MultivariateSeries(x, labels=labels, timestamps=stamps), tmp_path / "new.csv")
+    write_csv(MultivariateSeries(x, labels=labels), tmp_path / "new.csv")
 
     header = list(labels or ("x0", "x1", "x2"))
     rows = [[_g(v) for v in row] for row in x]
-    if stamped:
-        header = ["date"] + header
-        rows = [[t] + row for t, row in zip(stamps, rows)]
     _reference_csv(tmp_path / "ref.csv", header, rows)
 
     data = (tmp_path / "new.csv").read_bytes()
     assert data == (tmp_path / "ref.csv").read_bytes()
     assert data.endswith(b"\r\n")
-    if labels and stamped:
-        assert data.startswith(b'date,"a,b","q""x","c\nd"\r\n"Jan 1, 2020",')
+    if labels:
+        assert data.startswith(b'"a,b","q""x","c\nd"\r\n')
 
 
 def test_export_curve_csv_bytes_match_reference(tmp_path):

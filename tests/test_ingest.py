@@ -24,7 +24,7 @@ def _outcome(path, config):
     except ToolkitError as exc:
         return (type(exc).__name__, getattr(exc, "row", None),
                 getattr(exc, "column", None), str(exc))
-    return s.values.tobytes(), s.values.shape, s.labels, s.timestamps
+    return s.values.tobytes(), s.values.shape, s.labels
 
 
 def _count_fallbacks(monkeypatch):
@@ -83,6 +83,9 @@ CASES = [
     ("date-column-clean", 'date,a\n"2020-01-01",1\n 2020-01-02 ,2\n',
      ["a"], {"date_column": "date"}, False, None),
     ("duplicate-column", "a,b\n1,2\n3,4\n", ["b", "b", "a"], {}, False, None),
+    ("all-but-date-column", 'a,Date,b\n1,"2020-01-01",2\n3,x,4\n', [], {},
+     False, None),
+    ("no-header", "", ["a"], {}, False, "MissingColumn"),
 ]
 
 
@@ -114,13 +117,12 @@ def test_clean_file_never_reaches_per_cell_parser(tmp_path, monkeypatch):
 
     monkeypatch.setattr(series, "_parse_cells", refuse)
     x = np.random.default_rng(23).normal(size=(500, 3)) * [1e-9, 1.0, 1e12]
-    stamps = tuple(f"2021-01-01 {i:05d}" for i in range(500))
-    write_csv(MultivariateSeries(x, labels=("a", "b", "c"), timestamps=stamps),
-              tmp_path / "clean.csv")
+    lines = ["date,a,b,c"] + [f'"2021-01-01 {i:05d}",' + ",".join(map(repr, row))
+                              for i, row in enumerate(x.tolist())]
+    (tmp_path / "clean.csv").write_text("\n".join(lines) + "\n")
     s = load_csv(tmp_path / "clean.csv",
                  IngestConfig(columns=("c", "a"), date_column="date"))
     np.testing.assert_array_equal(s.values, x[:, [2, 0]])
-    assert s.timestamps == stamps
 
 
 def test_load_csv_peak_memory_is_one_copy(tmp_path):

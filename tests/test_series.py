@@ -46,8 +46,19 @@ def test_load_csv_column_order_follows_config(tmp_path):
 def test_load_csv_date_column(tmp_path):
     p = _write(tmp_path, "Date,Open,Close\n2021-01-01,10,11\n2021-01-02,12,13\n")
     s = load_csv(p, IngestConfig(columns=["Open", "Close"], date_column="Date"))
-    assert s.timestamps == ("2021-01-01", "2021-01-02")
     assert s.values.shape == (2, 2)
+
+
+def test_load_csv_no_columns_means_all_but_the_date_column(tmp_path):
+    p = _write(tmp_path, "a,DATE,b\n1,2021-01-01,2\n3,2021-01-02,4\n")
+    s = load_csv(p, IngestConfig(columns=()))
+    assert s.labels == ("a", "b")
+    np.testing.assert_array_equal(s.values, [[1.0, 2.0], [3.0, 4.0]])
+    # a named date column replaces the default one
+    p = _write(tmp_path, "day,a,date\nmon,1,2\ntue,3,4\n")
+    s = load_csv(p, IngestConfig(columns=(), date_column="day"))
+    assert s.labels == ("a", "date")
+    np.testing.assert_array_equal(s.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_load_csv_skip_rows(tmp_path):
@@ -140,19 +151,6 @@ def test_round_trip_identity(tmp_path):
     write_csv(s, p)
     back = load_csv(p, IngestConfig(columns=["w", "x", "y", "z"]))
     np.testing.assert_allclose(back.values, vals, rtol=1e-12, atol=0.0)
-
-
-def test_round_trip_with_timestamps(tmp_path):
-    s = MultivariateSeries(
-        np.array([[1.5, 2.5], [3.5, 4.5]]),
-        labels=("a", "b"),
-        timestamps=("2021-01-01", "2021-01-02"),
-    )
-    p = tmp_path / "rt.csv"
-    write_csv(s, p)
-    back = load_csv(p, IngestConfig(columns=["a", "b"], date_column="date"))
-    assert back.timestamps == s.timestamps
-    np.testing.assert_array_equal(back.values, s.values)
 
 
 def test_series_is_immutable():
