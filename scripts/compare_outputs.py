@@ -24,7 +24,15 @@ and a key repeated across a blank line; a grid with an empty key; critval
 misses at a small Monte Carlo budget; ``detect --help``. Last: a bad cell
 and an unknown simulate key with outputs in a subdirectory, ``scan
 --min-prominence nan``, ``--skip-rows -1``, and a ``--two-pass --method
-norm_argmax`` pilot on a 2-row and a dated input.
+norm_argmax`` pilot on a 2-row and a dated input. Then errors after the
+input is parsed, with outputs in a subdirectory: ``spectrum --h 100`` on 40
+rows, detect and scan on a constant input, ``detect --alpha 0.07``, and
+``detect --scan`` with an even ``--smoothing-window``, ``--trim 0.7`` and
+``--min-prominence -1``; a simulate whose covariance is not positive
+definite; ``critval --table`` in a new directory; grids without ``reps``
+and with ``reps=0``, ``bench nope`` with and without a missing
+``--table``, a malformed grid with a missing ``--table``; and a simulate
+without ``d``.
 
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
@@ -116,6 +124,11 @@ def write_inputs(root):
     put("sim_dup.cfg", "d=2\nT=40\n\nT=50\nm=0\n")
     put("sim_unknown_key.cfg", "d=2\nT=40\nm=1\nspeed=3\n")
     put("empty_key.grid", "name=x\n=5\n")
+    put("rows40.csv", "a,b\n" + "".join(
+        f"{rng.gauss(0.0, 1.0)!r},{rng.gauss(0.0, 1.0)!r}\n" for _ in range(40)))
+    put("constant.csv", "a,b\n" + "1,2\n" * 40)
+    put("noreps.grid", "cell=a\nd=2\nT=64\nm=1\n")
+    put("zero.grid", "cell=a\nd=2\nT=64\nm=1\nreps=0\n")
 
 
 def commands():
@@ -201,6 +214,30 @@ def commands():
         ("estimate", IN + "tworow.csv", "--method", "norm_argmax"),
         ("detect", IN + "dated.csv", "--two-pass", "--method", "norm_argmax",
          "--scan"),
+    ]
+    # beyond the 74 above: errors after the input is parsed, critval into a
+    # new directory, and the recipe and grid readers
+    rows, const = IN + "rows40.csv", IN + "constant.csv"
+    cmds += [
+        ("spectrum", rows, "--h", "100", "--out", "spec/s.csv"),
+        ("detect", const, "--emit-curve", "sub/c.csv"),
+        ("scan", const, "--emit-curve", "sub/c.csv"),
+        ("detect", rows, "--alpha", "0.07", "--emit-curve", "sub/c.csv"),
+        ("detect", rows, "--scan", "--smoothing-window", "4", "--emit-curve",
+         "sub/c.csv"),
+        ("detect", rows, "--scan", "--trim", "0.7", "--emit-curve", "sub/c.csv"),
+        ("detect", rows, "--scan", "--min-prominence", "-1", "--emit-curve",
+         "sub/c.csv"),
+        ("simulate", "--d", "2", "--T", "40", "--m", "0", "--cov", "1,2,2,1",
+         "--out", "sim/x.csv"),
+        ("critval", "--d", "1", "--alpha", "0.05", "--paths", "10", "--grid",
+         "10", "--table", "nodir/t.csv"),
+        ("bench", IN + "noreps.grid", "--output-dir", "g"),
+        ("bench", IN + "zero.grid", "--output-dir", "g"),
+        ("bench", "nope"),
+        ("bench", "nope", "--table", "missing.csv"),
+        ("bench", IN + "empty_key.grid", "--table", "missing.csv"),
+        ("simulate", "--T", "40", "--m", "1"),
     ]
     return cmds
 

@@ -48,7 +48,6 @@ from .engine import (
     export_curve_csv,
     quadform,
     scan_extrema,
-    test_result_text,
 )
 from .critical import (
     CriticalEntry,

@@ -40,9 +40,7 @@ from .errors import (
 )
 from .experiments import (
     SHIPPED_GRIDS,
-    _build_cell,
-    _CELL_KEYS,
-    _key_value_blocks,
+    _read_spec,
     load_grid,
     load_shipped_grid,
     run_grid,
@@ -65,7 +63,6 @@ from .spectral import (
 __all__ = ["build_parser", "main"]
 
 _TRANSFORMS = ("none", "center", "log", "diff")
-_SIM_KEYS = frozenset(_CELL_KEYS) - {"cell", "reps"}
 
 
 def _check_inputs(*paths) -> None:
@@ -163,7 +160,7 @@ def _write_sim_meta(path, spec, t_star) -> None:
         f"d={spec.d}",
         f"T={spec.T}",
         f"m={spec.m}",
-        f"kind={coeff.kind}",
+        "kind=geometric",
         f"rho={_fmt(coeff.rho)}",
         f"k_max={coeff.K_max}",
         f"seed={spec.seed}",
@@ -178,30 +175,14 @@ def _write_sim_meta(path, spec, t_star) -> None:
 
 
 def cmd_simulate(args) -> int:
+    """Draw one series from the recipe in --config, overridden by the
+    recipe flags (their dests are the recipe keys), and write it with its
+    .meta sidecar once it is drawn."""
     _check_inputs(args.config)
-    source = args.config or "command line"
-    kv = {}
-    if args.config:
-        # one block: a key may appear only once in the whole file
-        with open(args.config, encoding="utf-8") as fh:
-            kv = {key: (lineno, value)
-                  for block in _key_value_blocks(fh, args.config, _SIM_KEYS,
-                                                 blank_ends_block=False)
-                  for lineno, key, value in block}
-    overrides = (
-        ("d", args.d), ("T", args.T), ("m", args.m), ("rho", args.rho),
-        ("tol", args.tol), ("base", args.base), ("cov", args.cov),
-        ("delta", args.delta), ("k_star", args.k_star), ("seed", args.seed),
-    )
-    for key, value in overrides:
-        if value is not None:
-            kv[key] = ("--" + key.replace("_", "-"), str(value))
-    kv["reps"] = ("<internal>", "1")
-    spec = _build_cell("simulate", kv, source).template
+    spec = _read_spec(args.config, vars(args))
+    series, t_star = gen_series(spec)
     out = _resolve_out(args, args.out)
     meta_out = _resolve_out(args, args.meta) if args.meta else out + ".meta"
-
-    series, t_star = gen_series(spec)
     write_csv(series, out)
     _write_sim_meta(meta_out, spec, t_star)
     print(f"series={out}")
@@ -220,9 +201,9 @@ def cmd_spectrum(args) -> int:
     if args.freqs < 2:
         raise DomainError(f"need at least 2 frequencies, got {args.freqs}")
     series = _load_input(args)
-    out = _resolve_out(args, args.out)
     omegas = np.linspace(0.0, math.pi, args.freqs)
     spectrum, lr = _spectrum_and_covariance(series, args.h, omegas)
+    out = _resolve_out(args, args.out)
     export_spectrum_csv(out, omegas, spectrum)
     print(f"T={series.T}")
     print(f"d={series.d}")
@@ -261,11 +242,35 @@ def _two_pass_sigma(series, method, trim, h):
     return long_run_covariance(MultivariateSeries(x, _fresh=True), h), pilot, curve
 
 
+def _print_test(result) -> None:
+    print(f"statistic={_fmt(result.statistic)}")
+    print(f"critical_value={_fmt(result.critical_value)}")
+    print(f"alpha={_fmt(result.alpha)}")
+    print(f"reject={'true' if result.reject else 'false'}")
+    print(f"d={result.d}")
+    print(f"h_used={result.sigma.h_used}")
+    print(f"ridge_applied={_fmt(result.sigma.ridge_applied)}")
+    print(f"sigma_diag={_fmt_floats(np.diag(result.sigma.sigma))}")
+
+
+def _write_curve(args, curve):
+    """Write the curve to --emit-curve and return the path, or None without
+    the flag. Called once every statistic is computed, so a failed run
+    leaves no directory behind."""
+    if not args.emit_curve:
+        return None
+    out = _resolve_out(args, args.emit_curve)
+    engine.export_curve_csv(curve, out)
+    return out
+
+
 def cmd_detect(args) -> int:
+    """Test, then estimate (on rejection) and scan (with --scan). Every
+    result is computed and the curve written before the first line is
+    printed, so a failing step prints nothing and writes nothing."""
     _check_inputs(args.input, args.table)
     table = _load_table(args.table)
     series = _load_input(args)
-    curve_out = _resolve_out(args, args.emit_curve) if args.emit_curve else None
 
     sigma = pilot = curve = None
     if args.two_pass:
@@ -273,18 +278,23 @@ def cmd_detect(args) -> int:
                                               args.h)
     result = engine.test(series, args.alpha, table, h=args.h, sigma=sigma,
                          curve=curve)
-    sys.stdout.write(engine.test_result_text(result))
+    est = scan = None
+    if result.reject:
+        est = engine.estimate_changepoint(result.curve, method=args.method,
+                                          trim=args.trim)
+    if args.scan:
+        scan = engine.scan_extrema(result.curve, args.smoothing_window,
+                                   args.min_prominence, args.trim)
+    curve_out = _write_curve(args, result.curve)
+    _print_test(result)
     if args.two_pass:
         print("two_pass=true")
         print(f"pilot_t_hat={pilot.t_hat}")
     if result.reject:
-        _print_estimate(engine.estimate_changepoint(
-            result.curve, method=args.method, trim=args.trim))
+        _print_estimate(est)
     if args.scan:
-        _print_scan(engine.scan_extrema(result.curve, args.smoothing_window,
-                                        args.min_prominence, args.trim))
+        _print_scan(scan)
     if curve_out:
-        engine.export_curve_csv(result.curve, curve_out)
         print(f"curve={curve_out}")
     return 0
 
@@ -303,13 +313,13 @@ def cmd_estimate(args) -> int:
 def cmd_scan(args) -> int:
     _check_inputs(args.input)
     series = _load_input(args)
-    curve_out = _resolve_out(args, args.emit_curve) if args.emit_curve else None
     lr = long_run_covariance(series, args.h)
     curve = engine.quadform(engine.cusum(series), lr)
-    _print_scan(engine.scan_extrema(curve, args.smoothing_window,
-                                    args.min_prominence, args.trim))
+    scan = engine.scan_extrema(curve, args.smoothing_window,
+                               args.min_prominence, args.trim)
+    curve_out = _write_curve(args, curve)
+    _print_scan(scan)
     if curve_out:
-        engine.export_curve_csv(curve, curve_out)
         print(f"curve={curve_out}")
     return 0
 
@@ -327,6 +337,10 @@ def cmd_critval(args) -> int:
     cached = table.get(args.d, args.alpha) is not None
     critical_value(args.d, args.alpha, table, args.paths, args.grid, args.seed)
     entry = table.get(args.d, args.alpha)
+    if args.table:
+        # like every other output path, the table's directory is made for it
+        os.makedirs(os.path.dirname(args.table) or ".", exist_ok=True)
+        table.save_csv(args.table)
     print(f"d={args.d}")
     print(f"alpha={_fmt(args.alpha)}")
     print(f"value={_fmt(entry.value)}")
@@ -336,7 +350,6 @@ def cmd_critval(args) -> int:
     print(f"stderr_estimate={_fmt(entry.stderr_estimate)}")
     print(f"source={'cache' if cached else 'computed'}")
     if args.table:
-        table.save_csv(args.table)
         print(f"table={args.table}")
     return 0
 
@@ -345,17 +358,9 @@ def cmd_critval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if os.path.exists(args.grid):
-        _check_inputs(args.table)
-        grid = load_grid(args.grid)
-    elif args.grid in SHIPPED_GRIDS:
-        _check_inputs(args.table)
-        grid = load_shipped_grid(args.grid)
-    else:
-        raise DomainError(
-            f"no grid file or shipped grid named {args.grid!r}; "
-            "shipped grids: " + ", ".join(SHIPPED_GRIDS)
-        )
+    grid = (load_grid(args.grid) if os.path.exists(args.grid)
+            else load_shipped_grid(args.grid))
+    _check_inputs(args.table)
     table = _load_table(args.table)
     if args.reps is not None:
         if args.reps < 1:

@@ -31,7 +31,6 @@ __all__ = [
     "quadform",
     "scan_extrema",
     "test",
-    "test_result_text",
 ]
 
 
@@ -68,10 +67,6 @@ class TestResult:
     d: int
     sigma: LongRunCovariance
     curve: CusumCurve
-
-    @property
-    def sigma_diag(self) -> np.ndarray:
-        return np.diag(self.sigma.sigma)
 
 
 @dataclass(frozen=True)
@@ -332,18 +327,3 @@ def export_curve_csv(curve: CusumCurve, path) -> None:
         [k, k / N, q, q / N, curve.s_tilde],
     )
 
-
-def test_result_text(result: TestResult) -> str:
-    """Flat key=value rendering of a test result, one pair per line."""
-    diag = ",".join(format(v, ".17g") for v in result.sigma_diag)
-    lines = [
-        f"statistic={format(result.statistic, '.17g')}",
-        f"critical_value={format(result.critical_value, '.17g')}",
-        f"alpha={format(result.alpha, '.17g')}",
-        f"reject={'true' if result.reject else 'false'}",
-        f"d={result.d}",
-        f"h_used={result.sigma.h_used}",
-        f"ridge_applied={format(result.sigma.ridge_applied, '.17g')}",
-        f"sigma_diag={diag}",
-    ]
-    return "\n".join(lines) + "\n"

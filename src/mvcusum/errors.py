@@ -46,12 +46,10 @@ class TooShort(ToolkitError):
 class NonFinite(ToolkitError):
     """A value is NaN or infinite where a finite number is required."""
 
-    def __init__(self, row=None, column=None, message=None):
+    def __init__(self, row, column):
         self.row = row
         self.column = column
-        if message is None:
-            message = f"non-finite value at row {row}, column {column!r}"
-        super().__init__(message)
+        super().__init__(f"non-finite value at row {row}, column {column!r}")
 
 
 class DomainError(ToolkitError):

@@ -28,6 +28,14 @@ per-cell defaults; every other block defines one cell:
 
 Ready-made grids mirroring the benchmark tables ship in package data
 (``table1`` .. ``table4``, ``h0``); see `load_shipped_grid`.
+
+A cell block beyond ``cell`` and ``reps`` is a simulation recipe: ``d``,
+``T`` and ``m`` are required; ``rho`` (0.5), ``tol`` (1e-12), ``base``
+(``unit_gain``, ``identity`` or d*d numbers), ``cov`` (``eye``,
+``exch:OFF`` or d*d numbers), ``delta`` (d numbers or ``none``),
+``k_star`` (a fraction or ``none``) and ``seed`` (0) have defaults. The
+``simulate`` command's config file is one block of the same keys, read by
+the same builder (`_read_spec`), so this module alone knows the format.
 """
 
 from __future__ import annotations
@@ -331,26 +339,16 @@ def write_grid_outputs(grid: ExperimentGrid, rows, output_dir) -> None:
 
 
 # ---------------------------------------------------------------------------
-# grid config files
+# recipe and grid config files
 
 _HEADER_KEYS = {"name", "alpha"}
-_CELL_KEYS = {
-    "cell",
-    "d",
-    "T",
-    "m",
-    "rho",
-    "tol",
-    "base",
-    "cov",
-    "delta",
-    "k_star",
-    "reps",
-    "seed",
-}
+# the keys of one simulation recipe, in the order `simulate --help` lists them
+_SPEC_KEYS = ("d", "T", "m", "rho", "tol", "base", "cov", "delta", "k_star",
+              "seed")
+_CELL_KEYS = {"cell", "reps", *_SPEC_KEYS}
 
 
-def _parse_int(value: str, lineno: int, source: str) -> int:
+def _parse_int(lineno: int, value: str, source: str) -> int:
     try:
         return int(value)
     except ValueError:
@@ -359,7 +357,7 @@ def _parse_int(value: str, lineno: int, source: str) -> int:
         ) from None
 
 
-def _parse_float(value: str, lineno: int, source: str) -> float:
+def _parse_float(lineno: int, value: str, source: str) -> float:
     try:
         return float(value)
     except ValueError:
@@ -368,36 +366,44 @@ def _parse_float(value: str, lineno: int, source: str) -> float:
         ) from None
 
 
-def _parse_floats(value: str, lineno: int, source: str):
-    return np.array(
-        [_parse_float(part.strip(), lineno, source) for part in value.split(",")]
+def _parse_floats(lineno: int, value: str, source: str, key: str, size: int):
+    """The comma-separated numbers of ``key``, which must be ``size``."""
+    flat = np.array(
+        [_parse_float(lineno, part.strip(), source) for part in value.split(",")]
     )
+    if flat.size != size:
+        raise GridParseError(
+            f"{source}:{lineno}: {key} needs {size} values, got {flat.size}"
+        )
+    return flat
 
 
-def _build_cell(name: str, kv: dict, source: str) -> ExperimentCell:
-    """kv maps key -> (lineno, raw value); defaults already merged in."""
+def _cell_error(source: str, name: str, exc: ToolkitError) -> GridParseError:
+    return GridParseError(f"{source}: cell {name!r}: {type(exc).__name__}: {exc}")
+
+
+def _build_spec(name: str, kv: dict, source: str, counts=()):
+    """The SimulationSpec that the recipe ``kv`` describes, followed by the
+    value of each key in ``counts``: further required integers, such as a
+    grid cell's ``reps``, that no spec holds.
+
+    kv maps key -> (lineno, raw value), defaults already merged in; its
+    keys were checked when the config was read. Missing required keys are
+    reported first (d, T, m, then ``counts``), then values that do not
+    parse, then what the spec itself rejects.
+    """
 
     def take(key, default=None):
         return kv.pop(key, (None, default))
 
-    line_d, raw_d = take("d")
-    line_T, raw_T = take("T")
-    line_m, raw_m = take("m")
-    line_reps, raw_reps = take("reps")
-    for key, raw in (("d", raw_d), ("T", raw_T), ("m", raw_m), ("reps", raw_reps)):
-        if raw is None:
+    required = ("d", "T", "m", *counts)
+    for key in required:
+        if key not in kv:
             raise GridParseError(f"{source}: cell {name!r}: missing required key {key!r}")
-    d = _parse_int(raw_d, line_d, source)
-    T = _parse_int(raw_T, line_T, source)
-    m = _parse_int(raw_m, line_m, source)
-    reps = _parse_int(raw_reps, line_reps, source)
-
-    line_rho, raw_rho = take("rho", "0.5")
-    rho = _parse_float(raw_rho, line_rho, source)
-    line_tol, raw_tol = take("tol", "1e-12")
-    tol = _parse_float(raw_tol, line_tol, source)
-    line_seed, raw_seed = take("seed", "0")
-    seed = _parse_int(raw_seed, line_seed, source)
+    d, T, m, *extra = (_parse_int(*kv.pop(key), source) for key in required)
+    rho = _parse_float(*take("rho", "0.5"), source)
+    tol = _parse_float(*take("tol", "1e-12"), source)
+    seed = _parse_int(*take("seed", "0"), source)
 
     line_base, raw_base = take("base", "unit_gain")
     if raw_base == "unit_gain":
@@ -405,68 +411,37 @@ def _build_cell(name: str, kv: dict, source: str) -> ExperimentCell:
     elif raw_base == "identity":
         base = np.eye(d)
     else:
-        flat = _parse_floats(raw_base, line_base, source)
-        if flat.size != d * d:
-            raise GridParseError(
-                f"{source}:{line_base}: base needs {d * d} values, got {flat.size}"
-            )
-        base = flat.reshape(d, d)
+        base = _parse_floats(line_base, raw_base, source, "base", d * d).reshape(d, d)
 
     line_cov, raw_cov = take("cov", "eye")
     if raw_cov == "eye":
         cov = None
     elif raw_cov.startswith("exch:"):
-        off = _parse_float(raw_cov[len("exch:"):], line_cov, source)
+        off = _parse_float(line_cov, raw_cov[len("exch:"):], source)
         try:
             cov = exchangeable_cov(d, off)
         except ToolkitError as exc:
             raise GridParseError(f"{source}:{line_cov}: {exc}") from exc
     else:
-        flat = _parse_floats(raw_cov, line_cov, source)
-        if flat.size != d * d:
-            raise GridParseError(
-                f"{source}:{line_cov}: cov needs {d * d} values, got {flat.size}"
-            )
-        cov = flat.reshape(d, d)
+        cov = _parse_floats(line_cov, raw_cov, source, "cov", d * d).reshape(d, d)
 
     line_delta, raw_delta = take("delta")
     delta = None
     if raw_delta is not None and raw_delta != "none":
-        flat = _parse_floats(raw_delta, line_delta, source)
-        if flat.size != d:
-            raise GridParseError(
-                f"{source}:{line_delta}: delta needs {d} values, got {flat.size}"
-            )
-        delta = flat
+        delta = _parse_floats(line_delta, raw_delta, source, "delta", d)
 
     line_ks, raw_ks = take("k_star")
     k_star = None
     if raw_ks is not None and raw_ks != "none":
-        k_star = _parse_float(raw_ks, line_ks, source)
-
-    if kv:
-        lineno, _ = next(iter(kv.values()))
-        raise GridParseError(
-            f"{source}:{lineno}: key {next(iter(kv))!r} not valid in a cell block"
-        )
+        k_star = _parse_float(line_ks, raw_ks, source)
 
     try:
         coeff = geometric_coefficients(d, rho=rho, base=base, tol=tol)
-        template = SimulationSpec(
-            d=d,
-            T=T,
-            m=m,
-            coeff=coeff,
-            innovation_cov=cov,
-            delta=delta,
-            k_star=k_star,
-            seed=seed,
-        )
-        return ExperimentCell(name, template, reps)
+        spec = SimulationSpec(d=d, T=T, m=m, coeff=coeff, innovation_cov=cov,
+                              delta=delta, k_star=k_star, seed=seed)
     except ToolkitError as exc:
-        raise GridParseError(
-            f"{source}: cell {name!r}: {type(exc).__name__}: {exc}"
-        ) from exc
+        raise _cell_error(source, name, exc) from exc
+    return (spec, *extra)
 
 
 def _key_value_blocks(lines, source: str, keys, blank_ends_block: bool = True):
@@ -524,7 +499,7 @@ def parse_grid(text: str, source: str = "<string>") -> ExperimentGrid:
             if key == "name":
                 name = value
             elif key == "alpha":
-                alpha = _parse_float(value, lineno, source)
+                alpha = _parse_float(lineno, value, source)
             else:
                 defaults[key] = (lineno, value)
         start = 1
@@ -550,12 +525,39 @@ def parse_grid(text: str, source: str = "<string>") -> ExperimentGrid:
         seen.add(cell_name)
         merged = dict(defaults)
         merged.update(keys)
-        cells.append(_build_cell(cell_name, merged, source))
+        template, reps = _build_spec(cell_name, merged, source, ("reps",))
+        try:
+            cells.append(ExperimentCell(cell_name, template, reps))
+        except ToolkitError as exc:
+            raise _cell_error(source, cell_name, exc) from exc
 
     try:
         return ExperimentGrid(name=name, cells=tuple(cells), alpha=alpha)
     except DomainError as exc:
         raise GridParseError(f"{source}: {exc}") from exc
+
+
+def _read_spec(path, overrides) -> SimulationSpec:
+    """The recipe of one series: the keys of the config file at ``path``
+    (None for no file), each replaced by the value under the same key in
+    ``overrides`` unless that is None.
+
+    The file is one block: blank lines do not end it, and a key may appear
+    only once in it. Errors name the file, or ``command line`` without one,
+    and an overriding value by its flag, ``--k-star`` for ``k_star``.
+    """
+    kv = {}
+    if path:
+        with open(path, encoding="utf-8") as fh:
+            kv = {key: (lineno, value)
+                  for block in _key_value_blocks(fh, path, _SPEC_KEYS,
+                                                 blank_ends_block=False)
+                  for lineno, key, value in block}
+    for key in _SPEC_KEYS:
+        if overrides.get(key) is not None:
+            kv[key] = ("--" + key.replace("_", "-"), str(overrides[key]))
+    (spec,) = _build_spec("simulate", kv, path or "command line")
+    return spec
 
 
 def load_grid(path) -> ExperimentGrid:
@@ -568,7 +570,8 @@ def load_shipped_grid(name: str) -> ExperimentGrid:
     """One of the packaged benchmark grids: table1..table4 or h0."""
     if name not in SHIPPED_GRIDS:
         raise DomainError(
-            f"unknown shipped grid {name!r}; available: {', '.join(SHIPPED_GRIDS)}"
+            f"no grid file or shipped grid named {name!r}; "
+            "shipped grids: " + ", ".join(SHIPPED_GRIDS)
         )
     ref = resources.files("mvcusum").joinpath(f"data/{name}.grid")
     with resources.as_file(ref) as path:

@@ -52,7 +52,6 @@ class CoefficientScheme:
     construction is the escape hatch for custom depths.
     """
 
-    kind: str
     rho: float
     base: np.ndarray
     K_max: int
@@ -112,7 +111,7 @@ def geometric_coefficients(d, rho=0.5, base=None, tol=1e-12):
         # guard against roundoff in the closed form
         while rho ** (k_max + 1) / (1.0 - rho) >= tol:
             k_max += 1
-    return CoefficientScheme("geometric", float(rho), base, k_max)
+    return CoefficientScheme(float(rho), base, k_max)
 
 
 def exchangeable_cov(d, off):

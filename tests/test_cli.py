@@ -156,6 +156,8 @@ def test_missing_input_is_data_error(capsys, tmp_path, argv):
 
 MISSING = "error: FileNotFoundError: no such input file: absent.csv"
 BAD_CELL = "a\n1\nx\n"
+ROWS_40 = "a\n" + "".join(f"{i % 7}\n" for i in range(40))
+CONSTANT = "a,b\n" + "1,2\n" * 40
 
 
 @pytest.mark.parametrize(
@@ -175,14 +177,33 @@ BAD_CELL = "a\n1\nx\n"
       "d=2\nT=40\nm=1\nspeed=3\n",
       "error: GridParseError: bad.csv:4: unknown key 'speed'"),
      (("detect", "bad.csv", "--emit-curve", "sub/curve.csv", "--skip-rows",
-       "-1"), "a\n1\n2\n", "error: DomainError: skip_rows must be >= 0, got -1")],
+       "-1"), "a\n1\n2\n", "error: DomainError: skip_rows must be >= 0, got -1"),
+     # errors of the statistics, after the input is parsed
+     (("spectrum", "bad.csv", "--h", "100", "--out", "sub/spec.csv"), ROWS_40,
+      "error: BandwidthTooLarge"),
+     (("detect", "bad.csv", "--emit-curve", "sub/curve.csv"), CONSTANT,
+      "error: DegenerateSpectrum"),
+     (("scan", "bad.csv", "--emit-curve", "sub/curve.csv"), CONSTANT,
+      "error: DegenerateSpectrum"),
+     (("detect", "bad.csv", "--alpha", "0.07", "--emit-curve", "sub/curve.csv"),
+      ROWS_40, "error: MissingCriticalValue"),
+     (("detect", "bad.csv", "--scan", "--smoothing-window", "4",
+       "--emit-curve", "sub/curve.csv"), ROWS_40,
+      "error: DomainError: smoothing window must be odd"),
+     (("detect", "bad.csv", "--scan", "--trim", "0.7", "--emit-curve",
+       "sub/curve.csv"), ROWS_40, "error: DomainError: trim fraction"),
+     (("detect", "bad.csv", "--scan", "--min-prominence", "-1", "--emit-curve",
+       "sub/curve.csv"), ROWS_40, "error: DomainError: prominence floor")],
     ids=["detect", "scan", "spectrum", "simulate", "detect-bad-cell",
          "scan-bad-cell", "spectrum-bad-cell", "simulate-unknown-key",
-         "negative-skip-rows"],
+         "negative-skip-rows", "spectrum-bandwidth", "detect-constant",
+         "scan-constant", "detect-missing-critval", "detect-even-window",
+         "detect-trim", "detect-negative-prominence"],
 )
 def test_missing_input_creates_no_output_directory(capsys, tmp_path, monkeypatch,
                                                    argv, text, error):
-    # the input is found and parsed before any output path is made
+    # an output path is made only once the results are computed, and no
+    # line is printed before the last step that can fail
     monkeypatch.chdir(tmp_path)
     if text is not None:
         (tmp_path / "bad.csv").write_text(text)
@@ -730,6 +751,18 @@ def test_critval_creates_and_extends_table_file(capsys, tmp_path):
     again = kv_lines(out)
     assert again["source"] == "cache"
     assert again["value"] == lines["value"]
+
+
+def test_critval_table_in_new_directory(capsys, tmp_path, monkeypatch):
+    # the table's directory is made for it, and the table is saved before
+    # any line is printed
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(capsys, "critval", "--d", 1, "--alpha", "0.05",
+                           "--paths", 10, "--grid", 10, "--table", "nodir/t.csv")
+    assert rc == 0, err
+    assert kv_lines(out)["table"] == "nodir/t.csv"
+    stored = CriticalValueTable.load_csv(tmp_path / "nodir" / "t.csv")
+    assert format(stored.get(1, 0.05).value, ".17g") == kv_lines(out)["value"]
 
 
 def test_critval_defaults_to_shipped_table(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mvcusum import engine
+from mvcusum import cli, engine
 from mvcusum.critical import CriticalEntry, CriticalValueTable
 from mvcusum.engine import (
     ChangePointEstimate,
@@ -17,7 +17,6 @@ from mvcusum.engine import (
     quadform,
     scan_extrema,
 )
-from mvcusum.engine import test_result_text as render_result_text
 from mvcusum.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -25,7 +24,7 @@ from mvcusum.errors import (
     MissingCriticalValue,
     TooShort,
 )
-from mvcusum.series import MultivariateSeries
+from mvcusum.series import MultivariateSeries, write_csv
 from mvcusum.spectral import LongRunCovariance, long_run_covariance
 
 
@@ -212,7 +211,6 @@ def test_test_statistic_is_sup_of_quadform():
     lr = long_run_covariance(s)
     curve = quadform(cusum(s), lr)
     assert res.statistic == float(curve.q.max())
-    np.testing.assert_array_equal(res.sigma_diag, np.diag(lr.sigma))
     # the result carries the curve the statistic came from, frozen
     assert res.curve.q.max() == res.statistic
     np.testing.assert_array_equal(res.curve.q, curve.q)
@@ -543,10 +541,16 @@ def test_curve_export_requires_q(tmp_path):
         export_curve_csv(c, tmp_path / "x.csv")
 
 
-def test_result_text_format():
+def test_result_text_format(tmp_path, capsys):
+    # the test lines of `detect` stdout, on a CSV that holds the series bit
+    # for bit (%.17g), against the same one-entry table
     s = _h0_series(seed=9)
     res = engine.test(s, 0.05, fake_table(2, 0.05, 2.0))
-    text = render_result_text(res)
+    write_csv(s, tmp_path / "s.csv")
+    fake_table(2, 0.05, 2.0).save_csv(tmp_path / "cv.csv")
+    assert cli.main(["detect", str(tmp_path / "s.csv"),
+                     "--table", str(tmp_path / "cv.csv")]) == 0
+    text = capsys.readouterr().out
     lines = dict(line.split("=", 1) for line in text.strip().splitlines())
     assert float(lines["statistic"]) == res.statistic
     assert float(lines["critical_value"]) == 2.0
@@ -556,6 +560,8 @@ def test_result_text_format():
     assert float(lines["alpha"]) == 0.05
     assert int(lines["h_used"]) == res.sigma.h_used
     assert "sigma_diag" in lines
+    diag = [float(v) for v in lines["sigma_diag"].split(",")]
+    assert diag == np.diag(long_run_covariance(s).sigma).tolist()
 
 
 # ----------------------------------------------- estimator consistency trend

@@ -23,6 +23,7 @@ from mvcusum.experiments import (
     run_grid,
     write_grid_outputs,
 )
+from mvcusum.experiments import _read_spec
 from mvcusum.simulate import (
     SimulationSpec,
     exchangeable_cov,
@@ -509,6 +510,47 @@ def test_parse_grid_invalid_spec_names_cell():
     text = "cell=a\nd=2\nT=64\nm=0\nreps=1\ndelta=1,1\nk_star=1.5\n"
     with pytest.raises(GridParseError, match=r"cell 'a'"):
         parse_grid(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("cell=a\nT=64\nm=1\n", "g: cell 'a': missing required key 'd'"),
+     ("cell=a\nd=2\nT=64\nm=1\n", "g: cell 'a': missing required key 'reps'"),
+     # every missing key is reported before any value that does not parse
+     ("cell=a\nd=x\nT=64\nm=1\n", "g: cell 'a': missing required key 'reps'"),
+     ("cell=a\nd=x\nT=64\nm=1\nreps=y\n", "g:2: expected an integer, got 'x'"),
+     ("cell=a\nd=2\nT=64\nm=1\nreps=y\nrho=z\n",
+      "g:5: expected an integer, got 'y'"),
+     ("cell=a\nd=2\nT=64\nm=1\nreps=0\nrho=z\n", "g:6: expected a number, got 'z'"),
+     ("cell=a\nd=2\nT=64\nm=1\nreps=0\ncov=1,2\n", "g:6: cov needs 4 values, got 2"),
+     # the spec is checked before the replication count
+     ("cell=a\nd=2\nT=64\nm=1\nreps=0\nrho=2\n",
+      "g: cell 'a': DomainError: decay rate must be in [0, 1), got 2.0"),
+     ("cell=a\nd=2\nT=64\nm=1\nreps=0\n",
+      "g: cell 'a': DomainError: cell 'a': replications must be >= 1, got 0")],
+)
+def test_parse_grid_error_precedence(text, message):
+    with pytest.raises(GridParseError) as exc:
+        parse_grid(text, source="g")
+    assert str(exc.value) == message
+
+
+def test_simulate_config_reads_the_cell_recipe(tmp_path):
+    # one block (a blank line does not end it), flags override, None skips
+    conf = tmp_path / "sim.cfg"
+    conf.write_text("d=2\nT=64\n\nm=1\ncov=exch:0.3\ndelta=1,2\nk_star=0.5\n")
+    spec = _read_spec(str(conf), {"T": 80, "seed": 4, "rho": None, "out": "x"})
+    (cell,) = parse_grid("cell=a\nreps=1\nd=2\nT=80\nm=1\ncov=exch:0.3\n"
+                         "delta=1,2\nk_star=0.5\nseed=4\n").cells
+    t = cell.template
+    assert (spec.d, spec.T, spec.m, spec.k_star, spec.seed) == (t.d, t.T, t.m,
+                                                                t.k_star, t.seed)
+    for a, b in ((spec.innovation_cov, t.innovation_cov), (spec.delta, t.delta),
+                 (spec.coeff.base, t.coeff.base)):
+        np.testing.assert_array_equal(a, b)
+    assert (spec.coeff.rho, spec.coeff.K_max) == (t.coeff.rho, t.coeff.K_max)
+    with pytest.raises(GridParseError, match=r"cfg:--k-star: expected a number"):
+        _read_spec(str(conf), {"k_star": "x"})
 
 
 # ---------------------------------------------------------------- shipped grids

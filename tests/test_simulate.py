@@ -72,7 +72,6 @@ def test_geometric_kmax_frozen_half():
     # ceil(log(1e-12)/log(0.5)) = 40, and the geometric tail bound holds there
     c = geometric_coefficients(2, rho=0.5)
     assert c.K_max == 40
-    assert c.kind == "geometric"
 
 
 @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
@@ -258,7 +257,7 @@ def test_series_filter_bit_identical_to_lfilter(k_max, m, d, shift):
         d=d,
         T=700,
         m=m,
-        coeff=CoefficientScheme("geometric", 0.5, base, k_max),
+        coeff=CoefficientScheme(0.5, base, k_max),
         innovation_cov=exchangeable_cov(d, 0.5),
         delta=np.linspace(0.5, 1.5, d) if shift else None,
         k_star=0.3 if shift else None,
@@ -335,7 +334,6 @@ def test_series_h0_halves_agree():
 def test_series_truncation_soundness():
     s1 = spec_of(d=2, T=500, m=4, rho=0.5, seed=21)
     deep = CoefficientScheme(
-        kind="geometric",
         rho=0.5,
         base=s1.coeff.base,
         K_max=2 * s1.coeff.K_max,
