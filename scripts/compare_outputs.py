@@ -32,7 +32,9 @@ rows, detect and scan on a constant input, ``detect --alpha 0.07``, and
 definite; ``critval --table`` in a new directory; grids without ``reps``
 and with ``reps=0``, ``bench nope`` with and without a missing
 ``--table``, a malformed grid with a missing ``--table``; and a simulate
-without ``d``.
+without ``d``. Last, detect and spectrum on 200 x 3 inputs scaled by 1e-160
+(a long-run covariance whose inverse overflows) and by 1e154 (a
+periodogram that overflows).
 
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
@@ -129,6 +131,9 @@ def write_inputs(root):
     put("constant.csv", "a,b\n" + "1,2\n" * 40)
     put("noreps.grid", "cell=a\nd=2\nT=64\nm=1\n")
     put("zero.grid", "cell=a\nd=2\nT=64\nm=1\nreps=0\n")
+    for name, scale in (("tiny", 1e-160), ("huge", 1e154)):
+        put(name + ".csv", _table(["a", "b", "c"], [
+            [rng.gauss(0.0, 1.0) * scale for _ in range(3)] for _ in range(200)]))
 
 
 def commands():
@@ -239,6 +244,11 @@ def commands():
         ("bench", IN + "empty_key.grid", "--table", "missing.csv"),
         ("simulate", "--T", "40", "--m", "1"),
     ]
+    # beyond the 89 above: a long-run covariance too small to invert and one
+    # too large to be finite
+    for name in ("tiny", "huge"):
+        cmds += [("detect", IN + name + ".csv"),
+                 ("spectrum", IN + name + ".csv")]
     return cmds
 
 

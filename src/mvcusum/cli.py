@@ -82,8 +82,7 @@ def _apply_transform(series: MultivariateSeries, name: str) -> MultivariateSerie
     if name == "none":
         return series
     if name == "center":
-        return MultivariateSeries(center(series).values, labels=series.labels,
-                                  _fresh=True)
+        return center(series)
     if name == "log":
         if np.any(series.values <= 0.0):
             raise DomainError("log transform needs strictly positive values")
@@ -337,7 +336,7 @@ def cmd_critval(args) -> int:
     cached = table.get(args.d, args.alpha) is not None
     critical_value(args.d, args.alpha, table, args.paths, args.grid, args.seed)
     entry = table.get(args.d, args.alpha)
-    if args.table:
+    if args.table and not cached:
         # like every other output path, the table's directory is made for it
         os.makedirs(os.path.dirname(args.table) or ".", exist_ok=True)
         table.save_csv(args.table)
@@ -369,7 +368,6 @@ def cmd_bench(args) -> int:
             replace(cell, replications=args.reps) for cell in grid.cells
         ))
     out_dir = args.output_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
     rows = run_grid(grid, table, always_estimate=args.always_estimate,
                     threads=args.threads)
     write_grid_outputs(grid, rows, out_dir)
@@ -619,13 +617,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except ToolkitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except np.linalg.LinAlgError as exc:
-        print(f"error: LinAlgError: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ToolkitError, np.linalg.LinAlgError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # safety net: anything else is a bug

@@ -1,4 +1,4 @@
-"""Core series types, CSV ingestion, and centering.
+"""The series type, CSV ingestion, and centering.
 
 The observation container is a plain T x d float matrix with optional column
 labels; a row is known by its index only. CSV dialect is fixed: comma
@@ -22,7 +22,6 @@ from .errors import DomainError, MissingColumn, NonFinite, NonNumericCell, TooSh
 
 __all__ = [
     "MultivariateSeries",
-    "CenteredSeries",
     "IngestConfig",
     "load_csv",
     "write_csv",
@@ -69,27 +68,6 @@ class MultivariateSeries:
         object.__setattr__(self, "values", _frozen(values))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
-
-    @property
-    def T(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class CenteredSeries:
-    """Column-centered values plus the subtracted column means. Both arrays
-    are write-protected in place, not copied: `center` allocates them."""
-
-    values: np.ndarray
-    mean: np.ndarray
-
-    def __post_init__(self):
-        _frozen(self.values)
-        _frozen(self.mean)
 
     @property
     def T(self) -> int:
@@ -273,9 +251,10 @@ def write_csv(series: MultivariateSeries, path) -> None:
     _write_table(path, labels, [series.values])
 
 
-def center(series: MultivariateSeries) -> CenteredSeries:
-    """Subtract the column means. Column sums of the result vanish to within
-    accumulated roundoff (well under 1e-9 per row)."""
+def center(series: MultivariateSeries) -> MultivariateSeries:
+    """Subtract the column means, keeping the labels. Column sums of the
+    result vanish to within accumulated roundoff (well under 1e-9 per row)."""
     mean = series.values.mean(axis=0)
-    return CenteredSeries(series.values - mean, mean)
+    return MultivariateSeries(series.values - mean, labels=series.labels,
+                              _fresh=True)
 

@@ -59,10 +59,6 @@ class CoefficientScheme:
     def __post_init__(self):
         object.__setattr__(self, "base", _frozen(np.array(self.base, np.float64)))
 
-    @property
-    def d(self) -> int:
-        return self.base.shape[0]
-
 
 def geometric_coefficients(d, rho=0.5, base=None, tol=1e-12):
     """Geometrically decaying filter with an automatic truncation depth.

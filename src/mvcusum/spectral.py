@@ -3,10 +3,10 @@ long-run covariance.
 
 The long-run covariance of a stationary multivariate series equals 2*pi times
 its spectral density at frequency zero, so the estimation chain here is:
-one real FFT -> the 2h+1 matrix-periodogram ordinates around each requested
-frequency (and no others) -> their flat average, the smoothed spectrum ->
-long-run covariance (with an eigenvalue floor so the inverse stays usable on
-near-degenerate input).
+one real FFT of the mean-corrected series -> the 2h+1 matrix-periodogram
+ordinates around each requested frequency (and no others) -> their flat
+average, the smoothed spectrum -> long-run covariance (with an eigenvalue
+floor so the inverse stays usable on near-degenerate input).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     DomainError,
     TooShort,
 )
-from .series import CenteredSeries, MultivariateSeries, _frozen, _write_table, center
+from .series import MultivariateSeries, _frozen, _write_table
 
 __all__ = [
     "Periodogram",
@@ -76,18 +76,20 @@ class LongRunCovariance:
         _frozen(self.sigma_inv)
 
 
-def dft(series: CenteredSeries, js) -> Periodogram:
-    """Matrix periodogram of a centered series at the integer frequencies js.
+def dft(series: MultivariateSeries, js) -> Periodogram:
+    """Matrix periodogram of a series at the integer frequencies js.
 
-    Takes one real FFT per coordinate and forms only the requested
-    ordinates, wrapping each index modulo N.  Row n of the transform is
-    conj(rfft[n]) for n <= N/2 and rfft[N-n] above, so the symmetry
-    I(-omega) = conj(I(omega)) holds bitwise rather than to rounding.
+    Subtracts the column means, takes one real FFT per coordinate and forms
+    only the requested ordinates, wrapping each index modulo N.  Row n of
+    the transform is conj(rfft[n]) for n <= N/2 and rfft[N-n] above, so the
+    symmetry I(-omega) = conj(I(omega)) holds bitwise rather than to
+    rounding.
     """
     X = series.values
     N = X.shape[0]
     if N < 2:
         raise TooShort(f"need at least 2 observations, got {N}")
+    X = X - X.mean(axis=0)
     js = np.array(js, dtype=np.int64).reshape(-1)
     n = np.mod(js, N)
     low = n <= N // 2
@@ -99,11 +101,8 @@ def dft(series: CenteredSeries, js) -> Periodogram:
 
 def _int_fourth_root(n: int) -> int:
     """floor(n^(1/4)), at least 1, in exact integer arithmetic (no float
-    rounding near perfect fourth powers)."""
-    r = 1
-    while (r + 1) ** 4 <= n:
-        r += 1
-    return r
+    rounding near perfect fourth powers): isqrt(isqrt(n)) is exact."""
+    return max(1, math.isqrt(math.isqrt(n)))
 
 
 def default_bandwidth(T: int) -> int:
@@ -113,14 +112,12 @@ def default_bandwidth(T: int) -> int:
     return _int_fourth_root(T)
 
 
-def smoothed_spectrum(
-    series: MultivariateSeries | CenteredSeries, h: int, omegas
-) -> np.ndarray:
+def smoothed_spectrum(series: MultivariateSeries, h: int, omegas) -> np.ndarray:
     """Smoothed spectral density at each frequency in omegas, shape (n, d, d).
 
-    The series is centered first.  At each omega the 2h+1 periodogram
-    ordinates centered on the grid frequency nearest |omega| are averaged
-    with weight 1/(2h+1), wrapping indices modulo the grid (the
+    At each omega the 2h+1 ordinates of the periodogram (of the centered
+    series, see `dft`) around the grid frequency nearest |omega| are
+    averaged with weight 1/(2h+1), wrapping indices modulo the grid (the
     2*pi-periodic extension with conjugate symmetry); the mean is
     conjugated when omega < 0.  Only the ordinates some window reads are
     formed.
@@ -140,8 +137,7 @@ def smoothed_spectrum(
     k0 = [math.floor(abs(w) * N / _TWO_PI + 0.5) for w in omegas]
     windows = np.mod(np.add.outer(k0, np.arange(-h, h + 1)), N)
     js = np.unique(windows)
-    centered = series if isinstance(series, CenteredSeries) else center(series)
-    pgram = dft(centered, js)
+    pgram = dft(series, js)
     weights = np.full(2 * h + 1, 1.0 / (2 * h + 1))
     out = []
     for omega, window in zip(omegas, windows):
@@ -153,14 +149,15 @@ def smoothed_spectrum(
 
 
 def long_run_covariance(
-    series: MultivariateSeries | CenteredSeries, h: int | None = None
+    series: MultivariateSeries, h: int | None = None
 ) -> LongRunCovariance:
     """Long-run covariance 2*pi * Re f_hat(0) of a series, with a safe inverse.
 
-    The series is centered first.  The symmetrized estimate keeps its raw
-    value in ``sigma``; if its smallest eigenvalue falls at or below the
-    floor eps0 = 1e-8 * trace/d, the inverse is taken of sigma plus a ridge
-    just large enough to restore the floor, and the ridge size is reported.
+    The symmetrized estimate keeps its raw value in ``sigma``; if its
+    smallest eigenvalue falls at or below the floor eps0 = 1e-8 * trace/d,
+    the inverse is taken of sigma plus a ridge just large enough to restore
+    the floor, and the ridge size is reported.  An estimate or inverse that
+    is not finite raises DegenerateSpectrum.
     """
     return _spectrum_and_covariance(series, h, [0.0])[1]
 
@@ -175,6 +172,10 @@ def _spectrum_and_covariance(series, h, omegas):
     f = smoothed_spectrum(series, h_used, omegas)
     sigma = _TWO_PI * f[0].real
     sigma = (sigma + sigma.T) / 2.0
+    if not np.all(np.isfinite(sigma)):
+        raise DegenerateSpectrum(
+            "long-run covariance is not finite; input values are too large"
+        )
     trace = float(np.trace(sigma))
     if trace <= 0.0:
         raise DegenerateSpectrum(
@@ -184,6 +185,10 @@ def _spectrum_and_covariance(series, h, omegas):
     lam_min = float(np.linalg.eigvalsh(sigma).min())
     ridge = eps0 - lam_min if lam_min <= eps0 else 0.0
     inv = np.linalg.inv(sigma + ridge * np.eye(d))
+    if not np.all(np.isfinite(inv)):
+        raise DegenerateSpectrum(
+            "long-run covariance has no finite inverse; input values are too small"
+        )
     inv = (inv + inv.T) / 2.0
     return f, LongRunCovariance(
         sigma=sigma, sigma_inv=inv, ridge_applied=ridge, h_used=int(h_used), N=T

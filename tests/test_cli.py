@@ -436,6 +436,21 @@ def test_spectrum_constant_input_is_degenerate(capsys, tmp_path):
     assert "error: DegenerateSpectrum" in err
 
 
+@pytest.mark.parametrize("argv", [("detect",), ("detect", "--scan"), ("scan",),
+                                  ("spectrum",)])
+@pytest.mark.parametrize("scale", [1e-160, 1e154])
+def test_unrepresentable_covariance_is_degenerate(capsys, tmp_path, argv, scale):
+    # at 1e-160 the estimate is subnormal and its inverse overflows; at 1e154
+    # the periodogram overflows. Neither may become a nan statistic.
+    path = tmp_path / "scaled.csv"
+    x = np.random.default_rng(3).normal(size=(200, 3)) * scale
+    np.savetxt(path, x, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+    rc, out, err = run_cli(capsys, *argv, path, "--output-dir", tmp_path)
+    assert rc == 2
+    assert "error: DegenerateSpectrum" in err
+    assert out == ""
+
+
 # ----------------------------------------------------------------- detect
 
 
@@ -763,6 +778,18 @@ def test_critval_table_in_new_directory(capsys, tmp_path, monkeypatch):
     assert kv_lines(out)["table"] == "nodir/t.csv"
     stored = CriticalValueTable.load_csv(tmp_path / "nodir" / "t.csv")
     assert format(stored.get(1, 0.05).value, ".17g") == kv_lines(out)["value"]
+
+
+def test_critval_cache_hit_leaves_table_untouched(capsys, tmp_path):
+    table = table_file(tmp_path / "cv.csv", [(1, 0.05, 1.5)])
+    os.utime(table, ns=(1, 1))
+    before = table.read_bytes()
+    rc, out, _ = run_cli(capsys, "critval", "--d", 1, "--alpha", "0.05",
+                         "--table", table)
+    assert rc == 0
+    assert kv_lines(out)["source"] == "cache"
+    assert table.read_bytes() == before
+    assert os.stat(table).st_mtime_ns == 1
 
 
 def test_critval_defaults_to_shipped_table(capsys):

@@ -139,11 +139,22 @@ def test_dft_wrapped_indices_match_full_grid(T):
 # ---------------------------------------------------------------- bandwidth
 
 
+def _fourth_root_loop(n):
+    """Oracle: the largest r >= 1 with r**4 <= n, by counting up."""
+    r = 1
+    while (r + 1) ** 4 <= n:
+        r += 1
+    return r
+
+
 def test_default_bandwidth_frozen():
     assert default_bandwidth(8000) == 9
     assert default_bandwidth(16000) == 11
     assert default_bandwidth(16) == 2
     assert default_bandwidth(16384) == 11
+    near_powers = [r**4 + k for r in range(3, 2000) for k in (-1, 0, 1)]
+    for n in [*range(16, 200_000), *near_powers]:
+        assert default_bandwidth(n) == _fourth_root_loop(n), n
 
 
 def test_default_bandwidth_too_short():
