@@ -34,7 +34,10 @@ and with ``reps=0``, ``bench nope`` with and without a missing
 ``--table``, a malformed grid with a missing ``--table``; and a simulate
 without ``d``. Last, detect and spectrum on 200 x 3 inputs scaled by 1e-160
 (a long-run covariance whose inverse overflows) and by 1e154 (a
-periodogram that overflows).
+periodogram that overflows), then on each of those two inputs scan,
+estimate (both methods), ``detect --scan`` and ``detect --two-pass
+--method norm_argmax``; and those two norm_argmax commands on the same
+shape scaled by 1e160, whose curve norm overflows.
 
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
@@ -131,7 +134,7 @@ def write_inputs(root):
     put("constant.csv", "a,b\n" + "1,2\n" * 40)
     put("noreps.grid", "cell=a\nd=2\nT=64\nm=1\n")
     put("zero.grid", "cell=a\nd=2\nT=64\nm=1\nreps=0\n")
-    for name, scale in (("tiny", 1e-160), ("huge", 1e154)):
+    for name, scale in (("tiny", 1e-160), ("huge", 1e154), ("vast", 1e160)):
         put(name + ".csv", _table(["a", "b", "c"], [
             [rng.gauss(0.0, 1.0) * scale for _ in range(3)] for _ in range(200)]))
 
@@ -249,6 +252,18 @@ def commands():
     for name in ("tiny", "huge"):
         cmds += [("detect", IN + name + ".csv"),
                  ("spectrum", IN + name + ".csv")]
+    # beyond the 93 above: every other command that reads those two inputs
+    for name in ("tiny", "huge"):
+        x = IN + name + ".csv"
+        cmds += [("scan", x),
+                 ("estimate", x),
+                 ("estimate", x, "--method", "norm_argmax"),
+                 ("detect", x, "--scan"),
+                 ("detect", x, "--two-pass", "--method", "norm_argmax")]
+    # beyond the 103 above: a curve whose sum of squares overflows
+    vast = IN + "vast.csv"
+    cmds += [("estimate", vast, "--method", "norm_argmax"),
+             ("detect", vast, "--two-pass", "--method", "norm_argmax")]
     return cmds
 
 

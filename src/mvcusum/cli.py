@@ -327,12 +327,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_critval(args) -> int:
-    if args.table and os.path.exists(args.table):
-        table = CriticalValueTable.load_csv(args.table)
-    elif args.table:
-        table = CriticalValueTable()
+    if args.table and not os.path.exists(args.table):
+        table = CriticalValueTable()  # a new --table file starts empty
     else:
-        table = default_table()
+        table = _load_table(args.table)
     cached = table.get(args.d, args.alpha) is not None
     critical_value(args.d, args.alpha, table, args.paths, args.grid, args.seed)
     entry = table.get(args.d, args.alpha)

@@ -149,8 +149,8 @@ class CriticalValueTable:
     """Cache of simulated quantiles keyed by (dimension, level), each entry
     carrying the Monte Carlo provenance that produced it."""
 
-    def __init__(self, entries: dict[tuple[int, float], CriticalEntry] | None = None):
-        self.entries: dict[tuple[int, float], CriticalEntry] = dict(entries or {})
+    def __init__(self):
+        self.entries: dict[tuple[int, float], CriticalEntry] = {}
 
     def get(self, d: int, alpha: float) -> CriticalEntry | None:
         return self.entries.get((d, alpha))

@@ -115,14 +115,13 @@ def default_bandwidth(T: int) -> int:
 def smoothed_spectrum(series: MultivariateSeries, h: int, omegas) -> np.ndarray:
     """Smoothed spectral density at each frequency in omegas, shape (n, d, d).
 
-    At each omega the 2h+1 ordinates of the periodogram (of the centered
-    series, see `dft`) around the grid frequency nearest |omega| are
-    averaged with weight 1/(2h+1), wrapping indices modulo the grid (the
-    2*pi-periodic extension with conjugate symmetry); the mean is
-    conjugated when omega < 0.  Only the ordinates some window reads are
-    formed.
+    Each omega reads the window of 2h+1 periodogram ordinates (of the
+    centered series, see `dft`) around the grid frequency nearest |omega|,
+    indices wrapping modulo the grid (the 2*pi-periodic extension with
+    conjugate symmetry).  One product averages every window at once with
+    weight 1/(2h+1); the rows where omega < 0 are conjugated.
     """
-    N = series.values.shape[0]
+    N, d = series.values.shape
     if int(h) != h or h < 1:
         raise DomainError(f"bandwidth must be a positive integer, got {h}")
     h = int(h)
@@ -130,22 +129,17 @@ def smoothed_spectrum(series: MultivariateSeries, h: int, omegas) -> np.ndarray:
         raise BandwidthTooLarge(
             f"smoothing window 2h+1 = {2 * h + 1} exceeds series length {N}"
         )
-    omegas = [float(w) for w in omegas]
-    for omega in omegas:
-        if not -math.pi <= omega <= math.pi:
-            raise DomainError(f"frequency {omega} outside [-pi, pi]")
-    k0 = [math.floor(abs(w) * N / _TWO_PI + 0.5) for w in omegas]
-    windows = np.mod(np.add.outer(k0, np.arange(-h, h + 1)), N)
-    js = np.unique(windows)
-    pgram = dft(series, js)
+    omegas = np.array(omegas, dtype=np.float64).reshape(-1)
+    outside = ~((-math.pi <= omegas) & (omegas <= math.pi))
+    if outside.any():
+        raise DomainError(f"frequency {omegas[outside][0]} outside [-pi, pi]")
+    k0 = np.floor(np.abs(omegas) * N / _TWO_PI + 0.5).astype(np.int64)
+    pgram = dft(series, k0[:, None] + np.arange(-h, h + 1))
+    ordinates = pgram.ordinates.reshape(len(omegas), 2 * h + 1, d * d)
     weights = np.full(2 * h + 1, 1.0 / (2 * h + 1))
-    out = []
-    for omega, window in zip(omegas, windows):
-        f = np.tensordot(
-            weights, pgram.ordinates[np.searchsorted(js, window)], axes=1
-        ) / _TWO_PI
-        out.append(np.conj(f) if omega < 0 else f)
-    return np.array(out)
+    f = (weights @ ordinates / _TWO_PI).reshape(-1, d, d)
+    f[omegas < 0] = np.conj(f[omegas < 0])
+    return f
 
 
 def long_run_covariance(
@@ -159,19 +153,22 @@ def long_run_covariance(
     the floor, and the ridge size is reported.  An estimate or inverse that
     is not finite raises DegenerateSpectrum.
     """
-    return _spectrum_and_covariance(series, h, [0.0])[1]
+    return _spectrum_and_covariance(series, h, [])[1]
 
 
 def _spectrum_and_covariance(series, h, omegas):
-    """The smoothed spectrum at omegas, whose first entry must be 0, and the
-    long-run covariance read from that first row, from one periodogram."""
+    """The smoothed spectrum at omegas and the long-run covariance, from one
+    periodogram: the window at frequency 0 is evaluated with the others and
+    Sigma_hat is read from it, so omegas may hold any frequencies or none."""
     T, d = series.values.shape
     if T < 16:
         raise TooShort(f"need at least 16 observations, got {T}")
     h_used = default_bandwidth(T) if h is None else h
-    f = smoothed_spectrum(series, h_used, omegas)
-    sigma = _TWO_PI * f[0].real
-    sigma = (sigma + sigma.T) / 2.0
+    # an overflowing periodogram is reported by the finiteness check below
+    with np.errstate(all="ignore"):
+        f = smoothed_spectrum(series, h_used, np.append(0.0, omegas))
+        sigma = _TWO_PI * f[0].real
+        sigma = (sigma + sigma.T) / 2.0
     if not np.all(np.isfinite(sigma)):
         raise DegenerateSpectrum(
             "long-run covariance is not finite; input values are too large"
@@ -190,7 +187,7 @@ def _spectrum_and_covariance(series, h, omegas):
             "long-run covariance has no finite inverse; input values are too small"
         )
     inv = (inv + inv.T) / 2.0
-    return f, LongRunCovariance(
+    return f[1:], LongRunCovariance(
         sigma=sigma, sigma_inv=inv, ridge_applied=ridge, h_used=int(h_used), N=T
     )
 

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -436,18 +437,47 @@ def test_spectrum_constant_input_is_degenerate(capsys, tmp_path):
     assert "error: DegenerateSpectrum" in err
 
 
+def scaled_csv(tmp_path, scale):
+    """200 x 3 standard normals times scale, written at full precision."""
+    path = tmp_path / "scaled.csv"
+    x = np.random.default_rng(3).normal(size=(200, 3)) * scale
+    np.savetxt(path, x, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+    return path
+
+
 @pytest.mark.parametrize("argv", [("detect",), ("detect", "--scan"), ("scan",),
                                   ("spectrum",)])
 @pytest.mark.parametrize("scale", [1e-160, 1e154])
 def test_unrepresentable_covariance_is_degenerate(capsys, tmp_path, argv, scale):
     # at 1e-160 the estimate is subnormal and its inverse overflows; at 1e154
-    # the periodogram overflows. Neither may become a nan statistic.
-    path = tmp_path / "scaled.csv"
-    x = np.random.default_rng(3).normal(size=(200, 3)) * scale
-    np.savetxt(path, x, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
-    rc, out, err = run_cli(capsys, *argv, path, "--output-dir", tmp_path)
+    # the periodogram overflows. Neither may become a nan statistic, and the
+    # error line is all that reaches stderr: no numpy warning comes first.
+    path = scaled_csv(tmp_path, scale)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, *argv, path, "--output-dir", tmp_path)
     assert rc == 2
-    assert "error: DegenerateSpectrum" in err
+    why = ("has no finite inverse; input values are too small" if scale < 1
+           else "is not finite; input values are too large")
+    assert err == f"error: DegenerateSpectrum: long-run covariance {why}\n"
+    assert [str(w.message) for w in caught] == []
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [("estimate", "--method", "norm_argmax"),
+                                  ("detect", "--two-pass", "--method",
+                                   "norm_argmax")])
+def test_overflowing_curve_norm_is_a_domain_error(capsys, tmp_path, argv):
+    # the cusum curve is finite, but its sum of squares overflows: every
+    # interior norm would be inf and the argmax the first of them
+    path = scaled_csv(tmp_path, 1e160)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, *argv, path)
+    assert rc == 2
+    assert err == ("error: DomainError: curve norm is not finite; "
+                   "input values are too large\n")
+    assert [str(w.message) for w in caught] == []
     assert out == ""
 
 
@@ -608,6 +638,54 @@ def test_detect_transform_log_requires_positive_values(capsys, tmp_path, cv2_csv
                          "--table", cv2_csv, "--output-dir", tmp_path)
     assert rc == 2
     assert "error: DomainError" in err
+
+
+def test_detect_transform_log_matches_logged_input(capsys, tmp_path, cv2_csv):
+    # %.17g round-trips, so both files hold exactly x and log(x)
+    x = np.exp(np.random.default_rng(8).normal(size=(300, 2)))
+    x[150:] *= 3.0
+    raw, logged = tmp_path / "raw.csv", tmp_path / "logged.csv"
+    for path, values in ((raw, x), (logged, np.log(x))):
+        np.savetxt(path, values, fmt="%.17g", delimiter=",", header="a,b",
+                   comments="")
+    outs = []
+    for argv in ((raw, "--transform", "log"), (logged,)):
+        rc, out, _ = run_cli(capsys, "detect", *argv, "--scan", "--table",
+                             cv2_csv)
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "t_hat=" in outs[0]
+
+
+_CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
+
+
+@pytest.mark.parametrize("files, argv, line", [
+    ({"two.csv": "a,b\n1,2\n3,5\n"}, ("detect", "two.csv", "--transform", "diff"),
+     "TooShort: differencing needs at least 3 observations, got 2"),
+    ({"two.csv": "a,b\n1,2\n3,5\n"}, ("spectrum", "two.csv", "--freqs", "1"),
+     "DomainError: need at least 2 frequencies, got 1"),
+    ({}, ("bench", "table1", "--reps", "0"),
+     "DomainError: replication override must be >= 1, got 0"),
+    ({"g.grid": "name=x\n" + _CELL + "cov=exch:1.5\n"}, ("bench", "g.grid"),
+     "GridParseError: g.grid:8: off-diagonal must lie in (-1, 1) for d=2, "
+     "got 1.5"),
+    ({"g.grid": "name=x\n" + _CELL + "alpha=0.1\n"}, ("bench", "g.grid"),
+     "GridParseError: g.grid:8: key 'alpha' only valid in the header block"),
+    ({"g.grid": "name=x\nalpha=1.5\n" + _CELL}, ("bench", "g.grid"),
+     "GridParseError: g.grid: alpha must be in (0, 1), got 1.5"),
+    ({"f.csv": "date\n2020-01-01\n2020-01-02\n"}, ("detect", "f.csv"),
+     "MissingColumn: f.csv: no value columns besides the date column"),
+])
+def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {line}\n"
 
 
 def test_detect_column_subset(capsys, tmp_path):

@@ -168,6 +168,18 @@ def test_quadform_nonnegative_and_matches_inverse_oracle():
     np.testing.assert_allclose(out.q, oracle, rtol=1e-9, atol=1e-12)
 
 
+def test_quadform_indefinite_inverse_falls_back_to_clipped_einsum():
+    # diag(1, -1) has no Cholesky factor: q is the direct form, floored at 0
+    c = cusum(MultivariateSeries(np.random.default_rng(5).normal(size=(40, 2))))
+    M = np.diag([1.0, -1.0])
+    lr = LongRunCovariance(sigma=np.eye(2), sigma_inv=M, ridge_applied=0.0,
+                           h_used=1, N=40)
+    want = np.maximum(np.einsum("kd,de,ke->k", c.s_tilde, M, c.s_tilde), 0.0)
+    q = quadform(c, lr).q
+    np.testing.assert_array_equal(q, want)
+    assert (q == 0.0).any() and (q > 0.0).any()
+
+
 def test_quadform_keeps_s_tilde():
     c = cusum(MultivariateSeries(np.random.default_rng(3).normal(size=(20, 2))))
     out = quadform(c, manual_lr(np.eye(2)))
@@ -268,6 +280,18 @@ def test_estimate_first_index_wins_ties():
     s = MultivariateSeries(np.array([1.0, -1.0, 1.0, -1.0]))
     e = estimate_changepoint(cusum(s), method="norm_argmax")
     assert e.t_hat == 1
+
+
+def test_estimate_norm_overflow_is_domain_error():
+    x = np.random.default_rng(3).normal(size=(200, 3))
+    finite = cusum(MultivariateSeries(x))
+    e = estimate_changepoint(finite, method="norm_argmax")
+    assert e.curve_value == np.linalg.norm(finite.s_tilde, axis=1)[e.t_hat]
+    huge = cusum(MultivariateSeries(x * 1e160))
+    assert np.all(np.isfinite(huge.s_tilde))
+    with pytest.raises(DomainError, match=r"^curve norm is not finite; input "
+                                          r"values are too large$"):
+        estimate_changepoint(huge, method="norm_argmax")
 
 
 def test_estimate_quadform_matches_brute_force():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvcusum import engine
+from mvcusum import engine, experiments
 from mvcusum.critical import CriticalEntry, CriticalValueTable
 from mvcusum.engine import cusum, estimate_changepoint, quadform
 from mvcusum.errors import DomainError, GridParseError, ToolkitError
@@ -319,6 +319,28 @@ def test_run_grid_isolates_cell_failures(tmp_path):
     assert len(rows[1].failures) == 2
     summary = (tmp_path / "summary.txt").read_text()
     assert "completed=1/2" in summary
+
+
+def test_run_grid_isolates_a_cell_that_raises(monkeypatch):
+    # an exception outside the per-replication handling becomes that cell's
+    # row: NaN metrics, no rejections and one cell-level failure line
+    table = fake_table([(2, 0.05, 1e-9)])
+    grid = mini_grid()
+    good = run_grid(grid, table)[1]
+
+    def run_cell_or_raise(template, *args, cell_id, **kwargs):
+        if cell_id == "cell_a":
+            raise RuntimeError("boom")
+        return run_cell(template, *args, cell_id=cell_id, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_cell", run_cell_or_raise)
+    bad, other = run_grid(grid, table)
+    assert bad.cell_id == "cell_a"
+    assert all(math.isnan(v) for v in (bad.deviation, bad.abs_deviation,
+                                       bad.rms_deviation, bad.mean_sq_deviation))
+    assert (bad.reject_count, bad.replications, bad.estimates) == (0, 2, ())
+    assert bad.failures == ("cell: RuntimeError: boom",)
+    assert other == good
 
 
 def test_run_grid_artifacts(tmp_path):

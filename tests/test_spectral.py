@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from mvcusum.errors import (
 )
 from mvcusum.series import MultivariateSeries, center
 from mvcusum.spectral import (
+    _spectrum_and_covariance,
     default_bandwidth,
     dft,
     long_run_covariance,
@@ -216,6 +218,52 @@ def test_smoothed_grid_matches_single_frequency_calls():
     assert grid.shape == (41, 3, 3)
     for a, om in enumerate(omegas):
         np.testing.assert_array_equal(grid[a], smoothed_spectrum(s, 2, [om])[0])
+
+
+def _looped_spectrum(series, h, omegas):
+    """The smoothed spectrum as one window at a time: ordinates formed once
+    at the unique indices, each window mapped back to its rows and
+    averaged by its own tensordot."""
+    N = series.values.shape[0]
+    omegas = [float(w) for w in omegas]
+    k0 = [math.floor(abs(w) * N / (2 * math.pi) + 0.5) for w in omegas]
+    windows = np.mod(np.add.outer(k0, np.arange(-h, h + 1)), N)
+    js = np.unique(windows)
+    pgram = dft(series, js)
+    weights = np.full(2 * h + 1, 1.0 / (2 * h + 1))
+    out = []
+    for omega, window in zip(omegas, windows):
+        f = np.tensordot(
+            weights, pgram.ordinates[np.searchsorted(js, window)], axes=1
+        ) / (2 * math.pi)
+        out.append(np.conj(f) if omega < 0 else f)
+    return np.array(out)
+
+
+def test_smoothed_spectrum_bit_equals_window_loop():
+    # negative frequencies and, at small N, windows that overlap and wrap
+    rng = np.random.default_rng(41)
+    for case in range(400):
+        N = int(rng.choice([16, 17, 40, 101, 1000, 4096, 30000]))
+        d = case % 6 + 1
+        h = int(rng.integers(1, min(40, (N - 1) // 2) + 1))
+        s = _series(rng, N, d, scale=10.0 ** rng.integers(-3, 4))
+        omegas = rng.uniform(-np.pi, np.pi, size=int(rng.integers(1, 20)))
+        want = _looped_spectrum(s, h, omegas)
+        for given_as in (omegas, list(omegas)):
+            got = smoothed_spectrum(s, h, given_as)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.float64),
+                                          want.view(np.float64))
+
+
+def test_covariance_read_at_zero_whatever_the_frequencies():
+    s = _series(np.random.default_rng(43), 300, 3)
+    f, lr = _spectrum_and_covariance(s, 4, [0.7, 0.0])
+    want = long_run_covariance(s, 4)
+    np.testing.assert_array_equal(lr.sigma, want.sigma)
+    np.testing.assert_array_equal(lr.sigma_inv, want.sigma_inv)
+    np.testing.assert_array_equal(f, smoothed_spectrum(s, 4, [0.7, 0.0]))
 
 
 def test_smoothed_negative_omega_conjugate():
