@@ -37,7 +37,11 @@ without ``d``. Last, detect and spectrum on 200 x 3 inputs scaled by 1e-160
 periodogram that overflows), then on each of those two inputs scan,
 estimate (both methods), ``detect --scan`` and ``detect --two-pass
 --method norm_argmax``; and those two norm_argmax commands on the same
-shape scaled by 1e160, whose curve norm overflows.
+shape scaled by 1e160, whose curve's sum of squares overflows. Then
+spectrum on the 1e5 x 5 input at ``--freqs 5000``, whose windows go to the
+periodogram in several chunks, and ``bench --threads 2 --always-estimate
+--keep-going`` on a two-cell grid whose second cell has a singular
+innovation covariance, so every one of its replications fails.
 
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
@@ -137,6 +141,9 @@ def write_inputs(root):
     for name, scale in (("tiny", 1e-160), ("huge", 1e154), ("vast", 1e160)):
         put(name + ".csv", _table(["a", "b", "c"], [
             [rng.gauss(0.0, 1.0) * scale for _ in range(3)] for _ in range(200)]))
+    put("singular.grid", "name=mix\nd=2\nT=200\nm=1\nreps=3\n\n"
+        "cell=good\ndelta=1,1\nk_star=0.5\n\n"
+        "cell=singular\ncov=0,0,0,0\n")
 
 
 def commands():
@@ -264,6 +271,11 @@ def commands():
     vast = IN + "vast.csv"
     cmds += [("estimate", vast, "--method", "norm_argmax"),
              ("detect", vast, "--two-pass", "--method", "norm_argmax")]
+    # beyond the 105 above: windows in several chunks, and a grid with a
+    # failing cell run on two threads
+    cmds += [("spectrum", IN + "big.csv", "--freqs", "5000"),
+             ("bench", IN + "singular.grid", "--output-dir", "g", "--threads",
+              "2", "--always-estimate", "--keep-going")]
     return cmds
 
 

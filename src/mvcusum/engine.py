@@ -191,10 +191,10 @@ def estimate_changepoint(
 ) -> ChangePointEstimate:
     """Argmax change-point estimate over the interior grid k = 1..N-1.
 
-    ``norm_argmax`` maximizes the Euclidean norm of the curve (a norm that
-    overflows raises DomainError); ``quadform_argmax`` maximizes its
-    studentized quadratic form, so the curve must come from `quadform` (as
-    `TestResult.curve` does).
+    ``norm_argmax`` maximizes the Euclidean norm of the curve (a curve or a
+    norm that is not finite raises DomainError); ``quadform_argmax``
+    maximizes its studentized quadratic form, so the curve must come from
+    `quadform` (as `TestResult.curve` does).
     Ties go to the smallest index; ``trim`` optionally excludes the outer
     fraction of the grid on each side.
     """
@@ -202,8 +202,12 @@ def estimate_changepoint(
     if N < 3:
         raise TooShort(f"need at least 3 observations, got {N}")
     if method == "norm_argmax":
+        # scaled exactly, by a power of two, so that the largest entry is in
+        # [0.5, 1): no square overflows, and none that counts underflows
+        s = curve.s_tilde
+        e = np.frexp(np.abs(s).max())[1]
         with np.errstate(over="ignore"):
-            values = np.linalg.norm(curve.s_tilde, axis=1)
+            values = np.ldexp(np.linalg.norm(np.ldexp(s, -e), axis=1), e)
         if not np.all(np.isfinite(values)):
             raise DomainError("curve norm is not finite; input values are too large")
     elif method == "quadform_argmax":

@@ -2,13 +2,15 @@
 replications, and deviation metrics.
 
 A grid is a list of named cells, each a simulation template plus a
-replication count. Every replication re-seeds the template at base + rep
-index, simulates, runs the mean-shift test, and — when the test rejects —
-estimates the change point. Deviation metrics aggregate over the estimating
-replications only (pass ``always_estimate=True`` to remove the conditioning
-for sensitivity analysis). A failed replication is recorded on the row, not
-silently dropped, and never stops the cell; a failed cell never stops the
-grid.
+replication count. `run_cell` runs one cell into one row: every replication
+re-seeds the template at base + rep index, simulates, runs the mean-shift
+test, and — when the test rejects — estimates the change point. Deviation
+metrics aggregate over the estimating replications only (pass
+``always_estimate=True`` to remove the conditioning for sensitivity
+analysis). A replication that fails with a toolkit or linear-algebra error
+is recorded on the row, not silently dropped, and the cell goes on; any
+other error ends the cell with one recorded failure. A failed cell never
+stops the grid.
 
 Grid files are flat key=value blocks separated by blank lines. An optional
 first block without a ``cell=`` key sets the grid name, the level, and
@@ -147,48 +149,49 @@ def metrics_from_errors(errors: Sequence[float]):
 
 
 def run_cell(
-    template: SimulationSpec,
-    replications: int,
+    cell: ExperimentCell,
     alpha: float,
     table: CriticalValueTable,
-    cell_id: str = "cell",
     always_estimate: bool = False,
 ) -> MetricsRow:
     """Run one cell: simulate, test, estimate-on-rejection, aggregate.
 
-    Replication k uses seed ``template.seed + k``. Any toolkit or linear-
-    algebra error inside a replication is recorded in ``failures`` and the
-    remaining replications still run.
+    Replication k uses seed ``cell.template.seed + k``. A toolkit or
+    linear-algebra error inside a replication is recorded in ``failures``
+    and the remaining replications still run. Any other error stops the
+    cell: its row then has NaN metrics, no rejections or estimates, and that
+    one error as its only failure.
     """
-    if replications < 1:
-        raise DomainError(f"replications must be >= 1, got {replications}")
-    rejects = 0
-    errors: list = []
+    template = cell.template
+    rejects, t_star = 0, None
     estimates: list = []
     failures: list = []
-    for rep in range(replications):
-        spec = replace(template, seed=template.seed + rep)
-        try:
-            series, t_star = gen_series(spec)
-            result = _run_test(series, alpha, table)
-            if result.reject:
-                rejects += 1
-            if result.reject or always_estimate:
-                est = estimate_changepoint(result.curve, method="quadform_argmax")
-                estimates.append(est.t_hat)
-                if t_star is not None:
-                    errors.append(t_star - est.t_hat)
-        except (ToolkitError, np.linalg.LinAlgError) as exc:
-            failures.append(f"rep {rep}: {type(exc).__name__}: {exc}")
+    try:
+        for rep in range(cell.replications):
+            spec = replace(template, seed=template.seed + rep)
+            try:
+                series, t_star = gen_series(spec)
+                result = _run_test(series, alpha, table)
+                if result.reject:
+                    rejects += 1
+                if result.reject or always_estimate:
+                    estimates.append(estimate_changepoint(result.curve).t_hat)
+            except (ToolkitError, np.linalg.LinAlgError) as exc:
+                failures.append(f"rep {rep}: {type(exc).__name__}: {exc}")
+    except Exception as exc:  # cell-level isolation
+        rejects, estimates = 0, []
+        failures = [f"cell: {type(exc).__name__}: {exc}"]
+    # every replication of a cell has the same true break time
+    errors = [] if t_star is None else [t_star - t for t in estimates]
     dev, abs_dev, rms_dev, mean_sq = metrics_from_errors(errors)
     return MetricsRow(
-        cell_id=cell_id,
+        cell_id=cell.name,
         deviation=dev,
         abs_deviation=abs_dev,
         rms_deviation=rms_dev,
         mean_sq_deviation=mean_sq,
         reject_count=rejects,
-        replications=replications,
+        replications=cell.replications,
         estimates=tuple(estimates),
         failures=tuple(failures),
     )
@@ -200,36 +203,13 @@ def run_grid(
     always_estimate: bool = False,
     threads: int = 1,
 ):
-    """Run every cell of a grid; rows come back in grid order.
-
-    A cell that fails outright (bad template interaction, etc.) yields a
-    row with NaN metrics and the failure recorded; other cells proceed.
-    `write_grid_outputs` writes the rows as files.
+    """Run every cell of a grid with `run_cell`; rows come back in grid
+    order, and a failed cell never stops the grid. `write_grid_outputs`
+    writes the rows as files.
     """
 
     def one(cell: ExperimentCell) -> MetricsRow:
-        try:
-            return run_cell(
-                cell.template,
-                cell.replications,
-                grid.alpha,
-                table,
-                cell_id=cell.name,
-                always_estimate=always_estimate,
-            )
-        except Exception as exc:  # cell-level isolation
-            nan = math.nan
-            return MetricsRow(
-                cell.name,
-                nan,
-                nan,
-                nan,
-                nan,
-                0,
-                cell.replications,
-                (),
-                (f"cell: {type(exc).__name__}: {exc}",),
-            )
+        return run_cell(cell, grid.alpha, table, always_estimate)
 
     if threads > 1 and len(grid.cells) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

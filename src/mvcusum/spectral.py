@@ -3,10 +3,11 @@ long-run covariance.
 
 The long-run covariance of a stationary multivariate series equals 2*pi times
 its spectral density at frequency zero, so the estimation chain here is:
-one real FFT of the mean-corrected series -> the 2h+1 matrix-periodogram
-ordinates around each requested frequency (and no others) -> their flat
-average, the smoothed spectrum -> long-run covariance (with an eigenvalue
-floor so the inverse stays usable on near-degenerate input).
+one real FFT of the mean-corrected series per `dft` call -> the 2h+1
+matrix-periodogram ordinates around each requested frequency (and no
+others) -> their flat average, the smoothed spectrum -> long-run covariance
+(with an eigenvalue floor so the inverse stays usable on near-degenerate
+input).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# periodogram matrix entries formed per `dft` call by `smoothed_spectrum`
+_ORDINATE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,11 @@ def smoothed_spectrum(series: MultivariateSeries, h: int, omegas) -> np.ndarray:
     Each omega reads the window of 2h+1 periodogram ordinates (of the
     centered series, see `dft`) around the grid frequency nearest |omega|,
     indices wrapping modulo the grid (the 2*pi-periodic extension with
-    conjugate symmetry).  One product averages every window at once with
-    weight 1/(2h+1); the rows where omega < 0 are conjugated.
+    conjugate symmetry).  The windows go to `dft` in chunks of at most
+    ``_ORDINATE_BUDGET`` matrix entries (one window if that is larger), so
+    memory stays bounded however many frequencies are asked for; one
+    product averages the windows of a chunk with weight 1/(2h+1).  The rows
+    where omega < 0 are conjugated.
     """
     N, d = series.values.shape
     if int(h) != h or h < 1:
@@ -134,10 +140,14 @@ def smoothed_spectrum(series: MultivariateSeries, h: int, omegas) -> np.ndarray:
     if outside.any():
         raise DomainError(f"frequency {omegas[outside][0]} outside [-pi, pi]")
     k0 = np.floor(np.abs(omegas) * N / _TWO_PI + 0.5).astype(np.int64)
-    pgram = dft(series, k0[:, None] + np.arange(-h, h + 1))
-    ordinates = pgram.ordinates.reshape(len(omegas), 2 * h + 1, d * d)
+    window = np.arange(-h, h + 1)
     weights = np.full(2 * h + 1, 1.0 / (2 * h + 1))
-    f = (weights @ ordinates / _TWO_PI).reshape(-1, d, d)
+    f = np.empty((len(omegas), d, d), np.complex128)
+    step = max(1, _ORDINATE_BUDGET // ((2 * h + 1) * d * d))
+    for lo in range(0, len(omegas), step):
+        pgram = dft(series, k0[lo : lo + step, None] + window)
+        ordinates = pgram.ordinates.reshape(-1, 2 * h + 1, d * d)
+        f[lo : lo + step] = (weights @ ordinates / _TWO_PI).reshape(-1, d, d)
     f[omegas < 0] = np.conj(f[omegas < 0])
     return f
 

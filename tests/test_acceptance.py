@@ -66,7 +66,7 @@ def bench_rows(shipped_table):
     for label, grid, name in wanted:
         c = _cell(grid, name)
         t0 = time.monotonic()
-        row = run_cell(c.template, c.replications, grid.alpha, shipped_table, cell_id=name)
+        row = run_cell(c, grid.alpha, shipped_table)
         rows[label] = (row, time.monotonic() - t0)
         assert row.failures == (), f"{label}: {row.failures}"
     return rows

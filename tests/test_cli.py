@@ -464,19 +464,33 @@ def test_unrepresentable_covariance_is_degenerate(capsys, tmp_path, argv, scale)
     assert out == ""
 
 
-@pytest.mark.parametrize("argv", [("estimate", "--method", "norm_argmax"),
-                                  ("detect", "--two-pass", "--method",
-                                   "norm_argmax")])
-def test_overflowing_curve_norm_is_a_domain_error(capsys, tmp_path, argv):
-    # the cusum curve is finite, but its sum of squares overflows: every
-    # interior norm would be inf and the argmax the first of them
+def test_norm_estimate_at_1e160_is_the_unit_scale_estimate(capsys, tmp_path):
+    # the cusum curve's sum of squares overflows, but its norms do not: the
+    # estimate is the one of the same values at unit scale
+    argv = ("estimate", "--method", "norm_argmax")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, *argv, scaled_csv(tmp_path, 1e160))
+    assert (rc, err) == (0, "")
+    assert [str(w.message) for w in caught] == []
+    _, unit, _ = run_cli(capsys, *argv, scaled_csv(tmp_path, 1.0))
+    assert kv_lines(out)["t_hat"] == kv_lines(unit)["t_hat"]
+    assert float(kv_lines(out)["curve_value"]) / 1e160 == pytest.approx(
+        float(kv_lines(unit)["curve_value"]), rel=1e-13)
+
+
+def test_norm_pilot_at_1e160_stops_at_the_covariance(capsys, tmp_path):
+    # the norm_argmax pilot of --two-pass succeeds; the long-run covariance
+    # of values this large is not finite, and that error line is all that
+    # reaches stderr
     path = scaled_csv(tmp_path, 1e160)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc, out, err = run_cli(capsys, *argv, path)
+        rc, out, err = run_cli(capsys, "detect", "--two-pass", "--method",
+                               "norm_argmax", path)
     assert rc == 2
-    assert err == ("error: DomainError: curve norm is not finite; "
-                   "input values are too large\n")
+    assert err == ("error: DegenerateSpectrum: long-run covariance is not "
+                   "finite; input values are too large\n")
     assert [str(w.message) for w in caught] == []
     assert out == ""
 

@@ -287,11 +287,39 @@ def test_estimate_norm_overflow_is_domain_error():
     finite = cusum(MultivariateSeries(x))
     e = estimate_changepoint(finite, method="norm_argmax")
     assert e.curve_value == np.linalg.norm(finite.s_tilde, axis=1)[e.t_hat]
-    huge = cusum(MultivariateSeries(x * 1e160))
-    assert np.all(np.isfinite(huge.s_tilde))
-    with pytest.raises(DomainError, match=r"^curve norm is not finite; input "
-                                          r"values are too large$"):
-        estimate_changepoint(huge, method="norm_argmax")
+    # every entry is finite, but no interior row has a representable norm
+    s = np.zeros((201, 3))
+    s[1:200] = 1.5e308
+    huge = CusumCurve(s_tilde=s, q=None, N=200)
+    s = finite.s_tilde.copy()
+    s[7, 1] = np.inf
+    for bad in (huge, CusumCurve(s_tilde=s, q=None, N=200)):
+        with pytest.raises(DomainError, match=r"^curve norm is not finite; "
+                                              r"input values are too large$"):
+            estimate_changepoint(bad, method="norm_argmax")
+
+
+def test_estimate_norm_argmax_is_scale_safe():
+    # the norm is taken of the curve scaled by a power of two, which is the
+    # plain norm bit for bit wherever that norm neither over- nor underflows
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        N, d = int(rng.integers(3, 3000)), int(rng.integers(1, 8))
+        x = rng.normal(size=(N, d)) * 10.0 ** rng.uniform(-30, 30)
+        c = cusum(MultivariateSeries(x))
+        want = np.linalg.norm(c.s_tilde, axis=1)
+        e = estimate_changepoint(c, method="norm_argmax")
+        assert e.t_hat == 1 + int(np.argmax(want[1:N]))
+        assert e.curve_value == want[e.t_hat]
+    # where the squares over- or underflow, the answer is the unit-scale one
+    x = np.random.default_rng(3).normal(size=(200, 3))
+    unit = estimate_changepoint(cusum(MultivariateSeries(x)), "norm_argmax")
+    for scale in (1e160, 1e-160):
+        e = estimate_changepoint(cusum(MultivariateSeries(x * scale)),
+                                 "norm_argmax")
+        assert e.t_hat == unit.t_hat
+        assert e.curve_value / scale == pytest.approx(unit.curve_value,
+                                                      rel=1e-13)
 
 
 def test_estimate_quadform_matches_brute_force():

@@ -112,7 +112,7 @@ def manual_cell(template, reps, alpha, table, always=False):
 def test_run_cell_matches_manual_protocol():
     table = fake_table([(2, 0.05, 2.2)])
     template = ha_template(seed=40)
-    row = run_cell(template, 6, 0.05, table, cell_id="x")
+    row = run_cell(ExperimentCell("x", template, 6), 0.05, table)
     rejects, errors, estimates, failures = manual_cell(template, 6, 0.05, table)
     assert row.cell_id == "x"
     assert row.reject_count == rejects
@@ -132,7 +132,7 @@ def test_run_cell_seeds_are_base_plus_rep():
     # rep k of the cell reproduces a standalone simulation at seed base+k
     table = fake_table([(2, 0.05, 1e-9)])
     template = ha_template(seed=17)
-    row = run_cell(template, 3, 0.05, table)
+    row = run_cell(ExperimentCell("cell", template, 3), 0.05, table)
     for rep in range(3):
         series, _ = gen_series(replace(template, seed=17 + rep))
         est = estimate_changepoint(studentized_curve(series),
@@ -149,7 +149,8 @@ def test_run_cell_estimates_covariance_once_per_rep(monkeypatch):
         return _f(*args, **kwargs)
 
     monkeypatch.setattr(engine, "long_run_covariance", counted)
-    row = run_cell(ha_template(seed=17), 3, 0.05, fake_table([(2, 0.05, 1e-9)]))
+    row = run_cell(ExperimentCell("cell", ha_template(seed=17), 3), 0.05,
+                   fake_table([(2, 0.05, 1e-9)]))
     assert len(row.estimates) == 3
     assert len(calls) == 3
 
@@ -158,10 +159,11 @@ def test_run_cell_conditions_on_rejection():
     # mixed-decision cell: only rejecting reps contribute estimates
     table = fake_table([(2, 0.05, 2.2)])
     template = ha_template(delta=(0.35, 0.1), seed=100)
-    row = run_cell(template, 12, 0.05, table, cell_id="mixed")
+    cell = ExperimentCell("mixed", template, 12)
+    row = run_cell(cell, 0.05, table)
     assert 0 < row.reject_count < 12  # the cell truly mixes decisions
     assert len(row.estimates) == row.reject_count
-    always = run_cell(template, 12, 0.05, table, cell_id="mixed", always_estimate=True)
+    always = run_cell(cell, 0.05, table, always_estimate=True)
     assert always.reject_count == row.reject_count
     assert len(always.estimates) == 12
     # the rejecting reps' estimates are a subsequence of the full set
@@ -174,7 +176,7 @@ def test_run_cell_h0_metrics_are_nan():
     template = SimulationSpec(
         d=2, T=150, m=1, coeff=geometric_coefficients(2), seed=3
     )
-    row = run_cell(template, 4, 0.05, table)
+    row = run_cell(ExperimentCell("cell", template, 4), 0.05, table)
     assert row.reject_count == 4
     assert len(row.estimates) == 4
     assert all(1 <= t < 150 for t in row.estimates)
@@ -184,7 +186,7 @@ def test_run_cell_h0_metrics_are_nan():
 
 def test_run_cell_no_rejections_no_estimates():
     table = fake_table([(2, 0.05, 1e9)])  # nothing rejects
-    row = run_cell(ha_template(seed=5), 3, 0.05, table)
+    row = run_cell(ExperimentCell("cell", ha_template(seed=5), 3), 0.05, table)
     assert row.reject_count == 0
     assert row.estimates == ()
     assert math.isnan(row.abs_deviation)
@@ -202,7 +204,7 @@ def test_run_cell_records_linalg_failures():
         innovation_cov=np.zeros((2, 2)),
         seed=0,
     )
-    row = run_cell(template, 3, 0.05, table)
+    row = run_cell(ExperimentCell("cell", template, 3), 0.05, table)
     assert len(row.failures) == 3
     assert all("LinAlgError" in f for f in row.failures)
     assert [f"rep {i}" in f for i, f in enumerate(row.failures)] == [True] * 3
@@ -220,21 +222,33 @@ def test_run_cell_records_toolkit_failures():
         coeff=geometric_coefficients(2, base=np.zeros((2, 2))),
         seed=0,
     )
-    row = run_cell(template, 2, 0.05, table)
+    row = run_cell(ExperimentCell("cell", template, 2), 0.05, table)
     assert len(row.failures) == 2
     assert all("DegenerateSpectrum" in f for f in row.failures)
 
 
 def test_run_cell_deterministic():
     table = fake_table([(2, 0.05, 2.2)])
-    a = run_cell(ha_template(seed=9), 4, 0.05, table, cell_id="r")
-    b = run_cell(ha_template(seed=9), 4, 0.05, table, cell_id="r")
-    assert a == b
+    cell = ExperimentCell("r", ha_template(seed=9), 4)
+    assert run_cell(cell, 0.05, table) == run_cell(cell, 0.05, table)
 
 
-def test_run_cell_rejects_bad_replications():
-    with pytest.raises(DomainError):
-        run_cell(ha_template(), 0, 0.05, fake_table([(2, 0.05, 2.2)]))
+def test_run_cell_isolates_an_unexpected_error(monkeypatch):
+    # an error that is neither a toolkit nor a linear-algebra error ends the
+    # cell: NaN metrics, no rejections or estimates, one cell-level failure
+    def gen_series_or_raise(spec, _f=gen_series):
+        if spec.seed == 1:
+            raise RuntimeError("boom")
+        return _f(spec)
+
+    monkeypatch.setattr(experiments, "gen_series", gen_series_or_raise)
+    table = fake_table([(2, 0.05, 1e-9)])  # everything rejects
+    row = run_cell(ExperimentCell("c", ha_template(seed=0), 3), 0.05, table)
+    assert row.cell_id == "c"
+    assert all(math.isnan(v) for v in (row.deviation, row.abs_deviation,
+                                       row.rms_deviation, row.mean_sq_deviation))
+    assert (row.reject_count, row.replications, row.estimates) == (0, 3, ())
+    assert row.failures == ("cell: RuntimeError: boom",)
 
 
 # ---------------------------------------------------------------- grid types
@@ -273,9 +287,7 @@ def test_run_grid_rows_match_run_cell():
     rows = run_grid(grid, table)
     assert [r.cell_id for r in rows] == ["cell_a", "cell_b"]
     for cell, row in zip(grid.cells, rows):
-        assert row == run_cell(
-            cell.template, cell.replications, grid.alpha, table, cell_id=cell.name
-        )
+        assert row == run_cell(cell, grid.alpha, table)
 
 
 def test_run_grid_bit_reproducible():
@@ -328,12 +340,12 @@ def test_run_grid_isolates_a_cell_that_raises(monkeypatch):
     grid = mini_grid()
     good = run_grid(grid, table)[1]
 
-    def run_cell_or_raise(template, *args, cell_id, **kwargs):
-        if cell_id == "cell_a":
+    def gen_series_or_raise(spec, _f=gen_series):
+        if spec.seed == 1:  # the second replication of cell_a
             raise RuntimeError("boom")
-        return run_cell(template, *args, cell_id=cell_id, **kwargs)
+        return _f(spec)
 
-    monkeypatch.setattr(experiments, "run_cell", run_cell_or_raise)
+    monkeypatch.setattr(experiments, "gen_series", gen_series_or_raise)
     bad, other = run_grid(grid, table)
     assert bad.cell_id == "cell_a"
     assert all(math.isnan(v) for v in (bad.deviation, bad.abs_deviation,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvcusum import spectral
 from mvcusum.errors import (
     BandwidthTooLarge,
     DegenerateSpectrum,
@@ -240,18 +241,34 @@ def _looped_spectrum(series, h, omegas):
     return np.array(out)
 
 
-def test_smoothed_spectrum_bit_equals_window_loop():
-    # negative frequencies and, at small N, windows that overlap and wrap
+def test_smoothed_spectrum_bit_equals_window_loop(monkeypatch):
+    # negative frequencies and, at small N, windows that overlap and wrap;
+    # the last cases shrink the ordinate budget so the windows go to `dft`
+    # in several chunks, down to one window per call
+    calls = []
+
+    def counted(*args, _f=spectral.dft):
+        calls.append(1)
+        return _f(*args)
+
+    monkeypatch.setattr(spectral, "dft", counted)
     rng = np.random.default_rng(41)
-    for case in range(400):
+    for case in range(480):
         N = int(rng.choice([16, 17, 40, 101, 1000, 4096, 30000]))
         d = case % 6 + 1
         h = int(rng.integers(1, min(40, (N - 1) // 2) + 1))
         s = _series(rng, N, d, scale=10.0 ** rng.integers(-3, 4))
         omegas = rng.uniform(-np.pi, np.pi, size=int(rng.integers(1, 20)))
+        budget = spectral._ORDINATE_BUDGET
+        if case >= 400:
+            budget = int(rng.integers(1, 8)) * (2 * h + 1) * d * d
+            monkeypatch.setattr(spectral, "_ORDINATE_BUDGET", budget)
+        step = max(1, budget // ((2 * h + 1) * d * d))
         want = _looped_spectrum(s, h, omegas)
         for given_as in (omegas, list(omegas)):
+            calls.clear()
             got = smoothed_spectrum(s, h, given_as)
+            assert len(calls) == -(-len(omegas) // step)
             assert got.shape == want.shape
             np.testing.assert_array_equal(got.view(np.float64),
                                           want.view(np.float64))
