@@ -14,12 +14,7 @@ import time
 import numpy as np
 
 from mvcusum.engine import cusum, estimate_changepoint, quadform
-from mvcusum.simulate import (
-    SimulationSpec,
-    exchangeable_cov,
-    gen_series,
-    geometric_coefficients,
-)
+from mvcusum.simulate import SimulationSpec, exchangeable_cov, gen_series
 from mvcusum.spectral import long_run_covariance
 
 REPS = 30
@@ -36,7 +31,8 @@ def run(base, delta, label):
             d=2,
             T=T,
             m=10,
-            coeff=geometric_coefficients(2, rho=RHO, base=base),
+            rho=RHO,
+            base=base,
             innovation_cov=exchangeable_cov(2, 0.5),
             delta=np.asarray(delta, float),
             k_star=0.5,

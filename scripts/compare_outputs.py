@@ -43,6 +43,19 @@ periodogram in several chunks, and ``bench --threads 2 --always-estimate
 --keep-going`` on a two-cell grid whose second cell has a singular
 innovation covariance, so every one of its replications fails.
 
+Commands [0-106] are the set above. Then simulate on every branch of the
+recipe (``--rho 0``, ``--rho 0.9 --tol 1e-6``, ``--base identity``, ``--base
+2,0,1,1``, ``--rho 0 --base identity``, the defaults spelled out, a config giving rho, tol and
+base) and its errors in the order they are checked (``--base 1,2,3``,
+``--rho 1``, ``--tol 0``, ``--d 0``, then pairs of bad values: d before rho,
+rho before tol, tol before T, T before m and seed), ``bench h0 --reps 3``
+and ``bench table2|3|4 --reps 2``. Last, the truncation depth at ``--tol
+3.9``, ``10`` and ``inf`` and at ``--rho 0.2`` and ``0.4``; ``--d -1`` with
+``--base identity`` and with ``--cov 1``; grids whose name or cell holds
+``../``, ``/`` or a NUL byte; a CSV, a simulate config and a grid holding
+a 0xff byte; and ``detect --table`` on a table without the ``paths``
+column, one with a foreign header and one with a non-numeric value.
+
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
 
@@ -144,6 +157,22 @@ def write_inputs(root):
     put("singular.grid", "name=mix\nd=2\nT=200\nm=1\nreps=3\n\n"
         "cell=good\ndelta=1,1\nk_star=0.5\n\n"
         "cell=singular\ncov=0,0,0,0\n")
+    put("recipe.cfg", "d=2\nT=300\nm=2\nrho=0.7\ntol=1e-9\nbase=2,0,1,1\n"
+        "seed=5\n")
+    cell = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
+    put("escape.grid", "name=../escaped\n" + cell)
+    put("slash.grid", "name=g\n" + cell.replace("cell=a", "cell=a/b"))
+    put("nul.grid", "name=g\0x\n" + cell)
+    with open(os.path.join(root, "ff.csv"), "wb") as fh:
+        fh.write(b"a,b\n1,2\n3,\xff\n5,6\n")
+    with open(os.path.join(root, "ff.cfg"), "wb") as fh:
+        fh.write(b"d=2\nT=\xff40\nm=1\n")
+    with open(os.path.join(root, "ff.grid"), "wb") as fh:
+        fh.write(b"cell=a\nd=2\nT=64\nm=1\nreps=\xff1\n")
+    head = "d,alpha,value,paths,grid,seed,stderr\n"
+    put("t_short.csv", "d,alpha,value\n3,0.05,3\n")
+    put("t_xy.csv", "x,y\n1,2\n")
+    put("t_abc.csv", head + "3,0.05,abc,1,1,1,0.1\n")
 
 
 def commands():
@@ -276,6 +305,49 @@ def commands():
     cmds += [("spectrum", IN + "big.csv", "--freqs", "5000"),
              ("bench", IN + "singular.grid", "--output-dir", "g", "--threads",
               "2", "--always-estimate", "--keep-going")]
+    # beyond the 107 above: every branch of the simulation recipe, its
+    # errors in the order they are checked, and the other shipped grids
+    sim = ("simulate", "--d", "2", "--T", "300", "--m", "2", "--seed", "7")
+    cmds += [
+        sim + ("--rho", "0"),
+        sim + ("--rho", "0.9", "--tol", "1e-6"),
+        sim + ("--base", "identity"),
+        sim + ("--base", "2,0,1,1"),
+        sim + ("--rho", "0", "--base", "identity"),
+        sim + ("--rho", "0.5", "--tol", "1e-12"),
+        ("simulate", "--config", IN + "recipe.cfg", "--out", "sim/x.csv"),
+        sim + ("--base", "1,2,3"),
+        sim + ("--rho", "1"),
+        sim + ("--tol", "0"),
+        ("simulate", "--d", "0", "--T", "300", "--m", "2"),
+        ("simulate", "--d", "2", "--T", "1", "--m", "2", "--rho", "1.5"),
+        ("simulate", "--d", "0", "--T", "300", "--m", "2", "--rho", "1.5"),
+        sim + ("--rho", "1.5", "--tol", "0"),
+        ("simulate", "--d", "2", "--T", "1", "--m", "-1", "--tol", "0"),
+        ("simulate", "--d", "2", "--T", "1", "--m", "-1", "--seed", "-1"),
+        ("bench", "h0", "--reps", "3", "--output-dir", "g"),
+    ]
+    cmds += [("bench", name, "--reps", "2", "--output-dir", "g")
+             for name in ("table2", "table3", "table4")]
+    # beyond the 127 above: the truncation depth, a d below 1, grid names
+    # that leave the output directory, and files that do not decode or parse
+    cmds += [
+        sim + ("--tol", "3.9"),
+        ("simulate", "--d", "2", "--T", "40", "--m", "0", "--tol", "10"),
+        ("simulate", "--d", "2", "--T", "40", "--m", "0", "--tol", "inf"),
+        sim + ("--rho", "0.2"),
+        sim + ("--rho", "0.4"),
+        ("simulate", "--d", "-1", "--T", "10", "--m", "0", "--base", "identity"),
+        ("simulate", "--d", "-1", "--T", "10", "--m", "0", "--cov", "1"),
+        ("bench", IN + "escape.grid", "--output-dir", "out2"),
+        ("bench", IN + "slash.grid", "--output-dir", "out3", "--always-estimate"),
+        ("bench", IN + "nul.grid", "--output-dir", "out4"),
+        ("detect", IN + "ff.csv"),
+        ("simulate", "--config", IN + "ff.cfg"),
+        ("bench", IN + "ff.grid"),
+    ]
+    cmds += [("detect", IN + "small.csv", "--table", IN + name + ".csv")
+             for name in ("t_short", "t_xy", "t_abc")]
     return cmds
 
 

@@ -5,12 +5,7 @@ filter, exchangeable(0.5) innovations, d=2, quadform argmax)."""
 import numpy as np
 
 from mvcusum.engine import cusum, estimate_changepoint, quadform
-from mvcusum.simulate import (
-    SimulationSpec,
-    exchangeable_cov,
-    gen_series,
-    geometric_coefficients,
-)
+from mvcusum.simulate import SimulationSpec, exchangeable_cov, gen_series
 from mvcusum.spectral import long_run_covariance
 
 REPS = 30
@@ -23,7 +18,6 @@ def cell(T, m, delta, k_star, seed0=1000):
             d=2,
             T=T,
             m=m,
-            coeff=geometric_coefficients(2),
             innovation_cov=exchangeable_cov(2, 0.5),
             delta=np.asarray(delta, float),
             k_star=k_star,

@@ -55,13 +55,7 @@ from .critical import (
     default_table,
     simulate_sup_bridges,
 )
-from .simulate import (
-    CoefficientScheme,
-    SimulationSpec,
-    exchangeable_cov,
-    gen_series,
-    geometric_coefficients,
-)
+from .simulate import SimulationSpec, exchangeable_cov, gen_series
 from .experiments import (
     ExperimentCell,
     ExperimentGrid,

@@ -154,20 +154,19 @@ def _print_scan(scan) -> None:
 
 
 def _write_sim_meta(path, spec, t_star) -> None:
-    coeff = spec.coeff
     lines = [
         f"d={spec.d}",
         f"T={spec.T}",
         f"m={spec.m}",
         "kind=geometric",
-        f"rho={_fmt(coeff.rho)}",
-        f"k_max={coeff.K_max}",
+        f"rho={_fmt(spec.rho)}",
+        f"k_max={spec.K_max}",
         f"seed={spec.seed}",
         f"k_star={'none' if spec.k_star is None else _fmt(spec.k_star)}",
         f"t_star={'none' if t_star is None else t_star}",
         f"delta={_fmt_floats(spec.delta)}",
         f"innovation_cov={_fmt_floats(spec.innovation_cov)}",
-        f"base={_fmt_floats(coeff.base)}",
+        f"base={_fmt_floats(spec.base)}",
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -16,7 +16,8 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DomainError, MissingCriticalValue
+from .errors import DomainError, MissingColumn, MissingCriticalValue, NonNumericCell
+from .series import _open_text
 
 __all__ = [
     "CriticalEntry",
@@ -217,21 +218,35 @@ class CriticalValueTable:
 
     @classmethod
     def load_csv(cls, path) -> "CriticalValueTable":
+        """Read a table written by `save_csv`. Raises MissingColumn,
+        NonNumericCell or (for a file that is not UTF-8) DomainError, each
+        naming the file."""
         table = cls()
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                table.put(
-                    int(row["d"]),
-                    float(row["alpha"]),
-                    CriticalEntry(
-                        value=float(row["value"]),
-                        paths=int(row["paths"]),
-                        grid=int(row["grid"]),
-                        seed=int(row["seed"]),
-                        stderr_estimate=float(row["stderr"]),
-                    ),
-                )
+        with _open_text(path, DomainError, newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            for name in _TABLE_COLUMNS:
+                if name not in header:
+                    raise MissingColumn(f"{path}: column {name!r} not in header {header}")
+            for row_no, row in enumerate(reader, start=1):
+                d, alpha, *entry = (_table_cell(path, row_no, name, parse, row[name])
+                                    for name, parse in _TABLE_COLUMNS.items())
+                table.put(d, alpha, CriticalEntry(*entry))
         return table
+
+
+# the columns of a table file, in `save_csv` order, and their types
+_TABLE_COLUMNS = {"d": int, "alpha": float, "value": float, "paths": int,
+                  "grid": int, "seed": int, "stderr": float}
+
+
+def _table_cell(path, row_no, name, parse, cell):
+    try:
+        return parse(cell)
+    except (TypeError, ValueError):  # TypeError: None, a short row's cell
+        err = NonNumericCell(row_no, name, "" if cell is None else cell)
+        err.args = (f"{path}: {err}",)  # name the file, as MissingColumn does
+        raise err from None
 
 
 def critical_value(

@@ -32,12 +32,17 @@ Ready-made grids mirroring the benchmark tables ship in package data
 (``table1`` .. ``table4``, ``h0``); see `load_shipped_grid`.
 
 A cell block beyond ``cell`` and ``reps`` is a simulation recipe: ``d``,
-``T`` and ``m`` are required; ``rho`` (0.5), ``tol`` (1e-12), ``base``
-(``unit_gain``, ``identity`` or d*d numbers), ``cov`` (``eye``,
-``exch:OFF`` or d*d numbers), ``delta`` (d numbers or ``none``),
-``k_star`` (a fraction or ``none``) and ``seed`` (0) have defaults. The
-``simulate`` command's config file is one block of the same keys, read by
-the same builder (`_read_spec`), so this module alone knows the format.
+``T`` and ``m`` are required; ``rho``, ``tol`` and ``seed`` default to the
+`SimulationSpec` field defaults (0.5, 1e-12 and 0); ``base``
+(``unit_gain``, ``identity`` or d*d numbers) defaults to ``unit_gain``,
+``cov`` (``eye``, ``exch:OFF`` or d*d numbers) to ``eye``, and ``delta``
+(d numbers or ``none``) and ``k_star`` (a fraction or ``none``) to
+``none``. The ``simulate`` command's config file is one block of the same
+keys, read by the same builder (`_read_spec`), so this module alone knows
+the format.
+
+A ``name`` or ``cell`` value becomes part of an output file name, so it may
+not hold ``/``, ``\\`` or a NUL byte.
 """
 
 from __future__ import annotations
@@ -57,13 +62,8 @@ from .critical import CriticalValueTable
 from .engine import estimate_changepoint
 from .engine import test as _run_test
 from .errors import DomainError, GridParseError, ToolkitError
-from .series import _write_table
-from .simulate import (
-    SimulationSpec,
-    exchangeable_cov,
-    gen_series,
-    geometric_coefficients,
-)
+from .series import _open_text, _write_table
+from .simulate import SimulationSpec, exchangeable_cov, gen_series
 
 __all__ = [
     "ExperimentCell",
@@ -358,6 +358,14 @@ def _parse_floats(lineno: int, value: str, source: str, key: str, size: int):
     return flat
 
 
+def _file_name_part(lineno: int, value: str, source: str, key: str) -> str:
+    """``value``, checked to be usable inside an output file name."""
+    if any(c in value for c in "/\\\0"):
+        raise GridParseError(f"{source}:{lineno}: {key} may not contain "
+                             f"'/', '\\' or NUL, got {value!r}")
+    return value
+
+
 def _cell_error(source: str, name: str, exc: ToolkitError) -> GridParseError:
     return GridParseError(f"{source}: cell {name!r}: {type(exc).__name__}: {exc}")
 
@@ -381,17 +389,21 @@ def _build_spec(name: str, kv: dict, source: str, counts=()):
         if key not in kv:
             raise GridParseError(f"{source}: cell {name!r}: missing required key {key!r}")
     d, T, m, *extra = (_parse_int(*kv.pop(key), source) for key in required)
-    rho = _parse_float(*take("rho", "0.5"), source)
-    tol = _parse_float(*take("tol", "1e-12"), source)
-    seed = _parse_int(*take("seed", "0"), source)
+    # keys the recipe leaves out take the SimulationSpec defaults
+    given = {key: parse(*kv.pop(key), source)
+             for key, parse in (("rho", _parse_float), ("tol", _parse_float),
+                                ("seed", _parse_int))
+             if key in kv}
+    # a d below 1 sizes no matrix: the spec rejects it by name
+    n = max(d, 0)
 
     line_base, raw_base = take("base", "unit_gain")
     if raw_base == "unit_gain":
         base = None
     elif raw_base == "identity":
-        base = np.eye(d)
+        base = np.eye(n)
     else:
-        base = _parse_floats(line_base, raw_base, source, "base", d * d).reshape(d, d)
+        base = _parse_floats(line_base, raw_base, source, "base", n * n).reshape(n, n)
 
     line_cov, raw_cov = take("cov", "eye")
     if raw_cov == "eye":
@@ -403,7 +415,7 @@ def _build_spec(name: str, kv: dict, source: str, counts=()):
         except ToolkitError as exc:
             raise GridParseError(f"{source}:{line_cov}: {exc}") from exc
     else:
-        cov = _parse_floats(line_cov, raw_cov, source, "cov", d * d).reshape(d, d)
+        cov = _parse_floats(line_cov, raw_cov, source, "cov", n * n).reshape(n, n)
 
     line_delta, raw_delta = take("delta")
     delta = None
@@ -416,9 +428,8 @@ def _build_spec(name: str, kv: dict, source: str, counts=()):
         k_star = _parse_float(line_ks, raw_ks, source)
 
     try:
-        coeff = geometric_coefficients(d, rho=rho, base=base, tol=tol)
-        spec = SimulationSpec(d=d, T=T, m=m, coeff=coeff, innovation_cov=cov,
-                              delta=delta, k_star=k_star, seed=seed)
+        spec = SimulationSpec(d=d, T=T, m=m, base=base, innovation_cov=cov,
+                              delta=delta, k_star=k_star, **given)
     except ToolkitError as exc:
         raise _cell_error(source, name, exc) from exc
     return (spec, *extra)
@@ -477,7 +488,7 @@ def parse_grid(text: str, source: str = "<string>") -> ExperimentGrid:
     if blocks and not any(key == "cell" for _, key, _ in blocks[0]):
         for lineno, key, value in blocks[0]:
             if key == "name":
-                name = value
+                name = _file_name_part(lineno, value, source, key)
             elif key == "alpha":
                 alpha = _parse_float(lineno, value, source)
             else:
@@ -497,7 +508,7 @@ def parse_grid(text: str, source: str = "<string>") -> ExperimentGrid:
                 raise GridParseError(
                     f"{source}:{lineno}: key {key!r} only valid in the header block"
                 )
-        cell_name = keys.pop("cell")[1]
+        cell_name = _file_name_part(*keys.pop("cell"), source, "cell")
         if cell_name in seen:
             raise GridParseError(
                 f"{source}:{block[0][0]}: duplicate cell {cell_name!r}"
@@ -528,7 +539,7 @@ def _read_spec(path, overrides) -> SimulationSpec:
     """
     kv = {}
     if path:
-        with open(path, encoding="utf-8") as fh:
+        with _open_text(path, GridParseError) as fh:
             kv = {key: (lineno, value)
                   for block in _key_value_blocks(fh, path, _SPEC_KEYS,
                                                  blank_ends_block=False)
@@ -542,7 +553,7 @@ def _read_spec(path, overrides) -> SimulationSpec:
 
 def load_grid(path) -> ExperimentGrid:
     """Parse a grid config file."""
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path, GridParseError) as fh:
         return parse_grid(fh.read(), source=str(path))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
 
@@ -27,6 +28,18 @@ __all__ = [
     "write_csv",
     "center",
 ]
+
+
+@contextmanager
+def _open_text(path, error, newline=None):
+    """``open(path, encoding="utf-8")``; a byte that is not UTF-8 raises
+    ``error`` (a ToolkitError class) with a message naming the file."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise error(f"{path}: not UTF-8: {exc.reason} (byte 0x{byte:02x})") from None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -161,6 +174,8 @@ def load_csv(path, config: IngestConfig) -> MultivariateSeries:
         A selected cell parses to NaN or +/-inf.
     TooShort
         Fewer than 2 data rows.
+    DomainError
+        The file is not UTF-8.
 
     Notes
     -----
@@ -171,7 +186,7 @@ def load_csv(path, config: IngestConfig) -> MultivariateSeries:
     spellings (``1_000``, non-ASCII digits) and names the row and column of
     a bad cell.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path, DomainError, newline="") as fh:
         _, header = _records(fh, config.skip_rows)
         columns, usecols = config._pick(path, header)
         values = _read_values(fh, usecols)
@@ -201,7 +216,7 @@ def _read_values(fh, usecols):
 def _parse_cells(path, skip_rows, columns, usecols):
     """Parse the selected cells one by one with ``float``: the reference
     reader, and the one that raises the typed errors with row and column."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path, DomainError, newline="") as fh:
         reader, _ = _records(fh, skip_rows)
         rows = []
         for i, raw in enumerate(reader, start=1):

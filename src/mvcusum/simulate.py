@@ -4,8 +4,9 @@ Builds d-dimensional series of the form
 
     X_t = sum_{k=0..K_max} C_k xi_{t-k},          t = 1..T,
 
-where the filter weights decay geometrically, ``C_k = rho**k * base``, and
-the innovations ``xi_t`` are Gaussian moving averages of window length m+1:
+where the filter weights decay geometrically, ``C_k = rho**k * base``, the
+depth K_max is the smallest with ``sum_{k > K_max} rho**k < tol``, and the
+innovations ``xi_t`` are Gaussian moving averages of window length m+1:
 
     xi_t = (m+1)**(-1/2) * (Z_t + Z_{t-1} + ... + Z_{t-m}),
     Z_t ~ iid N(0, innovation_cov).
@@ -15,7 +16,9 @@ and innovations more than m apart are independent by construction. An
 optional mean shift ``delta`` is added to all observations strictly after
 time ``t_star = floor(k_star * T)``.
 
-Everything is deterministic given a ``SimulationSpec``: one seed drives two child
+``SimulationSpec`` holds the whole recipe (d, T, m, rho, base, tol, the
+innovation covariance, the shift and the seed) and resolves its defaults
+once. Everything is deterministic given a spec: one seed drives two child
 streams (forward for t = 1..T, presample for t = 0, -1, -2, ...), so the
 realized path for a fixed seed does not depend on how much presample a
 particular (m, K_max) combination needs, beyond the rows it actually adds.
@@ -24,7 +27,7 @@ particular (m, K_max) combination needs, beyond the rows it actually adds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -34,80 +37,11 @@ from .errors import DimensionMismatch, DomainError
 from .series import MultivariateSeries, _frozen
 
 __all__ = [
-    "CoefficientScheme",
     "SimulationSpec",
     "exchangeable_cov",
     "gen_innovations",
     "gen_series",
-    "geometric_coefficients",
 ]
-
-
-@dataclass(frozen=True)
-class CoefficientScheme:
-    """Causal filter weights ``C_k = rho**k * base`` for k = 0..K_max.
-
-    ``K_max`` is the truncation depth: weights beyond it are dropped. Use
-    `geometric_coefficients` to pick K_max from a tail tolerance; direct
-    construction is the escape hatch for custom depths.
-    """
-
-    rho: float
-    base: np.ndarray
-    K_max: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", _frozen(np.array(self.base, np.float64)))
-
-
-def geometric_coefficients(d, rho=0.5, base=None, tol=1e-12):
-    """Geometrically decaying filter with an automatic truncation depth.
-
-    Parameters
-    ----------
-    d : int
-        Series dimension.
-    rho : float
-        Decay rate, ``0 <= rho < 1``. ``rho = 0`` degenerates to the
-        identity filter (K_max = 0): the series is the innovations.
-    base : ndarray (d, d), optional
-        Leading weight matrix C_0. Default is ``(1 - rho) * eye(d)``, which
-        normalizes the filter to unit DC gain so the long-run level of the
-        output matches the innovation scale for every rho.
-    tol : float
-        Relative tail mass to drop: K_max is the smallest depth with
-        ``sum_{k > K_max} rho**k < tol``.
-
-    Returns
-    -------
-    CoefficientScheme
-
-    Raises
-    ------
-    DomainError
-        rho outside [0, 1), tol <= 0, or d < 1.
-    DimensionMismatch
-        base is not (d, d).
-    """
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if not 0.0 <= rho < 1.0:
-        raise DomainError(f"decay rate must be in [0, 1), got {rho}")
-    if not tol > 0.0:
-        raise DomainError(f"tail tolerance must be positive, got {tol}")
-    if base is None:
-        base = (1.0 - rho) * np.eye(d)
-    base = np.asarray(base, dtype=np.float64)
-    if base.shape != (d, d):
-        raise DimensionMismatch(f"base must be ({d}, {d}), got {base.shape}")
-    if rho == 0.0:
-        k_max = 0
-    else:
-        k_max = math.ceil(math.log(tol) / math.log(rho))
-        # guard against roundoff in the closed form
-        while rho ** (k_max + 1) / (1.0 - rho) >= tol:
-            k_max += 1
-    return CoefficientScheme(float(rho), base, k_max)
 
 
 def exchangeable_cov(d, off):
@@ -139,8 +73,20 @@ class SimulationSpec:
     m : int
         Innovation dependence range: innovations at lags > m are
         independent. ``m = 0`` gives iid Gaussian innovations.
-    coeff : CoefficientScheme, optional
-        Filter weights; defaults to `geometric_coefficients(d)`.
+    rho : float
+        Filter decay rate, ``0 <= rho < 1``: ``C_k = rho**k * base``.
+        ``rho = 0`` gives the identity filter (K_max = 0): the series is
+        the innovations.
+    base : ndarray (d, d), optional
+        Leading weight matrix C_0. Defaults to ``(1 - rho) * eye(d)``, which
+        normalizes the filter to unit DC gain so the long-run level of the
+        output matches the innovation scale for every rho. It is resolved
+        at construction, so a `dataclasses.replace` of ``rho`` alone keeps
+        the resolved base.
+    tol : float
+        Relative tail mass to drop: the truncation depth ``K_max`` (set at
+        construction, not settable) is the smallest K >= 0 with
+        ``sum_{k > K} rho**k < tol``.
     innovation_cov : ndarray (d, d), optional
         Covariance of the underlying Gaussian stream (and hence of each
         innovation). Must be symmetric; defaults to the identity.
@@ -156,41 +102,53 @@ class SimulationSpec:
     d: int
     T: int
     m: int
-    coeff: Optional[CoefficientScheme] = None
+    rho: float = 0.5
+    base: Optional[np.ndarray] = None
+    tol: float = 1e-12
     innovation_cov: Optional[np.ndarray] = None
     delta: Optional[np.ndarray] = None
     k_star: Optional[float] = None
     seed: int = 0
+    K_max: int = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError(f"d must be >= 1, got {self.d}")
+        d, rho, tol = self.d, self.rho, self.tol
+        if d < 1:
+            raise DomainError(f"d must be >= 1, got {d}")
+        if not 0.0 <= rho < 1.0:
+            raise DomainError(f"decay rate must be in [0, 1), got {rho}")
+        if not tol > 0.0:
+            raise DomainError(f"tail tolerance must be positive, got {tol}")
+        base = (1.0 - rho) * np.eye(d) if self.base is None else self.base
+        base = np.array(base, dtype=np.float64)
+        if base.shape != (d, d):
+            raise DimensionMismatch(f"base must be ({d}, {d}), got {base.shape}")
+        k_max = 0  # the tail after depth K is rho**(K + 1) / (1 - rho)
+        while rho ** (k_max + 1) / (1.0 - rho) >= tol:
+            k_max += 1
+        object.__setattr__(self, "rho", float(rho))
+        object.__setattr__(self, "base", _frozen(base))
+        object.__setattr__(self, "K_max", k_max)
         if self.T < 2:
             raise DomainError(f"T must be >= 2, got {self.T}")
         if self.m < 0:
             raise DomainError(f"dependence range m must be >= 0, got {self.m}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.coeff is None:
-            object.__setattr__(self, "coeff", geometric_coefficients(self.d))
-        if self.coeff.base.shape != (self.d, self.d):
-            raise DimensionMismatch(
-                f"coefficient base is {self.coeff.base.shape}, spec has d={self.d}"
-            )
         cov = self.innovation_cov
-        cov = np.eye(self.d) if cov is None else np.asarray(cov, dtype=np.float64)
-        if cov.shape != (self.d, self.d):
+        cov = np.eye(d) if cov is None else np.asarray(cov, dtype=np.float64)
+        if cov.shape != (d, d):
             raise DimensionMismatch(
-                f"innovation_cov must be ({self.d}, {self.d}), got {cov.shape}"
+                f"innovation_cov must be ({d}, {d}), got {cov.shape}"
             )
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
             raise DomainError("innovation_cov must be symmetric")
         object.__setattr__(self, "innovation_cov", _frozen(np.array(cov, np.float64)))
         delta = self.delta
-        delta = np.zeros(self.d) if delta is None else np.asarray(delta, np.float64)
-        if delta.shape != (self.d,):
+        delta = np.zeros(d) if delta is None else np.asarray(delta, np.float64)
+        if delta.shape != (d,):
             raise DimensionMismatch(
-                f"delta must have shape ({self.d},), got {delta.shape}"
+                f"delta must have shape ({d},), got {delta.shape}"
             )
         object.__setattr__(self, "delta", _frozen(np.array(delta, np.float64)))
         if self.k_star is not None and not 0.0 < self.k_star < 1.0:
@@ -211,7 +169,7 @@ def gen_innovations(spec: SimulationSpec) -> np.ndarray:
     factor of ``innovation_cov``; `numpy.linalg.LinAlgError` therefore
     surfaces if the covariance is not positive definite.
     """
-    k_max, m = spec.coeff.K_max, spec.m
+    k_max, m = spec.K_max, spec.m
     n_pre = k_max + m  # deepest Z needed: xi at t = 1 - K_max reaches back m more
     forward, presample = np.random.SeedSequence(spec.seed).spawn(2)
     z_fwd = np.random.default_rng(forward).standard_normal((spec.T, spec.d))
@@ -237,12 +195,12 @@ def gen_series(spec: SimulationSpec) -> Tuple[MultivariateSeries, Optional[int]]
     ``t_star`` onward: times ``t > t_star`` exactly.
     """
     xi = gen_innovations(spec)
-    k_max = spec.coeff.K_max
-    taps = spec.coeff.rho ** np.arange(k_max + 1)
+    k_max = spec.K_max
+    taps = spec.rho ** np.arange(k_max + 1)
     # lfilter(taps, [1.0], xi, axis=0) runs exactly this for an FIR filter
     full = np.column_stack([np.convolve(taps, col) for col in xi.T])
     filtered = full[k_max : len(xi)]
-    x = filtered @ spec.coeff.base.T
+    x = filtered @ spec.base.T
     t_star = None
     if spec.k_star is not None:
         t_star = math.floor(spec.k_star * spec.T)

@@ -293,6 +293,20 @@ def test_simulate_base_identity_flag(capsys, tmp_path):
     assert [float(v) for v in meta["base"].split(",")] == [1.0, 0.0, 0.0, 1.0]
 
 
+@pytest.mark.parametrize("flags, k_max", [
+    (("--tol", "3.9"), "0"),  # a tolerance above the whole tail
+    (("--tol", "10"), "0"),
+    (("--tol", "inf"), "0"),
+    (("--rho", "0.2"), "17"),  # the smallest depth, not one deeper
+])
+def test_simulate_depth_is_smallest_with_tail_below_tol(capsys, tmp_path,
+                                                         flags, k_max):
+    rc, _, err = run_cli(capsys, "simulate", "--d", 2, "--T", 300, "--m", 2,
+                         *flags, "--out", "s.csv", "--output-dir", tmp_path)
+    assert (rc, err) == (0, "")
+    assert kv_lines((tmp_path / "s.csv.meta").read_text())["k_max"] == k_max
+
+
 def test_simulate_without_break_reports_none(capsys, tmp_path):
     rc, out, _ = run_cli(
         capsys, "simulate", "--d", 1, "--T", 60, "--m", 1,
@@ -691,6 +705,11 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
      "GridParseError: g.grid: alpha must be in (0, 1), got 1.5"),
     ({"f.csv": "date\n2020-01-01\n2020-01-02\n"}, ("detect", "f.csv"),
      "MissingColumn: f.csv: no value columns besides the date column"),
+    # a d below 1 sizes no identity base: the spec names it
+    ({}, ("simulate", "--d", "-1", "--T", "10", "--m", "0", "--base",
+          "identity"),
+     "GridParseError: command line: cell 'simulate': DomainError: d must be "
+     ">= 1, got -1"),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)
@@ -700,6 +719,59 @@ def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     assert rc == 2
     assert out == ""
     assert err == f"error: {line}\n"
+
+
+_TABLE_HEAD = b"d,alpha,value,paths,grid,seed,stderr\n"
+_CRITVAL = ("critval", "--d", "2", "--alpha", "0.05", "--table", "t.csv")
+
+
+@pytest.mark.parametrize("files, argv, line", [
+    ({"x.csv": b"a,b\n1,2\n3,\xff\n5,6\n"}, ("detect", "x.csv"),
+     "DomainError: x.csv: not UTF-8: invalid start byte (byte 0xff)"),
+    ({"s.cfg": b"d=2\nT=\xff40\nm=1\n"},
+     ("simulate", "--config", "s.cfg", "--out", "sub/s.csv"),
+     "GridParseError: s.cfg: not UTF-8: invalid start byte (byte 0xff)"),
+    ({"g.grid": b"cell=a\nd=2\nT=64\nm=1\nreps=\xff1\n"},
+     ("bench", "g.grid", "--output-dir", "out"),
+     "GridParseError: g.grid: not UTF-8: invalid start byte (byte 0xff)"),
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,\xff,1,1,1,0.1\n"}, _CRITVAL,
+     "DomainError: t.csv: not UTF-8: invalid start byte (byte 0xff)"),
+    ({"t.csv": b"d,alpha,value\n2,0.05,3\n"}, _CRITVAL,
+     "MissingColumn: t.csv: column 'paths' not in header "
+     "['d', 'alpha', 'value']"),
+    ({"t.csv": b"x,y\n1,2\n", "x.csv": ROWS_40.encode()},
+     ("detect", "x.csv", "--table", "t.csv"),
+     "MissingColumn: t.csv: column 'd' not in header ['x', 'y']"),
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,abc,1,1,1,0.1\n"}, _CRITVAL,
+     "NonNumericCell: t.csv: row 1, column 'value': 'abc' is not numeric"),
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.2,1,1,1,0.1\n2,0.1\n"}, _CRITVAL,
+     "NonNumericCell: t.csv: row 2, column 'value': empty cell is not "
+     "numeric"),
+    ({"g.grid": b"name=../escaped\n" + _CELL.encode()},
+     ("bench", "g.grid", "--output-dir", "out"),
+     "GridParseError: g.grid:1: name may not contain '/', '\\' or NUL, "
+     "got '../escaped'"),
+    ({"g.grid": b"name=g\n" + _CELL.encode().replace(b"cell=a", b"cell=a/b")},
+     ("bench", "g.grid", "--output-dir", "out", "--always-estimate"),
+     "GridParseError: g.grid:3: cell may not contain '/', '\\' or NUL, "
+     "got 'a/b'"),
+    ({"g.grid": b"name=g\0x\n" + _CELL.encode()},
+     ("bench", "g.grid", "--output-dir", "out"),
+     "GridParseError: g.grid:1: name may not contain '/', '\\' or NUL, "
+     "got 'g\\x00x'"),
+], ids=["csv-not-utf8", "config-not-utf8", "grid-not-utf8", "table-not-utf8",
+        "table-missing-column", "table-foreign-header", "table-bad-cell",
+        "table-short-row", "grid-name-escapes", "cell-name-slash",
+        "grid-name-nul"])
+def test_unreadable_file_is_a_data_error(capsys, tmp_path, monkeypatch, files,
+                                         argv, line):
+    # one error line naming the file, and nothing written
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {line}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 def test_detect_column_subset(capsys, tmp_path):

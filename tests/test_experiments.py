@@ -24,12 +24,7 @@ from mvcusum.experiments import (
     write_grid_outputs,
 )
 from mvcusum.experiments import _read_spec
-from mvcusum.simulate import (
-    SimulationSpec,
-    exchangeable_cov,
-    gen_series,
-    geometric_coefficients,
-)
+from mvcusum.simulate import SimulationSpec, exchangeable_cov, gen_series
 from mvcusum.spectral import long_run_covariance
 
 
@@ -46,7 +41,6 @@ def ha_template(d=2, T=300, m=2, delta=(2.0, 2.0), k_star=0.5, seed=0, **kw):
         d=d,
         T=T,
         m=m,
-        coeff=geometric_coefficients(d),
         innovation_cov=exchangeable_cov(d, 0.5),
         delta=np.asarray(delta, float),
         k_star=k_star,
@@ -173,9 +167,7 @@ def test_run_cell_conditions_on_rejection():
 def test_run_cell_h0_metrics_are_nan():
     # no true break: reject counting still works, deviation metrics are NaN
     table = fake_table([(2, 0.05, 1e-9)])  # everything rejects
-    template = SimulationSpec(
-        d=2, T=150, m=1, coeff=geometric_coefficients(2), seed=3
-    )
+    template = SimulationSpec(d=2, T=150, m=1, seed=3)
     row = run_cell(ExperimentCell("cell", template, 4), 0.05, table)
     assert row.reject_count == 4
     assert len(row.estimates) == 4
@@ -200,7 +192,6 @@ def test_run_cell_records_linalg_failures():
         d=2,
         T=100,
         m=0,
-        coeff=geometric_coefficients(2),
         innovation_cov=np.zeros((2, 2)),
         seed=0,
     )
@@ -219,7 +210,7 @@ def test_run_cell_records_toolkit_failures():
         d=2,
         T=100,
         m=0,
-        coeff=geometric_coefficients(2, base=np.zeros((2, 2))),
+        base=np.zeros((2, 2)),
         seed=0,
     )
     row = run_cell(ExperimentCell("cell", template, 2), 0.05, table)
@@ -315,8 +306,7 @@ def test_run_grid_isolates_cell_failures(tmp_path):
     # one poisoned cell (singular covariance) does not stop the other
     table = fake_table([(2, 0.05, 1e-9)])
     bad = SimulationSpec(
-        d=2, T=100, m=0, coeff=geometric_coefficients(2),
-        innovation_cov=np.zeros((2, 2)), seed=0,
+        d=2, T=100, m=0, innovation_cov=np.zeros((2, 2)), seed=0,
     )
     grid = ExperimentGrid(
         name="mix",
@@ -520,17 +510,17 @@ def test_parse_grid_explicit_cov_and_base():
     np.testing.assert_array_equal(
         cell.template.innovation_cov, [[1.0, 0.25], [0.25, 1.0]]
     )
-    np.testing.assert_array_equal(cell.template.coeff.base, np.eye(2))
-    assert cell.template.coeff.K_max == 0
+    np.testing.assert_array_equal(cell.template.base, np.eye(2))
+    assert cell.template.K_max == 0
 
 
 def test_parse_grid_base_matrix_and_unit_gain():
     text = "cell=a\nd=2\nT=64\nm=0\nreps=1\nbase=2,0,1,1\n"
     (cell,) = parse_grid(text).cells
-    np.testing.assert_array_equal(cell.template.coeff.base, [[2.0, 0.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(cell.template.base, [[2.0, 0.0], [1.0, 1.0]])
     text2 = "cell=a\nd=2\nT=64\nm=0\nreps=1\nbase=unit_gain\n"
     (cell2,) = parse_grid(text2).cells
-    np.testing.assert_array_equal(cell2.template.coeff.base, 0.5 * np.eye(2))
+    np.testing.assert_array_equal(cell2.template.base, 0.5 * np.eye(2))
 
 
 def test_parse_grid_wrong_cov_length():
@@ -569,6 +559,35 @@ def test_parse_grid_error_precedence(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("name=../up\n\ncell=a\n", "g:1: name may not contain '/', '\\' or NUL, "
+     "got '../up'"),
+    ("name=x\n\ncell=a/b\n", "g:3: cell may not contain '/', '\\' or NUL, "
+     "got 'a/b'"),
+    ("cell=a\\b\n", "g:1: cell may not contain '/', '\\' or NUL, got 'a\\\\b'"),
+    ("name=a\0\n\ncell=a\n", "g:1: name may not contain '/', '\\' or NUL, "
+     "got 'a\\x00'"),
+])
+def test_parse_grid_rejects_names_that_leave_the_output_dir(text, message):
+    # the name and cell values become file names, so they are checked first
+    with pytest.raises(GridParseError) as exc:
+        parse_grid(text + "d=2\nT=64\nm=1\nreps=1\n", source="g")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("base=identity\n", "g: cell 'a': DomainError: d must be >= 1, got -1"),
+    ("base=1\n", "g:6: base needs 0 values, got 1"),
+    ("cov=1\n", "g:6: cov needs 0 values, got 1"),
+])
+def test_parse_grid_d_below_one_sizes_no_matrix(extra, message):
+    # a d below 1 is read as 0 when it sizes a matrix, so the spec or the
+    # value count rejects it, not numpy
+    with pytest.raises(GridParseError) as exc:
+        parse_grid("cell=a\nd=-1\nT=64\nm=1\nreps=1\n" + extra, source="g")
+    assert str(exc.value) == message
+
+
 def test_simulate_config_reads_the_cell_recipe(tmp_path):
     # one block (a blank line does not end it), flags override, None skips
     conf = tmp_path / "sim.cfg"
@@ -580,9 +599,9 @@ def test_simulate_config_reads_the_cell_recipe(tmp_path):
     assert (spec.d, spec.T, spec.m, spec.k_star, spec.seed) == (t.d, t.T, t.m,
                                                                 t.k_star, t.seed)
     for a, b in ((spec.innovation_cov, t.innovation_cov), (spec.delta, t.delta),
-                 (spec.coeff.base, t.coeff.base)):
+                 (spec.base, t.base)):
         np.testing.assert_array_equal(a, b)
-    assert (spec.coeff.rho, spec.coeff.K_max) == (t.coeff.rho, t.coeff.K_max)
+    assert (spec.rho, spec.K_max) == (t.rho, t.K_max)
     with pytest.raises(GridParseError, match=r"cfg:--k-star: expected a number"):
         _read_spec(str(conf), {"k_star": "x"})
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,10 @@ from hypothesis import strategies as st
 from mvcusum.errors import DimensionMismatch, DomainError
 from mvcusum.series import MultivariateSeries
 from mvcusum.simulate import (
-    CoefficientScheme,
     SimulationSpec,
     exchangeable_cov,
     gen_innovations,
     gen_series,
-    geometric_coefficients,
 )
 from mvcusum.spectral import long_run_covariance
 
@@ -45,7 +44,9 @@ def spec_of(
         d=d,
         T=T,
         m=m,
-        coeff=geometric_coefficients(d, rho=rho, base=base, tol=tol),
+        rho=rho,
+        base=base,
+        tol=tol,
         innovation_cov=cov,
         delta=delta,
         k_star=k_star,
@@ -57,7 +58,7 @@ def reconstruct_z(spec):
     """Oracle for the documented RNG layout: forward stream for t = 1..T,
     presample stream drawn at t = 0, -1, -2, ..., stacked in ascending time
     order and colored by the Cholesky factor."""
-    n_pre = spec.coeff.K_max + spec.m
+    n_pre = spec.K_max + spec.m
     fwd, pre = np.random.SeedSequence(spec.seed).spawn(2)
     zf = np.random.default_rng(fwd).standard_normal((spec.T, spec.d))
     zp = np.random.default_rng(pre).standard_normal((n_pre, spec.d))
@@ -69,28 +70,56 @@ def reconstruct_z(spec):
 
 
 def test_geometric_kmax_frozen_half():
-    # ceil(log(1e-12)/log(0.5)) = 40, and the geometric tail bound holds there
-    c = geometric_coefficients(2, rho=0.5)
-    assert c.K_max == 40
+    # the tail after K is 0.5**K, first below 1e-12 at K = 40
+    assert SimulationSpec(2, 100, 0, rho=0.5).K_max == 40
 
 
 @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
 def test_geometric_tail_invariant(rho):
-    c = geometric_coefficients(1, rho=rho)
-    tail = rho ** (c.K_max + 1) / (1 - rho)  # sum_{k > K_max} rho^k
+    k_max = SimulationSpec(1, 100, 0, rho=rho).K_max
+    tail = rho ** (k_max + 1) / (1 - rho)  # sum_{k > K_max} rho^k
     assert tail < 1e-12
 
 
 def test_geometric_rho_zero():
-    c = geometric_coefficients(3, rho=0.0)
-    assert c.K_max == 0
+    assert SimulationSpec(3, 100, 0, rho=0.0).K_max == 0
 
 
 def test_geometric_rho_domain():
     with pytest.raises(DomainError):
-        geometric_coefficients(1, rho=1.0)
+        SimulationSpec(1, 100, 0, rho=1.0)
     with pytest.raises(DomainError):
-        geometric_coefficients(1, rho=-0.2)
+        SimulationSpec(1, 100, 0, rho=-0.2)
+
+
+def _brute_k_max(rho, tol):
+    """The smallest K with sum_{k > K} rho**k < tol, by scanning K."""
+    return next(k for k in range(100_000) if rho ** (k + 1) / (1 - rho) < tol)
+
+
+@pytest.mark.parametrize("rho, tol, k_max", [
+    (0.2, 1e-12, 17),  # not ceil(log tol / log rho) = 18
+    (0.4, 1e-12, 30),  # not 31
+    (0.5, 3.9, 0),  # tols above the tail after depth 0
+    (0.5, 10.0, 0),
+    (0.5, math.inf, 0),
+])
+def test_geometric_kmax_is_smallest_depth(rho, tol, k_max):
+    assert SimulationSpec(2, 100, 0, rho=rho, tol=tol).K_max == k_max
+
+
+@given(st.floats(min_value=0.0, max_value=0.99),
+       st.one_of(st.floats(min_value=1e-15, max_value=1e3), st.just(math.inf)))
+@settings(max_examples=300, deadline=None)
+def test_geometric_kmax_matches_brute_force(rho, tol):
+    assert SimulationSpec(1, 100, 0, rho=rho, tol=tol).K_max == _brute_k_max(rho, tol)
+
+
+def test_geometric_replace_keeps_resolved_base():
+    s = SimulationSpec(2, 100, 0, rho=0.2)
+    r = replace(s, rho=0.6, seed=3)
+    np.testing.assert_array_equal(r.base, 0.8 * np.eye(2))
+    assert (r.rho, r.K_max) == (0.6, SimulationSpec(2, 100, 0, rho=0.6).K_max)
 
 
 def test_geometric_base_shape_checked():
@@ -142,7 +171,7 @@ def test_innovations_m0_equals_colored_stream():
     # bitwise oracle for the stream layout: at m=0 the window is identity
     s = spec_of(d=2, T=50, m=0, cov=exchangeable_cov(2, 0.5), seed=11)
     xi = gen_innovations(s)
-    assert xi.shape == (50 + s.coeff.K_max, 2)
+    assert xi.shape == (50 + s.K_max, 2)
     np.testing.assert_array_equal(xi, reconstruct_z(s))
 
 
@@ -153,8 +182,8 @@ def test_innovations_window_relation_across_m():
     s5 = spec_of(d=2, T=200, m=5, seed=3)
     xi0 = gen_innovations(s0)
     xi5 = gen_innovations(s5)
-    K = s0.coeff.K_max
-    assert s5.coeff.K_max == K
+    K = s0.K_max
+    assert s5.K_max == K
     want = sum(xi0[5 - j : len(xi0) - j] for j in range(6)) / math.sqrt(6)
     np.testing.assert_allclose(xi5[5:], want[: len(xi5) - 5], atol=1e-12)
 
@@ -170,7 +199,7 @@ def test_innovations_deterministic():
 def test_innovations_m0_sample_cov():
     R = exchangeable_cov(2, 0.5)
     s = spec_of(d=2, T=16000, m=0, cov=R, seed=SEED_M0_COV)
-    xi = gen_innovations(s)[s.coeff.K_max :]
+    xi = gen_innovations(s)[s.K_max :]
     sample = xi.T @ xi / len(xi)
     assert np.linalg.norm(sample - R) < 0.1
 
@@ -184,7 +213,7 @@ def test_innovations_m_dependence_lag_cutoff():
     T = 16000
     m = 10
     s = spec_of(d=2, T=T, m=m, cov=exchangeable_cov(2, 0.5), seed=SEED_MDEP)
-    xi = gen_innovations(s)[s.coeff.K_max :]
+    xi = gen_innovations(s)[s.K_max :]
     lag = m + 1
     cross = xi[lag:].T @ xi[:-lag] / (T - lag)
     bartlett_var = 1 + m * (2 * m + 1) / (3 * (m + 1))
@@ -197,7 +226,7 @@ def test_innovations_within_window_correlation_present():
     T = 16000
     m = 10
     s = spec_of(d=1, T=T, m=m, cov=np.eye(1), seed=SEED_LAG1)
-    xi = gen_innovations(s)[s.coeff.K_max :, 0]
+    xi = gen_innovations(s)[s.K_max :, 0]
     lag1 = float(xi[1:] @ xi[:-1] / (T - 1))
     assert lag1 == pytest.approx(m / (m + 1), abs=0.05)
 
@@ -207,7 +236,7 @@ def test_innovations_within_window_correlation_present():
 def test_innovations_shape_property(m, seed):
     s = spec_of(d=2, T=30, m=m, seed=seed)
     xi = gen_innovations(s)
-    assert xi.shape == (30 + s.coeff.K_max, 2)
+    assert xi.shape == (30 + s.K_max, 2)
     assert np.isfinite(xi).all()
 
 
@@ -233,14 +262,14 @@ def test_series_filter_matches_direct_convolution():
     s = spec_of(d=2, T=40, m=2, rho=0.5, seed=5, tol=1e-6)
     series, _ = gen_series(s)
     xi = gen_innovations(s)
-    K = s.coeff.K_max
+    K = s.K_max
     rows = []
     for t in range(1, 41):
         acc = np.zeros(2)
         for k in range(K + 1):
             # xi row index for time t-k is (t-k) - (1-K) = t-k-1+K
             acc += (0.5**k) * xi[t - k - 1 + K]
-        rows.append(acc @ s.coeff.base.T)
+        rows.append(acc @ s.base.T)
     np.testing.assert_allclose(series.values, np.array(rows), rtol=1e-10, atol=1e-12)
 
 
@@ -257,12 +286,15 @@ def test_series_filter_bit_identical_to_lfilter(k_max, m, d, shift):
         d=d,
         T=700,
         m=m,
-        coeff=CoefficientScheme(0.5, base, k_max),
+        rho=0.5,
+        base=base,
+        tol={0: 1.5, 1: 1.0, 40: 1e-12}[k_max],
         innovation_cov=exchangeable_cov(d, 0.5),
         delta=np.linspace(0.5, 1.5, d) if shift else None,
         k_star=0.3 if shift else None,
         seed=k_max + m + d,
     )
+    assert s.K_max == k_max
     series, t_star = gen_series(s)
     taps = 0.5 ** np.arange(k_max + 1)
     want = lfilter(taps, [1.0], gen_innovations(s), axis=0)[k_max:] @ base.T
@@ -333,14 +365,8 @@ def test_series_h0_halves_agree():
 
 def test_series_truncation_soundness():
     s1 = spec_of(d=2, T=500, m=4, rho=0.5, seed=21)
-    deep = CoefficientScheme(
-        rho=0.5,
-        base=s1.coeff.base,
-        K_max=2 * s1.coeff.K_max,
-    )
-    s2 = SimulationSpec(
-        d=2, T=500, m=4, coeff=deep, innovation_cov=s1.innovation_cov, seed=21
-    )
+    s2 = spec_of(d=2, T=500, m=4, rho=0.5, seed=21, tol=1e-24)
+    assert (s1.K_max, s2.K_max) == (40, 80)
     a, _ = gen_series(s1)
     b, _ = gen_series(s2)
     assert np.abs(a.values - b.values).max() < 1e-9
