@@ -41,7 +41,7 @@ shape scaled by 1e160, whose curve's sum of squares overflows. Then
 spectrum on the 1e5 x 5 input at ``--freqs 5000``, whose windows go to the
 periodogram in several chunks, and ``bench --threads 2 --always-estimate
 --keep-going`` on a two-cell grid whose second cell has a singular
-innovation covariance, so every one of its replications fails.
+innovation covariance, which the grid reader rejects.
 
 Commands [0-106] are the set above. Then simulate on every branch of the
 recipe (``--rho 0``, ``--rho 0.9 --tol 1e-6``, ``--base identity``, ``--base
@@ -55,6 +55,16 @@ and ``bench table2|3|4 --reps 2``. Last, the truncation depth at ``--tol
 ``../``, ``/`` or a NUL byte; a CSV, a simulate config and a grid holding
 a 0xff byte; and ``detect --table`` on a table without the ``paths``
 column, one with a foreign header and one with a non-numeric value.
+
+Commands [0-142] are the sets above. Then detect, spectrum, scan and
+estimate on a 200 x 2 input whose columns are scaled by 1e-160 and 1e-244
+(a long-run covariance that is singular in floating point); ``bench
+--threads 2 --always-estimate --keep-going`` on a two-cell grid whose
+second cell has a zero ``base``, so every one of its replications fails
+with ``DegenerateSpectrum``; simulate at ``--rho 0.999`` (a filter 34,521
+taps deep) and with ``--d -1 --delta 1``; and the round trip that the
+missing-critical-value hint names: ``critval ... --table t.csv``, then
+``detect --alpha 0.07 --table t.csv``, run as two steps in one directory.
 
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
@@ -173,6 +183,13 @@ def write_inputs(root):
     put("t_short.csv", "d,alpha,value\n3,0.05,3\n")
     put("t_xy.csv", "x,y\n1,2\n")
     put("t_abc.csv", head + "3,0.05,abc,1,1,1,0.1\n")
+    rng = random.Random(11)  # a stream of its own: the inputs above stay put
+    put("mixed.csv", _table(["a", "b"], [
+        [rng.gauss(0.0, 1.0) * 1e-160, rng.gauss(0.0, 1.0) * 1e-244]
+        for _ in range(200)]))
+    put("degenerate.grid", "name=mix\nd=2\nT=200\nm=1\nreps=3\n\n"
+        "cell=good\ndelta=1,1\nk_star=0.5\n\n"
+        "cell=constant\nbase=0,0,0,0\n")
 
 
 def commands():
@@ -348,14 +365,39 @@ def commands():
     ]
     cmds += [("detect", IN + "small.csv", "--table", IN + name + ".csv")
              for name in ("t_short", "t_xy", "t_abc")]
+    # beyond the 143 above: a covariance singular in floating point, a cell
+    # that fails at run time on two threads, a deep filter, a d below 1 with
+    # a delta, and the two commands of the missing-critical-value hint
+    cmds += [(name, IN + "mixed.csv")
+             for name in ("detect", "spectrum", "scan", "estimate")]
+    cmds += [
+        ("bench", IN + "degenerate.grid", "--output-dir", "g", "--threads",
+         "2", "--always-estimate", "--keep-going"),
+        ("simulate", "--d", "2", "--T", "100", "--m", "0", "--rho", "0.999"),
+        ("simulate", "--d", "-1", "--T", "10", "--m", "0", "--delta", "1"),
+        (("critval", "--d", "2", "--alpha", "0.07", "--paths", "2000",
+          "--grid", "200", "--table", "t.csv"),
+         ("detect", IN + "rows40.csv", "--alpha", "0.07", "--table", "t.csv")),
+    ]
     return cmds
 
 
-def run(src, argv, cwd):
+def _steps(cmd):
+    """The argv of each step of a command: a tuple of argvs runs them in
+    order in one directory."""
+    return cmd if isinstance(cmd[0], tuple) else (cmd,)
+
+
+def run(src, cmd, cwd):
     os.makedirs(cwd)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-m", "mvcusum", *argv], cwd=cwd,
-                          env=env, capture_output=True, timeout=900)
+    codes, out, err = [], b"", b""
+    for argv in _steps(cmd):
+        proc = subprocess.run([sys.executable, "-m", "mvcusum", *argv],
+                              cwd=cwd, env=env, capture_output=True,
+                              timeout=900)
+        codes.append(proc.returncode)
+        out, err = out + proc.stdout, err + proc.stderr
     files = {}
     for dirpath, dirnames, filenames in os.walk(cwd):
         for name in dirnames:
@@ -364,7 +406,7 @@ def run(src, argv, cwd):
             path = os.path.join(dirpath, name)
             with open(path, "rb") as fh:
                 files[os.path.relpath(path, cwd)] = hashlib.sha256(fh.read()).hexdigest()
-    return proc.returncode, proc.stdout, proc.stderr, files
+    return codes[-1] if len(codes) == 1 else tuple(codes), out, err, files
 
 
 def _text_diff(old, new):
@@ -403,11 +445,12 @@ def main(argv):
         for i, cmd in enumerate(cmds):
             old = run(old_src, cmd, os.path.join(base, "runs", "old", str(i)))
             new = run(new_src, cmd, os.path.join(base, "runs", "new", str(i)))
-            succeeded += new[0] == 0
+            succeeded += new[0] in (0, (0,) * len(_steps(cmd)))
             problems = compare(old, new)
             if problems:
                 mismatched += 1
-                print(f"[{i}] mvcusum {' '.join(cmd)}")
+                print(f"[{i}] " + " && ".join(
+                    "mvcusum " + " ".join(argv) for argv in _steps(cmd)))
                 print("\n".join(problems))
     print(f"{len(cmds)} commands ({succeeded} exit 0 under NEW), "
           f"{mismatched} with a difference")

@@ -614,7 +614,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ToolkitError, np.linalg.LinAlgError, OSError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # safety net: anything else is a bug

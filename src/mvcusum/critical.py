@@ -160,8 +160,9 @@ class CriticalValueTable:
         entry = self.get(d, alpha)
         if entry is None:
             raise MissingCriticalValue(
-                f"no critical value for d={d}, alpha={alpha}; "
-                f"run `critval --d {d} --alpha {alpha}` to add it"
+                f"no critical value for d={d}, alpha={alpha}; run `critval "
+                f"--d {d} --alpha {alpha} --table FILE`, then pass "
+                "`--table FILE` to detect or bench"
             )
         return entry.value
 

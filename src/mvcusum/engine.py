@@ -114,24 +114,21 @@ def cusum(series: MultivariateSeries) -> CusumCurve:
 def quadform(curve: CusumCurve, sigma: LongRunCovariance) -> CusumCurve:
     """Fill the quadratic-form values q[k] = s[k]' * sigma_inv * s[k].
 
-    Evaluated through the Cholesky factor of the inverse so every value is a
-    sum of squares — nonnegative by construction, with exact zeros at the
-    exactly-zero endpoint rows.
+    Evaluated through the Cholesky factor of the inverse (one without a
+    factor raises DomainError) so every value is a sum of squares —
+    nonnegative by construction, with exact zeros at the exactly-zero
+    endpoint rows.
     """
     s = curve.s_tilde
     if sigma.sigma.shape[0] != curve.d:
         raise DimensionMismatch(
             f"covariance is {sigma.sigma.shape[0]}-dimensional, curve is {curve.d}"
         )
-    M = sigma.sigma_inv
     try:
-        G = np.linalg.cholesky(M)
-        Y = s @ G
-        q = np.einsum("kd,kd->k", Y, Y)
+        Y = s @ np.linalg.cholesky(sigma.sigma_inv)
     except np.linalg.LinAlgError:
-        q = np.einsum("kd,de,ke->k", s, M, s)
-        np.maximum(q, 0.0, out=q)
-    return CusumCurve(s_tilde=s, q=q, N=curve.N)
+        raise DomainError("sigma_inv must be positive definite") from None
+    return CusumCurve(s_tilde=s, q=np.einsum("kd,kd->k", Y, Y), N=curve.N)
 
 
 def test(
@@ -146,8 +143,8 @@ def test(
     cached critical value for (d, alpha).
 
     The critical value is looked up, never simulated here; a missing entry
-    raises MissingCriticalValue (extend the table with the `critval`
-    subcommand).  Propagates DegenerateSpectrum from covariance estimation.
+    raises MissingCriticalValue, whose message names the commands that add
+    it.  Propagates DegenerateSpectrum from covariance estimation.
     ``sigma`` overrides the internally estimated long-run covariance — the
     two-pass pipeline passes one estimated from segment-demeaned residuals,
     together with ``curve``, the ``cusum(series)`` curve its pilot already

@@ -7,10 +7,9 @@ re-seeds the template at base + rep index, simulates, runs the mean-shift
 test, and — when the test rejects — estimates the change point. Deviation
 metrics aggregate over the estimating replications only (pass
 ``always_estimate=True`` to remove the conditioning for sensitivity
-analysis). A replication that fails with a toolkit or linear-algebra error
-is recorded on the row, not silently dropped, and the cell goes on; any
-other error ends the cell with one recorded failure. A failed cell never
-stops the grid.
+analysis). A replication that fails with a toolkit error is recorded on
+the row, not silently dropped, and the cell goes on; any other error ends
+the cell with one recorded failure. A failed cell never stops the grid.
 
 Grid files are flat key=value blocks separated by blank lines. An optional
 first block without a ``cell=`` key sets the grid name, the level, and
@@ -156,11 +155,11 @@ def run_cell(
 ) -> MetricsRow:
     """Run one cell: simulate, test, estimate-on-rejection, aggregate.
 
-    Replication k uses seed ``cell.template.seed + k``. A toolkit or
-    linear-algebra error inside a replication is recorded in ``failures``
-    and the remaining replications still run. Any other error stops the
-    cell: its row then has NaN metrics, no rejections or estimates, and that
-    one error as its only failure.
+    Replication k uses seed ``cell.template.seed + k``. A toolkit error
+    inside a replication is recorded in ``failures`` and the remaining
+    replications still run. Any other error stops the cell: its row then
+    has NaN metrics, no rejections or estimates, and that one error as its
+    only failure.
     """
     template = cell.template
     rejects, t_star = 0, None
@@ -176,7 +175,7 @@ def run_cell(
                     rejects += 1
                 if result.reject or always_estimate:
                     estimates.append(estimate_changepoint(result.curve).t_hat)
-            except (ToolkitError, np.linalg.LinAlgError) as exc:
+            except ToolkitError as exc:
                 failures.append(f"rep {rep}: {type(exc).__name__}: {exc}")
     except Exception as exc:  # cell-level isolation
         rejects, estimates = 0, []
@@ -378,7 +377,8 @@ def _build_spec(name: str, kv: dict, source: str, counts=()):
     kv maps key -> (lineno, raw value), defaults already merged in; its
     keys were checked when the config was read. Missing required keys are
     reported first (d, T, m, then ``counts``), then values that do not
-    parse, then what the spec itself rejects.
+    parse (a d below 1 is rejected once rho, tol and seed parse), then what
+    the spec itself rejects.
     """
 
     def take(key, default=None):
@@ -394,16 +394,16 @@ def _build_spec(name: str, kv: dict, source: str, counts=()):
              for key, parse in (("rho", _parse_float), ("tol", _parse_float),
                                 ("seed", _parse_int))
              if key in kv}
-    # a d below 1 sizes no matrix: the spec rejects it by name
-    n = max(d, 0)
+    if d < 1:  # the spec's own check, made before d sizes base, cov or delta
+        raise _cell_error(source, name, DomainError(f"d must be >= 1, got {d}"))
 
     line_base, raw_base = take("base", "unit_gain")
     if raw_base == "unit_gain":
         base = None
     elif raw_base == "identity":
-        base = np.eye(n)
+        base = np.eye(d)
     else:
-        base = _parse_floats(line_base, raw_base, source, "base", n * n).reshape(n, n)
+        base = _parse_floats(line_base, raw_base, source, "base", d * d).reshape(d, d)
 
     line_cov, raw_cov = take("cov", "eye")
     if raw_cov == "eye":
@@ -415,7 +415,7 @@ def _build_spec(name: str, kv: dict, source: str, counts=()):
         except ToolkitError as exc:
             raise GridParseError(f"{source}:{line_cov}: {exc}") from exc
     else:
-        cov = _parse_floats(line_cov, raw_cov, source, "cov", n * n).reshape(n, n)
+        cov = _parse_floats(line_cov, raw_cov, source, "cov", d * d).reshape(d, d)
 
     line_delta, raw_delta = take("delta")
     delta = None

@@ -88,8 +88,8 @@ class SimulationSpec:
         construction, not settable) is the smallest K >= 0 with
         ``sum_{k > K} rho**k < tol``.
     innovation_cov : ndarray (d, d), optional
-        Covariance of the underlying Gaussian stream (and hence of each
-        innovation). Must be symmetric; defaults to the identity.
+        Covariance of the underlying Gaussian stream (and so of each
+        innovation), positive definite; defaults to the identity.
     delta : ndarray (d,), optional
         Mean shift added strictly after ``t_star``. Defaults to zero.
     k_star : float, optional
@@ -143,6 +143,10 @@ class SimulationSpec:
             )
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
             raise DomainError("innovation_cov must be symmetric")
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise DomainError("innovation_cov must be positive definite") from None
         object.__setattr__(self, "innovation_cov", _frozen(np.array(cov, np.float64)))
         delta = self.delta
         delta = np.zeros(d) if delta is None else np.asarray(delta, np.float64)
@@ -166,8 +170,7 @@ def gen_innovations(spec: SimulationSpec) -> np.ndarray:
 
     The underlying Gaussian stream is split into a forward child (t = 1..T)
     and a presample child (t = 0, -1, -2, ...), both colored by the Cholesky
-    factor of ``innovation_cov``; `numpy.linalg.LinAlgError` therefore
-    surfaces if the covariance is not positive definite.
+    factor of ``innovation_cov``.
     """
     k_max, m = spec.K_max, spec.m
     n_pre = k_max + m  # deepest Z needed: xi at t = 1 - K_max reaches back m more
@@ -195,11 +198,8 @@ def gen_series(spec: SimulationSpec) -> Tuple[MultivariateSeries, Optional[int]]
     ``t_star`` onward: times ``t > t_star`` exactly.
     """
     xi = gen_innovations(spec)
-    k_max = spec.K_max
-    taps = spec.rho ** np.arange(k_max + 1)
-    # lfilter(taps, [1.0], xi, axis=0) runs exactly this for an FIR filter
-    full = np.column_stack([np.convolve(taps, col) for col in xi.T])
-    filtered = full[k_max : len(xi)]
+    taps = spec.rho ** np.arange(spec.K_max + 1)
+    filtered = np.column_stack([np.convolve(taps, col, "valid") for col in xi.T])
     x = filtered @ spec.base.T
     t_star = None
     if spec.k_star is not None:

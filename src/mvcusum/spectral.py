@@ -52,7 +52,6 @@ class Periodogram:
 
     js: np.ndarray
     ordinates: np.ndarray
-    N: int
 
     def __post_init__(self):
         _frozen(self.js)
@@ -99,7 +98,7 @@ def dft(series: MultivariateSeries, js) -> Periodogram:
     rows = np.fft.rfft(X, axis=0)[np.where(low, n, N - n)]
     rows[low] = np.conj(rows[low])
     ordinates = np.einsum("kp,kq->kpq", rows, np.conj(rows)) / N
-    return Periodogram(js=js, ordinates=ordinates, N=N)
+    return Periodogram(js=js, ordinates=ordinates)
 
 
 def _int_fourth_root(n: int) -> int:
@@ -160,8 +159,8 @@ def long_run_covariance(
     The symmetrized estimate keeps its raw value in ``sigma``; if its
     smallest eigenvalue falls at or below the floor eps0 = 1e-8 * trace/d,
     the inverse is taken of sigma plus a ridge just large enough to restore
-    the floor, and the ridge size is reported.  An estimate or inverse that
-    is not finite raises DegenerateSpectrum.
+    the floor, and the ridge size is reported.  A non-finite estimate, or an
+    inverse that is singular or not finite, raises DegenerateSpectrum.
     """
     return _spectrum_and_covariance(series, h, [])[1]
 
@@ -191,7 +190,10 @@ def _spectrum_and_covariance(series, h, omegas):
     eps0 = 1e-8 * trace / d
     lam_min = float(np.linalg.eigvalsh(sigma).min())
     ridge = eps0 - lam_min if lam_min <= eps0 else 0.0
-    inv = np.linalg.inv(sigma + ridge * np.eye(d))
+    try:
+        inv = np.linalg.inv(sigma + ridge * np.eye(d))
+    except np.linalg.LinAlgError:  # singular in floating point
+        inv = np.full((d, d), np.inf)
     if not np.all(np.isfinite(inv)):
         raise DegenerateSpectrum(
             "long-run covariance has no finite inverse; input values are too small"

@@ -710,6 +710,24 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
           "identity"),
      "GridParseError: command line: cell 'simulate': DomainError: d must be "
      ">= 1, got -1"),
+    ({}, ("simulate", "--d", "-1", "--T", "10", "--m", "0", "--delta", "1"),
+     "GridParseError: command line: cell 'simulate': DomainError: d must be "
+     ">= 1, got -1"),
+    ({}, ("simulate", "--d", "2", "--T", "40", "--m", "0", "--cov", "1,2,2,1",
+          "--out", "sub/x.csv"),
+     "GridParseError: command line: cell 'simulate': DomainError: "
+     "innovation_cov must be positive definite"),
+    # columns at 1e-160 and 1e-244: the estimate is singular in floating point
+    ({"x.csv": "a,b\n" + "".join(f"{(i % 7 - 3) * 1e-160!r},"
+                                  f"{(i * 5 % 11 - 5) * 1e-244!r}\n"
+                                  for i in range(200))},
+     ("detect", "x.csv", "--emit-curve", "sub/c.csv"),
+     "DegenerateSpectrum: long-run covariance has no finite inverse; input "
+     "values are too small"),
+    ({"x.csv": ROWS_40}, ("detect", "x.csv", "--alpha", "0.07"),
+     "MissingCriticalValue: no critical value for d=1, alpha=0.07; run "
+     "`critval --d 1 --alpha 0.07 --table FILE`, then pass `--table FILE` to "
+     "detect or bench"),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)
@@ -719,6 +737,20 @@ def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     assert rc == 2
     assert out == ""
     assert err == f"error: {line}\n"
+
+
+def test_missing_critical_value_hint_round_trip(capsys, tmp_path, monkeypatch):
+    # the two commands the hint names, FILE filled in, make the detect work
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").write_text(ROWS_40)
+    rc, _, err = run_cli(capsys, "detect", "x.csv", "--alpha", "0.07")
+    assert rc == 2
+    critval, flag = (part.replace("FILE", "t.csv").split()
+                     for part in err.split("`")[1::2])
+    rc, out, _ = run_cli(capsys, *critval, "--paths", "200", "--grid", "50")
+    assert rc == 0 and "source=computed" in out
+    rc, out, _ = run_cli(capsys, "detect", "x.csv", "--alpha", "0.07", *flag)
+    assert rc == 0 and "reject=" in out
 
 
 _TABLE_HEAD = b"d,alpha,value,paths,grid,seed,stderr\n"
@@ -991,7 +1023,7 @@ d=2
 T=60
 m=1
 reps=2
-cov=0,0,0,0
+base=0,0,0,0
 """
 
 
@@ -1042,7 +1074,7 @@ def test_bench_cell_failures_exit_nonzero_without_keep_going(capsys, tmp_path, c
                        "--keep-going", "--output-dir", tmp_path / "b")
     assert rc == 0
     summary = (tmp_path / "b" / "summary.txt").read_text()
-    assert "LinAlgError" in summary
+    assert "DegenerateSpectrum" in summary
 
 
 def test_bench_malformed_grid_reports_line(capsys, tmp_path, cv2_csv):

@@ -168,16 +168,15 @@ def test_quadform_nonnegative_and_matches_inverse_oracle():
     np.testing.assert_allclose(out.q, oracle, rtol=1e-9, atol=1e-12)
 
 
-def test_quadform_indefinite_inverse_falls_back_to_clipped_einsum():
-    # diag(1, -1) has no Cholesky factor: q is the direct form, floored at 0
+def test_quadform_inverse_without_cholesky_factor_is_domain_error():
+    # diag(1, -1) has no Cholesky factor, and quadform has no other formula;
+    # long_run_covariance never builds such an inverse (see test_spectral)
     c = cusum(MultivariateSeries(np.random.default_rng(5).normal(size=(40, 2))))
-    M = np.diag([1.0, -1.0])
-    lr = LongRunCovariance(sigma=np.eye(2), sigma_inv=M, ridge_applied=0.0,
-                           h_used=1, N=40)
-    want = np.maximum(np.einsum("kd,de,ke->k", c.s_tilde, M, c.s_tilde), 0.0)
-    q = quadform(c, lr).q
-    np.testing.assert_array_equal(q, want)
-    assert (q == 0.0).any() and (q > 0.0).any()
+    lr = LongRunCovariance(sigma=np.eye(2), sigma_inv=np.diag([1.0, -1.0]),
+                           ridge_applied=0.0, h_used=1, N=40)
+    with pytest.raises(DomainError) as exc:
+        quadform(c, lr)
+    assert str(exc.value) == "sigma_inv must be positive definite"
 
 
 def test_quadform_keeps_s_tilde():

@@ -98,7 +98,7 @@ def manual_cell(template, reps, alpha, table, always=False):
                 estimates.append(est.t_hat)
                 if t_star is not None:
                     errors.append(t_star - est.t_hat)
-        except (ToolkitError, np.linalg.LinAlgError) as exc:
+        except ToolkitError as exc:
             failures.append(f"rep {rep}: {type(exc).__name__}: {exc}")
     return rejects, errors, estimates, failures
 
@@ -184,27 +184,9 @@ def test_run_cell_no_rejections_no_estimates():
     assert math.isnan(row.abs_deviation)
 
 
-def test_run_cell_records_linalg_failures():
-    # indefinite-free but singular innovation covariance: every rep fails in
-    # the generator with LinAlgError, and each failure is recorded
-    table = fake_table([(2, 0.05, 2.2)])
-    template = SimulationSpec(
-        d=2,
-        T=100,
-        m=0,
-        innovation_cov=np.zeros((2, 2)),
-        seed=0,
-    )
-    row = run_cell(ExperimentCell("cell", template, 3), 0.05, table)
-    assert len(row.failures) == 3
-    assert all("LinAlgError" in f for f in row.failures)
-    assert [f"rep {i}" in f for i, f in enumerate(row.failures)] == [True] * 3
-    assert row.reject_count == 0 and row.estimates == ()
-
-
 def test_run_cell_records_toolkit_failures():
     # zero filter base makes the series constant: the test stage raises
-    # DegenerateSpectrum per rep, recorded per rep
+    # DegenerateSpectrum per rep, recorded per rep, and the cell goes on
     table = fake_table([(2, 0.05, 2.2)])
     template = SimulationSpec(
         d=2,
@@ -213,9 +195,11 @@ def test_run_cell_records_toolkit_failures():
         base=np.zeros((2, 2)),
         seed=0,
     )
-    row = run_cell(ExperimentCell("cell", template, 2), 0.05, table)
-    assert len(row.failures) == 2
+    row = run_cell(ExperimentCell("cell", template, 3), 0.05, table)
+    assert len(row.failures) == 3
     assert all("DegenerateSpectrum" in f for f in row.failures)
+    assert [f"rep {i}" in f for i, f in enumerate(row.failures)] == [True] * 3
+    assert row.reject_count == 0 and row.estimates == ()
 
 
 def test_run_cell_deterministic():
@@ -303,11 +287,9 @@ def test_run_grid_empty_grid(tmp_path):
 
 
 def test_run_grid_isolates_cell_failures(tmp_path):
-    # one poisoned cell (singular covariance) does not stop the other
+    # one poisoned cell (zero base: a constant series) does not stop the other
     table = fake_table([(2, 0.05, 1e-9)])
-    bad = SimulationSpec(
-        d=2, T=100, m=0, innovation_cov=np.zeros((2, 2)), seed=0,
-    )
+    bad = SimulationSpec(d=2, T=100, m=0, base=np.zeros((2, 2)), seed=0)
     grid = ExperimentGrid(
         name="mix",
         cells=(
@@ -577,15 +559,28 @@ def test_parse_grid_rejects_names_that_leave_the_output_dir(text, message):
 
 @pytest.mark.parametrize("extra, message", [
     ("base=identity\n", "g: cell 'a': DomainError: d must be >= 1, got -1"),
-    ("base=1\n", "g:6: base needs 0 values, got 1"),
-    ("cov=1\n", "g:6: cov needs 0 values, got 1"),
+    ("base=1\n", "g: cell 'a': DomainError: d must be >= 1, got -1"),
+    ("cov=1\n", "g: cell 'a': DomainError: d must be >= 1, got -1"),
+    ("delta=1\n", "g: cell 'a': DomainError: d must be >= 1, got -1"),
+    ("rho=x\ncov=1\n", "g:6: expected a number, got 'x'"),
 ])
 def test_parse_grid_d_below_one_sizes_no_matrix(extra, message):
-    # a d below 1 is read as 0 when it sizes a matrix, so the spec or the
-    # value count rejects it, not numpy
+    # a d below 1 is named by the spec's own check once rho, tol and seed
+    # parse, before it sizes base, cov or delta
     with pytest.raises(GridParseError) as exc:
         parse_grid("cell=a\nd=-1\nT=64\nm=1\nreps=1\n" + extra, source="g")
     assert str(exc.value) == message
+
+
+def test_parse_grid_rejects_cov_without_cholesky_factor():
+    # a symmetric covariance that is not positive definite fails when the
+    # grid is read, like an asymmetric one, naming its cell
+    text = ("cell=good\nd=2\nT=64\nm=1\nreps=1\n\n"
+            "cell=singular\nd=2\nT=64\nm=1\nreps=1\ncov=0,0,0,0\n")
+    with pytest.raises(GridParseError) as exc:
+        parse_grid(text, source="g")
+    assert str(exc.value) == ("g: cell 'singular': DomainError: innovation_cov "
+                              "must be positive definite")
 
 
 def test_simulate_config_reads_the_cell_recipe(tmp_path):

@@ -158,10 +158,14 @@ def test_spec_rejects_negative_m():
         spec_of(m=-1)
 
 
-def test_spec_propagates_cholesky_failure():
-    # symmetric but indefinite: Cholesky's own failure surfaces
-    with pytest.raises(np.linalg.LinAlgError):
-        gen_innovations(spec_of(cov=np.array([[1.0, 2.0], [2.0, 1.0]])))
+@pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                         ids=["indefinite", "singular"])
+def test_spec_rejects_cov_without_cholesky_factor(cov):
+    # symmetric, but no Cholesky factor: rejected when the spec is built, not
+    # when the innovations are drawn
+    with pytest.raises(DomainError) as exc:
+        spec_of(cov=np.array(cov))
+    assert str(exc.value) == "innovation_cov must be positive definite"
 
 
 # ---------------------------------------------------------------- innovations
@@ -302,6 +306,20 @@ def test_series_filter_bit_identical_to_lfilter(k_max, m, d, shift):
         want[t_star:] += s.delta
     assert series.values.shape == want.shape
     assert series.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.2, 0.9, 0.99])
+@pytest.mark.parametrize("T", [2, 17, 500])
+@pytest.mark.parametrize("m", [0, 3])
+def test_series_filter_bit_identical_to_full_convolution(rho, T, m):
+    # the filter keeps only the T outputs that see K_max presample rows: the
+    # rows [K_max, T + K_max) of the full convolution, bit for bit
+    s = spec_of(d=2, T=T, m=m, rho=rho, cov=exchangeable_cov(2, 0.3), seed=3)
+    xi = gen_innovations(s)
+    taps = rho ** np.arange(s.K_max + 1)
+    full = np.column_stack([np.convolve(taps, col) for col in xi.T])
+    want = full[s.K_max : len(xi)] @ s.base.T
+    assert gen_series(s)[0].values.tobytes() == want.tobytes()
 
 
 def test_series_shift_is_strict_after_tstar():

@@ -12,6 +12,7 @@ from mvcusum.errors import (
     DegenerateSpectrum,
     DomainError,
     TooShort,
+    ToolkitError,
 )
 from mvcusum.series import MultivariateSeries, center
 from mvcusum.spectral import (
@@ -134,7 +135,6 @@ def test_dft_wrapped_indices_match_full_grid(T):
                    T + 2, 3 * T + 1])
     pg = dft(c, js)
     np.testing.assert_array_equal(pg.js, js)
-    assert pg.N == T
     pos = (js - full.js[0]) % T
     np.testing.assert_array_equal(pg.ordinates, full.ordinates[pos])
 
@@ -372,6 +372,45 @@ def test_lrcov_ridge_on_collinear_input():
     assert ev.min() > 0
     resid = lr.sigma_inv @ (lr.sigma + lr.ridge_applied * np.eye(2)) - np.eye(2)
     assert np.linalg.norm(resid) < 1e-6
+
+
+def test_lrcov_singular_in_floating_point_is_degenerate():
+    # columns at 1e-160 and 1e-244: the estimate underflows to a diagonal
+    # with a zero on it, below any ridge floor, so it has no inverse
+    X = np.random.default_rng(7).normal(size=(200, 2)) * [1e-160, 1e-244]
+    with pytest.raises(DegenerateSpectrum, match="no finite inverse"):
+        long_run_covariance(MultivariateSeries(X))
+
+
+def _edge_values(rng):
+    """A random input at the edges of the estimator: d 1..10, T 16..400,
+    collinear, near-constant or mixed-scale columns, scaled by 1e-150..1e150."""
+    d, T = int(rng.integers(1, 11)), int(rng.integers(16, 401))
+    X = rng.standard_normal((T, d))
+    kind = rng.integers(4)
+    if kind == 1:  # collinear: every column a multiple of the first
+        X = X[:, :1] * rng.standard_normal(d)
+    elif kind == 2:  # near-constant: many values round to exactly 1
+        X = 1.0 + X * 10.0 ** rng.uniform(-17, -12, size=d)
+    elif kind == 3:  # column scales up to 300 decades apart
+        X = X * 10.0 ** rng.uniform(-150, 150, size=d)
+    return X * 10.0 ** rng.uniform(-150, 150)
+
+
+def test_lrcov_inverse_always_has_cholesky_factor():
+    # every inverse the estimator returns has a Cholesky factor, which is
+    # all quadform evaluates; any other input ends in a typed error
+    rng = np.random.default_rng(2024)
+    built = typed = 0
+    for _ in range(2000):
+        try:
+            lr = long_run_covariance(MultivariateSeries(_edge_values(rng)))
+        except ToolkitError:
+            typed += 1
+            continue
+        np.linalg.cholesky(lr.sigma_inv)
+        built += 1
+    assert built > 1000 and typed > 100
 
 
 def test_lrcov_bandwidth_domain():
