@@ -184,6 +184,26 @@ def test_run_cell_no_rejections_no_estimates():
     assert math.isnan(row.abs_deviation)
 
 
+def test_run_cell_records_linalg_failures():
+    # filter columns at 1e-160 and 1e-244: the long-run covariance underflows
+    # to a singular matrix in floating point, so every rep fails in the test
+    # stage with DegenerateSpectrum (not LinAlgError), recorded per rep
+    table = fake_table([(2, 0.05, 2.2)])
+    template = SimulationSpec(
+        d=2,
+        T=100,
+        m=0,
+        base=np.diag([1e-160, 1e-244]),
+        seed=0,
+    )
+    row = run_cell(ExperimentCell("cell", template, 3), 0.05, table)
+    assert len(row.failures) == 3
+    assert all("DegenerateSpectrum: long-run covariance has no finite inverse"
+               in f for f in row.failures)
+    assert [f"rep {i}" in f for i, f in enumerate(row.failures)] == [True] * 3
+    assert row.reject_count == 0 and row.estimates == ()
+
+
 def test_run_cell_records_toolkit_failures():
     # zero filter base makes the series constant: the test stage raises
     # DegenerateSpectrum per rep, recorded per rep, and the cell goes on
