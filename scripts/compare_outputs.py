@@ -66,6 +66,11 @@ taps deep) and with ``--d -1 --delta 1``; and the round trip that the
 missing-critical-value hint names: ``critval ... --table t.csv``, then
 ``detect --alpha 0.07 --table t.csv``, run as two steps in one directory.
 
+Commands [0-150] are the sets above. Then simulate at ``--d 1 --m 12``,
+whose one-column innovations are a window sum of their own, and ``detect
+--scan --emit-curve`` on a 65,537 x 3 input, whose curve of 65,538 rows
+ends just past a multiple of the 65,536-row chunk the curve is built in.
+
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
 
@@ -187,6 +192,7 @@ def write_inputs(root):
     put("mixed.csv", _table(["a", "b"], [
         [rng.gauss(0.0, 1.0) * 1e-160, rng.gauss(0.0, 1.0) * 1e-244]
         for _ in range(200)]))
+    put("chunk.csv", _table(["x0", "x1", "x2"], _ma_series(65_537, 3, 65)))
     put("degenerate.grid", "name=mix\nd=2\nT=200\nm=1\nreps=3\n\n"
         "cell=good\ndelta=1,1\nk_star=0.5\n\n"
         "cell=constant\nbase=0,0,0,0\n")
@@ -378,6 +384,12 @@ def commands():
         (("critval", "--d", "2", "--alpha", "0.07", "--paths", "2000",
           "--grid", "200", "--table", "t.csv"),
          ("detect", IN + "rows40.csv", "--alpha", "0.07", "--table", "t.csv")),
+    ]
+    # beyond the 151 above: the one-column window sum, and a curve that
+    # crosses a chunk boundary
+    cmds += [
+        ("simulate", "--d", "1", "--T", "300", "--m", "12", "--seed", "7"),
+        ("detect", IN + "chunk.csv", "--scan", "--emit-curve", "curve.csv"),
     ]
     return cmds
 

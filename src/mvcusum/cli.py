@@ -8,11 +8,11 @@ export), ``estimate`` and ``scan`` expose those two pieces alone,
 ``critval`` queries or extends a critical-value table, and ``bench`` runs a
 benchmark grid of simulation cells.
 
-Exit codes: 0 success, 2 usage or data problems (every deliberate toolkit
-error), 3 unexpected internal failures.  Errors print one machine-parseable
-line to stderr: ``error: <Category>: <message>``.  All file outputs are
-plain CSV or key=value text, and every subcommand is bit-reproducible given
-the same flags and seed.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 usage or data
+problems (every deliberate toolkit error), 3 unexpected internal failures.
+Errors print one machine-parseable line to stderr: ``error: <Category>:
+<message>``.  All file outputs are plain CSV or key=value text, and every
+subcommand is bit-reproducible given the same flags and seed.
 """
 
 from __future__ import annotations
@@ -613,7 +613,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # end quietly, as a filter does; stdout now goes to devnull, so the
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ToolkitError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

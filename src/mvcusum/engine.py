@@ -33,6 +33,9 @@ __all__ = [
     "test",
 ]
 
+# curve rows per pass of `cusum` and `quadform`, which bounds their temporaries
+_CURVE_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class CusumCurve:
@@ -98,16 +101,21 @@ def cusum(series: MultivariateSeries) -> CusumCurve:
     The first observation is subtracted from every row before accumulating —
     mathematically a no-op for this curve, but it makes a constant series
     cancel to exact zeros for any constant, and the integer form
-    (N*P_k - k*P_N) / (N*sqrt(N)) keeps both endpoints exactly zero.
+    (N*P_k - k*P_N) / (N*sqrt(N)) keeps both endpoints exactly zero.  It is
+    evaluated in place in the curve's own array, k*P_N one chunk at a time.
     """
     X = series.values
     N, d = X.shape
     if N < 2:
         raise TooShort(f"need at least 2 observations, got {N}")
-    D = X - X[0]
-    P = np.vstack([np.zeros((1, d)), np.cumsum(D, axis=0)])
-    k = np.arange(N + 1, dtype=float)[:, None]
-    s = (N * P - k * P[N]) / (N * math.sqrt(N))
+    s = np.zeros((N + 1, d))
+    np.cumsum(np.subtract(X, X[0], out=s[1:]), axis=0, out=s[1:])
+    P_N = s[N].copy()  # k*P_N reads the row before the scaling by N
+    s *= N
+    for lo in range(0, N + 1, _CURVE_CHUNK):
+        k = np.arange(lo, min(lo + _CURVE_CHUNK, N + 1), dtype=float)
+        s[lo : lo + _CURVE_CHUNK] -= k[:, None] * P_N
+    s /= N * math.sqrt(N)
     return CusumCurve(s_tilde=s, q=None, N=N)
 
 
@@ -117,7 +125,7 @@ def quadform(curve: CusumCurve, sigma: LongRunCovariance) -> CusumCurve:
     Evaluated through the Cholesky factor of the inverse (one without a
     factor raises DomainError) so every value is a sum of squares —
     nonnegative by construction, with exact zeros at the exactly-zero
-    endpoint rows.
+    endpoint rows.  The factored rows are formed ``_CURVE_CHUNK`` at a time.
     """
     s = curve.s_tilde
     if sigma.sigma.shape[0] != curve.d:
@@ -125,10 +133,14 @@ def quadform(curve: CusumCurve, sigma: LongRunCovariance) -> CusumCurve:
             f"covariance is {sigma.sigma.shape[0]}-dimensional, curve is {curve.d}"
         )
     try:
-        Y = s @ np.linalg.cholesky(sigma.sigma_inv)
+        G = np.linalg.cholesky(sigma.sigma_inv)
     except np.linalg.LinAlgError:
         raise DomainError("sigma_inv must be positive definite") from None
-    return CusumCurve(s_tilde=s, q=np.einsum("kd,kd->k", Y, Y), N=curve.N)
+    q = np.empty(len(s))
+    for lo in range(0, len(s), _CURVE_CHUNK):
+        Y = s[lo : lo + _CURVE_CHUNK] @ G
+        q[lo : lo + _CURVE_CHUNK] = np.einsum("kd,kd->k", Y, Y)
+    return CusumCurve(s_tilde=s, q=q, N=curve.N)
 
 
 def test(
@@ -243,10 +255,11 @@ def _peaks(x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     if len(x) < 3:
         return np.empty(0, dtype=np.intp), np.empty(0)
-    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-    v = x[starts]
+    differs = x[1:] != x[:-1]  # with no equal neighbours, every index starts a run
+    starts = None if differs.all() else np.flatnonzero(np.append(True, differs))
+    v = x if starts is None else x[starts]
     top = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
-    peaks = (starts[top] + starts[top + 1] - 1) // 2
+    peaks = top if starts is None else (starts[top] + starts[top + 1] - 1) // 2
     # valley[i] is the least value between peak i - 1 (or index 0) and peak
     # i (or the end); the half-open span still holds each peak's lower left
     # neighbour, so leaving out the peak itself changes no minimum
@@ -301,8 +314,8 @@ def scan_extrema(
         raise DomainError(f"prominence floor must be >= 0, got {min_prominence}")
     lo, hi = _interior_bounds(N, trim)
     found = []
-    for sign, kind in ((1.0, "max"), (-1.0, "min")):
-        for i, p in zip(*_peaks(sign * sm, min_prominence)):
+    for kind in ("max", "min"):
+        for i, p in zip(*_peaks(sm if kind == "max" else -sm, min_prominence)):
             if lo <= i <= hi:
                 found.append(
                     Extremum(

@@ -123,7 +123,16 @@ class SimulationSpec:
         base = np.array(base, dtype=np.float64)
         if base.shape != (d, d):
             raise DimensionMismatch(f"base must be ({d}, {d}), got {base.shape}")
-        k_max = 0  # the tail after depth K is rho**(K + 1) / (1 - rho)
+        if not np.all(np.isfinite(base)):
+            raise DomainError("base must be finite")
+        # the tail after depth K is rho**(K + 1) / (1 - rho): from the closed
+        # form, step with that predicate to the smallest depth it passes
+        k_max = 0
+        if rho > 0.0 and tol * (1.0 - rho) < 1.0:
+            logs = (math.log(tol) + math.log1p(-rho)) / math.log(rho)
+            k_max = max(0, math.ceil(logs) - 1)
+        while k_max > 0 and rho ** k_max / (1.0 - rho) < tol:
+            k_max -= 1
         while rho ** (k_max + 1) / (1.0 - rho) >= tol:
             k_max += 1
         object.__setattr__(self, "rho", float(rho))
@@ -141,6 +150,8 @@ class SimulationSpec:
             raise DimensionMismatch(
                 f"innovation_cov must be ({d}, {d}), got {cov.shape}"
             )
+        if not np.all(np.isfinite(cov)):
+            raise DomainError("innovation_cov must be finite")
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
             raise DomainError("innovation_cov must be symmetric")
         try:
@@ -154,6 +165,8 @@ class SimulationSpec:
             raise DimensionMismatch(
                 f"delta must have shape ({d},), got {delta.shape}"
             )
+        if not np.all(np.isfinite(delta)):
+            raise DomainError("delta must be finite")
         object.__setattr__(self, "delta", _frozen(np.array(delta, np.float64)))
         if self.k_star is not None and not 0.0 < self.k_star < 1.0:
             raise DomainError(
@@ -179,8 +192,13 @@ def gen_innovations(spec: SimulationSpec) -> np.ndarray:
     z_pre = np.random.default_rng(presample).standard_normal((n_pre, spec.d))
     chol = np.linalg.cholesky(spec.innovation_cov)
     z = np.vstack([z_pre[::-1], z_fwd]) @ chol.T
-    windows = sliding_window_view(z, m + 1, axis=0)
-    return windows.sum(axis=-1) / math.sqrt(m + 1)
+    if spec.d == 1:  # numpy sums a contiguous window pairwise, not in order
+        return sliding_window_view(z, m + 1, axis=0).sum(axis=-1) / math.sqrt(m + 1)
+    xi = z[: len(z) - m].copy()  # for d >= 2 the window adds in order, as here
+    for i in range(1, m + 1):
+        xi += z[i : i + len(xi)]
+    xi /= math.sqrt(m + 1)
+    return xi
 
 
 def gen_series(spec: SimulationSpec) -> Tuple[MultivariateSeries, Optional[int]]:

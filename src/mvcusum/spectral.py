@@ -88,14 +88,19 @@ def dft(series: MultivariateSeries, js) -> Periodogram:
     rounding.
     """
     X = series.values
-    N = X.shape[0]
+    N, d = X.shape
     if N < 2:
         raise TooShort(f"need at least 2 observations, got {N}")
-    X = X - X.mean(axis=0)
+    mean = X.mean(axis=0)
     js = np.array(js, dtype=np.int64).reshape(-1)
     n = np.mod(js, N)
     low = n <= N // 2
-    rows = np.fft.rfft(X, axis=0)[np.where(low, n, N - n)]
+    at = np.where(low, n, N - n)
+    rows = np.empty((len(js), d), np.complex128)
+    column = np.empty(N)  # one centered column at a time, not a centered copy
+    for j in range(d):
+        np.subtract(X[:, j], mean[j], out=column)
+        rows[:, j] = np.fft.rfft(column)[at]
     rows[low] = np.conj(rows[low])
     ordinates = np.einsum("kp,kq->kpq", rows, np.conj(rows)) / N
     return Periodogram(js=js, ordinates=ordinates)

@@ -728,6 +728,11 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
      "MissingCriticalValue: no critical value for d=1, alpha=0.07; run "
      "`critval --d 1 --alpha 0.07 --table FILE`, then pass `--table FILE` to "
      "detect or bench"),
+    # a non-finite recipe would draw a series of nan
+    ({}, ("simulate", "--d", "2", "--T", "40", "--m", "0", "--cov", "inf,0,0,1",
+          "--out", "y.csv"),
+     "GridParseError: command line: cell 'simulate': DomainError: "
+     "innovation_cov must be finite"),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)
@@ -1139,6 +1144,33 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "value=" in result.stdout
+
+
+@pytest.mark.parametrize("read_first", [True, False],
+                         ids=["closed-mid-output", "closed-before-output"])
+def test_closed_stdout_ends_quietly(tmp_path, read_first):
+    # like a filter piped into `head`: the reader closes stdout early, and
+    # the command stops with exit code 1 and nothing on stderr
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as a pipe's usually is
+    pkg_root = str(Path(mvcusum.__file__).resolve().parent.parent)
+    old = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = pkg_root + (os.pathsep + old if old else "")
+    x = np.random.default_rng(3).normal(size=(20_000, 2))
+    np.savetxt(tmp_path / "w.csv", x, delimiter=",", header="a,b", comments="")
+    # every local extremum of the raw curve is reported: hundreds of kB
+    argv = ["detect", "w.csv", "--scan", "--smoothing-window", "1",
+            "--min-prominence", "0"] if read_first else ["detect", "w.csv"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mvcusum", *argv], cwd=tmp_path, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    if read_first:
+        assert proc.stdout.readline().startswith(b"statistic=")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 # Runs in a fresh interpreter: imports the package, then runs each command

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,56 @@ def test_quadform_keeps_s_tilde():
     out = quadform(c, manual_lr(np.eye(2)))
     np.testing.assert_array_equal(out.s_tilde, c.s_tilde)
     assert out.N == c.N
+
+
+# ------------------------------------------- chunked curve and q, bit for bit
+
+
+def whole_array_cusum(X):
+    """The curve as one expression over whole-array temporaries: the formula
+    `cusum` evaluates in place and in row chunks."""
+    N, d = X.shape
+    P = np.vstack([np.zeros((1, d)), np.cumsum(X - X[0], axis=0)])
+    k = np.arange(N + 1, dtype=float)[:, None]
+    return (N * P - k * P[N]) / (N * math.sqrt(N))
+
+
+def whole_array_q(s, sigma_inv):
+    """q with every row factored in one product, as `quadform` does in chunks."""
+    Y = s @ np.linalg.cholesky(sigma_inv)
+    return np.einsum("kd,kd->k", Y, Y)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N", [16, 65_535, 65_536, 65_537, 1_000_000])
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_curve_and_q_bit_identical_to_whole_array_formulas(N, d):
+    # chunk edges at 65,536 rows fall inside, on and just past the curve
+    rng = np.random.default_rng(N + d)
+    X = rng.normal(size=(N, d)) + 3.0
+    X[N // 2 :] -= 0.5
+    A = rng.normal(size=(d, d))
+    lr = manual_lr(A @ A.T + 0.5 * np.eye(d))
+    curve = quadform(cusum(MultivariateSeries(X)), lr)
+    s = whole_array_cusum(X)
+    assert_same_bits(curve.s_tilde, s)
+    assert_same_bits(curve.q, whole_array_q(s, lr.sigma_inv))
+
+
+def test_cusum_peak_memory_is_the_curve():
+    # the curve is built in its own array; the k*P_N term needs one chunk
+    s = MultivariateSeries(np.random.default_rng(19).normal(size=(1_000_000, 5)))
+    tracemalloc.start()
+    try:
+        curve = cusum(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * curve.s_tilde.nbytes
 
 
 # ---------------------------------------------------------------- test()

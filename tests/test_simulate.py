@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,6 +116,32 @@ def test_geometric_kmax_matches_brute_force(rho, tol):
     assert SimulationSpec(1, 100, 0, rho=rho, tol=tol).K_max == _brute_k_max(rho, tol)
 
 
+def _loop_k_max(rho, tol):
+    """The depth found one tap at a time, the loop the closed form replaces."""
+    k_max = 0
+    while rho ** (k_max + 1) / (1.0 - rho) >= tol:
+        k_max += 1
+    return k_max
+
+
+@pytest.mark.parametrize("rho", [
+    0.0, 1e-300, 0.05, 0.2, 0.4, 0.5, 0.7, 0.9, 0.99, 0.999, 0.9999, 0.99999])
+def test_geometric_kmax_matches_tap_loop(rho):
+    tols = [1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0, 3.9, 10.0]
+    if rho == 0.99999:  # the loop takes about a second per tol here
+        tols = [1e-15, 1e-6, 10.0]
+    for tol in tols:
+        assert SimulationSpec(1, 100, 0, rho=rho, tol=tol).K_max == _loop_k_max(rho, tol)
+
+
+def test_geometric_kmax_matches_tap_loop_near_one():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        rho = 1.0 - 10.0 ** -rng.uniform(0.5, 4.0)
+        tol = 10.0 ** rng.uniform(-15.0, 1.0)
+        assert SimulationSpec(1, 100, 0, rho=rho, tol=tol).K_max == _loop_k_max(rho, tol)
+
+
 def test_geometric_replace_keeps_resolved_base():
     s = SimulationSpec(2, 100, 0, rho=0.2)
     r = replace(s, rho=0.6, seed=3)
@@ -168,7 +195,37 @@ def test_spec_rejects_cov_without_cholesky_factor(cov):
     assert str(exc.value) == "innovation_cov must be positive definite"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cov", [[math.inf, 0.0], [0.0, 1.0]]),
+    ("cov", [[1.0, math.nan], [math.nan, 1.0]]),
+    ("base", [[1.0, 0.0], [0.0, -math.inf]]),
+    ("delta", [0.0, math.nan]),
+], ids=["cov-inf", "cov-nan", "base", "delta"])
+def test_spec_rejects_non_finite(field, value):
+    with pytest.raises(DomainError) as exc:
+        spec_of(**{field: np.array(value)})
+    name = "innovation_cov" if field == "cov" else field
+    assert str(exc.value) == f"{name} must be finite"
+
+
 # ---------------------------------------------------------------- innovations
+
+
+def window_sum_innovations(spec):
+    """The innovations as one sum over sliding windows of the colored
+    stream, for every d: what `gen_innovations` does for d = 1."""
+    z = reconstruct_z(spec)
+    windows = sliding_window_view(z, spec.m + 1, axis=0)
+    return windows.sum(axis=-1) / math.sqrt(spec.m + 1)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_innovations_bit_identical_to_window_sum(d):
+    for m in range(65):
+        s = spec_of(d=d, T=257, m=m, cov=exchangeable_cov(d, 0.3), seed=100 * d + m)
+        got, want = gen_innovations(s), window_sum_innovations(s)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), m
 
 
 def test_innovations_m0_equals_colored_stream():

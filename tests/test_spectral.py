@@ -422,7 +422,9 @@ def test_lrcov_bandwidth_domain():
 
 def test_lrcov_peak_memory_scales_with_input():
     # only the 2h+1 ordinates around zero are formed, never the N x d x d
-    # periodogram, which alone is 10x the input at d = 5
+    # periodogram, which alone is 10x the input at d = 5; and dft centers
+    # and transforms one column at a time, so its buffer and that column's
+    # transform are 2/d of the input, never a centered copy of it
     s = MultivariateSeries(np.random.default_rng(53).normal(size=(200_000, 5)))
     tracemalloc.start()
     try:
@@ -430,7 +432,35 @@ def test_lrcov_peak_memory_scales_with_input():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * s.values.nbytes
+    assert peak < 0.5 * s.values.nbytes
+
+
+def whole_array_dft(series, js):
+    """The ordinates from one transform of a centered copy of the whole
+    series: the formula `dft` evaluates one column at a time."""
+    X = series.values
+    N = X.shape[0]
+    X = X - X.mean(axis=0)
+    js = np.array(js, dtype=np.int64).reshape(-1)
+    n = np.mod(js, N)
+    low = n <= N // 2
+    rows = np.fft.rfft(X, axis=0)[np.where(low, n, N - n)]
+    rows[low] = np.conj(rows[low])
+    ordinates = np.einsum("kp,kq->kpq", rows, np.conj(rows)) / N
+    return spectral.Periodogram(js=js, ordinates=ordinates)
+
+
+@pytest.mark.parametrize("N", [1_000, 100_000, 1_000_003])
+def test_covariance_bit_identical_to_whole_array_transform(N, monkeypatch):
+    s = MultivariateSeries(np.random.default_rng(N).normal(size=(N, 5)) + 2.0)
+    js = [0, 1, -1, 7, N // 2, N // 2 + 1, N - 1, N + 3, -N - 5]
+    got, want = dft(s, js), whole_array_dft(s, js)
+    assert got.ordinates.tobytes() == want.ordinates.tobytes()
+    got = long_run_covariance(s)
+    monkeypatch.setattr(spectral, "dft", whole_array_dft)
+    want = long_run_covariance(s)
+    assert got.sigma.tobytes() == want.sigma.tobytes()
+    assert got.sigma_inv.tobytes() == want.sigma_inv.tobytes()
 
 
 def test_lrcov_too_short():
