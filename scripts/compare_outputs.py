@@ -71,6 +71,12 @@ whose one-column innovations are a window sum of their own, and ``detect
 --scan --emit-curve`` on a 65,537 x 3 input, whose curve of 65,538 rows
 ends just past a multiple of the 65,536-row chunk the curve is built in.
 
+Commands [0-152] are the sets above. Then, on that input, ``estimate
+--method norm_argmax`` and ``detect --two-pass --method norm_argmax --scan
+--emit-curve``, so that the curve, which every reader forms 65,536 rows at a
+time, ends in a block of 2 rows for the norm, the pilot, the quadratic
+form, the scan and the export alike.
+
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
 
@@ -390,6 +396,14 @@ def commands():
     cmds += [
         ("simulate", "--d", "1", "--T", "300", "--m", "12", "--seed", "7"),
         ("detect", IN + "chunk.csv", "--scan", "--emit-curve", "curve.csv"),
+    ]
+    # beyond the 153 above: the norm_argmax estimate and the two-pass pilot,
+    # the other readers of that curve
+    chunk = IN + "chunk.csv"
+    cmds += [
+        ("estimate", chunk, "--method", "norm_argmax"),
+        ("detect", chunk, "--two-pass", "--method", "norm_argmax", "--scan",
+         "--emit-curve", "curve.csv"),
     ]
     return cmds
 

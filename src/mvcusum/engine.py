@@ -10,7 +10,7 @@ quadratic form against the sup of a sum of squared Brownian bridges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,28 +33,39 @@ __all__ = [
     "test",
 ]
 
-# curve rows per pass of `cusum` and `quadform`, which bounds their temporaries
+# curve rows per block, in `cusum` and in every reader: it bounds their temporaries
 _CURVE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
 class CusumCurve:
-    """Running-sum curve on the grid k/N: row k of ``s_tilde`` is the scaled
-    partial-sum deviation at t = k/N; ``q`` (once filled) is its quadratic
-    form under the inverse long-run covariance."""
+    """Running-sum curve on the grid k/N, kept as what forms it: row k is
+    (N*P_k - k*P_N) / (N*sqrt(N)), where P_k sums the first k rows of
+    ``X - X[0]``.  `blocks` forms it block by block, all but the last block
+    (``tail``, formed by `cusum`) anew; ``q`` (once filled) is its quadratic
+    form under the inverse long-run covariance, the only full-length array."""
 
-    s_tilde: np.ndarray
+    X: np.ndarray
+    P_N: np.ndarray
+    tail: np.ndarray
     q: np.ndarray | None
     N: int
 
     def __post_init__(self):
-        _frozen(self.s_tilde)
-        if self.q is not None:
-            _frozen(self.q)
+        for a in (self.X, self.P_N, self.tail, self.q):
+            if a is not None:
+                _frozen(a)
 
     @property
     def d(self) -> int:
-        return self.s_tilde.shape[1]
+        return self.X.shape[1]
+
+    def blocks(self):
+        """Yield ``(lo, rows lo..lo+len-1 of the curve)`` block by block."""
+        lo_tail = self.N + 1 - len(self.tail)
+        for lo, P in _partial_sums(self.X, lo_tail):
+            yield lo, _scaled(P, lo, self.P_N, self.N)
+        yield lo_tail, self.tail
 
 
 @dataclass(frozen=True)
@@ -95,28 +106,48 @@ class ExtremaScan:
     min_prominence: float
 
 
+def _partial_sums(X: np.ndarray, stop: int):
+    """Yield ``(lo, P[lo:lo + _CURVE_CHUNK])`` for lo < ``stop``, where row k
+    of P sums the first k rows of ``X - X[0]``.  Each block's cumsum starts
+    from the last row of the one before, added into its first row, so every
+    sum is formed in the order of one cumsum over all of P."""
+    carry = np.zeros(X.shape[1])
+    for lo in range(0, stop, _CURVE_CHUNK):
+        P = np.zeros((min(_CURVE_CHUNK, len(X) + 1 - lo), X.shape[1]))
+        first = int(lo == 0)  # row 0 of P is zero
+        np.subtract(X[lo + first - 1 : lo + len(P) - 1], X[0], out=P[first:])
+        P[0] += carry
+        np.cumsum(P, axis=0, out=P)
+        carry = P[-1].copy()
+        yield lo, P
+
+
+def _scaled(P: np.ndarray, lo: int, P_N: np.ndarray, N: int) -> np.ndarray:
+    """Curve rows lo.. from the partial sums ``P`` of those rows, in place."""
+    P *= N
+    P -= np.arange(lo, lo + len(P), dtype=float)[:, None] * P_N
+    P /= N * math.sqrt(N)
+    return P
+
+
 def cusum(series: MultivariateSeries) -> CusumCurve:
     """Scaled partial-sum deviation curve on the grid t = k/N.
 
     The first observation is subtracted from every row before accumulating —
     mathematically a no-op for this curve, but it makes a constant series
     cancel to exact zeros for any constant, and the integer form
-    (N*P_k - k*P_N) / (N*sqrt(N)) keeps both endpoints exactly zero.  It is
-    evaluated in place in the curve's own array, k*P_N one chunk at a time.
+    (N*P_k - k*P_N) / (N*sqrt(N)) keeps both endpoints exactly zero.  One
+    pass over the series finds P_N; only its last block is kept, as the
+    curve's ``tail``.
     """
     X = series.values
-    N, d = X.shape
+    N = len(X)
     if N < 2:
         raise TooShort(f"need at least 2 observations, got {N}")
-    s = np.zeros((N + 1, d))
-    np.cumsum(np.subtract(X, X[0], out=s[1:]), axis=0, out=s[1:])
-    P_N = s[N].copy()  # k*P_N reads the row before the scaling by N
-    s *= N
-    for lo in range(0, N + 1, _CURVE_CHUNK):
-        k = np.arange(lo, min(lo + _CURVE_CHUNK, N + 1), dtype=float)
-        s[lo : lo + _CURVE_CHUNK] -= k[:, None] * P_N
-    s /= N * math.sqrt(N)
-    return CusumCurve(s_tilde=s, q=None, N=N)
+    for lo, P in _partial_sums(X, N + 1):
+        pass
+    P_N = P[-1].copy()  # k*P_N reads the row before the scaling by N
+    return CusumCurve(X=X, P_N=P_N, tail=_scaled(P, lo, P_N, N), q=None, N=N)
 
 
 def quadform(curve: CusumCurve, sigma: LongRunCovariance) -> CusumCurve:
@@ -125,9 +156,8 @@ def quadform(curve: CusumCurve, sigma: LongRunCovariance) -> CusumCurve:
     Evaluated through the Cholesky factor of the inverse (one without a
     factor raises DomainError) so every value is a sum of squares —
     nonnegative by construction, with exact zeros at the exactly-zero
-    endpoint rows.  The factored rows are formed ``_CURVE_CHUNK`` at a time.
+    endpoint rows.  The factored rows are formed one curve block at a time.
     """
-    s = curve.s_tilde
     if sigma.sigma.shape[0] != curve.d:
         raise DimensionMismatch(
             f"covariance is {sigma.sigma.shape[0]}-dimensional, curve is {curve.d}"
@@ -136,11 +166,12 @@ def quadform(curve: CusumCurve, sigma: LongRunCovariance) -> CusumCurve:
         G = np.linalg.cholesky(sigma.sigma_inv)
     except np.linalg.LinAlgError:
         raise DomainError("sigma_inv must be positive definite") from None
-    q = np.empty(len(s))
-    for lo in range(0, len(s), _CURVE_CHUNK):
-        Y = s[lo : lo + _CURVE_CHUNK] @ G
-        q[lo : lo + _CURVE_CHUNK] = np.einsum("kd,kd->k", Y, Y)
-    return CusumCurve(s_tilde=s, q=q, N=curve.N)
+    q = np.empty(curve.N + 1)
+    for lo, s in curve.blocks():
+        Y = s @ G
+        q[lo : lo + len(Y)] = np.einsum("kd,kd->k", Y, Y)
+        del Y  # free before the next block is formed
+    return replace(curve, q=q)
 
 
 def test(
@@ -213,10 +244,12 @@ def estimate_changepoint(
     if method == "norm_argmax":
         # scaled exactly, by a power of two, so that the largest entry is in
         # [0.5, 1): no square overflows, and none that counts underflows
-        s = curve.s_tilde
-        e = np.frexp(np.abs(s).max())[1]
-        with np.errstate(over="ignore"):
-            values = np.ldexp(np.linalg.norm(np.ldexp(s, -e), axis=1), e)
+        e = np.frexp(np.max([np.abs(s).max() for _, s in curve.blocks()]))[1]
+        values = np.empty(N + 1)
+        for lo, s in curve.blocks():
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(np.ldexp(s, -e), axis=1)
+                values[lo : lo + len(s)] = np.ldexp(norms, e)
         if not np.all(np.isfinite(values)):
             raise DomainError("curve norm is not finite; input values are too large")
     elif method == "quadform_argmax":
@@ -233,9 +266,18 @@ def estimate_changepoint(
 
 
 def _smooth(q: np.ndarray, window: int) -> np.ndarray:
-    pad = window // 2
-    padded = np.pad(q, pad, mode="reflect")
-    return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
+    """Centered moving average of odd width ``window`` <= len(q), q reflected
+    at each end: ``np.convolve(np.pad(q, window // 2, mode="reflect"), ...)``
+    bit for bit, each block of outputs from its own reflect-padded slice."""
+    pad, n = window // 2, len(q)
+    kernel = np.full(window, 1.0 / window)
+    sm = np.empty(n)
+    for lo in range(0, n, _CURVE_CHUNK):
+        hi = min(lo + _CURVE_CHUNK, n)
+        a, b = max(lo - pad, 0), min(hi + pad, n)
+        part = np.pad(q[a:b], (a - lo + pad, hi + pad - b), mode="reflect")
+        sm[lo:hi] = np.convolve(part, kernel, mode="valid")
+    return sm
 
 
 def _peaks(x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
@@ -314,17 +356,11 @@ def scan_extrema(
         raise DomainError(f"prominence floor must be >= 0, got {min_prominence}")
     lo, hi = _interior_bounds(N, trim)
     found = []
-    for kind in ("max", "min"):
-        for i, p in zip(*_peaks(sm if kind == "max" else -sm, min_prominence)):
+    for kind, sign in (("max", 1.0), ("min", -1.0)):
+        for i, p in zip(*_peaks(sm, min_prominence)):
             if lo <= i <= hi:
-                found.append(
-                    Extremum(
-                        index=int(i),
-                        value=float(sm[i]),
-                        kind=kind,
-                        prominence=float(p),
-                    )
-                )
+                found.append(Extremum(int(i), sign * float(sm[i]), kind, float(p)))
+        np.negative(sm, out=sm)  # the min pass reads the peaks of -sm
     found.sort(key=lambda e: e.index)
     return ExtremaScan(
         extrema=tuple(found),
@@ -336,12 +372,15 @@ def scan_extrema(
 def export_curve_csv(curve: CusumCurve, path) -> None:
     """Write the curve to CSV: k, t = k/N, q, q/N (the plotting scale of the
     argmax estimator), then the curve components s_0..s_{d-1}."""
-    q = _q(curve)
-    N = curve.N
-    k = np.arange(N + 1, dtype=np.float64)  # %.17g prints whole floats as integers
+    q, N = _q(curve), curve.N
+
+    def rows():
+        for lo, s in curve.blocks():
+            k = np.arange(lo, lo + len(s), dtype=np.float64)  # %.17g prints 3.0 as 3
+            q_k = q[lo : lo + len(s)]
+            yield [k, k / N, q_k, q_k / N, s]
+
     _write_table(
-        path,
-        ["k", "t", "q", "q_over_n"] + [f"s_{i}" for i in range(curve.d)],
-        [k, k / N, q, q / N, curve.s_tilde],
+        path, ["k", "t", "q", "q_over_n"] + [f"s_{i}" for i in range(curve.d)], rows()
     )
 

@@ -297,7 +297,7 @@ def write_grid_outputs(grid: ExperimentGrid, rows, output_dir) -> None:
         _write_table(
             out / f"{root}_{row.cell_id}.csv",
             ["t_hat"],
-            [np.array(row.estimates, np.float64)],
+            [[np.array(row.estimates, np.float64)]],
         )
 
     completed = sum(1 for row in rows if not row.failures)

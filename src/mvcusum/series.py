@@ -241,10 +241,10 @@ def _parse_cells(path, skip_rows, columns, usecols):
 _CHUNK_ROWS = 10_000
 
 
-def _write_table(path, header, columns) -> None:
-    """Write a CSV table: the header, then the rows of ``columns`` (1-D or
-    2-D float arrays of equal length, side by side) at 17 significant digits,
-    so a reload round-trips every value exactly.
+def _write_table(path, header, blocks) -> None:
+    """Write a CSV table: the header, then the rows of each block (a list of
+    1-D or 2-D float arrays of equal length, side by side) at 17 significant
+    digits, so a reload round-trips every value exactly.
 
     The header goes through csv.writer, for its quoting and line ends.
     Floats never need quoting, so the rows are formatted a chunk at a time;
@@ -252,18 +252,19 @@ def _write_table(path, header, columns) -> None:
     made."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-            chunk = np.column_stack([c[lo:lo + _CHUNK_ROWS] for c in columns])
-            rows, width = chunk.shape
-            line = ",".join(["%.17g"] * width) + "\r\n"
-            fh.write((line * rows) % tuple(chunk.ravel().tolist()))
+        for columns in blocks:
+            for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+                chunk = np.column_stack([c[lo:lo + _CHUNK_ROWS] for c in columns])
+                rows, width = chunk.shape
+                line = ",".join(["%.17g"] * width) + "\r\n"
+                fh.write((line * rows) % tuple(chunk.ravel().tolist()))
 
 
 def write_csv(series: MultivariateSeries, path) -> None:
     """Write a series as CSV with full float precision (17 significant
     digits), so a subsequent load_csv round-trips the values exactly."""
     labels = tuple(series.labels or (f"x{j}" for j in range(series.d)))
-    _write_table(path, labels, [series.values])
+    _write_table(path, labels, [[series.values]])
 
 
 def center(series: MultivariateSeries) -> MultivariateSeries:

@@ -222,4 +222,4 @@ def export_spectrum_csv(path, omegas, matrices) -> None:
         for q in range(d):
             header += [f"re_{p}_{q}", f"im_{p}_{q}"]
     reim = np.stack([f.real, f.imag], -1).reshape(n, -1)
-    _write_table(path, header, [np.asarray(omegas, np.float64), reim])
+    _write_table(path, header, [[np.asarray(omegas, np.float64), reim]])

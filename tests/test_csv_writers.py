@@ -61,8 +61,9 @@ def test_export_curve_csv_bytes_match_reference(tmp_path):
     export_curve_csv(curve, tmp_path / "new.csv")
 
     N, q = curve.N, curve.q
+    s = np.concatenate([block for _, block in curve.blocks()])
     rows = [
-        [str(k), _g(k / N), _g(q[k]), _g(q[k] / N)] + [_g(v) for v in curve.s_tilde[k]]
+        [str(k), _g(k / N), _g(q[k]), _g(q[k] / N)] + [_g(v) for v in s[k]]
         for k in range(N + 1)
     ]
     _reference_csv(tmp_path / "ref.csv", ["k", "t", "q", "q_over_n", "s_0", "s_1"], rows)

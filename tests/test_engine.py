@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mvcusum import cli, engine
+from mvcusum import cli, engine, series
 from mvcusum.critical import CriticalEntry, CriticalValueTable
 from mvcusum.engine import (
     ChangePointEstimate,
-    CusumCurve,
     cusum,
     estimate_changepoint,
     export_curve_csv,
@@ -39,6 +39,11 @@ def naive_cusum(X):
     return rows
 
 
+def curve_rows(curve):
+    """The whole curve, stacked from the blocks its readers form it in."""
+    return np.concatenate([s for _, s in curve.blocks()])
+
+
 def manual_lr(sigma):
     """LongRunCovariance built from an exact matrix (no estimation)."""
     sigma = np.asarray(sigma, dtype=float)
@@ -63,14 +68,15 @@ def fake_table(d, alpha, value):
 def test_cusum_hand_value():
     c = cusum(MultivariateSeries(np.array([[1.0], [-1.0]])))
     assert c.N == 2
-    assert c.s_tilde[1, 0] == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+    assert curve_rows(c)[1, 0] == pytest.approx(1 / math.sqrt(2), rel=1e-15)
 
 
 def test_cusum_endpoints_exact_zero():
     rng = np.random.default_rng(0)
     c = cusum(MultivariateSeries(rng.normal(size=(37, 3)) * 100))
-    assert np.all(c.s_tilde[0] == 0.0)
-    assert np.all(c.s_tilde[-1] == 0.0)
+    s = curve_rows(c)
+    assert np.all(s[0] == 0.0)
+    assert np.all(s[-1] == 0.0)
 
 
 @given(
@@ -81,7 +87,7 @@ def test_cusum_endpoints_exact_zero():
 @settings(max_examples=150, deadline=None)
 def test_cusum_constant_series_exactly_zero(c, N, d):
     curve = cusum(MultivariateSeries(np.full((N, d), c)))
-    assert np.all(curve.s_tilde == 0.0)
+    assert np.all(curve_rows(curve) == 0.0)
 
 
 @pytest.mark.parametrize("T,d", [(10, 1), (200, 3), (33, 2)])
@@ -89,7 +95,7 @@ def test_cusum_matches_naive_oracle(T, d):
     rng = np.random.default_rng(T + d)
     X = rng.normal(size=(T, d)) * 5
     c = cusum(MultivariateSeries(X))
-    np.testing.assert_allclose(c.s_tilde, naive_cusum(X), atol=1e-10)
+    np.testing.assert_allclose(curve_rows(c), naive_cusum(X), atol=1e-10)
 
 
 @given(
@@ -107,7 +113,7 @@ def test_cusum_integer_shift_invariance_bitwise(Xint, c):
     X = Xint.astype(float)
     a = cusum(MultivariateSeries(X))
     b = cusum(MultivariateSeries(X + float(c)))
-    np.testing.assert_array_equal(a.s_tilde, b.s_tilde)
+    np.testing.assert_array_equal(curve_rows(a), curve_rows(b))
 
 
 def test_cusum_dyadic_shift_invariance_bitwise():
@@ -116,7 +122,7 @@ def test_cusum_dyadic_shift_invariance_bitwise():
     for c in (0.5, -3.25, 1024.125):
         a = cusum(MultivariateSeries(X))
         b = cusum(MultivariateSeries(X + c))
-        np.testing.assert_array_equal(a.s_tilde, b.s_tilde)
+        np.testing.assert_array_equal(curve_rows(a), curve_rows(b))
 
 
 def test_cusum_float_shift_invariance_tolerance():
@@ -124,7 +130,7 @@ def test_cusum_float_shift_invariance_tolerance():
     X = rng.normal(size=(100, 2))
     a = cusum(MultivariateSeries(X))
     b = cusum(MultivariateSeries(X + math.pi))
-    np.testing.assert_allclose(a.s_tilde, b.s_tilde, atol=1e-12)
+    np.testing.assert_allclose(curve_rows(a), curve_rows(b), atol=1e-12)
 
 
 def test_cusum_too_short():
@@ -142,10 +148,10 @@ def test_quadform_zero_curve():
 
 
 def test_quadform_scalar_hand_value():
-    # d=1, sigma=2, s_tilde=3 everywhere inside -> q = 9/2
-    s = np.full((5, 1), 3.0)
-    s[0] = s[-1] = 0.0
-    curve = CusumCurve(s_tilde=s, q=None, N=4)
+    # d=1, sigma=2, curve 3 everywhere inside -> q = 9/2; the steps at
+    # both ends of this series give that curve exactly
+    curve = cusum(MultivariateSeries(np.array([6.0, 0.0, 0.0, -6.0])))
+    assert curve_rows(curve)[:, 0].tolist() == [0.0, 3.0, 3.0, 3.0, 0.0]
     out = quadform(curve, manual_lr([[2.0]]))
     np.testing.assert_allclose(out.q[1:-1], 4.5, rtol=1e-15)
     assert out.q[0] == 0.0 and out.q[-1] == 0.0
@@ -165,7 +171,8 @@ def test_quadform_nonnegative_and_matches_inverse_oracle():
     lr = manual_lr(sigma)
     out = quadform(c, lr)
     assert out.q.min() >= 0.0
-    oracle = np.einsum("kd,de,ke->k", c.s_tilde, np.linalg.inv(sigma), c.s_tilde)
+    s = curve_rows(c)
+    oracle = np.einsum("kd,de,ke->k", s, np.linalg.inv(sigma), s)
     np.testing.assert_allclose(out.q, oracle, rtol=1e-9, atol=1e-12)
 
 
@@ -183,7 +190,7 @@ def test_quadform_inverse_without_cholesky_factor_is_domain_error():
 def test_quadform_keeps_s_tilde():
     c = cusum(MultivariateSeries(np.random.default_rng(3).normal(size=(20, 2))))
     out = quadform(c, manual_lr(np.eye(2)))
-    np.testing.assert_array_equal(out.s_tilde, c.s_tilde)
+    np.testing.assert_array_equal(curve_rows(out), curve_rows(c))
     assert out.N == c.N
 
 
@@ -210,10 +217,29 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("N", [16, 65_535, 65_536, 65_537, 1_000_000])
+def whole_array_norm_argmax(s):
+    """The norm_argmax estimate with the norms of the whole curve at once."""
+    e = np.frexp(np.abs(s).max())[1]
+    values = np.ldexp(np.linalg.norm(np.ldexp(s, -e), axis=1), e)
+    k = 1 + int(np.argmax(values[1:-1]))
+    return k, float(values[k])
+
+
+def whole_array_export(path, s, q):
+    """The curve CSV with every column a whole-array expression."""
+    N = len(q) - 1
+    k = np.arange(N + 1, dtype=np.float64)
+    header = ["k", "t", "q", "q_over_n"] + [f"s_{i}" for i in range(s.shape[1])]
+    series._write_table(path, header, [[k, k / N, q, q / N, s]])
+
+
+@pytest.mark.parametrize("N", [16, 65_535, 65_536, 65_537, 131_073, 1_000_000])
 @pytest.mark.parametrize("d", [1, 2, 5, 10])
-def test_curve_and_q_bit_identical_to_whole_array_formulas(N, d):
-    # chunk edges at 65,536 rows fall inside, on and just past the curve
+def test_curve_and_q_bit_identical_to_whole_array_formulas(N, d, tmp_path):
+    # block edges at 65,536 rows fall inside, on and just past the curve;
+    # at N = 131,073 the last of three blocks has 2 rows.  Every reader
+    # forms the curve block by block, and each must give the bits of the
+    # whole-array formulas.
     rng = np.random.default_rng(N + d)
     X = rng.normal(size=(N, d)) + 3.0
     X[N // 2 :] -= 0.5
@@ -221,20 +247,45 @@ def test_curve_and_q_bit_identical_to_whole_array_formulas(N, d):
     lr = manual_lr(A @ A.T + 0.5 * np.eye(d))
     curve = quadform(cusum(MultivariateSeries(X)), lr)
     s = whole_array_cusum(X)
-    assert_same_bits(curve.s_tilde, s)
-    assert_same_bits(curve.q, whole_array_q(s, lr.sigma_inv))
+    assert_same_bits(curve_rows(curve), s)
+    q = whole_array_q(s, lr.sigma_inv)
+    assert_same_bits(curve.q, q)
+    e = estimate_changepoint(curve, method="norm_argmax")
+    assert (e.t_hat, e.curve_value) == whole_array_norm_argmax(s)
+    if N < 1_000_000:  # the %.17g writer takes seconds at 1e6 rows
+        export_curve_csv(curve, tmp_path / "blocks.csv")
+        whole_array_export(tmp_path / "whole.csv", s, q)
+        assert (tmp_path / "blocks.csv").read_bytes() == (
+            tmp_path / "whole.csv").read_bytes()
 
 
-def test_cusum_peak_memory_is_the_curve():
-    # the curve is built in its own array; the k*P_N term needs one chunk
-    s = MultivariateSeries(np.random.default_rng(19).normal(size=(1_000_000, 5)))
+def traced_peak(f, *args):
+    """The result of ``f(*args)`` and the tracemalloc peak of the call."""
     tracemalloc.start()
     try:
-        curve = cusum(s)
+        out = f(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.2 * curve.s_tilde.nbytes
+    return out, peak
+
+
+def test_cusum_peak_memory_is_the_curve():
+    # one pass over the series keeps a carry row and the last block; the
+    # bound is the size of the whole curve, (N + 1) * d float64 values
+    N, d = 1_000_000, 5
+    s = MultivariateSeries(np.random.default_rng(19).normal(size=(N, d)))
+    _, peak = traced_peak(cusum, s)
+    assert peak < 1.2 * (N + 1) * d * 8
+
+
+def test_cusum_and_quadform_peak_memory_is_q_and_blocks():
+    # the curve is never whole: q (1/5 of the series here) is the only array
+    # as long as it, the rest is a few 65,536-row blocks
+    s = MultivariateSeries(np.random.default_rng(19).normal(size=(1_000_000, 5)))
+    lr = manual_lr(np.eye(5))
+    _, peak = traced_peak(lambda: quadform(cusum(s), lr))
+    assert peak < 0.5 * s.values.nbytes
 
 
 # ---------------------------------------------------------------- test()
@@ -277,7 +328,8 @@ def test_test_statistic_is_sup_of_quadform():
     assert res.curve.q.max() == res.statistic
     np.testing.assert_array_equal(res.curve.q, curve.q)
     assert not res.curve.q.flags.writeable
-    assert not res.curve.s_tilde.flags.writeable
+    assert not res.curve.P_N.flags.writeable
+    assert not res.curve.tail.flags.writeable
 
 
 def test_test_bandwidth_passthrough():
@@ -299,6 +351,30 @@ def test_test_statistic_detects_big_shift():
         MultivariateSeries(rng.normal(size=(400, 2))), 0.05, fake_table(2, 0.05, 2.0)
     )
     assert res.statistic > null.statistic
+
+
+def power_cap(tau, h):
+    """The limit of the statistic as a single shift at fraction tau grows
+    (d = 1): the shift's own periodogram mass in the 2h+1 ordinates of the
+    covariance estimate grows with it."""
+    j = np.arange(1, h + 1)
+    leak = np.sum(np.sin(math.pi * j * tau) ** 2 / j**2)
+    return math.pi**2 * (2 * h + 1) * tau**2 * (1 - tau) ** 2 / (2 * leak)
+
+
+@pytest.mark.parametrize("tau", [0.2, 0.5, 0.7])
+@pytest.mark.parametrize("h", [9, 20])
+def test_statistic_at_a_large_shift_is_the_power_cap(tau, h):
+    # N(0, 1) noise plus a shift of 100 at tau*T, T = 8000.  With this
+    # series at seeds 0-19, tau in {0.1, 0.2, 0.3, 0.5, 0.7} and h in
+    # {5, 9, 20}, the largest gap between the statistic and the cap was
+    # 0.0031 (0.08% of its cap); 0.005 is that gap with room to spare, and
+    # under 0.2% of every cap tested here
+    T = 8000
+    x = np.random.default_rng(0).standard_normal(T)
+    x[int(tau * T) :] += 100.0
+    res = engine.test(MultivariateSeries(x), 0.05, fake_table(1, 0.05, 2.0), h=h)
+    assert res.statistic == pytest.approx(power_cap(tau, h), abs=0.005)
 
 
 # ---------------------------------------------------------------- estimators
@@ -336,14 +412,18 @@ def test_estimate_norm_overflow_is_domain_error():
     x = np.random.default_rng(3).normal(size=(200, 3))
     finite = cusum(MultivariateSeries(x))
     e = estimate_changepoint(finite, method="norm_argmax")
-    assert e.curve_value == np.linalg.norm(finite.s_tilde, axis=1)[e.t_hat]
-    # every entry is finite, but no interior row has a representable norm
-    s = np.zeros((201, 3))
-    s[1:200] = 1.5e308
-    huge = CusumCurve(s_tilde=s, q=None, N=200)
-    s = finite.s_tilde.copy()
-    s[7, 1] = np.inf
-    for bad in (huge, CusumCurve(s_tilde=s, q=None, N=200)):
+    assert e.curve_value == np.linalg.norm(curve_rows(finite), axis=1)[e.t_hat]
+    # every entry is finite, but the interior row k = 2 has no representable
+    # norm: its 64 entries are each 3a / sqrt(27), about 2.9e307
+    a = 5e307
+    huge = cusum(MultivariateSeries(np.outer([0.0, a, -a], np.ones(64))))
+    assert np.all(np.isfinite(curve_rows(huge)))
+    # a value near the top of the range makes the curve overflow
+    x[7, 1] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        vast = cusum(MultivariateSeries(x))
+        assert not np.all(np.isfinite(curve_rows(vast)))
+    for bad in (huge, vast):
         with pytest.raises(DomainError, match=r"^curve norm is not finite; "
                                               r"input values are too large$"):
             estimate_changepoint(bad, method="norm_argmax")
@@ -357,7 +437,7 @@ def test_estimate_norm_argmax_is_scale_safe():
         N, d = int(rng.integers(3, 3000)), int(rng.integers(1, 8))
         x = rng.normal(size=(N, d)) * 10.0 ** rng.uniform(-30, 30)
         c = cusum(MultivariateSeries(x))
-        want = np.linalg.norm(c.s_tilde, axis=1)
+        want = np.linalg.norm(curve_rows(c), axis=1)
         e = estimate_changepoint(c, method="norm_argmax")
         assert e.t_hat == 1 + int(np.argmax(want[1:N]))
         assert e.curve_value == want[e.t_hat]
@@ -395,7 +475,7 @@ def test_estimate_norm_curve_value_is_norm():
     e = estimate_changepoint(cusum(MultivariateSeries(x)), method="norm_argmax")
     c = cusum(MultivariateSeries(x))
     assert e.curve_value == pytest.approx(
-        np.linalg.norm(c.s_tilde[e.t_hat]), rel=1e-15
+        np.linalg.norm(curve_rows(c)[e.t_hat]), rel=1e-15
     )
 
 
@@ -494,7 +574,7 @@ def test_scan_two_shifts_two_maxima_one_min():
 
 def test_scan_monotone_ramp_empty():
     q = np.linspace(0.0, 3.0, 101)
-    curve = CusumCurve(s_tilde=np.zeros((101, 1)), q=q, N=100)
+    curve = replace(cusum(MultivariateSeries(np.zeros(100))), q=q)
     scan = scan_extrema(curve, smoothing_window=5, min_prominence=0.1)
     assert scan.extrema == ()
 
@@ -525,6 +605,75 @@ def test_scan_prominence_filter():
     # a harsh prominence threshold suppresses everything
     scan = _scanned(_two_shift_series(), min_prominence=1e9)
     assert scan.extrema == ()
+
+
+def padded_smooth(q, window):
+    """The moving average through one reflect-padded copy of all of q."""
+    pad = window // 2
+    kernel = np.full(window, 1.0 / window)
+    return np.convolve(np.pad(q, pad, mode="reflect"), kernel, mode="valid")
+
+
+def padded_scan_extrema(q, window, floor):
+    """(index, value, kind, prominence) of every extremum of the padded
+    oracle's average, the min pass on a negated copy."""
+    sm = padded_smooth(q, window)
+    found = [(int(i), float(sm[i]), kind, float(p))
+             for x, kind in ((sm, "max"), (-sm, "min"))
+             for i, p in zip(*engine._peaks(x, floor))]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 41, 64])
+def test_smooth_bit_identical_to_padded_oracle_every_window(n):
+    q = np.random.default_rng(n).random(n) * 7.0
+    for w in range(1, n + 1, 2):
+        assert_same_bits(engine._smooth(q, w), padded_smooth(q, w))
+
+
+@pytest.mark.parametrize("n", [65_536, 65_537, 65_538, 131_073, 200_001])
+def test_smooth_bit_identical_to_padded_oracle_at_block_edges(n):
+    # each 65,536-row block of outputs reads its own padded slice; the
+    # windows cross every block edge, and at n = 65,537 the last block is
+    # one output whose window reaches back into the block before
+    q = np.cumsum(np.random.default_rng(n).standard_normal(n)) ** 2
+    for w in (1, 3, 5, 9, 31, 63, 1025):
+        assert_same_bits(engine._smooth(q, w), padded_smooth(q, w))
+
+
+def test_scan_matches_padded_oracle_every_window():
+    curve = quadform(cusum(_two_shift_series(40)), manual_lr([[1.0]]))
+    for w in range(1, len(curve.q) + 1, 2):
+        scan = scan_extrema(curve, smoothing_window=w)
+        got = [(e.index, e.value, e.kind, e.prominence) for e in scan.extrema]
+        assert got == padded_scan_extrema(curve.q, w, scan.min_prominence)
+
+
+def test_scan_matches_padded_oracle_across_blocks():
+    T = 131_073
+    x = np.random.default_rng(37).standard_normal((T, 2))
+    x[T // 3 :] += 0.05
+    x[2 * T // 3 :] -= 0.1
+    curve = quadform(cusum(MultivariateSeries(x)), manual_lr(np.eye(2)))
+    for w, floor in ((None, None), (1, 0.0), (63, 0.0)):
+        scan = scan_extrema(curve, smoothing_window=w, min_prominence=floor)
+        got = [(e.index, e.value, e.kind, e.prominence) for e in scan.extrema]
+        want = padded_scan_extrema(curve.q, scan.smoothing_window,
+                                   scan.min_prominence)
+        assert got == want and len(got) > 0
+
+
+def test_scan_peak_memory_is_one_smoothed_copy():
+    # the smoothed curve and the peak finder's temporaries (about 1.5 times
+    # q's bytes); a padded copy of q and a negated copy of the smoothed one
+    # would add 2 more
+    T = 1_000_000
+    x = np.random.default_rng(29).standard_normal((T, 1))
+    x[T // 3 :] += 0.05
+    x[2 * T // 3 :] -= 0.1
+    curve = quadform(cusum(MultivariateSeries(x)), manual_lr([[1.0]]))
+    _, peak = traced_peak(scan_extrema, curve)
+    assert peak < 2.0 * curve.q.nbytes
 
 
 # ---------------------------------------------------------------- peak helper
@@ -634,7 +783,7 @@ def test_curve_export_csv(tmp_path):
     assert float(row5[1]) == pytest.approx(5 / 12)
     assert float(row5[2]) == pytest.approx(curve.q[5], rel=1e-15)
     assert float(row5[3]) == pytest.approx(curve.q[5] / 12, rel=1e-12)
-    assert float(row5[4]) == pytest.approx(curve.s_tilde[5, 0], rel=1e-15)
+    assert float(row5[4]) == pytest.approx(curve_rows(curve)[5, 0], rel=1e-15)
 
 
 def test_curve_export_requires_q(tmp_path):
