@@ -77,6 +77,16 @@ Commands [0-152] are the sets above. Then, on that input, ``estimate
 time, ends in a block of 2 rows for the norm, the pilot, the quadratic
 form, the scan and the export alike.
 
+Commands [0-154] are the sets above. ``detect --two-pass`` is now a usage
+error (exit 2, nothing written), so the 11 commands above that pass it
+check that error. Then each of those 11 without ``--two-pass``, where that
+twin is not in the list already: ``detect --scan`` and ``detect --method
+norm_argmax --trim 0.1 --emit-curve`` on the 1e5 x 5 and 16 x 3 inputs,
+``detect --skip-rows 1 --transform diff`` on the CRLF input, and ``detect
+--method norm_argmax`` on the 2-row, 1e-160, 1e154 and 1e160 inputs, with
+``--scan`` on the dated input and ``--scan --emit-curve`` on the 65,537 x 3
+input.
+
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
 
@@ -405,6 +415,11 @@ def commands():
         ("detect", chunk, "--two-pass", "--method", "norm_argmax", "--scan",
          "--emit-curve", "curve.csv"),
     ]
+    # beyond the 155 above: each --two-pass command without that flag, where
+    # that twin is not in the list already
+    twins = [tuple(a for a in cmd if a != "--two-pass") for cmd in cmds
+             if "--two-pass" in cmd]
+    cmds += [twin for twin in twins if twin not in cmds]
     return cmds
 
 

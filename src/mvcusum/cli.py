@@ -216,30 +216,6 @@ def cmd_spectrum(args) -> int:
 # -------------------------------------------------------------------- detect
 
 
-def _estimate(series, curve, method, trim, h):
-    """The change-point estimate on ``curve``, the ``cusum(series)`` curve.
-    Only ``quadform_argmax`` reads the long-run covariance and the
-    quadratic form, so only it builds them."""
-    if method == "quadform_argmax":
-        curve = engine.quadform(curve, long_run_covariance(series, h))
-    return engine.estimate_changepoint(curve, method=method, trim=trim)
-
-
-def _two_pass_sigma(series, method, trim, h):
-    """Pilot estimate (on the first-pass covariance for quadform_argmax),
-    then re-estimate the long-run covariance after demeaning each segment
-    at the pilot break.
-    Also returns the unstudentized curve, for the test to studentize under
-    the re-estimated covariance."""
-    curve = engine.cusum(series)
-    pilot = _estimate(series, curve, method, trim, h)
-    x = series.values.copy()
-    k = pilot.t_hat
-    x[:k] -= x[:k].mean(axis=0)
-    x[k:] -= x[k:].mean(axis=0)
-    return long_run_covariance(MultivariateSeries(x, _fresh=True), h), pilot, curve
-
-
 def _print_test(result) -> None:
     print(f"statistic={_fmt(result.statistic)}")
     print(f"critical_value={_fmt(result.critical_value)}")
@@ -269,13 +245,7 @@ def cmd_detect(args) -> int:
     _check_inputs(args.input, args.table)
     table = _load_table(args.table)
     series = _load_input(args)
-
-    sigma = pilot = curve = None
-    if args.two_pass:
-        sigma, pilot, curve = _two_pass_sigma(series, args.method, args.trim,
-                                              args.h)
-    result = engine.test(series, args.alpha, table, h=args.h, sigma=sigma,
-                         curve=curve)
+    result = engine.test(series, args.alpha, table, h=args.h)
     est = scan = None
     if result.reject:
         est = engine.estimate_changepoint(result.curve, method=args.method,
@@ -285,9 +255,6 @@ def cmd_detect(args) -> int:
                                    args.min_prominence, args.trim)
     curve_out = _write_curve(args, result.curve)
     _print_test(result)
-    if args.two_pass:
-        print("two_pass=true")
-        print(f"pilot_t_hat={pilot.t_hat}")
     if result.reject:
         _print_estimate(est)
     if args.scan:
@@ -301,10 +268,15 @@ def cmd_detect(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    """Only ``quadform_argmax`` reads the long-run covariance and the
+    quadratic form, so only it builds them."""
     _check_inputs(args.input)
     series = _load_input(args)
-    _print_estimate(_estimate(series, engine.cusum(series), args.method,
-                              args.trim, args.h))
+    curve = engine.cusum(series)
+    if args.method == "quadform_argmax":
+        curve = engine.quadform(curve, long_run_covariance(series, args.h))
+    _print_estimate(engine.estimate_changepoint(curve, method=args.method,
+                                                trim=args.trim))
     return 0
 
 
@@ -358,6 +330,8 @@ def cmd_bench(args) -> int:
             else load_shipped_grid(args.grid))
     _check_inputs(args.table)
     table = _load_table(args.table)
+    if args.threads < 1:
+        raise DomainError(f"thread cap must be >= 1, got {args.threads}")
     if args.reps is not None:
         if args.reps < 1:
             raise DomainError(f"replication override must be >= 1, got {args.reps}")
@@ -517,10 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--trim", type=float, default=0.0,
                      help="fraction of the grid excluded at each end for "
                           "estimates and scans (default: 0)")
-    det.add_argument("--two-pass", action="store_true",
-                     help="re-estimate the long-run covariance after "
-                          "demeaning the two segments at a pilot break "
-                          "(default: off)")
     det.add_argument("--scan", action="store_true",
                      help="also list local extrema of the test curve")
     det.add_argument("--emit-curve", default=None, metavar="FILE",

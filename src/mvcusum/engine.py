@@ -70,7 +70,8 @@ class CusumCurve:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of `test`.  ``curve`` is the studentized curve (q filled)
+    """Outcome of `test`.  ``sigma`` is the long-run covariance of the
+    whole series and ``curve`` the curve studentized by it (q filled),
     whose maximum is the statistic; the estimate, the scan and the curve
     export read it instead of rebuilding it."""
 
@@ -179,23 +180,21 @@ def test(
     alpha: float,
     cv: CriticalValueTable,
     h: int | None = None,
-    sigma: LongRunCovariance | None = None,
-    curve: CusumCurve | None = None,
 ) -> TestResult:
     """Mean-shift test: sup of the studentized quadratic form against the
     cached critical value for (d, alpha).
 
-    The critical value is looked up, never simulated here; a missing entry
-    raises MissingCriticalValue, whose message names the commands that add
-    it.  Propagates DegenerateSpectrum from covariance estimation.
-    ``sigma`` overrides the internally estimated long-run covariance — the
-    two-pass pipeline passes one estimated from segment-demeaned residuals,
-    together with ``curve``, the ``cusum(series)`` curve its pilot already
-    built, which is then studentized under ``sigma`` instead of rebuilt.
+    One long-run covariance of the whole series, at bandwidth ``h``,
+    studentizes the ``cusum(series)`` curve, so under the null the
+    statistic tends to the sup of a sum of d squared Brownian bridges, the
+    law the critical value comes from.  That value is looked up, never
+    simulated here; a missing entry raises MissingCriticalValue, whose
+    message names the commands that add it.  Propagates DegenerateSpectrum
+    from covariance estimation.
     """
     value = cv.lookup(series.d, alpha)
-    lr = long_run_covariance(series, h) if sigma is None else sigma
-    curve = quadform(cusum(series) if curve is None else curve, lr)
+    lr = long_run_covariance(series, h)
+    curve = quadform(cusum(series), lr)
     statistic = float(curve.q.max())
     return TestResult(
         statistic=statistic,

@@ -54,32 +54,45 @@ def _run_traced(tmp_path, *argv):
     return json.loads(spans_path.read_text())
 
 
+# run with --reps 2: two cells of two replications each, so run_cell and
+# long_run_covariance are called again and again in one process
+_GRID = ("name=tiny\nd=2\nT=64\nm=1\nreps=1\n\n"
+         "cell=h0\n\n"
+         "cell=shift\ndelta=1,1\nk_star=0.5\n")
+
+
 @pytest.mark.parametrize(
     "argv, out_mb",
     [
         (("spectrum", "in.csv"), ("spectral.dft",)),
-        (("detect", "in.csv", "--two-pass", "--scan"), ("spectral.dft",)),
+        (("bench", "tiny.grid", "--reps", "2"), ("spectral.dft",)),
         (("simulate", "--d", "2", "--T", "64", "--m", "1"), ("series.write_csv",)),
         (("detect", "in.csv", "--scan", "--emit-curve", "curve.csv"),
          ("spectral.dft", "engine.export_curve_csv")),
     ],
-    ids=["spectrum", "detect-two-pass-scan", "simulate", "detect-emit-curve"],
+    ids=["spectrum", "bench", "simulate", "detect-emit-curve"],
 )
 def test_traced_commands_run(tmp_path, argv, out_mb):
     rng = np.random.default_rng(3)
     x = rng.normal(size=(64, 2))
     x[32:] += 1.0
     write_csv(MultivariateSeries(x), tmp_path / "in.csv")
+    (tmp_path / "tiny.grid").write_text(_GRID)
     stats = {}
     for name, _, _, _, span_stats in _run_traced(tmp_path, *argv):
         stats.setdefault(name, []).append(span_stats)
     for name in out_mb:
         assert stats[name], name
         assert all("out_mb" in s for s in stats[name]), name
-    if argv[0] == "detect":
+    if argv[0] in ("detect", "bench"):
         lrcov = stats["spectral.long_run_covariance"]
         assert all("ordinate_ratio" in s for s in lrcov)
         assert any("peak_mb" in s for s in lrcov)
+    if argv[0] == "bench":
+        cells = stats["experiments.run_cell"]
+        assert len(cells) == 2
+        assert all("failed_reps" in s for s in cells)
+        assert len(stats["spectral.long_run_covariance"]) == 4
     if argv[0] == "spectrum":
         # one periodogram serves both the covariance and the exported grid
         assert len(stats["spectral.dft"]) == 1

@@ -461,11 +461,12 @@ def scaled_csv(tmp_path, scale):
 
 @pytest.mark.parametrize("argv", [("detect",), ("detect", "--scan"), ("scan",),
                                   ("spectrum",)])
-@pytest.mark.parametrize("scale", [1e-160, 1e154])
+@pytest.mark.parametrize("scale", [1e-160, 1e154, 1e160])
 def test_unrepresentable_covariance_is_degenerate(capsys, tmp_path, argv, scale):
     # at 1e-160 the estimate is subnormal and its inverse overflows; at 1e154
-    # the periodogram overflows. Neither may become a nan statistic, and the
-    # error line is all that reaches stderr: no numpy warning comes first.
+    # and 1e160 the periodogram overflows. None may become a nan statistic,
+    # and the error line is all that reaches stderr: no numpy warning comes
+    # first.
     path = scaled_csv(tmp_path, scale)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -491,22 +492,6 @@ def test_norm_estimate_at_1e160_is_the_unit_scale_estimate(capsys, tmp_path):
     assert kv_lines(out)["t_hat"] == kv_lines(unit)["t_hat"]
     assert float(kv_lines(out)["curve_value"]) / 1e160 == pytest.approx(
         float(kv_lines(unit)["curve_value"]), rel=1e-13)
-
-
-def test_norm_pilot_at_1e160_stops_at_the_covariance(capsys, tmp_path):
-    # the norm_argmax pilot of --two-pass succeeds; the long-run covariance
-    # of values this large is not finite, and that error line is all that
-    # reaches stderr
-    path = scaled_csv(tmp_path, 1e160)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc, out, err = run_cli(capsys, "detect", "--two-pass", "--method",
-                               "norm_argmax", path)
-    assert rc == 2
-    assert err == ("error: DegenerateSpectrum: long-run covariance is not "
-                   "finite; input values are too large\n")
-    assert [str(w.message) for w in caught] == []
-    assert out == ""
 
 
 # ----------------------------------------------------------------- detect
@@ -555,16 +540,14 @@ def test_detect_missing_critical_value_mentions_critval(capsys, tmp_path, ha_csv
     assert "critval" in err
 
 
-def test_detect_two_pass_reports_pilot(capsys, tmp_path, ha_csv, cv2_csv):
-    path, _, t_star = ha_csv
-    rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv,
-                         "--two-pass", "--output-dir", tmp_path)
-    assert rc == 0
-    lines = kv_lines(out)
-    assert lines["two_pass"] == "true"
-    assert abs(int(lines["pilot_t_hat"]) - t_star) <= 50
-    assert lines["reject"] == "true"
-    assert abs(int(lines["t_hat"]) - t_star) <= 50
+def test_detect_two_pass_is_a_usage_error(capsys, tmp_path, ha_csv):
+    # the flag is gone: a Σ̂ demeaned at a pilot break does not hold size
+    path, _, _ = ha_csv
+    rc, out, err = run_cli(capsys, "detect", path, "--two-pass")
+    assert rc == 2
+    assert out == ""
+    assert err == ("usage: mvcusum [-h] subcommand ...\n"
+                   "mvcusum: error: unrecognized arguments: --two-pass\n")
 
 
 def test_detect_emit_curve_writes_quadform_curve(capsys, tmp_path, ha_csv, cv2_csv):
@@ -606,40 +589,20 @@ def test_detect_builds_covariance_and_curve_once(capsys, tmp_path, monkeypatch,
     assert lines["reject"] == "true" and "t_hat" in lines
     assert "extrema_count" in lines and "curve" in lines
     assert calls == {"cusum": 1, "quadform": 1, "long_run_covariance": 1}
-    # --two-pass studentizes the pilot's curve again under the second
-    # covariance instead of rebuilding it
-    calls.clear()
-    rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv,
-                         "--two-pass", "--scan")
-    assert rc == 0
-    lines = kv_lines(out)
-    assert lines["two_pass"] == "true" and "extrema_count" in lines
-    assert calls == {"cusum": 1, "quadform": 2, "long_run_covariance": 2}
 
 
-def test_norm_pilot_builds_no_covariance_or_quadform(capsys, tmp_path,
-                                                   monkeypatch, ha_csv, cv2_csv):
-    # the norm_argmax pilot reads the cusum curve only: one covariance and
-    # one quadratic form are left, both the test's
+def test_norm_estimate_builds_no_covariance_or_quadform(capsys, tmp_path,
+                                                      monkeypatch, ha_csv):
+    # the norm_argmax estimate reads the cusum curve only
     path, _, _ = ha_csv
     calls = count_calls(monkeypatch)
-    rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv,
-                         "--two-pass", "--method", "norm_argmax")
-    assert rc == 0
-    lines = kv_lines(out)
-    assert lines["two_pass"] == "true" and lines["method"] == "norm_argmax"
-    assert calls == {"cusum": 1, "quadform": 1, "long_run_covariance": 1}
-    calls.clear()
     rc, out, _ = run_cli(capsys, "estimate", path, "--method", "norm_argmax")
     assert rc == 0
     assert calls == {"cusum": 1}
-    # so on a 2-row input the pilot fails as the estimate does
+    # so a 2-row input fails at the estimate's own length check, not at a
+    # covariance
     short = tmp_path / "short.csv"
     short.write_text("a,b\n1,2\n3,5\n")
-    rc, _, err = run_cli(capsys, "detect", short, "--two-pass", "--method",
-                         "norm_argmax")
-    assert rc == 2
-    assert err == "error: TooShort: need at least 3 observations, got 2\n"
     rc, _, err = run_cli(capsys, "estimate", short, "--method", "norm_argmax")
     assert rc == 2
     assert err == "error: TooShort: need at least 3 observations, got 2\n"
@@ -733,6 +696,11 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
           "--out", "y.csv"),
      "GridParseError: command line: cell 'simulate': DomainError: "
      "innovation_cov must be finite"),
+    # run_grid runs any cap below 2 on one thread; below 1 is a slip
+    ({}, ("bench", "table1", "--threads", "0"),
+     "DomainError: thread cap must be >= 1, got 0"),
+    ({}, ("bench", "table1", "--threads", "-3"),
+     "DomainError: thread cap must be >= 1, got -3"),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)

@@ -818,14 +818,6 @@ def test_result_text_format(tmp_path, capsys):
 # ----------------------------------------------- estimator consistency trend
 
 
-def test_sigma_override_skips_internal_estimation():
-    s = _h0_series(seed=14)
-    lr = manual_lr(np.eye(2) * 2.0)
-    res = engine.test(s, 0.05, fake_table(2, 0.05, 2.0), sigma=lr)
-    assert res.sigma is lr
-    assert res.statistic == pytest.approx(quadform(cusum(s), lr).q.max(), rel=1e-15)
-
-
 def test_argmax_consistency_trend_paired_seeds():
     """Doubling the series length must not degrade localization: over 30
     paired seeded replications of the strong mid-sample shift, the mean
