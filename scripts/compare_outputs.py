@@ -87,6 +87,12 @@ norm_argmax --trim 0.1 --emit-curve`` on the 1e5 x 5 and 16 x 3 inputs,
 ``--scan`` on the dated input and ``--scan --emit-curve`` on the 65,537 x 3
 input.
 
+Commands [0-165] are the sets above. Then ``detect`` on a 200 x 3 input
+whose header is ``a,a,b`` (the second ``a`` column shifts at row 100), with
+the default selection and with ``--columns a``: a selected name that
+appears twice in the header is an error. Last, ``detect --alpha 1.5``, a
+level outside (0, 1).
+
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
 
@@ -212,6 +218,11 @@ def write_inputs(root):
     put("degenerate.grid", "name=mix\nd=2\nT=200\nm=1\nreps=3\n\n"
         "cell=good\ndelta=1,1\nk_star=0.5\n\n"
         "cell=constant\nbase=0,0,0,0\n")
+    rng = random.Random(19)
+    rows = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(200)]
+    for row in rows[100:]:
+        row[1] += 3.0  # the second 'a' column shifts
+    put("repeated.csv", _table(["a", "a", "b"], rows))
 
 
 def commands():
@@ -420,6 +431,13 @@ def commands():
     twins = [tuple(a for a in cmd if a != "--two-pass") for cmd in cmds
              if "--two-pass" in cmd]
     cmds += [twin for twin in twins if twin not in cmds]
+    # beyond the 166 above: a selected name repeated in the header, and a
+    # level outside (0, 1)
+    cmds += [
+        ("detect", IN + "repeated.csv"),
+        ("detect", IN + "repeated.csv", "--columns", "a"),
+        ("detect", IN + "rows40.csv", "--alpha", "1.5"),
+    ]
     return cmds
 
 

@@ -30,7 +30,6 @@ from .spectral import (
     smoothed_spectrum,
 )
 from .series import (
-    IngestConfig,
     MultivariateSeries,
     center,
     load_csv,

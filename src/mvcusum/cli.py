@@ -47,7 +47,6 @@ from .experiments import (
     write_grid_outputs,
 )
 from .series import (
-    IngestConfig,
     MultivariateSeries,
     center,
     load_csv,
@@ -121,17 +120,13 @@ def _load_table(path) -> CriticalValueTable:
 
 
 def _load_input(args) -> MultivariateSeries:
-    """Load the input CSV per the column flags, then apply --transform.
-
-    Without --columns, every column is loaded except the date column
-    (--date-column, or a column named 'date' in any case if present); the
-    date column itself is never read.
-    """
+    """Load the input CSV per --columns, --date-column and --skip-rows, then
+    apply --transform."""
     columns = ()
     if args.columns:
         columns = tuple(c.strip() for c in args.columns.split(","))
-    config = IngestConfig(columns, args.date_column, args.skip_rows)
-    return _apply_transform(load_csv(args.input, config), args.transform)
+    series = load_csv(args.input, columns, args.date_column, args.skip_rows)
+    return _apply_transform(series, args.transform)
 
 
 def _print_estimate(est) -> None:

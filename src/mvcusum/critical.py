@@ -146,6 +146,11 @@ def _entry(sups: np.ndarray, alpha: float, grid: int, seed: int) -> CriticalEntr
     )
 
 
+def _check_level(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"level must be in (0, 1), got {alpha}")
+
+
 class CriticalValueTable:
     """Cache of simulated quantiles keyed by (dimension, level), each entry
     carrying the Monte Carlo provenance that produced it."""
@@ -157,6 +162,7 @@ class CriticalValueTable:
         return self.entries.get((d, alpha))
 
     def lookup(self, d: int, alpha: float) -> float:
+        _check_level(alpha)
         entry = self.get(d, alpha)
         if entry is None:
             raise MissingCriticalValue(
@@ -266,8 +272,7 @@ def critical_value(
     (1-alpha) quantile is returned, and the entry (with provenance) is
     stored back into the table when one was given.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {alpha}")
+    _check_level(alpha)
     if table is not None:
         hit = table.get(d, alpha)
         if hit is not None:

@@ -23,7 +23,6 @@ from .errors import DomainError, MissingColumn, NonFinite, NonNumericCell, TooSh
 
 __all__ = [
     "MultivariateSeries",
-    "IngestConfig",
     "load_csv",
     "write_csv",
     "center",
@@ -91,41 +90,25 @@ class MultivariateSeries:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class IngestConfig:
-    """CSV ingestion settings.
-
-    columns: ordered names of the numeric columns to load (the output column
-    order); empty means every column but the date column, in file order.
-    date_column: a column left out of the values and never read; when None,
-    a column named 'date' in any case, if the header has one. A date column
-    named but absent is an error, reported after an absent value column.
-    skip_rows: CSV records to drop before the header row, at least 0.
-    """
-
-    columns: Sequence[str]
-    date_column: Optional[str] = None
-    skip_rows: int = 0
-
-    def __post_init__(self):
-        if self.skip_rows < 0:
-            raise DomainError(f"skip_rows must be >= 0, got {self.skip_rows}")
-
-    def _pick(self, path, header):
-        """The value column names and their positions in the stripped
-        header row (None when the file ends before it)."""
-        if not header:
-            raise MissingColumn(f"{path}: no header row")
-        date = self.date_column
-        if date is None:
-            date = next((h for h in header if h.lower() == "date"), None)
-        columns = tuple(self.columns) or tuple(h for h in header if h != date)
-        if not columns:
-            raise MissingColumn(f"{path}: no value columns besides the date column")
-        usecols = [_index(header, name, "column") for name in columns]
-        if self.date_column is not None:
-            _index(header, self.date_column, "date column")
-        return columns, usecols
+def _pick(path, header, columns, date_column):
+    """The value column names and their positions in the stripped header
+    row (None when the file ends before it)."""
+    if not header:
+        raise MissingColumn(f"{path}: no header row")
+    date = date_column
+    if date is None:
+        date = next((h for h in header if h.lower() == "date"), None)
+    columns = tuple(columns) or tuple(h for h in header if h != date)
+    if not columns:
+        raise MissingColumn(f"{path}: no value columns besides the date column")
+    usecols = [_index(header, name, "column") for name in columns]
+    for name in columns:
+        if header.count(name) > 1:
+            raise DomainError(f"{path}: column {name!r} appears "
+                              f"{header.count(name)} times in the header")
+    if date_column is not None:
+        _index(header, date_column, "date column")
+    return columns, usecols
 
 
 def _records(fh, skip_rows):
@@ -145,7 +128,8 @@ def _index(header, name, what) -> int:
     return header.index(name)
 
 
-def load_csv(path, config: IngestConfig) -> MultivariateSeries:
+def load_csv(path, columns: Sequence[str] = (), date_column: Optional[str] = None,
+             skip_rows: int = 0) -> MultivariateSeries:
     """Load the numeric columns of a CSV file.
 
     Parameters
@@ -153,14 +137,20 @@ def load_csv(path, config: IngestConfig) -> MultivariateSeries:
     path : path-like
         CSV file: comma separated, '"' quoting, one header row, '.'
         decimals, UTF-8, no comment character.
-    config : IngestConfig
-        Which columns to load. The date column is left out and not read.
+    columns : sequence of str
+        The numeric columns to load, in output order, each named once in
+        the header; empty means every column but the date column.
+    date_column : str, optional
+        A column left out and never read; when None, one named 'date' in any
+        case, if the header has one.
+    skip_rows : int
+        CSV records to drop before the header row, at least 0.
 
     Returns
     -------
     MultivariateSeries
-        Rows in file order, columns in ``config.columns`` order (header
-        order when ``config.columns`` is empty).
+        Rows in file order, columns in ``columns`` order (header order
+        when ``columns`` is empty).
 
     Raises
     ------
@@ -175,7 +165,8 @@ def load_csv(path, config: IngestConfig) -> MultivariateSeries:
     TooShort
         Fewer than 2 data rows.
     DomainError
-        The file is not UTF-8.
+        ``skip_rows`` is negative, a selected name appears more than once in
+        the header, or the file is not UTF-8.
 
     Notes
     -----
@@ -186,12 +177,14 @@ def load_csv(path, config: IngestConfig) -> MultivariateSeries:
     spellings (``1_000``, non-ASCII digits) and names the row and column of
     a bad cell.
     """
+    if skip_rows < 0:
+        raise DomainError(f"skip_rows must be >= 0, got {skip_rows}")
     with _open_text(path, DomainError, newline="") as fh:
-        _, header = _records(fh, config.skip_rows)
-        columns, usecols = config._pick(path, header)
+        _, header = _records(fh, skip_rows)
+        columns, usecols = _pick(path, header, columns, date_column)
         values = _read_values(fh, usecols)
     if values is None:
-        values = _parse_cells(path, config.skip_rows, columns, usecols)
+        values = _parse_cells(path, skip_rows, columns, usecols)
     return MultivariateSeries(values, labels=columns, _fresh=True)
 
 

@@ -84,6 +84,11 @@ def test_traced_commands_run(tmp_path, argv, out_mb):
     for name in out_mb:
         assert stats[name], name
         assert all("out_mb" in s for s in stats[name]), name
+    if argv[0] in ("detect", "spectrum"):
+        # in_mb is read through load_csv's ``path`` argument
+        in_mb = os.path.getsize(tmp_path / "in.csv") / 1e6
+        loads = stats["series.load_csv"]
+        assert loads and all(s["in_mb"] == in_mb for s in loads)
     if argv[0] in ("detect", "bench"):
         lrcov = stats["spectral.long_run_covariance"]
         assert all("ordinate_ratio" in s for s in lrcov)

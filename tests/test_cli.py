@@ -16,7 +16,7 @@ import mvcusum
 from mvcusum import cli, engine
 from mvcusum.critical import CriticalEntry, CriticalValueTable, default_table
 from mvcusum.engine import cusum, estimate_changepoint, quadform
-from mvcusum.series import IngestConfig, load_csv, write_csv
+from mvcusum.series import load_csv, write_csv
 from mvcusum.simulate import SimulationSpec, gen_series
 from mvcusum.spectral import long_run_covariance
 
@@ -243,7 +243,7 @@ def test_simulate_writes_series_and_metadata(capsys, tmp_path):
     assert lines["d"] == "2"
     assert lines["t_star"] == "200"
 
-    loaded = load_csv(tmp_path / "s.csv", IngestConfig(columns=("x0", "x1")))
+    loaded = load_csv(tmp_path / "s.csv", ["x0", "x1"])
     spec = SimulationSpec(d=2, T=400, m=3, delta=np.array([1.0, 1.0]),
                           k_star=0.5, seed=7)
     series, t_star = gen_series(spec)
@@ -277,7 +277,7 @@ def test_simulate_config_file_with_flag_overrides(capsys, tmp_path):
     assert meta["T"] == "500"
     assert meta["seed"] == "9"
 
-    loaded = load_csv(tmp_path / "s.csv", IngestConfig(columns=("x0", "x1")))
+    loaded = load_csv(tmp_path / "s.csv", ["x0", "x1"])
     spec = SimulationSpec(d=2, T=500, m=2, delta=np.array([1.0, 1.0]),
                           k_star=0.5, seed=9)
     assert np.array_equal(loaded.values, gen_series(spec)[0].values)
@@ -701,6 +701,14 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
      "DomainError: thread cap must be >= 1, got 0"),
     ({}, ("bench", "table1", "--threads", "-3"),
      "DomainError: thread cap must be >= 1, got -3"),
+    # a selected name read twice would feed one column in two places
+    ({"d.csv": "a,a,b\n1,2,3\n4,5,6\n"}, ("detect", "d.csv"),
+     "DomainError: d.csv: column 'a' appears 2 times in the header"),
+    # a level outside (0, 1) is refused before any table lookup
+    ({"x.csv": ROWS_40}, ("detect", "x.csv", "--alpha", "1.5"),
+     "DomainError: level must be in (0, 1), got 1.5"),
+    ({"x.csv": ROWS_40}, ("detect", "x.csv", "--alpha", "nan"),
+     "DomainError: level must be in (0, 1), got nan"),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)

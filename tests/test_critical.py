@@ -163,6 +163,12 @@ def test_lookup_missing():
         CriticalValueTable().lookup(2, 0.05)
 
 
+def test_lookup_level_outside_unit_interval():
+    # a level no table can hold is a domain error, not a missing entry
+    with pytest.raises(DomainError, match=r"level must be in \(0, 1\), got 1.5"):
+        CriticalValueTable().lookup(2, 1.5)
+
+
 def test_cache_hit_returns_stored_value():
     table = CriticalValueTable()
     table.put(3, 0.05, _entry(123.456))

@@ -15,12 +15,12 @@ import pytest
 
 from mvcusum import cli, series
 from mvcusum.errors import ToolkitError
-from mvcusum.series import IngestConfig, MultivariateSeries, load_csv, write_csv
+from mvcusum.series import MultivariateSeries, load_csv, write_csv
 
 
-def _outcome(path, config):
+def _outcome(path, columns, extra):
     try:
-        s = load_csv(path, config)
+        s = load_csv(path, columns, **extra)
     except ToolkitError as exc:
         return (type(exc).__name__, getattr(exc, "row", None),
                 getattr(exc, "column", None), str(exc))
@@ -39,7 +39,7 @@ def _count_fallbacks(monkeypatch):
     return calls
 
 
-# (id, file text, columns, extra IngestConfig fields, whether the per-cell
+# (id, file text, columns, other load_csv arguments, whether the per-cell
 # parser must run, and the expected outcome's first element)
 CASES = [
     ("signs-exponents", "a,b\n+1E+5,-2e-3\n1e5,+0.5\n-.5,5.\n", ["a", "b"], {},
@@ -86,6 +86,15 @@ CASES = [
     ("all-but-date-column", 'a,Date,b\n1,"2020-01-01",2\n3,x,4\n', [], {},
      False, None),
     ("no-header", "", ["a"], {}, False, "MissingColumn"),
+    # a selected name must appear once in the header; others may repeat
+    ("repeated-name-default", "a,a,b\n1,2,3\n4,5,6\n", [], {}, False,
+     "DomainError"),
+    ("repeated-name-selected", "a,a,b\n1,2,3\n4,5,6\n", ["a"], {}, False,
+     "DomainError"),
+    ("repeated-name-unselected", "a,a,b\n1,2,3\n4,5,6\n", ["b"], {}, False,
+     None),
+    ("repeated-date-column", "date,a,date\nx,1,y\nz,2,w\n", [], {}, False,
+     None),
 ]
 
 
@@ -95,15 +104,13 @@ def test_load_csv_matches_per_cell_parser(tmp_path, monkeypatch, recwarn, text,
                                           columns, extra, falls_back, first):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode("utf-8"))
-    config = IngestConfig(columns=columns, **extra)
-
     fallbacks = _count_fallbacks(monkeypatch)
-    fast = _outcome(path, config)
+    fast = _outcome(path, columns, extra)
     assert len(fallbacks) == int(falls_back)
     assert not recwarn.list  # numpy's no-data warning must not leak
 
     monkeypatch.setattr(series, "_read_values", lambda fh, usecols: None)
-    reference = _outcome(path, config)
+    reference = _outcome(path, columns, extra)
     assert fast == reference
     if first is None:
         assert isinstance(fast[0], bytes), fast
@@ -120,8 +127,7 @@ def test_clean_file_never_reaches_per_cell_parser(tmp_path, monkeypatch):
     lines = ["date,a,b,c"] + [f'"2021-01-01 {i:05d}",' + ",".join(map(repr, row))
                               for i, row in enumerate(x.tolist())]
     (tmp_path / "clean.csv").write_text("\n".join(lines) + "\n")
-    s = load_csv(tmp_path / "clean.csv",
-                 IngestConfig(columns=("c", "a"), date_column="date"))
+    s = load_csv(tmp_path / "clean.csv", ("c", "a"), date_column="date")
     np.testing.assert_array_equal(s.values, x[:, [2, 0]])
 
 
@@ -129,10 +135,10 @@ def test_load_csv_peak_memory_is_one_copy(tmp_path):
     # the parsed array becomes the series' array; it is not copied again
     x = np.random.default_rng(29).normal(size=(200_000, 5))
     write_csv(MultivariateSeries(x), tmp_path / "big.csv")
-    config = IngestConfig(columns=[f"x{j}" for j in range(5)])
+    columns = [f"x{j}" for j in range(5)]
     tracemalloc.start()
     try:
-        s = load_csv(tmp_path / "big.csv", config)
+        s = load_csv(tmp_path / "big.csv", columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

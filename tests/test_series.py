@@ -6,7 +6,6 @@ import pytest
 from mvcusum.errors import MissingColumn, NonFinite, NonNumericCell, TooShort
 from mvcusum.spectral import dft
 from mvcusum.series import (
-    IngestConfig,
     MultivariateSeries,
     center,
     load_csv,
@@ -22,7 +21,7 @@ def _write(tmp_path, text, name="data.csv"):
 
 def test_load_csv_basic(tmp_path):
     p = _write(tmp_path, "a,b\n1.0,2.0\n3.5,-4.25\n")
-    s = load_csv(p, IngestConfig(columns=["a", "b"]))
+    s = load_csv(p, ["a", "b"])
     assert s.values.shape == (2, 2)
     assert s.labels == ("a", "b")
     np.testing.assert_array_equal(s.values, [[1.0, 2.0], [3.5, -4.25]])
@@ -31,52 +30,52 @@ def test_load_csv_basic(tmp_path):
 def test_load_csv_single_column_two_rows(tmp_path):
     # smallest legal series: T=2, d=1
     p = _write(tmp_path, "x\n1.0\n2.0\n")
-    s = load_csv(p, IngestConfig(columns=["x"]))
+    s = load_csv(p, ["x"])
     assert s.values.shape == (2, 1)
     assert s.d == 1 and s.T == 2
 
 
 def test_load_csv_column_order_follows_config(tmp_path):
     p = _write(tmp_path, "a,b,c\n1,2,3\n4,5,6\n")
-    s = load_csv(p, IngestConfig(columns=["c", "a"]))
+    s = load_csv(p, ["c", "a"])
     np.testing.assert_array_equal(s.values, [[3.0, 1.0], [6.0, 4.0]])
     assert s.labels == ("c", "a")
 
 
 def test_load_csv_date_column(tmp_path):
     p = _write(tmp_path, "Date,Open,Close\n2021-01-01,10,11\n2021-01-02,12,13\n")
-    s = load_csv(p, IngestConfig(columns=["Open", "Close"], date_column="Date"))
+    s = load_csv(p, ["Open", "Close"], date_column="Date")
     assert s.values.shape == (2, 2)
 
 
 def test_load_csv_no_columns_means_all_but_the_date_column(tmp_path):
     p = _write(tmp_path, "a,DATE,b\n1,2021-01-01,2\n3,2021-01-02,4\n")
-    s = load_csv(p, IngestConfig(columns=()))
+    s = load_csv(p)
     assert s.labels == ("a", "b")
     np.testing.assert_array_equal(s.values, [[1.0, 2.0], [3.0, 4.0]])
     # a named date column replaces the default one
     p = _write(tmp_path, "day,a,date\nmon,1,2\ntue,3,4\n")
-    s = load_csv(p, IngestConfig(columns=(), date_column="day"))
+    s = load_csv(p, date_column="day")
     assert s.labels == ("a", "date")
     np.testing.assert_array_equal(s.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_load_csv_skip_rows(tmp_path):
     p = _write(tmp_path, "junk line\nanother\na,b\n1,2\n3,4\n")
-    s = load_csv(p, IngestConfig(columns=["a", "b"], skip_rows=2))
+    s = load_csv(p, ["a", "b"], skip_rows=2)
     assert s.T == 2
 
 
 def test_load_csv_missing_column(tmp_path):
     p = _write(tmp_path, "a,b\n1,2\n3,4\n")
     with pytest.raises(MissingColumn):
-        load_csv(p, IngestConfig(columns=["a", "zzz"]))
+        load_csv(p, ["a", "zzz"])
 
 
 def test_load_csv_non_numeric_cell_reports_row_and_column(tmp_path):
     p = _write(tmp_path, "a,b\n1,2\nabc,4\n")
     with pytest.raises(NonNumericCell) as exc:
-        load_csv(p, IngestConfig(columns=["a", "b"]))
+        load_csv(p, ["a", "b"])
     assert exc.value.row == 2
     assert exc.value.column == "a"
 
@@ -85,7 +84,7 @@ def test_load_csv_empty_cell_rejected(tmp_path):
     # missing values are rejected, never imputed
     p = _write(tmp_path, "a,b\n1,\n3,4\n")
     with pytest.raises(NonNumericCell) as exc:
-        load_csv(p, IngestConfig(columns=["a", "b"]))
+        load_csv(p, ["a", "b"])
     assert exc.value.row == 1
     assert exc.value.column == "b"
 
@@ -93,20 +92,20 @@ def test_load_csv_empty_cell_rejected(tmp_path):
 def test_load_csv_too_short(tmp_path):
     p = _write(tmp_path, "a\n1.0\n")
     with pytest.raises(TooShort):
-        load_csv(p, IngestConfig(columns=["a"]))
+        load_csv(p, ["a"])
 
 
 def test_load_csv_non_finite(tmp_path):
     p = _write(tmp_path, "a\n1.0\ninf\n3.0\n")
     with pytest.raises(NonFinite) as exc:
-        load_csv(p, IngestConfig(columns=["a"]))
+        load_csv(p, ["a"])
     assert exc.value.row == 2
 
 
 def test_load_csv_unselected_columns_ignored(tmp_path):
     # garbage outside the selected columns must not matter
     p = _write(tmp_path, "a,b\n1,junk\n2,junk\n")
-    s = load_csv(p, IngestConfig(columns=["a"]))
+    s = load_csv(p, ["a"])
     assert s.T == 2
 
 
@@ -146,7 +145,7 @@ def test_round_trip_identity(tmp_path):
     s = MultivariateSeries(vals, labels=("w", "x", "y", "z"))
     p = tmp_path / "rt.csv"
     write_csv(s, p)
-    back = load_csv(p, IngestConfig(columns=["w", "x", "y", "z"]))
+    back = load_csv(p, ["w", "x", "y", "z"])
     np.testing.assert_allclose(back.values, vals, rtol=1e-12, atol=0.0)
 
 
