@@ -93,6 +93,17 @@ the default selection and with ``--columns a``: a selected name that
 appears twice in the header is an error. Last, ``detect --alpha 1.5``, a
 level outside (0, 1).
 
+Commands [0-168] are the sets above. Then ``bench --reps 2`` on a one-cell
+grid at ``rho=0.999``, d = 2 and T = 200, so the bench path through the
+34,521-tap filter is compared too. The filter is a convolution whose dot
+products OpenBLAS splits over its threads once they are that long, so the
+series it draws depend on the BLAS thread count. On a host with 2 or more
+cores, a tree that leaves numpy's BLAS at its default (one thread per core)
+can therefore differ from one that loads it with one thread on these two
+commands alone: the ``--rho 0.999`` simulate [148] writes that series, and
+differs in its last digits; the bench command writes only counts and
+deviations computed from it.
+
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
 
@@ -223,6 +234,7 @@ def write_inputs(root):
     for row in rows[100:]:
         row[1] += 3.0  # the second 'a' column shifts
     put("repeated.csv", _table(["a", "a", "b"], rows))
+    put("deep.grid", "name=deep\nd=2\nT=200\nm=0\nrho=0.999\nreps=1\n\ncell=a\n")
 
 
 def commands():
@@ -438,6 +450,8 @@ def commands():
         ("detect", IN + "repeated.csv", "--columns", "a"),
         ("detect", IN + "rows40.csv", "--alpha", "1.5"),
     ]
+    # beyond the 169 above: the bench path through a deep filter
+    cmds += [("bench", IN + "deep.grid", "--reps", "2", "--output-dir", "g")]
     return cmds
 
 

@@ -7,6 +7,18 @@ estimators, a multiple-change extrema scan, Monte Carlo critical values,
 an m-dependent linear-process simulator, and a benchmark harness.
 """
 
+import os as _os
+import sys as _sys
+
+# One BLAS thread unless the caller chose otherwise. The dense algebra here
+# is d x d plus a convolution, which gain nothing from a parallel BLAS:
+# OpenBLAS's idle workers only burn CPU, and its threaded dot products make
+# a long filter (simulate at rho near 1) round differently with the core
+# count. The variable acts only when numpy loads OpenBLAS; once numpy is
+# imported, setting it would only leak to child processes.
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     BandwidthTooLarge,
     DegenerateSpectrum,

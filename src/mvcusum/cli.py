@@ -30,6 +30,7 @@ from .critical import (
     DEFAULT_GRID,
     DEFAULT_PATHS,
     CriticalValueTable,
+    _check_level,
     critical_value,
     default_table,
 )
@@ -239,6 +240,7 @@ def cmd_detect(args) -> int:
     printed, so a failing step prints nothing and writes nothing."""
     _check_inputs(args.input, args.table)
     table = _load_table(args.table)
+    _check_level(args.alpha)
     series = _load_input(args)
     result = engine.test(series, args.alpha, table, h=args.h)
     est = scan = None

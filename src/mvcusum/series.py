@@ -101,13 +101,13 @@ def _pick(path, header, columns, date_column):
     columns = tuple(columns) or tuple(h for h in header if h != date)
     if not columns:
         raise MissingColumn(f"{path}: no value columns besides the date column")
-    usecols = [_index(header, name, "column") for name in columns]
+    usecols = [_index(path, header, name, "column") for name in columns]
     for name in columns:
         if header.count(name) > 1:
             raise DomainError(f"{path}: column {name!r} appears "
                               f"{header.count(name)} times in the header")
     if date_column is not None:
-        _index(header, date_column, "date column")
+        _index(path, header, date_column, "date column")
     return columns, usecols
 
 
@@ -122,9 +122,9 @@ def _records(fh, skip_rows):
     return reader, None if header is None else [h.strip() for h in header]
 
 
-def _index(header, name, what) -> int:
+def _index(path, header, name, what) -> int:
     if name not in header:
-        raise MissingColumn(f"{what} {name!r} not in header {header}")
+        raise MissingColumn(f"{path}: {what} {name!r} not in header {header}")
     return header.index(name)
 
 

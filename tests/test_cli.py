@@ -709,6 +709,10 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
      "DomainError: level must be in (0, 1), got 1.5"),
     ({"x.csv": ROWS_40}, ("detect", "x.csv", "--alpha", "nan"),
      "DomainError: level must be in (0, 1), got nan"),
+    # the level is checked before the input is parsed, so it is reported
+    # ahead of a bad cell
+    ({"x.csv": "a\n1\nabc\n2\n"}, ("detect", "x.csv", "--alpha", "1.5"),
+     "DomainError: level must be in (0, 1), got 1.5"),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)
@@ -823,13 +827,14 @@ def test_detect_missing_date_column_is_reported(capsys, tmp_path):
               "Closing Price", "Volume"]
     rc, _, err = run_cli(capsys, "detect", path, "--date-column", "Missing")
     assert rc == 2
-    assert err == ("error: MissingColumn: date column 'Missing' not in header "
-                   f"{header}\n")
+    assert err == (f"error: MissingColumn: {path}: date column 'Missing' not "
+                   f"in header {header}\n")
     # an absent value column is reported first
     rc, _, err = run_cli(capsys, "detect", path, "--columns", "Nope",
                          "--date-column", "Missing")
     assert rc == 2
-    assert err == f"error: MissingColumn: column 'Nope' not in header {header}\n"
+    assert err == (f"error: MissingColumn: {path}: column 'Nope' not in header "
+                   f"{header}\n")
 
 
 # ------------------------------------------------------- estimate and scan
@@ -1105,18 +1110,24 @@ def test_bench_shipped_table1_smoke(capsys, tmp_path, cv2_csv):
 # ------------------------------------------------------------- entry point
 
 
-def test_module_entrypoint_subprocess(tmp_path):
-    # The child runs from tmp_path, where a relative PYTHONPATH entry (such
-    # as `src` in a checkout) no longer resolves; put the absolute directory
-    # holding the imported package first so the child finds the same code.
+def _child_env():
+    """os.environ for a child interpreter. The child runs from tmp_path,
+    where a relative PYTHONPATH entry (such as `src` in a checkout) no
+    longer resolves; put the absolute directory holding the imported
+    package first so the child finds the same code."""
     env = dict(os.environ)
     pkg_root = str(Path(mvcusum.__file__).resolve().parent.parent)
     old = env.get("PYTHONPATH")
     env["PYTHONPATH"] = pkg_root + (os.pathsep + old if old else "")
+    return env
+
+
+def test_module_entrypoint_subprocess(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "mvcusum", "critval", "--d", "1",
          "--alpha", "0.5", "--paths", "200", "--grid", "64"],
-        capture_output=True, text=True, cwd=tmp_path, timeout=120, env=env,
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
     assert "value=" in result.stdout
@@ -1127,11 +1138,8 @@ def test_module_entrypoint_subprocess(tmp_path):
 def test_closed_stdout_ends_quietly(tmp_path, read_first):
     # like a filter piped into `head`: the reader closes stdout early, and
     # the command stops with exit code 1 and nothing on stderr
-    env = dict(os.environ)
+    env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as a pipe's usually is
-    pkg_root = str(Path(mvcusum.__file__).resolve().parent.parent)
-    old = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = pkg_root + (os.pathsep + old if old else "")
     x = np.random.default_rng(3).normal(size=(20_000, 2))
     np.savetxt(tmp_path / "w.csv", x, delimiter=",", header="a,b", comments="")
     # every local extremum of the raw curve is reported: hundreds of kB
@@ -1180,13 +1188,10 @@ def test_runtime_commands_import_no_scipy(tmp_path):
         ["critval", "--d", "2", "--alpha", "0.05"],
         ["bench", "mini.grid", "--output-dir", "grid"],
     ]
-    env = dict(os.environ)
-    pkg_root = str(Path(mvcusum.__file__).resolve().parent.parent)
-    old = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = pkg_root + (os.pathsep + old if old else "")
     result = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_CHILD, json.dumps(commands)],
-        capture_output=True, text=True, cwd=tmp_path, timeout=300, env=env,
+        capture_output=True, text=True, cwd=tmp_path, timeout=300,
+        env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
@@ -1194,6 +1199,67 @@ def test_runtime_commands_import_no_scipy(tmp_path):
     for step, rc, modules in report:
         assert rc == 0, (step, result.stderr)
         assert not modules, f"{step} loaded {len(modules)} scipy modules: {modules[:3]}"
+
+
+def _blas_env(preset):
+    """_child_env() with OPENBLAS_NUM_THREADS set to preset, or unset when
+    preset is None."""
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    return env
+
+
+# Runs in a fresh interpreter: optionally imports numpy first, then the
+# package, and prints the BLAS thread variable and, on Linux, the thread
+# count of the process.
+_BLAS_CHILD = """
+import os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import mvcusum
+threads = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status") as fh:
+        threads = next(l.split()[1] for l in fh if l.startswith("Threads:"))
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+
+
+@pytest.mark.parametrize("preset, first, expected", [
+    (None, "package-first", "1"),
+    ("2", "package-first", "2"),  # a caller's own setting is kept
+    (None, "numpy-first", "None"),  # too late to act: not set, not leaked
+], ids=["unset", "preset", "numpy-first"])
+def test_package_loads_blas_with_one_thread(tmp_path, preset, first, expected):
+    result = subprocess.run(
+        [sys.executable, "-c", _BLAS_CHILD, first],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=_blas_env(preset),
+    )
+    assert result.returncode == 0, result.stderr
+    value, threads = result.stdout.split()
+    assert value == expected
+    if expected == "1" and threads != "None":
+        assert threads == "1"  # OpenBLAS started no worker threads
+
+
+def test_deep_filter_bits_do_not_depend_on_blas_threads(tmp_path):
+    # at rho=0.999 the filter is 34,521 taps deep, long enough for a
+    # threaded BLAS to split its dot products; unset must mean one thread
+    written = []
+    for preset in (None, "1"):
+        out = tmp_path / f"series_{preset}.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "mvcusum", "simulate", "--d", "2", "--T",
+             "100", "--m", "0", "--rho", "0.999", "--out", str(out)],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            env=_blas_env(preset),
+        )
+        assert result.returncode == 0, result.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.skipif(shutil.which("mvcusum") is None,
