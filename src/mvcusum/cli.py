@@ -13,6 +13,10 @@ problems (every deliberate toolkit error), 3 unexpected internal failures.
 Errors print one machine-parseable line to stderr: ``error: <Category>:
 <message>``.  All file outputs are plain CSV or key=value text, and every
 subcommand is bit-reproducible given the same flags and seed.
+
+The module imports only the standard library, `errors` and `critical`, and
+each ``cmd_*`` imports the modules it runs, so ``--help``, a usage error and
+a ``critval`` answered from the table never load numpy.
 """
 
 from __future__ import annotations
@@ -22,13 +26,12 @@ import math
 import os
 import sys
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import engine
 from .critical import (
     DEFAULT_GRID,
     DEFAULT_PATHS,
+    SHIPPED_GRIDS,
     CriticalValueTable,
     _check_level,
     critical_value,
@@ -39,26 +42,9 @@ from .errors import (
     ToolkitError,
     TooShort,
 )
-from .experiments import (
-    SHIPPED_GRIDS,
-    _read_spec,
-    load_grid,
-    load_shipped_grid,
-    run_grid,
-    write_grid_outputs,
-)
-from .series import (
-    MultivariateSeries,
-    center,
-    load_csv,
-    write_csv,
-)
-from .simulate import gen_series
-from .spectral import (
-    _spectrum_and_covariance,
-    export_spectrum_csv,
-    long_run_covariance,
-)
+
+if TYPE_CHECKING:
+    from .series import MultivariateSeries
 
 __all__ = ["build_parser", "main"]
 
@@ -79,6 +65,10 @@ def _apply_transform(series: MultivariateSeries, name: str) -> MultivariateSerie
     ``diff`` drops the first row; ``log`` insists on strictly positive
     values rather than silently producing -inf.
     """
+    import numpy as np
+
+    from .series import MultivariateSeries, center
+
     if name == "none":
         return series
     if name == "center":
@@ -103,6 +93,8 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_floats(arr) -> str:
+    import numpy as np
+
     return ",".join(_fmt(v) for v in np.asarray(arr, dtype=float).ravel())
 
 
@@ -123,6 +115,8 @@ def _load_table(path) -> CriticalValueTable:
 def _load_input(args) -> MultivariateSeries:
     """Load the input CSV per --columns, --date-column and --skip-rows, then
     apply --transform."""
+    from .series import load_csv
+
     columns = ()
     if args.columns:
         columns = tuple(c.strip() for c in args.columns.split(","))
@@ -172,6 +166,10 @@ def cmd_simulate(args) -> int:
     """Draw one series from the recipe in --config, overridden by the
     recipe flags (their dests are the recipe keys), and write it with its
     .meta sidecar once it is drawn."""
+    from .experiments import _read_spec
+    from .series import write_csv
+    from .simulate import gen_series
+
     _check_inputs(args.config)
     spec = _read_spec(args.config, vars(args))
     series, t_star = gen_series(spec)
@@ -191,6 +189,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    import numpy as np
+
+    from .spectral import _spectrum_and_covariance, export_spectrum_csv
+
     _check_inputs(args.input)
     if args.freqs < 2:
         raise DomainError(f"need at least 2 frequencies, got {args.freqs}")
@@ -220,13 +222,15 @@ def _print_test(result) -> None:
     print(f"d={result.d}")
     print(f"h_used={result.sigma.h_used}")
     print(f"ridge_applied={_fmt(result.sigma.ridge_applied)}")
-    print(f"sigma_diag={_fmt_floats(np.diag(result.sigma.sigma))}")
+    print(f"sigma_diag={_fmt_floats(result.sigma.sigma.diagonal())}")
 
 
 def _write_curve(args, curve):
     """Write the curve to --emit-curve and return the path, or None without
     the flag. Called once every statistic is computed, so a failed run
     leaves no directory behind."""
+    from . import engine
+
     if not args.emit_curve:
         return None
     out = _resolve_out(args, args.emit_curve)
@@ -238,6 +242,8 @@ def cmd_detect(args) -> int:
     """Test, then estimate (on rejection) and scan (with --scan). Every
     result is computed and the curve written before the first line is
     printed, so a failing step prints nothing and writes nothing."""
+    from . import engine
+
     _check_inputs(args.input, args.table)
     table = _load_table(args.table)
     _check_level(args.alpha)
@@ -267,6 +273,9 @@ def cmd_detect(args) -> int:
 def cmd_estimate(args) -> int:
     """Only ``quadform_argmax`` reads the long-run covariance and the
     quadratic form, so only it builds them."""
+    from . import engine
+    from .spectral import long_run_covariance
+
     _check_inputs(args.input)
     series = _load_input(args)
     curve = engine.cusum(series)
@@ -278,6 +287,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import engine
+    from .spectral import long_run_covariance
+
     _check_inputs(args.input)
     series = _load_input(args)
     lr = long_run_covariance(series, args.h)
@@ -323,6 +335,13 @@ def cmd_critval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .experiments import (
+        load_grid,
+        load_shipped_grid,
+        run_grid,
+        write_grid_outputs,
+    )
+
     grid = (load_grid(args.grid) if os.path.exists(args.grid)
             else load_shipped_grid(args.grid))
     _check_inputs(args.table)

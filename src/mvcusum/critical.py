@@ -5,6 +5,9 @@ independent squared Brownian bridges.  Quantiles come from Monte Carlo
 simulation on a fine grid; the d=1 case has a classical alternating series
 for its tail, used as an analytic cross-check.  Values are cached in a small
 provenance-carrying table that persists as CSV.
+
+numpy is imported only by the Monte Carlo functions, so reading a table and
+looking a value up load the standard library alone.
 """
 
 from __future__ import annotations
@@ -13,11 +16,18 @@ import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import (
+    DomainError,
+    MissingColumn,
+    MissingCriticalValue,
+    NonNumericCell,
+    _open_text,
+)
 
-from .errors import DomainError, MissingColumn, MissingCriticalValue, NonNumericCell
-from .series import _open_text
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CriticalEntry",
@@ -41,6 +51,11 @@ DEFAULT_GRID = 10_000
 # sits near the lower edge of tight tolerance bands).  With this base the
 # d=1 default-budget 5% quantile is 1.83855 against the analytic 1.84443.
 _SEED_BASE = 2
+
+# The benchmark grids shipped in package data beside the default table, read
+# by experiments.load_shipped_grid. They are named here, in a module that
+# does not import numpy, so the CLI's help can list them cheaply.
+SHIPPED_GRIDS = ("table1", "table2", "table3", "table4", "h0")
 
 # Work-array budget for path simulation: chunk_rows * grid floats ~ 20 MB.
 _CHUNK_CELLS = 2_560_000
@@ -68,6 +83,8 @@ def simulate_sup_bridges(d: int, paths: int, grid: int, seed: int) -> np.ndarray
     chunk owning an independent RNG stream spawned from the seed, so results
     are bit-reproducible and a parallel scheduler would reproduce them too.
     """
+    import numpy as np
+
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     if paths < 1:
@@ -124,6 +141,8 @@ def _quantile_stderr(sups: np.ndarray, p: float) -> float:
     """Asymptotic standard error of the empirical p-quantile:
     sqrt(p(1-p)/n) / density, with the density taken from a central
     difference of nearby empirical quantiles."""
+    import numpy as np
+
     n = len(sups)
     half = min(max(0.005, 1.0 / math.sqrt(n)), p / 2, (1 - p) / 2)
     lo, hi = np.quantile(sups, [p - half, p + half])
@@ -136,6 +155,8 @@ def _quantile_stderr(sups: np.ndarray, p: float) -> float:
 def _entry(sups: np.ndarray, alpha: float, grid: int, seed: int) -> CriticalEntry:
     """The entry for level alpha from the simulated suprema of one run: their
     empirical (1-alpha) quantile, its standard error, and the run's budget."""
+    import numpy as np
+
     p = 1.0 - alpha
     return CriticalEntry(
         value=float(np.quantile(sups, p)),

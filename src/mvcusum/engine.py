@@ -124,10 +124,13 @@ def _partial_sums(X: np.ndarray, stop: int):
 
 
 def _scaled(P: np.ndarray, lo: int, P_N: np.ndarray, N: int) -> np.ndarray:
-    """Curve rows lo.. from the partial sums ``P`` of those rows, in place."""
-    P *= N
-    P -= np.arange(lo, lo + len(P), dtype=float)[:, None] * P_N
-    P /= N * math.sqrt(N)
+    """Curve rows lo.. from the partial sums ``P`` of those rows, in place.
+    Values near the float limit overflow here without a warning: the
+    non-finite curve is reported by the typed error of its reader."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        P *= N
+        P -= np.arange(lo, lo + len(P), dtype=float)[:, None] * P_N
+        P /= N * math.sqrt(N)
     return P
 
 

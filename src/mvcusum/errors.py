@@ -2,8 +2,12 @@
 
 Every error raised deliberately by this package derives from ToolkitError,
 so callers (and the CLI) can distinguish usage/data problems from genuine
-bugs. Class names double as machine-readable error categories.
+bugs. Class names double as machine-readable error categories. The module
+imports no numpy, and neither does `_open_text`, the text-file opener whose
+decode error names the file, so every reader of a text file can share it.
 """
+
+from contextlib import contextmanager
 
 __all__ = [
     "ToolkitError",
@@ -76,3 +80,15 @@ class MissingCriticalValue(ToolkitError):
 class GridParseError(ToolkitError):
     """A grid or simulation config is malformed. The message carries
     source:line provenance where a single line is to blame."""
+
+
+@contextmanager
+def _open_text(path, error, newline=None):
+    """``open(path, encoding="utf-8")``; a byte that is not UTF-8 raises
+    ``error`` (a ToolkitError class) with a message naming the file."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise error(f"{path}: not UTF-8: {exc.reason} (byte 0x{byte:02x})") from None

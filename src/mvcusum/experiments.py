@@ -57,11 +57,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .critical import CriticalValueTable
+from .critical import SHIPPED_GRIDS, CriticalValueTable
 from .engine import estimate_changepoint
 from .engine import test as _run_test
-from .errors import DomainError, GridParseError, ToolkitError
-from .series import _open_text, _write_table
+from .errors import DomainError, GridParseError, ToolkitError, _open_text
+from .series import _write_table
 from .simulate import SimulationSpec, exchangeable_cov, gen_series
 
 __all__ = [
@@ -77,9 +77,6 @@ __all__ = [
     "run_grid",
     "write_grid_outputs",
 ]
-
-SHIPPED_GRIDS = ("table1", "table2", "table3", "table4", "h0")
-
 
 @dataclass(frozen=True)
 class ExperimentCell:

@@ -13,13 +13,19 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MissingColumn, NonFinite, NonNumericCell, TooShort
+from .errors import (
+    DomainError,
+    MissingColumn,
+    NonFinite,
+    NonNumericCell,
+    TooShort,
+    _open_text,
+)
 
 __all__ = [
     "MultivariateSeries",
@@ -27,18 +33,6 @@ __all__ = [
     "write_csv",
     "center",
 ]
-
-
-@contextmanager
-def _open_text(path, error, newline=None):
-    """``open(path, encoding="utf-8")``; a byte that is not UTF-8 raises
-    ``error`` (a ToolkitError class) with a message naming the file."""
-    try:
-        with open(path, newline=newline, encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise error(f"{path}: not UTF-8: {exc.reason} (byte 0x{byte:02x})") from None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

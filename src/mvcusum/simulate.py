@@ -43,6 +43,11 @@ __all__ = [
     "gen_series",
 ]
 
+# Deepest filter drawn: K_max presample rows cost time and memory in
+# proportion, whatever T is (rho = 0.99999 at the default tol needs
+# 3,914,375 rows for any series length).
+_MAX_DEPTH = 1_000_000
+
 
 def exchangeable_cov(d, off):
     """Covariance with unit diagonal and constant off-diagonal ``off``.
@@ -183,9 +188,15 @@ def gen_innovations(spec: SimulationSpec) -> np.ndarray:
 
     The underlying Gaussian stream is split into a forward child (t = 1..T)
     and a presample child (t = 0, -1, -2, ...), both colored by the Cholesky
-    factor of ``innovation_cov``.
+    factor of ``innovation_cov``. A depth K_max above 1,000,000 raises
+    DomainError.
     """
     k_max, m = spec.K_max, spec.m
+    if k_max > _MAX_DEPTH:
+        raise DomainError(
+            f"filter depth K_max={k_max} at rho={spec.rho} and tol={spec.tol} "
+            f"exceeds {_MAX_DEPTH} presample rows; lower rho or raise tol"
+        )
     n_pre = k_max + m  # deepest Z needed: xi at t = 1 - K_max reaches back m more
     forward, presample = np.random.SeedSequence(spec.seed).spawn(2)
     z_fwd = np.random.default_rng(forward).standard_normal((spec.T, spec.d))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mvcusum
-from mvcusum import cli, engine
+from mvcusum import cli, engine, spectral
 from mvcusum.critical import CriticalEntry, CriticalValueTable, default_table
 from mvcusum.engine import cusum, estimate_changepoint, quadform
 from mvcusum.series import load_csv, write_csv
@@ -222,7 +222,7 @@ def test_internal_error_maps_to_exit_3(capsys, tmp_path, monkeypatch, ha_csv, cv
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli.engine, "test", boom)
+    monkeypatch.setattr(mvcusum.engine, "test", boom)
     rc, _, err = run_cli(capsys, "detect", path, "--table", cv2_csv)
     assert rc == 3
     assert "internal error: RuntimeError: boom" in err
@@ -305,6 +305,17 @@ def test_simulate_depth_is_smallest_with_tail_below_tol(capsys, tmp_path,
                          *flags, "--out", "s.csv", "--output-dir", tmp_path)
     assert (rc, err) == (0, "")
     assert kv_lines((tmp_path / "s.csv.meta").read_text())["k_max"] == k_max
+
+
+def test_simulate_refuses_a_filter_deeper_than_the_cap(capsys, tmp_path):
+    # 3,914,375 presample rows for a 100-row series: refused before a draw
+    rc, out, err = run_cli(capsys, "simulate", "--d", 2, "--T", 100, "--m", 0,
+                           "--rho", 0.99999, "--output-dir", tmp_path / "out")
+    assert (rc, out) == (2, "")
+    assert err == ("error: DomainError: filter depth K_max=3914375 at "
+                   "rho=0.99999 and tol=1e-12 exceeds 1000000 presample rows; "
+                   "lower rho or raise tol\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_without_break_reports_none(capsys, tmp_path):
@@ -494,6 +505,27 @@ def test_norm_estimate_at_1e160_is_the_unit_scale_estimate(capsys, tmp_path):
         float(kv_lines(unit)["curve_value"]), rel=1e-13)
 
 
+@pytest.mark.parametrize("rows, method, error", [
+    (18, "quadform_argmax", "DegenerateSpectrum"),
+    (18, "norm_argmax", "DomainError"),
+    (5, "quadform_argmax", "TooShort"),
+    (5, "norm_argmax", "DomainError"),
+])
+def test_estimate_of_a_huge_value_prints_one_error_line(capsys, tmp_path,
+                                                        rows, method, error):
+    # the cusum curve overflows before any check reads it: the typed error
+    # that follows is all that reaches stderr, with no numpy warning first
+    cells = [str(i % 3) for i in range(rows - 1)] + ["1e308"]
+    path = tmp_path / "huge.csv"
+    path.write_text("a\n" + "\n".join(cells) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, "estimate", path, "--method", method)
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {error}: ")
+
+
 # ----------------------------------------------------------------- detect
 
 
@@ -569,7 +601,7 @@ def count_calls(monkeypatch):
     calls = {}
     for module, name in ((engine, "cusum"), (engine, "quadform"),
                          (engine, "long_run_covariance"),
-                         (cli, "long_run_covariance")):
+                         (spectral, "long_run_covariance")):
         def counted(*args, _f=getattr(module, name), _n=name, **kwargs):
             calls[_n] = calls.get(_n, 0) + 1
             return _f(*args, **kwargs)
@@ -1201,6 +1233,39 @@ def test_runtime_commands_import_no_scipy(tmp_path):
         assert not modules, f"{step} loaded {len(modules)} scipy modules: {modules[:3]}"
 
 
+# Runs in a fresh interpreter: records whether numpy is loaded after
+# importing the package and after each step that needs no numpy.
+_NO_NUMPY_CHILD = """
+import contextlib, io, json, sys
+import mvcusum
+report = [("import mvcusum", 0, "numpy" in sys.modules)]
+mvcusum.default_table()
+report.append(("default_table()", 0, "numpy" in sys.modules))
+from mvcusum import cli
+for argv in (["critval", "--d", "5", "--alpha", "0.05"], ["--help"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    report.append((" ".join(argv), rc, "numpy" in sys.modules))
+print(json.dumps(report))
+"""
+
+
+def test_import_and_cached_critval_load_no_numpy(tmp_path):
+    # a short-lived process pays for numpy only when its command needs it
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_CHILD],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=_child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [
+        ["import mvcusum", 0, False],
+        ["default_table()", 0, False],
+        ["critval --d 5 --alpha 0.05", 0, False],
+        ["--help", 0, False],
+    ]
+
+
 def _blas_env(preset):
     """_child_env() with OPENBLAS_NUM_THREADS set to preset, or unset when
     preset is None."""
@@ -1212,13 +1277,14 @@ def _blas_env(preset):
 
 
 # Runs in a fresh interpreter: optionally imports numpy first, then the
-# package, and prints the BLAS thread variable and, on Linux, the thread
-# count of the process.
+# package and a module that loads numpy through it, and prints the BLAS
+# thread variable and, on Linux, the thread count of the process.
 _BLAS_CHILD = """
 import os, sys
 if sys.argv[1] == "numpy-first":
     import numpy
 import mvcusum
+import mvcusum.engine
 threads = None
 if sys.platform.startswith("linux"):
     with open("/proc/self/status") as fh:

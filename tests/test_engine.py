@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mvcusum import cli, engine, series
-from mvcusum.critical import CriticalEntry, CriticalValueTable
+from mvcusum.critical import CriticalEntry, CriticalValueTable, default_table
 from mvcusum.engine import (
     ChangePointEstimate,
     cusum,
@@ -26,6 +26,7 @@ from mvcusum.errors import (
     TooShort,
 )
 from mvcusum.series import MultivariateSeries, write_csv
+from mvcusum.simulate import SimulationSpec, gen_series
 from mvcusum.spectral import LongRunCovariance, long_run_covariance
 
 
@@ -375,6 +376,19 @@ def test_statistic_at_a_large_shift_is_the_power_cap(tau, h):
     x[int(tau * T) :] += 100.0
     res = engine.test(MultivariateSeries(x), 0.05, fake_table(1, 0.05, 2.0), h=h)
     assert res.statistic == pytest.approx(power_cap(tau, h), abs=0.005)
+
+
+def test_size_at_a_small_bandwidth_is_far_above_alpha():
+    # Σ̂ averages 2h+1 periodogram ordinates, about 2h real degrees of
+    # freedom: 6 at the default h = 3 for T = 250, barely above d = 5, so
+    # its inverse is heavy-tailed and iid N(0, I) nulls reject far more
+    # often than 5% (151/200 at seeds 0..199; README §"Size at finite h")
+    table = default_table()
+    rejects = sum(
+        engine.test(gen_series(SimulationSpec(5, 250, 0, rho=0.0, seed=r))[0],
+                    0.05, table).reject
+        for r in range(200))
+    assert rejects >= 100
 
 
 # ---------------------------------------------------------------- estimators

@@ -257,6 +257,19 @@ def test_innovations_deterministic():
     assert not np.array_equal(a, c)
 
 
+def test_innovations_refuse_a_filter_deeper_than_the_cap():
+    # the spec builds at any rho < 1; the presample draw is what is bounded
+    s = spec_of(d=2, T=100, m=0, rho=0.99999)
+    assert s.K_max == 3_914_375
+    with pytest.raises(DomainError) as exc:
+        gen_series(s)
+    assert str(exc.value) == (
+        "filter depth K_max=3914375 at rho=0.99999 and tol=1e-12 exceeds "
+        "1000000 presample rows; lower rho or raise tol")
+    s = spec_of(d=2, T=100, m=0, rho=0.9999)  # 368,395 taps: under the cap
+    assert gen_innovations(s).shape == (100 + 368_395, 2)
+
+
 def test_innovations_m0_sample_cov():
     R = exchangeable_cov(2, 0.5)
     s = spec_of(d=2, T=16000, m=0, cov=R, seed=SEED_M0_COV)
