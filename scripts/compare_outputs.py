@@ -104,6 +104,14 @@ commands alone: the ``--rho 0.999`` simulate [148] writes that series, and
 differs in its last digits; the bench command writes only counts and
 deviations computed from it.
 
+Commands [0-169] are the sets above. Then the CSV writer on values across
+many decades: ``detect --scan --emit-curve`` and ``spectrum --out`` on a
+200 x 3 input scaled by 1e-100 (a curve near 1e-101 and a spectrum near
+1e-201 and 1e-218), and ``simulate --config`` with ``base`` at 1e-200·I
+and at 1e300·I. The writer forms the digits of values below 1e-6 with a
+power of ten that is no double, and formats values from 1e290 up one at a
+time, so these commands reach both paths.
+
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
 
@@ -235,6 +243,12 @@ def write_inputs(root):
         row[1] += 3.0  # the second 'a' column shifts
     put("repeated.csv", _table(["a", "a", "b"], rows))
     put("deep.grid", "name=deep\nd=2\nT=200\nm=0\nrho=0.999\nreps=1\n\ncell=a\n")
+    rng = random.Random(23)
+    put("deci.csv", _table(["a", "b", "c"], [
+        [rng.gauss(0.0, 1.0) * 1e-100 for _ in range(3)] for _ in range(200)]))
+    for name, scale in (("tiny", "1e-200"), ("vast", "1e300")):
+        put(f"base_{name}.cfg", f"d=2\nT=300\nm=2\nbase={scale},0,0,{scale}\n"
+            "seed=5\n")
 
 
 def commands():
@@ -452,6 +466,15 @@ def commands():
     ]
     # beyond the 169 above: the bench path through a deep filter
     cmds += [("bench", IN + "deep.grid", "--reps", "2", "--output-dir", "g")]
+    # beyond the 170 above: written values across many decades, where 10**k
+    # is no double and, above 1e290, where the writer formats one at a time
+    deci = IN + "deci.csv"
+    cmds += [
+        ("detect", deci, "--scan", "--emit-curve", "curve.csv"),
+        ("spectrum", deci, "--out", "spec.csv"),
+        ("simulate", "--config", IN + "base_tiny.cfg", "--out", "sim/x.csv"),
+        ("simulate", "--config", IN + "base_vast.cfg", "--out", "sim/x.csv"),
+    ]
     return cmds
 
 

@@ -116,9 +116,10 @@ def _partial_sums(X: np.ndarray, stop: int):
     for lo in range(0, stop, _CURVE_CHUNK):
         P = np.zeros((min(_CURVE_CHUNK, len(X) + 1 - lo), X.shape[1]))
         first = int(lo == 0)  # row 0 of P is zero
-        np.subtract(X[lo + first - 1 : lo + len(P) - 1], X[0], out=P[first:])
-        P[0] += carry
-        np.cumsum(P, axis=0, out=P)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _scaled
+            np.subtract(X[lo + first - 1 : lo + len(P) - 1], X[0], out=P[first:])
+            P[0] += carry
+            np.cumsum(P, axis=0, out=P)
         carry = P[-1].copy()
         yield lo, P
 

@@ -58,8 +58,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .critical import SHIPPED_GRIDS, CriticalValueTable
-from .engine import estimate_changepoint
-from .engine import test as _run_test
 from .errors import DomainError, GridParseError, ToolkitError, _open_text
 from .series import _write_table
 from .simulate import SimulationSpec, exchangeable_cov, gen_series
@@ -158,6 +156,8 @@ def run_cell(
     has NaN metrics, no rejections or estimates, and that one error as its
     only failure.
     """
+    from .engine import estimate_changepoint, test  # simulate needs neither
+
     template = cell.template
     rejects, t_star = 0, None
     estimates: list = []
@@ -167,7 +167,7 @@ def run_cell(
             spec = replace(template, seed=template.seed + rep)
             try:
                 series, t_star = gen_series(spec)
-                result = _run_test(series, alpha, table)
+                result = test(series, alpha, table)
                 if result.reject:
                     rejects += 1
                 if result.reject or always_estimate:

@@ -1,4 +1,4 @@
-"""The series type, CSV ingestion, and centering.
+"""The series type, CSV ingestion and writing, and centering.
 
 The observation container is a plain T x d float matrix with optional column
 labels; a row is known by its index only. CSV dialect is fixed: comma
@@ -11,6 +11,7 @@ rejected, never imputed.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import InitVar, dataclass
@@ -225,7 +226,10 @@ def _parse_cells(path, skip_rows, columns, usecols):
     return np.array(rows, dtype=np.float64)
 
 
-_CHUNK_ROWS = 10_000
+_CHUNK_ROWS = 2_000  # the kernel's arrays stay in cache: 2x slower at 10,000 rows
+# Below this many values a chunk is formatted by the % operator: the
+# kernel's fixed cost, about 150 us a call, pays off from about 250 values.
+_KERNEL_MIN_VALUES = 256
 
 
 def _write_table(path, header, blocks) -> None:
@@ -234,17 +238,193 @@ def _write_table(path, header, blocks) -> None:
     digits, so a reload round-trips every value exactly.
 
     The header goes through csv.writer, for its quoting and line ends.
-    Floats never need quoting, so the rows are formatted a chunk at a time;
-    the columns are stacked per chunk too, so no copy of the whole table is
+    Floats never need quoting, so the rows are formatted a chunk at a time,
+    by `_format_rows` or, for a small chunk, `_format_rows_percent`; the
+    columns are stacked per chunk too, so no copy of the whole table is
     made."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for columns in blocks:
             for lo in range(0, len(columns[0]), _CHUNK_ROWS):
                 chunk = np.column_stack([c[lo:lo + _CHUNK_ROWS] for c in columns])
-                rows, width = chunk.shape
-                line = ",".join(["%.17g"] * width) + "\r\n"
-                fh.write((line * rows) % tuple(chunk.ravel().tolist()))
+                small = chunk.size < _KERNEL_MIN_VALUES
+                fh.write((_format_rows_percent if small else _format_rows)(chunk))
+
+
+def _format_rows_percent(chunk) -> str:
+    """The rows of a 2-D array as CSV lines: each value as ``'%.17g'``
+    prints it, comma separated, each row ended by CRLF. The reference for
+    `_format_rows`, and the path of a chunk that is small or holds a nan or
+    an inf."""
+    rows, width = chunk.shape
+    line = ",".join(["%.17g"] * width) + "\r\n"
+    return (line * rows) % tuple(chunk.ravel().tolist())
+
+
+# `_format_rows` forms the 17 significant digits D and the decimal exponent
+# X of every value in numpy, then lays out its text in six little-endian
+# uint64 words of byte slots: [sign, '0.000' prefix, lead digit, point],
+# 16 [digit, point] pairs, and [exponent, separator]. A slot where nothing
+# prints holds NUL, and one bytes.translate per chunk drops the NULs.
+_POWERS = (-280, 300)  # the exponents k of the 10**k table
+_EXPONENTS = (-324, 308)  # every decimal exponent of a finite double
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for 53-bit doubles
+
+
+@functools.cache
+def _format_tables():
+    """The kernel's lookup tables, built on its first call in a process."""
+    # 10**k = hi + lo, each correctly rounded (CPython rounds int / int and
+    # int -> float correctly), with hi's two Veltkamp halves
+    hi, lo = [], []
+    for k in range(_POWERS[0], _POWERS[1] + 1):
+        if k >= 0:
+            h = float(10 ** k)
+            lo.append(float(10 ** k - int(h)))
+        else:
+            h = 1 / 10 ** -k
+            num, den = h.as_integer_ratio()
+            lo.append((den - num * 10 ** -k) / (den * 10 ** -k))
+        hi.append(h)
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    head = c - (c - hi)
+    powers = np.stack([hi, head, hi - head, lo])
+
+    # digits[g]: the four digits of g, each with a '.' slot after it;
+    # last[j, g]: the place (1-16) of the last nonzero digit of g as the
+    # j-th group of four after the lead digit, 0 for g = 0
+    g = np.arange(10_000, dtype=np.int16)
+    groups = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], 1)
+    digits = np.full((10_000, 8), ord("."), np.uint8)
+    digits[:, 0::2] = groups + ord("0")
+    nz = groups != 0
+    last = np.where(nz[:, 3], 4, np.where(nz[:, 2], 3, np.where(nz[:, 1], 2, 1)))
+    last = (last.astype(np.int8) + np.arange(0, 16, 4, dtype=np.int8)[:, None]) * (g > 0)
+    # lead[d]: word 0 with every slot filled, d as the lead digit
+    lead = np.frombuffer(b"-0.000d." * 10, np.uint8).reshape(10, 8).copy()
+    lead[:, 6] = np.arange(10) + ord("0")
+
+    # per exponent X: the notation class (0: exponential, X + 5 for the
+    # fixed notation of -4 <= X <= 16), the digits the integer part prints
+    # after the lead, and the exponent's text
+    X = np.arange(_EXPONENTS[0], _EXPONENTS[1] + 1)
+    fixed = (X >= -4) & (X <= 16)
+    notation = np.where(fixed, X + 5, 0)
+    integer = np.where(fixed, np.clip(X, 0, 16), 0).astype(np.int8)
+    exponent = np.array([b"" if f else b"e%+03d" % x
+                         for x, f in zip(X.tolist(), fixed.tolist())], "S8")
+
+    # mask[c]: 0xFF on the slots of words 0-4 that print, for
+    # c = (notation * 17 + keep) * 2 + sign, where keep is the number of
+    # digits printed after the lead digit
+    Xc = np.arange(-5, 17)[:, None, None, None]  # -5 stands for exponential
+    keep = np.arange(17)[:, None, None]
+    sign = np.arange(2)[:, None]
+    slot = np.arange(40)
+    place = (slot - 6) // 2  # the digit a slot holds, or follows
+    point = np.where(Xc == -5, 0, np.where(Xc < 0, -1, Xc))  # the digit before '.'
+    show = np.where(slot == 0, sign == 1,
+           np.where(slot < 6, (-4 <= Xc) & (Xc < 0) & (slot <= 1 - Xc),
+           np.where(slot % 2 == 0, place <= keep,
+                    (place == point) & (place < keep))))
+    mask = np.where(show, np.uint8(0xFF), np.uint8(0)).reshape(-1, 40)
+    return dict(powers=powers, digits=digits.view("<u8")[:, 0], last=last,
+                lead=lead.view("<u8")[:, 0], notation=notation,
+                integer=integer, exponent=exponent.view("<u8"),
+                mask=np.ascontiguousarray(mask.view("<u8").T))
+
+
+def _times_power(a, k, powers):
+    """a * 10**k as p + t for positive a: p = fl(a * hi) and t the rest.
+    Dekker's product makes p + t equal a * hi exactly, so t is exact where
+    10**k is a double (0 <= k <= 22), and within 1e-14 of the rest
+    otherwise, wherever a * 10**k lies in [1e16, 1e17). There p is an even
+    integer, as every double from 2**53 up is."""
+    hi, head, tail, lo = np.take(powers, k - _POWERS[0], axis=1)
+    c = _SPLIT * a
+    a_head = c - (c - a)
+    a_tail = a - a_head
+    p = a * hi
+    t = a_head * head - p
+    t += a_head * tail
+    t += a_tail * head
+    t += a_tail * tail
+    t += a * lo
+    return p, t
+
+
+def _off_range(p, t):
+    """+1 where p + t >= 1e17, -1 where it is below 1e16, else 0."""
+    return ((p - 1e17) + t >= 0).view(np.int8) - ((p - 1e16) + t < 0).view(np.int8)
+
+
+def _format_rows(chunk) -> str:
+    """The text of `_format_rows_percent(chunk)` for a 2-D float64 array.
+
+    Let E = floor(log10|x|), moved by one where |x| * 10**(16-E) falls
+    outside [1e16, 1e17). That product is p + t (`_times_power`), its rest t
+    within 1e-14 of exact, so D = p + rint(t) are the 17 digits that
+    CPython's correctly rounded dtoa prints, unless t lies within 1e-9 of a
+    half (exact ties included). Such undecided values, and those outside
+    [1e-275, 1e290), where the powers or products would leave the normal
+    double range, take D and E from ``'%.16e'``; zeros are set apart."""
+    rows, width = chunk.shape
+    x = np.asarray(chunk, np.float64).ravel()
+    a = np.abs(x)
+    slow = ~((a >= 1e-275) & (a < 1e290))
+    if slow.any():
+        if not np.isfinite(x[slow]).all():
+            return _format_rows_percent(chunk)
+        a[slow] = 1.0
+    T = _format_tables()
+    E = np.floor(np.log10(a)).astype(np.intp)
+    p, t = _times_power(a, 16 - E, T["powers"])
+    off = _off_range(p, t)
+    moved = np.flatnonzero(off)
+    if len(moved):  # log10 was one off, next to a power of ten
+        E[moved] += off[moved]
+        p[moved], t[moved] = _times_power(a[moved], 16 - E[moved], T["powers"])
+        slow[moved] |= _off_range(p[moved], t[moved]) != 0
+    r = np.rint(t)
+    slow |= np.abs(np.abs(t - r) - 0.5) < 1e-9
+    D = p.astype(np.int64)
+    D += r.astype(np.int64)
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    E += carry
+    zero = x == 0
+    D[zero] = E[zero] = 0
+    for j in np.flatnonzero(slow & ~zero):
+        s = "%.16e" % abs(x[j])
+        D[j], E[j] = int(s[0] + s[2:18]), int(s[19:])
+
+    lead = D // 10 ** 16
+    rest = D - lead * 10 ** 16
+    upper = rest // 10 ** 8
+    lower = rest - upper * 10 ** 8
+    g1, g3 = upper // 10 ** 4, lower // 10 ** 4
+    groups = (g1, upper - g1 * 10 ** 4, g3, lower - g3 * 10 ** 4)
+    L = T["last"]
+    last = np.maximum(np.maximum(np.take(L[0], groups[0]), np.take(L[1], groups[1])),
+                      np.maximum(np.take(L[2], groups[2]), np.take(L[3], groups[3])))
+    X = E - _EXPONENTS[0]
+    c = np.take(T["notation"], X) * 34
+    c += np.maximum(last, np.take(T["integer"], X)) * 2
+    c += np.signbit(x)
+
+    words = np.empty((6, len(x)), "<u8")
+    mask = T["mask"]
+    np.take(T["lead"], lead, out=words[0])
+    words[0] &= np.take(mask[0], c)
+    for j, g in enumerate(groups, start=1):
+        np.take(T["digits"], g, out=words[j])
+        words[j] &= np.take(mask[j], c)
+    np.take(T["exponent"], X, out=words[5])
+    ends = np.full(width, ord(",") << 40, "<u8")
+    ends[-1] = int.from_bytes(b"\r\n", "little") << 40
+    words[5].reshape(rows, width)[:] |= ends
+    return words.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_csv(series: MultivariateSeries, path) -> None:

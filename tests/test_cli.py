@@ -526,6 +526,22 @@ def test_estimate_of_a_huge_value_prints_one_error_line(capsys, tmp_path,
     assert err.startswith(f"error: {error}: ")
 
 
+@pytest.mark.parametrize("method, error", [("quadform_argmax", "DegenerateSpectrum"),
+                                           ("norm_argmax", "DomainError")])
+def test_estimate_whose_partial_sums_overflow_prints_one_error_line(
+        capsys, tmp_path, method, error):
+    # 1e308 - (-1e308), and the running sums after it, overflow while the
+    # curve is formed: still only the typed error reaches stderr
+    path = tmp_path / "huge.csv"
+    path.write_text("a\n-1e308\n" + "1e308\n" * 17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, "estimate", path, "--method", method)
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {error}: ")
+
+
 # ----------------------------------------------------------------- detect
 
 
@@ -1264,6 +1280,32 @@ def test_import_and_cached_critval_load_no_numpy(tmp_path):
         ["critval --d 5 --alpha 0.05", 0, False],
         ["--help", 0, False],
     ]
+
+
+# Runs in a fresh interpreter: one command through cli.main, then its exit
+# code and which of the test's modules it loaded.
+_LOADED_CHILD = """
+import contextlib, io, json, sys
+from mvcusum import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, [m for m in ("mvcusum.engine", "mvcusum.spectral")
+                       if m in sys.modules]]))
+"""
+
+
+def test_simulate_loads_neither_engine_nor_spectral(tmp_path):
+    # simulate reads its recipe through experiments, which imports the
+    # test's modules only inside run_cell
+    (tmp_path / "r.cfg").write_text("d=2\nT=50\nm=1\ndelta=1,1\nk_star=0.5\n")
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_CHILD, "simulate", "--config", "r.cfg",
+         "--out", "s.csv"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=_child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, []]
 
 
 def _blas_env(preset):
