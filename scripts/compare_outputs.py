@@ -112,6 +112,12 @@ and at 1e300·I. The writer forms the digits of values below 1e-6 with a
 power of ten that is no double, and formats values from 1e290 up one at a
 time, so these commands reach both paths.
 
+Commands [0-173] are the sets above. Last, one command line per subcommand
+that the parser rejects, and the bare ``mvcusum``: ``simulate --d x``,
+``spectrum --transform nope``, ``detect --method nope``, ``estimate``
+without an input, ``scan --bogus``, ``critval`` without ``--d`` and ``bench
+table1 --reps 1.5``.
+
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
 
@@ -475,13 +481,25 @@ def commands():
         ("simulate", "--config", IN + "base_tiny.cfg", "--out", "sim/x.csv"),
         ("simulate", "--config", IN + "base_vast.cfg", "--out", "sim/x.csv"),
     ]
+    # beyond the 174 above: command lines that do not parse
+    small = IN + "small.csv"
+    cmds += [
+        (),
+        ("simulate", "--d", "x", "--T", "50", "--m", "0"),
+        ("spectrum", small, "--transform", "nope"),
+        ("detect", small, "--method", "nope"),
+        ("estimate",),
+        ("scan", small, "--bogus"),
+        ("critval", "--alpha", "0.05"),
+        ("bench", "table1", "--reps", "1.5"),
+    ]
     return cmds
 
 
 def _steps(cmd):
     """The argv of each step of a command: a tuple of argvs runs them in
     order in one directory."""
-    return cmd if isinstance(cmd[0], tuple) else (cmd,)
+    return cmd if cmd and isinstance(cmd[0], tuple) else (cmd,)
 
 
 def run(src, cmd, cwd):

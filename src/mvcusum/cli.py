@@ -11,7 +11,10 @@ benchmark grid of simulation cells.
 Exit codes: 0 success, 1 stdout closed by its reader, 2 usage or data
 problems (every deliberate toolkit error), 3 unexpected internal failures.
 Errors print one machine-parseable line to stderr: ``error: <Category>:
-<message>``.  All file outputs are plain CSV or key=value text, and every
+<message>``.  `main` alone picks the exit code and prints that line: the
+parser raises `UsageError` rather than print its usage, and a ``cmd_*``
+returns nothing or raises (`bench` raises `CellFailures` once its outputs
+are written).  All file outputs are plain CSV or key=value text, and every
 subcommand is bit-reproducible given the same flags and seed.
 
 The module imports only the standard library, `errors` and `critical`, and
@@ -37,11 +40,8 @@ from .critical import (
     critical_value,
     default_table,
 )
-from .errors import (
-    DomainError,
-    ToolkitError,
-    TooShort,
-)
+from .errors import (CellFailures, DomainError, ToolkitError, TooShort,
+                     UsageError)
 
 if TYPE_CHECKING:
     from .series import MultivariateSeries
@@ -78,14 +78,12 @@ def _apply_transform(series: MultivariateSeries, name: str) -> MultivariateSerie
             raise DomainError("log transform needs strictly positive values")
         return MultivariateSeries(np.log(series.values), labels=series.labels,
                                   _fresh=True)
-    if name == "diff":
-        if series.T < 3:
-            raise TooShort(
-                f"differencing needs at least 3 observations, got {series.T}"
-            )
-        return MultivariateSeries(np.diff(series.values, axis=0),
-                                  labels=series.labels, _fresh=True)
-    raise DomainError(f"unknown transform {name!r}")
+    if series.T < 3:  # diff: the parser's choices admit no other name
+        raise TooShort(
+            f"differencing needs at least 3 observations, got {series.T}"
+        )
+    return MultivariateSeries(np.diff(series.values, axis=0),
+                              labels=series.labels, _fresh=True)
 
 
 def _fmt(value: float) -> str:
@@ -162,7 +160,7 @@ def _write_sim_meta(path, spec, t_star) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     """Draw one series from the recipe in --config, overridden by the
     recipe flags (their dests are the recipe keys), and write it with its
     .meta sidecar once it is drawn."""
@@ -182,13 +180,12 @@ def cmd_simulate(args) -> int:
     print(f"T={spec.T}")
     print(f"d={spec.d}")
     print(f"t_star={'none' if t_star is None else t_star}")
-    return 0
 
 
 # ------------------------------------------------------------------ spectrum
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> None:
     import numpy as np
 
     from .spectral import _spectrum_and_covariance, export_spectrum_csv
@@ -208,7 +205,6 @@ def cmd_spectrum(args) -> int:
     for i in range(series.d):
         print(f"sigma_{i}={_fmt_floats(lr.sigma[i])}")
     print(f"spectrum={out}")
-    return 0
 
 
 # -------------------------------------------------------------------- detect
@@ -238,7 +234,7 @@ def _write_curve(args, curve):
     return out
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args) -> None:
     """Test, then estimate (on rejection) and scan (with --scan). Every
     result is computed and the curve written before the first line is
     printed, so a failing step prints nothing and writes nothing."""
@@ -264,13 +260,12 @@ def cmd_detect(args) -> int:
         _print_scan(scan)
     if curve_out:
         print(f"curve={curve_out}")
-    return 0
 
 
 # --------------------------------------------------------- estimate and scan
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> None:
     """Only ``quadform_argmax`` reads the long-run covariance and the
     quadratic form, so only it builds them."""
     from . import engine
@@ -283,10 +278,9 @@ def cmd_estimate(args) -> int:
         curve = engine.quadform(curve, long_run_covariance(series, args.h))
     _print_estimate(engine.estimate_changepoint(curve, method=args.method,
                                                 trim=args.trim))
-    return 0
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> None:
     from . import engine
     from .spectral import long_run_covariance
 
@@ -300,13 +294,12 @@ def cmd_scan(args) -> int:
     _print_scan(scan)
     if curve_out:
         print(f"curve={curve_out}")
-    return 0
 
 
 # ------------------------------------------------------------------- critval
 
 
-def cmd_critval(args) -> int:
+def cmd_critval(args) -> None:
     if args.table and not os.path.exists(args.table):
         table = CriticalValueTable()  # a new --table file starts empty
     else:
@@ -328,13 +321,12 @@ def cmd_critval(args) -> int:
     print(f"source={'cache' if cached else 'computed'}")
     if args.table:
         print(f"table={args.table}")
-    return 0
 
 
 # --------------------------------------------------------------------- bench
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     from .experiments import (
         load_grid,
         load_shipped_grid,
@@ -370,10 +362,7 @@ def cmd_bench(args) -> int:
     completed = sum(1 for row in rows if not row.failures)
     print(f"completed={completed}/{len(rows)}")
     if failures and not args.keep_going:
-        print(f"error: CellFailures: {failures} failed replications "
-              "across the grid", file=sys.stderr)
-        return 2
-    return 0
+        raise CellFailures(f"{failures} failed replications across the grid")
 
 
 # -------------------------------------------------------------------- parser
@@ -422,8 +411,15 @@ def _add_scan_flags(sub) -> None:
                           "of the smoothed curve's range)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for `main` to report; subparsers share the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvcusum",
         description="Offline mean-shift detection for multivariate series: "
                     "CUSUM test, change-point estimates, spectral long-run "
@@ -593,23 +589,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    code = 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            args.func(args)
+        except SystemExit:  # --help, after printing its text
+            pass
+        except BrokenPipeError:
+            raise
+        except (ToolkitError, OSError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 2
+        except Exception as exc:  # safety net: anything else is a bug
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 3
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
-        return code
     except BrokenPipeError:
         # end quietly, as a filter does; stdout now goes to devnull, so the
         # flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except (ToolkitError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # safety net: anything else is a bug
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        code = 1
+    return code

@@ -21,6 +21,8 @@ __all__ = [
     "DimensionMismatch",
     "MissingCriticalValue",
     "GridParseError",
+    "UsageError",
+    "CellFailures",
 ]
 
 
@@ -80,6 +82,14 @@ class MissingCriticalValue(ToolkitError):
 class GridParseError(ToolkitError):
     """A grid or simulation config is malformed. The message carries
     source:line provenance where a single line is to blame."""
+
+
+class UsageError(ToolkitError):
+    """A command line the argument parser rejects, named by its prog."""
+
+
+class CellFailures(ToolkitError):
+    """Bench replications failed; the grid's outputs are written anyway."""
 
 
 @contextmanager

@@ -43,7 +43,7 @@ __all__ = [
     "gen_series",
 ]
 
-# Deepest filter drawn: K_max presample rows cost time and memory in
+# Most presample rows drawn: K_max + m of them cost time and memory in
 # proportion, whatever T is (rho = 0.99999 at the default tol needs
 # 3,914,375 rows for any series length).
 _MAX_DEPTH = 1_000_000
@@ -188,14 +188,19 @@ def gen_innovations(spec: SimulationSpec) -> np.ndarray:
 
     The underlying Gaussian stream is split into a forward child (t = 1..T)
     and a presample child (t = 0, -1, -2, ...), both colored by the Cholesky
-    factor of ``innovation_cov``. A depth K_max above 1,000,000 raises
-    DomainError.
+    factor of ``innovation_cov``. A depth K_max above 1,000,000, or a
+    presample of K_max + m rows above that, raises DomainError.
     """
     k_max, m = spec.K_max, spec.m
     if k_max > _MAX_DEPTH:
         raise DomainError(
             f"filter depth K_max={k_max} at rho={spec.rho} and tol={spec.tol} "
             f"exceeds {_MAX_DEPTH} presample rows; lower rho or raise tol"
+        )
+    if k_max + m > _MAX_DEPTH:
+        raise DomainError(
+            f"filter depth K_max={k_max} plus dependence range m={m} exceeds "
+            f"{_MAX_DEPTH} presample rows; lower m"
         )
     n_pre = k_max + m  # deepest Z needed: xi at t = 1 - K_max reaches back m more
     forward, presample = np.random.SeedSequence(spec.seed).spawn(2)

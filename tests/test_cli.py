@@ -318,6 +318,17 @@ def test_simulate_refuses_a_filter_deeper_than_the_cap(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_refuses_a_dependence_range_deeper_than_the_cap(capsys, tmp_path):
+    # m + 1 Gaussian rows make each innovation: m counts against the cap
+    rc, out, err = run_cli(capsys, "simulate", "--d", 2, "--T", 50,
+                           "--m", 1_000_001, "--rho", 0,
+                           "--output-dir", tmp_path / "out")
+    assert (rc, out) == (2, "")
+    assert err == ("error: DomainError: filter depth K_max=0 plus dependence "
+                   "range m=1000001 exceeds 1000000 presample rows; lower m\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_without_break_reports_none(capsys, tmp_path):
     rc, out, _ = run_cli(
         capsys, "simulate", "--d", 1, "--T", 60, "--m", 1,
@@ -594,8 +605,7 @@ def test_detect_two_pass_is_a_usage_error(capsys, tmp_path, ha_csv):
     rc, out, err = run_cli(capsys, "detect", path, "--two-pass")
     assert rc == 2
     assert out == ""
-    assert err == ("usage: mvcusum [-h] subcommand ...\n"
-                   "mvcusum: error: unrecognized arguments: --two-pass\n")
+    assert err == "error: UsageError: mvcusum: unrecognized arguments: --two-pass\n"
 
 
 def test_detect_emit_curve_writes_quadform_curve(capsys, tmp_path, ha_csv, cv2_csv):
@@ -1205,6 +1215,32 @@ def test_closed_stdout_ends_quietly(tmp_path, read_first):
     assert err == b""
 
 
+@pytest.mark.parametrize("argv, unbuffered, expected", [
+    (["bench", "bad.grid"], False,
+     b"error: CellFailures: 2 failed replications across the grid\n"),
+    (["bench", "bad.grid"], True, b""),
+    (["--help"], False, b""),
+], ids=["cell-failures-buffered", "cell-failures-unbuffered", "help"])
+def test_closed_stdout_exits_1_through_main(tmp_path, argv, unbuffered, expected):
+    # bench's failure exit and --help end in main like any other run: with
+    # a buffered stdout, the lines wait for main's flush (after the error
+    # line); unbuffered, the first line meets the closed pipe and the run
+    # stops there. Either way exit 1, and no "Exception ignored" line
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    (tmp_path / "bad.grid").write_text(BAD_CELL_GRID)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mvcusum", *argv], cwd=tmp_path, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == expected
+
+
 # Runs in a fresh interpreter: imports the package, then runs each command
 # through cli.main and records the scipy modules loaded so far.
 _NO_SCIPY_CHILD = """
@@ -1258,8 +1294,10 @@ report = [("import mvcusum", 0, "numpy" in sys.modules)]
 mvcusum.default_table()
 report.append(("default_table()", 0, "numpy" in sys.modules))
 from mvcusum import cli
-for argv in (["critval", "--d", "5", "--alpha", "0.05"], ["--help"]):
-    with contextlib.redirect_stdout(io.StringIO()):
+for argv in (["critval", "--d", "5", "--alpha", "0.05"], ["--help"],
+             ["detect", "x.csv", "--transform", "nope"]):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(argv)
     report.append((" ".join(argv), rc, "numpy" in sys.modules))
 print(json.dumps(report))
@@ -1279,6 +1317,7 @@ def test_import_and_cached_critval_load_no_numpy(tmp_path):
         ["default_table()", 0, False],
         ["critval --d 5 --alpha 0.05", 0, False],
         ["--help", 0, False],
+        ["detect x.csv --transform nope", 2, False],
     ]
 
 

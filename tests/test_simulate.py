@@ -268,6 +268,14 @@ def test_innovations_refuse_a_filter_deeper_than_the_cap():
         "1000000 presample rows; lower rho or raise tol")
     s = spec_of(d=2, T=100, m=0, rho=0.9999)  # 368,395 taps: under the cap
     assert gen_innovations(s).shape == (100 + 368_395, 2)
+    # K_max + m rows are drawn, so a wide window counts against the cap too
+    s = spec_of(d=2, T=50, m=999_961, rho=0.5)
+    assert s.K_max == 40
+    with pytest.raises(DomainError) as exc:
+        gen_innovations(s)
+    assert str(exc.value) == (
+        "filter depth K_max=40 plus dependence range m=999961 exceeds "
+        "1000000 presample rows; lower m")
 
 
 def test_innovations_m0_sample_cov():
