@@ -118,6 +118,18 @@ that the parser rejects, and the bare ``mvcusum``: ``simulate --d x``,
 without an input, ``scan --bogus``, ``critval`` without ``--d`` and ``bench
 table1 --reps 1.5``.
 
+Commands [0-181] are the sets above. Last, the edges of the plain-number
+CSV reader, which reads a file without quotes, blank or ragged lines in
+chunks of whole lines and hands anything else to numpy's reader:
+``detect --scan --emit-curve`` and ``spectrum --out`` on a 200 x 3 input
+of cells on or next to a rounding midpoint (odd integers between 2**53
+and 2**54, 17-19-digit roundings of the midpoint between two doubles, and
+n * 10**23); ``spectrum --out`` on the 16 x 3 input without its final
+newline, on a 200 x 3 CRLF input whose last line holds a quoted cell (the
+whole file goes to numpy's reader), and on one with a 25-byte cell; and
+``detect`` on one with a cell of ``1e400`` (a ``NonFinite`` error naming
+its row and column).
+
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
 
@@ -128,6 +140,8 @@ Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
 import difflib
 import hashlib
 import math
+from decimal import Decimal
+from fractions import Fraction
 import os
 import random
 import subprocess
@@ -255,6 +269,29 @@ def write_inputs(root):
     for name, scale in (("tiny", "1e-200"), ("vast", "1e300")):
         put(f"base_{name}.cfg", f"d=2\nT=300\nm=2\nbase={scale},0,0,{scale}\n"
             "seed=5\n")
+    rng = random.Random(29)
+    rows = []
+    for _ in range(200):
+        x = rng.uniform(1.0, 2.0)
+        mid = (Fraction(x) + Fraction(math.nextafter(x, 3.0))) / 2
+        mid = Decimal(mid.numerator) / Decimal(mid.denominator)
+        rows.append([str(2**53 + 2 * rng.randrange(2**40) + 1),
+                     format(mid, f".{rng.randint(16, 18)}e"),
+                     f"{rng.randrange(1, 2**40)}e23"])
+    put("midpoint.csv", "\n".join(",".join(r) for r in [["a", "b", "c"]] + rows) + "\n")
+    small = _table(["x0", "x1", "x2"], _ma_series(16, 3, 16, order=1))
+    put("nonewline.csv", small.rstrip("\n"))
+    rows = _ma_series(200, 3, 31)
+    text = _table(["a", "b", "c"], rows).splitlines()
+    a, b, c = text[-1].split(",")
+    text[-1] = f'{a},"{b}",{c}'
+    put("crlfquote.csv", "\n".join(text) + "\n", newline="\r\n")
+    text = _table(["a", "b", "c"], rows).splitlines()
+    text[7] = text[7].split(",")[0] + ",1e400," + text[7].split(",")[2]
+    put("inf400.csv", "\n".join(text) + "\n")
+    text = _table(["a", "b", "c"], rows).splitlines()
+    text[3] = "%.22f," % -1.234 + text[3].split(",", 1)[1]  # a 25-byte cell
+    put("wide.csv", "\n".join(text) + "\n")
 
 
 def commands():
@@ -492,6 +529,15 @@ def commands():
         ("scan", small, "--bogus"),
         ("critval", "--alpha", "0.05"),
         ("bench", "table1", "--reps", "1.5"),
+    ]
+    # beyond the 182 above: the edges of the plain-number CSV reader
+    cmds += [
+        ("detect", IN + "midpoint.csv", "--scan", "--emit-curve", "curve.csv"),
+        ("spectrum", IN + "midpoint.csv", "--out", "spec.csv"),
+        ("spectrum", IN + "nonewline.csv", "--out", "spec.csv"),
+        ("spectrum", IN + "crlfquote.csv", "--out", "spec.csv"),
+        ("detect", IN + "inf400.csv"),
+        ("spectrum", IN + "wide.csv", "--out", "spec.csv"),
     ]
     return cmds
 

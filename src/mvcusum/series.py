@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
 import warnings
 from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
@@ -165,40 +166,298 @@ def load_csv(path, columns: Sequence[str] = (), date_column: Optional[str] = Non
 
     Notes
     -----
-    numpy's C reader parses the values from the handle the header was read
-    from, so a clean file is opened once. A file it cannot read in full, or
-    whose values are not all finite, or that has fewer than 2 rows is read
-    again cell by cell with Python's ``float``, which accepts a few more
-    spellings (``1_000``, non-ASCII digits) and names the row and column of
-    a bad cell.
+    A file of plain numbers (see `_parse_plain`) is read from the handle
+    the header was read from, so it is opened once. Any other file is read
+    again from its start by numpy's C reader. A file that reader cannot read
+    in full, or whose values are not all finite, or that has fewer than 2
+    rows is read once more cell by cell with Python's ``float``, which
+    accepts a few more spellings (``1_000``, non-ASCII digits) and names the
+    row and column of a bad cell. All three give every value the bits that
+    ``float`` gives it.
     """
     if skip_rows < 0:
         raise DomainError(f"skip_rows must be >= 0, got {skip_rows}")
     with _open_text(path, DomainError, newline="") as fh:
         _, header = _records(fh, skip_rows)
         columns, usecols = _pick(path, header, columns, date_column)
-        values = _read_values(fh, usecols)
+        values = _read_values(fh, skip_rows, len(header), usecols)
     if values is None:
         values = _parse_cells(path, skip_rows, columns, usecols)
     return MultivariateSeries(values, labels=columns, _fresh=True)
 
 
-def _read_values(fh, usecols):
-    """The selected columns of the data rows left in fh, through numpy's C
-    reader; None unless every value is finite and there are at least 2 rows.
+def _read_values(fh, skip_rows, width, usecols):
+    """The selected columns of the data rows left in fh, which follow a
+    header of ``width`` names; None unless every value is finite and there
+    are at least 2 rows. `_read_plain` reads them unless a line is outside
+    its grammar; then numpy's C reader reads the file again from the header
+    on. numpy's reader alone reads a pipe, which cannot be read twice.
     ``comments=None``: the default '#' would cut a line short silently."""
-    try:
-        with warnings.catch_warnings():
-            # no data rows: the typed TooShort comes from the fallback
-            warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(fh, dtype=np.float64, delimiter=",",
-                                comments=None, quotechar='"',
-                                usecols=usecols, ndmin=2)
-    except ValueError:
-        return None
+    values = None
+    if fh.seekable():
+        values = _read_plain(fh, width, usecols)
+        if values is None:
+            fh.seek(0)
+            _records(fh, skip_rows)
+    if values is None:
+        try:
+            with warnings.catch_warnings():
+                # no data rows: the typed TooShort comes from the fallback
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, dtype=np.float64, delimiter=",",
+                                    comments=None, quotechar='"',
+                                    usecols=usecols, ndmin=2)
+        except ValueError:
+            return None
     if len(values) < 2 or not np.isfinite(values).all():
         return None
     return values
+
+
+_PLAIN_CHUNK = 1 << 17  # characters a chunk; its temporaries count in the peak
+
+
+def _read_plain(fh, width, usecols):
+    """The selected columns of the data rows left in fh, parsed by
+    `_parse_plain` a chunk of whole lines at a time into one array sized
+    from the file's length; None as soon as a chunk is outside its grammar
+    or the text is not ASCII."""
+    out, rows, tail = None, 0, ""
+    while True:
+        try:
+            text = tail + fh.read(_PLAIN_CHUNK)
+        except UnicodeDecodeError:  # the reader that raises it names the byte
+            return None
+        end = len(text) < len(tail) + _PLAIN_CHUNK
+        cut = len(text) if end else text.rfind("\n") + 1
+        if not cut and not end:  # a line longer than a chunk
+            tail = text
+            continue
+        text, tail = text[:cut], text[cut:]
+        if end and text and not text.endswith("\n"):
+            text += "\n"
+        if not text.isascii():
+            return None
+        block = _parse_plain(text.encode("ascii"), width, usecols)
+        if block is None:
+            return None
+        if out is None:
+            size = os.fstat(fh.fileno()).st_size
+            guess = int(size / max(len(text), 1) * len(block) * 1.02)
+            out = np.empty((max(guess, len(block)), len(usecols)))
+        if rows + len(block) > len(out):
+            out.resize((max(int(len(out) * 1.5), rows + len(block)),
+                        len(usecols)), refcheck=False)
+        out[rows:rows + len(block)] = block
+        rows += len(block)
+        del text, block  # the peak holds one chunk's text and temporaries
+        if end:
+            out.resize((rows, len(usecols)), refcheck=False)
+            return out
+
+
+# `_digits` reads each digit run of a cell as up to three little-endian
+# uint64 words of 8 bytes, the last ending where the run ends. A byte b is
+# an ASCII digit when b & 0xF0 and (b + 6) & 0xF0 are both 0x30, and the
+# three multiply steps of _SWAR turn 8 digits, the first in the low byte,
+# into their value (Lemire 2021, Software: Practice and Experience 51(8)).
+_HIGH = np.uint64(0xF0F0F0F0F0F0F0F0)
+_SIX = np.uint64(0x0606060606060606)
+_SWAR = [(np.uint64(8 * n), np.uint64(10 ** n), np.uint64(mask)) for n, mask in
+         ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0xFFFFFFFF))]
+_PAD = 24  # zero bytes before a chunk, so the words of a run stay inside it
+
+
+@functools.cache
+def _digit_tables():
+    """By word (0 the last) and run length: the mask of the word's bytes in
+    the run, and those bytes all '0'; and 10**n by run length n, capped at
+    10**19."""
+    top = [[~((1 << 8 * (8 - min(max(n - 8 * k, 0), 8))) - 1) & (1 << 64) - 1
+            for n in range(25)] for k in range(3)]
+    top = np.array(top, np.uint64)
+    ten = np.array([10 ** min(n, 19) for n in range(25)], np.uint64)
+    return top, top & np.uint64(0x3030303030303030), ten
+
+
+def _digits(words, end, length):
+    """The value of each run of ``length`` bytes (at most 24) that ends
+    before byte ``end`` of the bytes under ``words``, a stride-1 uint64
+    view; whether each run is all ASCII digits; and whether its value
+    reaches 10**19, where the value returned is not exact."""
+    top, zeros, _ = _digit_tables()
+    value = np.zeros(len(end), np.uint64)
+    bad = np.zeros(len(end), np.uint64)  # bits of the bytes that are no digit
+    wide = np.zeros(len(end), bool)
+    for k in range(-(-int(length.max(initial=0)) // 8)):
+        w = words[end - 8 * (k + 1)]
+        w &= np.take(top[k], length)
+        z = np.take(zeros[k], length)
+        bad |= (w & _HIGH) ^ z
+        bad |= ((w + _SIX) & _HIGH) ^ z
+        w -= z
+        for shift, scale, keep in _SWAR:
+            high = w >> shift
+            w *= scale
+            w += high
+            w &= keep
+        if k == 2:
+            wide = w >= 1000
+        if k:
+            w *= np.uint64(10 ** (8 * k))
+        value += w
+    return value, bad == 0, wide
+
+
+def _in_field(sep, marks):
+    """Per field ended at ``sep``, the position of a byte in ``marks`` that
+    lies in it, or -1; of two in one field, either."""
+    if len(marks) == len(sep) and (marks < sep).all() and (marks[1:] > sep[:-1]).all():
+        return marks
+    at = np.full(len(sep), -1)
+    at[np.searchsorted(sep, marks)] = marks
+    return at
+
+
+def _parse_plain(data, width, usecols):
+    """The ``usecols`` cells of the lines in ``data`` as float64, bit for bit
+    what ``float`` gives each; None when data is outside the grammar.
+
+    The grammar: ASCII with no '"'; lines of exactly ``width`` fields, each
+    ended by LF or CRLF (no blank line); a selected field is at most 24
+    bytes of ``[+-]?digits[.digits][(e|E)[+-]?digits]`` with at least one
+    mantissa digit. Unselected fields are split, never read. A cell is
+    read as its decimal digits and exponent (`_decimals`), then rounded
+    (`_round_decimals`); the cells that leaves undecided go through
+    ``float`` one by one (`_float_cells`)."""
+    if not data:
+        return np.empty((0, len(usecols)))
+    cells = _decimals(data, width, usecols)
+    if cells is None:
+        return None
+    D, k, slow, neg, start, end = cells
+    r = _round_decimals(D, k, slow)
+    np.negative(r, out=r, where=neg)
+    i = np.flatnonzero(slow)
+    if len(i):
+        r[i] = _float_cells(data, start[i] - _PAD, end[i] - _PAD)
+    return r.reshape(-1, len(usecols))
+
+
+def _decimals(data, width, usecols):
+    """Per selected cell in the lines of ``data``, in row order: its digits
+    D as an integer, exact where it has at most 19 after any leading
+    zeros, its decimal exponent k, whether it must go through ``float``
+    (more digits, or an exponent of 5 digits or more), its sign, and where
+    it starts and ends, counted from `_PAD` bytes before data; None when
+    data is outside the grammar of `_parse_plain`."""
+    if b'"' in data:
+        return None
+    buf = np.zeros(_PAD + len(data), np.uint8)
+    buf[_PAD:] = np.frombuffer(data, np.uint8)
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    sep = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    lines, cut = divmod(len(sep), width)
+    newline = buf[sep] == ord("\n")
+    if cut or not newline[width - 1::width].all() or newline.sum() != lines:
+        return None
+    dots = _in_field(sep, np.flatnonzero(buf == ord(".")))
+    es = np.flatnonzero((buf | 32) == ord("e"))  # e or E
+    es = _in_field(sep, es) if len(es) else None
+    start = np.empty_like(sep)
+    start[0] = _PAD
+    np.add(sep[:-1], 1, out=start[1:])
+    end = sep
+    if list(usecols) != list(range(width)):
+        start, end, dots = (x.reshape(lines, width)[:, usecols].ravel()
+                            for x in (start, end, dots))
+        if es is not None:
+            es = es.reshape(lines, width)[:, usecols].ravel()
+    if b"\r" in data:  # only as CR LF; a field before it ends at the CR
+        if (buf[np.flatnonzero(buf == ord("\r")) + 1] != ord("\n")).any():
+            return None
+        end = end - (buf[end - 1] == ord("\r"))
+    if (end - start > 24).any():
+        return None
+
+    c = buf[start]
+    neg = c == ord("-")
+    first = start + (neg | (c == ord("+")))
+    mend = end if es is None else np.where(es >= 0, es, end)
+    point = (dots >= first) & (dots < mend)
+    iend = np.where(point, dots, mend)
+    frac = mend - iend - point
+    lead = iend - first
+    if not (lead + frac).all():
+        return None
+    I, ok, wide = _digits(words, iend, lead)
+    D, ok_f, wide_f = _digits(words, mend, frac)
+    ok &= ok_f
+    # at most 19 digits after the leading zeros: D is exact
+    slow = np.where(I == 0, wide | wide_f, lead + frac > 19)
+    I *= np.take(_digit_tables()[2], frac)
+    D += I
+    k = -frac
+    if es is not None:
+        i = np.flatnonzero(es >= 0)
+        x0 = es[i] + 1
+        c = buf[x0]
+        xneg = c == ord("-")
+        x0 += xneg | (c == ord("+"))
+        size = end[i] - x0
+        if not size.all():
+            return None
+        X, ok_x, _ = _digits(words, end[i], size)
+        ok[i] &= ok_x
+        X = X.astype(np.int64)
+        k[i] += np.where(xneg, -X, X)
+        slow[i] |= size > 4
+    if not ok.all():
+        return None
+    # D * 10**k < 10**(lead + frac + k) <= 1e300 keeps `_times_power` finite
+    slow |= (k < _POWERS[0]) | (k > _POWERS[1]) | (lead + frac + k > 300)
+    return D, k, slow, neg, start, end
+
+
+def _round_decimals(D, k, slow):
+    """D * 10**k rounded to the nearest double, for the uint64 D and int
+    k; ``slow`` (updated in place) marks the values it leaves undecided.
+
+    D = A + B, with A = float(D) and |B| <= 2**11 exact, and A * 10**k =
+    p + t (`_times_power`, within about 2**-100 relative); with t += B * hi
+    the sum p + t is within about 2**-94 of D * 10**k, relative, or 2**-42
+    of an ulp. So r = fl(p + t) is the nearest double unless the rest
+    (p - r) + t lies within 2**-30 ulp of half the gap to r's neighbour
+    above, or below, which is narrower at a power of two, or r leaves
+    [1e-290, 1e300). Zeros are exact whatever k is."""
+    zero = (D == 0) & ~slow
+    D = np.where(slow, 0, D)  # not exact: may not even convert back
+    k = np.where(slow | zero, 0, k)
+    A = D.astype(np.float64)
+    B = (D - A.astype(np.uint64)).view(np.int64).astype(np.float64)
+    powers = _format_tables()["powers"]
+    p, t = _times_power(A, k, powers)
+    t += B * np.take(powers[0], k - _POWERS[0])
+    r = p + t
+    rest = (p - r) + t
+    bits = r.view(np.uint64)
+    ulp = ((np.maximum(bits >> np.uint64(52), 53) - np.uint64(52))
+           << np.uint64(52)).view(np.float64)
+    band = ulp * 2.0 ** -30
+    low = ((bits & np.uint64((1 << 52) - 1)) == 0) & (rest < 0)
+    rest = np.abs(rest)
+    slow |= np.abs(rest - 0.5 * ulp) <= band
+    slow |= low & (np.abs(rest - 0.25 * ulp) <= band)
+    slow |= (r < 1e-290) | (r >= 1e300)
+    slow &= ~zero
+    r[zero] = 0.0
+    return r
+
+
+def _float_cells(data, start, end):
+    """``float`` of each cell data[start:end], the reference `_parse_plain`
+    rounds against."""
+    return [float(data[s:e]) for s, e in zip(start.tolist(), end.tolist())]
 
 
 def _parse_cells(path, skip_rows, columns, usecols):

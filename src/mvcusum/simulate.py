@@ -47,6 +47,9 @@ __all__ = [
 # proportion, whatever T is (rho = 0.99999 at the default tol needs
 # 3,914,375 rows for any series length).
 _MAX_DEPTH = 1_000_000
+# Most values T * d in one series: the draw holds several float64 copies of
+# it, 800 MB each at the cap.
+_MAX_VALUES = 100_000_000
 
 
 def exchangeable_cov(d, off):
@@ -145,6 +148,9 @@ class SimulationSpec:
         object.__setattr__(self, "K_max", k_max)
         if self.T < 2:
             raise DomainError(f"T must be >= 2, got {self.T}")
+        if self.T * d > _MAX_VALUES:
+            raise DomainError(f"T={self.T} times d={d} exceeds {_MAX_VALUES} "
+                              f"values in one series; lower T or d")
         if self.m < 0:
             raise DomainError(f"dependence range m must be >= 0, got {self.m}")
         if self.seed < 0:

@@ -329,6 +329,17 @@ def test_simulate_refuses_a_dependence_range_deeper_than_the_cap(capsys, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_refuses_a_series_longer_than_the_cap(capsys, tmp_path):
+    # refused before any draw: nothing of its size is allocated
+    rc, out, err = run_cli(capsys, "simulate", "--d", 2, "--T", 10**13,
+                           "--m", 0, "--rho", 0, "--output-dir", tmp_path / "out")
+    assert (rc, out) == (2, "")
+    assert err == ("error: GridParseError: command line: cell 'simulate': "
+                   "DomainError: T=10000000000000 times d=2 exceeds 100000000 "
+                   "values in one series; lower T or d\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_without_break_reports_none(capsys, tmp_path):
     rc, out, _ = run_cli(
         capsys, "simulate", "--d", 1, "--T", 60, "--m", 1,

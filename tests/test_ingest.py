@@ -8,6 +8,7 @@ parser reads everything.  The two must agree bit for bit, or raise the same
 typed error with the same row and column.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,19 @@ CASES = [
      None),
     ("repeated-date-column", "date,a,date\nx,1,y\nz,2,w\n", [], {}, False,
      None),
+    # the edges of the plain-number reader's grammar
+    ("field-24-bytes", "a,b\n-1.2345678901234567e-100,1\n2,3\n", ["a", "b"],
+     {}, False, None),
+    ("field-25-bytes", "a,b\n-1.23456789012345678e-100,1\n2,3\n", ["a", "b"],
+     {}, False, None),
+    ("twenty-decimals", "a\n0.00012345678901234567\n1\n", ["a"], {}, False,
+     None),
+    ("huge-exponent", "a\n9.9e+265\n7.2e-35\n", ["a"], {}, False, None),
+    ("subnormal", "a\n1e-320\n1\n", ["a"], {}, False, None),
+    ("negative-zero", "a,b\n-0,1\n0,-0.0\n", ["a", "b"], {}, False, None),
+    ("no-final-newline", "a,b\n1,2\n3,4", ["a", "b"], {}, False, None),
+    ("crlf-quoted-last-line", 'a,b\r\n1,2\r\n3,"4"\r\n', ["a", "b"], {},
+     False, None),
 ]
 
 
@@ -109,7 +123,7 @@ def test_load_csv_matches_per_cell_parser(tmp_path, monkeypatch, recwarn, text,
     assert len(fallbacks) == int(falls_back)
     assert not recwarn.list  # numpy's no-data warning must not leak
 
-    monkeypatch.setattr(series, "_read_values", lambda fh, usecols: None)
+    monkeypatch.setattr(series, "_read_values", lambda *args: None)
     reference = _outcome(path, columns, extra)
     assert fast == reference
     if first is None:
@@ -129,6 +143,68 @@ def test_clean_file_never_reaches_per_cell_parser(tmp_path, monkeypatch):
     (tmp_path / "clean.csv").write_text("\n".join(lines) + "\n")
     s = load_csv(tmp_path / "clean.csv", ("c", "a"), date_column="date")
     np.testing.assert_array_equal(s.values, x[:, [2, 0]])
+
+
+def test_plain_files_never_reach_numpys_reader(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called on a plain file")
+
+    x = np.random.default_rng(37).normal(size=(3_000, 3)) * [1e-5, 1.0, 1e9]
+    write_csv(MultivariateSeries(x), tmp_path / "written.csv")  # CRLF
+    lines = ["a,b,c"] + [",".join("%.17g" % v for v in row) for row in x]
+    (tmp_path / "lf.csv").write_text("\n".join(lines) + "\n")
+    lines = ["Date,a,b,c"] + [f"2021-Dec-{i % 28 + 1:02d}," + line
+                              for i, line in enumerate(lines[1:])]
+    (tmp_path / "dated.csv").write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    monkeypatch.setattr(series, "_PLAIN_CHUNK", 8192)  # many chunks
+    for name in ("written", "lf", "dated"):
+        s = load_csv(tmp_path / f"{name}.csv")
+        np.testing.assert_array_equal(s.values, x)
+
+
+def test_a_quote_after_many_chunks_rereads_the_file(tmp_path, monkeypatch):
+    # the lines read before the quote are read again, not kept twice
+    x = np.random.default_rng(41).normal(size=(2_000, 2))
+    lines = ["a,b"] + [",".join(map(repr, row)) for row in x.tolist()]
+    lines[-1] = '"' + lines[-1].replace(",", '",', 1)
+    (tmp_path / "in.csv").write_text("\r\n".join(lines) + "\r\n")
+    monkeypatch.setattr(series, "_PLAIN_CHUNK", 4096)
+    calls = []
+    records = series._records
+
+    def counted(fh, skip_rows):
+        calls.append(skip_rows)
+        return records(fh, skip_rows)
+
+    monkeypatch.setattr(series, "_records", counted)
+    fallbacks = _count_fallbacks(monkeypatch)
+    s = load_csv(tmp_path / "in.csv")
+    np.testing.assert_array_equal(s.values, x)
+    assert calls == [0, 0] and not fallbacks
+
+
+def test_bad_cell_before_a_byte_that_is_not_utf8_is_reported(tmp_path):
+    # the byte lies in the first chunk of the plain reader but past the
+    # text the per-cell parser decodes before it reaches the bad cell
+    rows = "".join(f"{i}.5,{i}\n" for i in range(3_000)).encode()
+    (tmp_path / "in.csv").write_bytes(b"a,b\n1,2\n3,oops\n" + rows + b"1,\xff\n")
+    with pytest.raises(ToolkitError) as info:
+        load_csv(tmp_path / "in.csv")
+    assert (type(info.value).__name__, info.value.row) == ("NonNumericCell", 2)
+
+
+@pytest.mark.parametrize("text", ["a,b\n1,2\n3,4\n", 'a,b\n1,2\n"3",4\n'])
+def test_load_csv_reads_a_pipe(text):
+    # a pipe cannot be rewound, so numpy's reader reads it from the header on
+    r, w = os.pipe()
+    os.write(w, text.encode())
+    os.close(w)
+    try:
+        values = load_csv(f"/dev/fd/{r}").values
+    finally:
+        os.close(r)
+    np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_load_csv_peak_memory_is_one_copy(tmp_path):
