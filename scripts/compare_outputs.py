@@ -130,6 +130,11 @@ whole file goes to numpy's reader), and on one with a 25-byte cell; and
 ``detect`` on one with a cell of ``1e400`` (a ``NonFinite`` error naming
 its row and column).
 
+Commands [0-187] are the sets above. Then ``detect /dev/stdin`` with the
+input's bytes sent on a pipe to stdin (shown as ``<`` and the input's path):
+the 16 x 3 input, the bad-cell input and the ``1_000`` input. A pipe is
+read like a file, so these give what the same command on the path gives.
+
 The inputs are written here with the standard library, so neither tree's
 reader, writer or simulator decides what the commands read.
 
@@ -539,6 +544,9 @@ def commands():
         ("detect", IN + "inf400.csv"),
         ("spectrum", IN + "wide.csv", "--out", "spec.csv"),
     ]
+    # beyond the 187 above: inputs sent on stdin through a pipe
+    cmds += [("detect", "/dev/stdin", "<" + IN + name + ".csv")
+             for name in ("small", "badcell", "underscore")]
     return cmds
 
 
@@ -548,14 +556,24 @@ def _steps(cmd):
     return cmd if cmd and isinstance(cmd[0], tuple) else (cmd,)
 
 
+def _stdin(argv, cwd):
+    """argv without a last ``<path`` element, and the bytes of that file
+    (relative to cwd) to send on stdin, or None."""
+    if not (argv and argv[-1].startswith("<")):
+        return argv, None
+    with open(os.path.join(cwd, argv[-1][1:]), "rb") as fh:
+        return argv[:-1], fh.read()
+
+
 def run(src, cmd, cwd):
     os.makedirs(cwd)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     codes, out, err = [], b"", b""
     for argv in _steps(cmd):
+        argv, data = _stdin(argv, cwd)
         proc = subprocess.run([sys.executable, "-m", "mvcusum", *argv],
                               cwd=cwd, env=env, capture_output=True,
-                              timeout=900)
+                              input=data, timeout=900)
         codes.append(proc.returncode)
         out, err = out + proc.stdout, err + proc.stderr
     files = {}

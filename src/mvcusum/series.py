@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
@@ -166,23 +169,30 @@ def load_csv(path, columns: Sequence[str] = (), date_column: Optional[str] = Non
 
     Notes
     -----
-    A file of plain numbers (see `_parse_plain`) is read from the handle
-    the header was read from, so it is opened once. Any other file is read
-    again from its start by numpy's C reader. A file that reader cannot read
-    in full, or whose values are not all finite, or that has fewer than 2
-    rows is read once more cell by cell with Python's ``float``, which
-    accepts a few more spellings (``1_000``, non-ASCII digits) and names the
-    row and column of a bad cell. All three give every value the bits that
-    ``float`` gives it.
+    The path is opened once. A pipe or FIFO, which cannot be rewound, is
+    first copied byte for byte into a temporary file, and then read like a
+    file. A file of plain numbers (see `_parse_plain`) is read from the
+    handle the header was read from. Any other file is read again from its
+    start by numpy's C reader. A file that reader cannot read in full, or
+    whose values are not all finite, or that has fewer than 2 rows is read
+    once more cell by cell with Python's ``float``, which accepts a few more
+    spellings (``1_000``, non-ASCII digits) and names the row and column of
+    a bad cell. All three give every value the bits that ``float`` gives it.
     """
     if skip_rows < 0:
         raise DomainError(f"skip_rows must be >= 0, got {skip_rows}")
-    with _open_text(path, DomainError, newline="") as fh:
-        _, header = _records(fh, skip_rows)
-        columns, usecols = _pick(path, header, columns, date_column)
-        values = _read_values(fh, skip_rows, len(header), usecols)
-    if values is None:
-        values = _parse_cells(path, skip_rows, columns, usecols)
+    with _open_text(path, DomainError, newline="") as raw:
+        fh = raw if raw.seekable() else io.TextIOWrapper(
+            tempfile.TemporaryFile(), encoding="utf-8", newline="")
+        with fh:
+            if fh is not raw:  # as bytes: decoding, and naming a bad byte, stay here
+                shutil.copyfileobj(raw.buffer, fh.buffer)
+                fh.seek(0)
+            _, header = _records(fh, skip_rows)
+            columns, usecols = _pick(path, header, columns, date_column)
+            values = _read_values(fh, skip_rows, len(header), usecols)
+            if values is None:
+                values = _parse_cells(fh, skip_rows, columns, usecols)
     return MultivariateSeries(values, labels=columns, _fresh=True)
 
 
@@ -191,15 +201,12 @@ def _read_values(fh, skip_rows, width, usecols):
     header of ``width`` names; None unless every value is finite and there
     are at least 2 rows. `_read_plain` reads them unless a line is outside
     its grammar; then numpy's C reader reads the file again from the header
-    on. numpy's reader alone reads a pipe, which cannot be read twice.
+    on. fh is seekable: `load_csv` has copied a pipe or FIFO to a file.
     ``comments=None``: the default '#' would cut a line short silently."""
-    values = None
-    if fh.seekable():
-        values = _read_plain(fh, width, usecols)
-        if values is None:
-            fh.seek(0)
-            _records(fh, skip_rows)
+    values = _read_plain(fh, width, usecols)
     if values is None:
+        fh.seek(0)
+        _records(fh, skip_rows)
         try:
             with warnings.catch_warnings():
                 # no data rows: the typed TooShort comes from the fallback
@@ -460,26 +467,27 @@ def _float_cells(data, start, end):
     return [float(data[s:e]) for s, e in zip(start.tolist(), end.tolist())]
 
 
-def _parse_cells(path, skip_rows, columns, usecols):
-    """Parse the selected cells one by one with ``float``: the reference
-    reader, and the one that raises the typed errors with row and column."""
-    with _open_text(path, DomainError, newline="") as fh:
-        reader, _ = _records(fh, skip_rows)
-        rows = []
-        for i, raw in enumerate(reader, start=1):
-            if not raw:  # blank line
-                continue
-            vals = []
-            for name, j in zip(columns, usecols):
-                cell = raw[j].strip() if j < len(raw) else ""  # short record
-                try:
-                    x = float(cell)  # float('') raises, so empty cells land here
-                except ValueError:
-                    raise NonNumericCell(i, name, cell) from None
-                if not math.isfinite(x):
-                    raise NonFinite(i, name)
-                vals.append(x)
-            rows.append(vals)
+def _parse_cells(fh, skip_rows, columns, usecols):
+    """Parse the selected cells of the seekable text handle fh, from its
+    start, one by one with ``float``: the reference reader, and the one that
+    raises the typed errors with row and column."""
+    fh.seek(0)
+    reader, _ = _records(fh, skip_rows)
+    rows = []
+    for i, raw in enumerate(reader, start=1):
+        if not raw:  # blank line
+            continue
+        vals = []
+        for name, j in zip(columns, usecols):
+            cell = raw[j].strip() if j < len(raw) else ""  # short record
+            try:
+                x = float(cell)  # float('') raises, so empty cells land here
+            except ValueError:
+                raise NonNumericCell(i, name, cell) from None
+            if not math.isfinite(x):
+                raise NonFinite(i, name)
+            vals.append(x)
+        rows.append(vals)
     if len(rows) < 2:
         raise TooShort(f"{len(rows)} data row(s); need at least 2")
     return np.array(rows, dtype=np.float64)

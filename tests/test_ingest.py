@@ -1,15 +1,23 @@
 """Differential tests of CSV ingest.
 
-``load_csv`` parses values with numpy's C reader and falls back to the
-per-cell ``float`` parser when that reader fails, meets a non-finite value
-or finds fewer than 2 rows.  Each case here loads one file both ways: as
-``load_csv`` does, and with the fast reader switched off, so the per-cell
-parser reads everything.  The two must agree bit for bit, or raise the same
-typed error with the same row and column.
+``load_csv`` reads a file of plain numbers with its own reader, any other
+file with numpy's C reader, and falls back to the per-cell ``float`` parser
+when that reader fails, meets a non-finite value or finds fewer than 2
+rows.  A pipe or FIFO is copied once to a temporary file and then read the
+same way.  Each case here loads one file both ways: as ``load_csv`` does,
+and with the fast readers switched off, so the per-cell parser reads
+everything.  The two must agree bit for bit, or raise the same typed error
+with the same row and column; the same bytes read through a pipe must do
+the same.
 """
 
+import contextlib
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +34,28 @@ def _outcome(path, columns, extra):
         return (type(exc).__name__, getattr(exc, "row", None),
                 getattr(exc, "column", None), str(exc))
     return s.values.tobytes(), s.values.shape, s.labels
+
+
+@contextlib.contextmanager
+def _piped(data):
+    """A path to the read end of a pipe that a thread fills with ``data``,
+    so that inputs larger than the pipe's buffer get through."""
+    r, w = os.pipe()
+
+    def write():
+        try:
+            with open(w, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+        writer.join()
 
 
 def _count_fallbacks(monkeypatch):
@@ -122,6 +152,10 @@ def test_load_csv_matches_per_cell_parser(tmp_path, monkeypatch, recwarn, text,
     fast = _outcome(path, columns, extra)
     assert len(fallbacks) == int(falls_back)
     assert not recwarn.list  # numpy's no-data warning must not leak
+    with _piped(text.encode("utf-8")) as piped:
+        # the value bits, or the error's type, row and column; the message
+        # of some errors names the path
+        assert _outcome(piped, columns, extra)[:3] == fast[:3]
 
     monkeypatch.setattr(series, "_read_values", lambda *args: None)
     reference = _outcome(path, columns, extra)
@@ -130,6 +164,33 @@ def test_load_csv_matches_per_cell_parser(tmp_path, monkeypatch, recwarn, text,
         assert isinstance(fast[0], bytes), fast
     else:
         assert fast[0] == first
+
+
+def test_a_fifo_with_a_bad_cell_is_reported(tmp_path):
+    # in a child process, so a read that blocks fails the test, not the suite
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    script = """if True:
+        import sys, threading
+        from mvcusum.errors import ToolkitError
+        from mvcusum.series import load_csv
+
+        def write():
+            with open(sys.argv[1], "w") as fh:
+                fh.write("a,b\\n1,2\\n3,x\\n5,6\\n")
+
+        threading.Thread(target=write, daemon=True).start()
+        try:
+            load_csv(sys.argv[1])
+        except ToolkitError as exc:
+            print(type(exc).__name__, getattr(exc, "row", None),
+                  getattr(exc, "column", None))
+    """
+    src = str(Path(series.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-c", script, str(fifo)], env=env,
+                            capture_output=True, text=True, timeout=30)
+    assert (result.returncode, result.stdout) == (0, "NonNumericCell 2 b\n"), result.stderr
 
 
 def test_clean_file_never_reaches_per_cell_parser(tmp_path, monkeypatch):
@@ -196,7 +257,7 @@ def test_bad_cell_before_a_byte_that_is_not_utf8_is_reported(tmp_path):
 
 @pytest.mark.parametrize("text", ["a,b\n1,2\n3,4\n", 'a,b\n1,2\n"3",4\n'])
 def test_load_csv_reads_a_pipe(text):
-    # a pipe cannot be rewound, so numpy's reader reads it from the header on
+    # a pipe cannot be rewound, so it is copied to a file and read as one
     r, w = os.pipe()
     os.write(w, text.encode())
     os.close(w)
@@ -208,18 +269,24 @@ def test_load_csv_reads_a_pipe(text):
 
 
 def test_load_csv_peak_memory_is_one_copy(tmp_path):
-    # the parsed array becomes the series' array; it is not copied again
+    # the parsed array becomes the series' array; it is not copied again,
+    # and a pipe is copied to a file a block at a time, not held in memory
     x = np.random.default_rng(29).normal(size=(200_000, 5))
     write_csv(MultivariateSeries(x), tmp_path / "big.csv")
     columns = [f"x{j}" for j in range(5)]
-    tracemalloc.start()
-    try:
-        s = load_csv(tmp_path / "big.csv", columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert s.values.shape == (200_000, 5)
-    assert peak < 1.5 * x.nbytes
+    data = (tmp_path / "big.csv").read_bytes()
+    for source in (contextlib.nullcontext(tmp_path / "big.csv"), _piped(data)):
+        with source as path:
+            tracemalloc.start()
+            try:
+                s = load_csv(path, columns)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert s.values.shape == (200_000, 5)
+        assert s.values.tobytes() == x.tobytes()
+        assert peak < 1.5 * x.nbytes, path
+        del s
 
 
 def test_cli_reads_the_header_once(tmp_path, monkeypatch, capsys):
