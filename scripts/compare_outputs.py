@@ -1,142 +1,85 @@
 """Compare what the command line does under two source trees of mvcusum.
 
 Runs one fixed set of commands as ``python -m mvcusum``, once with each
-``src`` root on PYTHONPATH, every run in a fresh empty directory. For each
-command it compares the exit code, stdout, stderr and the sha256 of every
-file the run leaves behind (a directory counts too, so an output directory
-made before an error shows). Prints each mismatch and exits 1 if there is
-any, else 0.
-
-The command set: detect (plain, ``--scan --emit-curve``, two ``--two-pass``
-variants, ``--transform center|diff``, ``--columns``), estimate (both
-methods), ``scan --emit-curve`` and spectrum (default, ``--freqs 2``,
-``--h 7``, ``--h 100000``) on a 1e5 x 5 and a 16 x 3 input; detect and
-spectrum with ``--skip-rows 1`` on a CRLF input with a quoted-newline
-preamble, padded quoted ``Date`` stamps and a quoted ``n,#k`` column, and
-its bad-column and unskipped-preamble errors; the errors of a bad cell,
-``nan``, an empty cell, 1 row, a header only, an empty file, a missing
-file, a missing column and a missing date column; a ``1_000`` input; two
-simulates; a cached critval; ``bench table1``. Then: a dated price table
-(date column found by name and named by ``--date-column``) and the same
-table without its date column; missing inputs with outputs in a
-subdirectory; simulate configs with blank and comment lines, an empty key
-and a key repeated across a blank line; a grid with an empty key; critval
-misses at a small Monte Carlo budget; ``detect --help``. Last: a bad cell
-and an unknown simulate key with outputs in a subdirectory, ``scan
---min-prominence nan``, ``--skip-rows -1``, and a ``--two-pass --method
-norm_argmax`` pilot on a 2-row and a dated input. Then errors after the
-input is parsed, with outputs in a subdirectory: ``spectrum --h 100`` on 40
-rows, detect and scan on a constant input, ``detect --alpha 0.07``, and
-``detect --scan`` with an even ``--smoothing-window``, ``--trim 0.7`` and
-``--min-prominence -1``; a simulate whose covariance is not positive
-definite; ``critval --table`` in a new directory; grids without ``reps``
-and with ``reps=0``, ``bench nope`` with and without a missing
-``--table``, a malformed grid with a missing ``--table``; and a simulate
-without ``d``. Last, detect and spectrum on 200 x 3 inputs scaled by 1e-160
-(a long-run covariance whose inverse overflows) and by 1e154 (a
-periodogram that overflows), then on each of those two inputs scan,
-estimate (both methods), ``detect --scan`` and ``detect --two-pass
---method norm_argmax``; and those two norm_argmax commands on the same
-shape scaled by 1e160, whose curve's sum of squares overflows. Then
-spectrum on the 1e5 x 5 input at ``--freqs 5000``, whose windows go to the
-periodogram in several chunks, and ``bench --threads 2 --always-estimate
---keep-going`` on a two-cell grid whose second cell has a singular
-innovation covariance, which the grid reader rejects.
-
-Commands [0-106] are the set above. Then simulate on every branch of the
-recipe (``--rho 0``, ``--rho 0.9 --tol 1e-6``, ``--base identity``, ``--base
-2,0,1,1``, ``--rho 0 --base identity``, the defaults spelled out, a config giving rho, tol and
-base) and its errors in the order they are checked (``--base 1,2,3``,
-``--rho 1``, ``--tol 0``, ``--d 0``, then pairs of bad values: d before rho,
-rho before tol, tol before T, T before m and seed), ``bench h0 --reps 3``
-and ``bench table2|3|4 --reps 2``. Last, the truncation depth at ``--tol
-3.9``, ``10`` and ``inf`` and at ``--rho 0.2`` and ``0.4``; ``--d -1`` with
-``--base identity`` and with ``--cov 1``; grids whose name or cell holds
-``../``, ``/`` or a NUL byte; a CSV, a simulate config and a grid holding
-a 0xff byte; and ``detect --table`` on a table without the ``paths``
-column, one with a foreign header and one with a non-numeric value.
-
-Commands [0-142] are the sets above. Then detect, spectrum, scan and
-estimate on a 200 x 2 input whose columns are scaled by 1e-160 and 1e-244
-(a long-run covariance that is singular in floating point); ``bench
---threads 2 --always-estimate --keep-going`` on a two-cell grid whose
-second cell has a zero ``base``, so every one of its replications fails
-with ``DegenerateSpectrum``; simulate at ``--rho 0.999`` (a filter 34,521
-taps deep) and with ``--d -1 --delta 1``; and the round trip that the
-missing-critical-value hint names: ``critval ... --table t.csv``, then
-``detect --alpha 0.07 --table t.csv``, run as two steps in one directory.
-
-Commands [0-150] are the sets above. Then simulate at ``--d 1 --m 12``,
-whose one-column innovations are a window sum of their own, and ``detect
---scan --emit-curve`` on a 65,537 x 3 input, whose curve of 65,538 rows
-ends just past a multiple of the 65,536-row chunk the curve is built in.
-
-Commands [0-152] are the sets above. Then, on that input, ``estimate
---method norm_argmax`` and ``detect --two-pass --method norm_argmax --scan
---emit-curve``, so that the curve, which every reader forms 65,536 rows at a
-time, ends in a block of 2 rows for the norm, the pilot, the quadratic
-form, the scan and the export alike.
-
-Commands [0-154] are the sets above. ``detect --two-pass`` is now a usage
-error (exit 2, nothing written), so the 11 commands above that pass it
-check that error. Then each of those 11 without ``--two-pass``, where that
-twin is not in the list already: ``detect --scan`` and ``detect --method
-norm_argmax --trim 0.1 --emit-curve`` on the 1e5 x 5 and 16 x 3 inputs,
-``detect --skip-rows 1 --transform diff`` on the CRLF input, and ``detect
---method norm_argmax`` on the 2-row, 1e-160, 1e154 and 1e160 inputs, with
-``--scan`` on the dated input and ``--scan --emit-curve`` on the 65,537 x 3
-input.
-
-Commands [0-165] are the sets above. Then ``detect`` on a 200 x 3 input
-whose header is ``a,a,b`` (the second ``a`` column shifts at row 100), with
-the default selection and with ``--columns a``: a selected name that
-appears twice in the header is an error. Last, ``detect --alpha 1.5``, a
-level outside (0, 1).
-
-Commands [0-168] are the sets above. Then ``bench --reps 2`` on a one-cell
-grid at ``rho=0.999``, d = 2 and T = 200, so the bench path through the
-34,521-tap filter is compared too. The filter is a convolution whose dot
-products OpenBLAS splits over its threads once they are that long, so the
-series it draws depend on the BLAS thread count. On a host with 2 or more
-cores, a tree that leaves numpy's BLAS at its default (one thread per core)
-can therefore differ from one that loads it with one thread on these two
-commands alone: the ``--rho 0.999`` simulate [148] writes that series, and
-differs in its last digits; the bench command writes only counts and
-deviations computed from it.
-
-Commands [0-169] are the sets above. Then the CSV writer on values across
-many decades: ``detect --scan --emit-curve`` and ``spectrum --out`` on a
-200 x 3 input scaled by 1e-100 (a curve near 1e-101 and a spectrum near
-1e-201 and 1e-218), and ``simulate --config`` with ``base`` at 1e-200·I
-and at 1e300·I. The writer forms the digits of values below 1e-6 with a
-power of ten that is no double, and formats values from 1e290 up one at a
-time, so these commands reach both paths.
-
-Commands [0-173] are the sets above. Last, one command line per subcommand
-that the parser rejects, and the bare ``mvcusum``: ``simulate --d x``,
-``spectrum --transform nope``, ``detect --method nope``, ``estimate``
-without an input, ``scan --bogus``, ``critval`` without ``--d`` and ``bench
-table1 --reps 1.5``.
-
-Commands [0-181] are the sets above. Last, the edges of the plain-number
-CSV reader, which reads a file without quotes, blank or ragged lines in
-chunks of whole lines and hands anything else to numpy's reader:
-``detect --scan --emit-curve`` and ``spectrum --out`` on a 200 x 3 input
-of cells on or next to a rounding midpoint (odd integers between 2**53
-and 2**54, 17-19-digit roundings of the midpoint between two doubles, and
-n * 10**23); ``spectrum --out`` on the 16 x 3 input without its final
-newline, on a 200 x 3 CRLF input whose last line holds a quoted cell (the
-whole file goes to numpy's reader), and on one with a 25-byte cell; and
-``detect`` on one with a cell of ``1e400`` (a ``NonFinite`` error naming
-its row and column).
-
-Commands [0-187] are the sets above. Then ``detect /dev/stdin`` with the
-input's bytes sent on a pipe to stdin (shown as ``<`` and the input's path):
-the 16 x 3 input, the bad-cell input and the ``1_000`` input. A pipe is
-read like a file, so these give what the same command on the path gives.
+``src`` root on PYTHONPATH, every run in a fresh empty directory with its
+address space capped at 16 GiB (a run here needs well under 1 GiB), so a
+tree that asks for an array of tens of GiB fails at once with
+``MemoryError`` rather than fill the host's memory. For each command it
+compares the exit code, stdout, stderr and the sha256 of every file the run
+leaves behind (a directory counts too, so an output directory made before
+an error shows). Prints each mismatch and exits 1 if there is any, else 0.
 
 The inputs are written here with the standard library, so neither tree's
-reader, writer or simulator decides what the commands read.
+reader, writer or simulator decides what the commands read. A command is one
+argv, or a tuple of argvs run in order in one directory; an argv whose last
+element is ``<PATH`` gets that file's bytes on a pipe to stdin. The command
+groups, roughly in the order of the comments in `commands`:
+
+- Every input subcommand on a 1e5 x 5 and a 16 x 3 moving-average input
+  with two mean shifts: ``detect`` plain, with ``--scan --emit-curve``,
+  ``--transform diff`` and ``--columns``; ``estimate`` by both methods;
+  ``scan --emit-curve``; ``spectrum`` at the defaults, ``--freqs 2``, ``--h
+  7`` and ``--h 100000``, and at ``--freqs 5000`` on the large input, whose
+  windows go to the periodogram in several chunks.
+- The CSV reader: a CRLF file with a quoted-newline preamble, padded quoted
+  ``Date`` stamps and a quoted ``n,#k`` column (with ``--skip-rows``,
+  ``--date-column`` and ``--transform log``, and its bad-column and
+  unskipped-preamble errors); a bad cell, ``nan``, an empty cell, one row, a
+  header only, an empty file, a missing file, a missing column and a missing
+  date column; a ``1_000`` cell; a dated price table, with its date column
+  found by name and named, and the same table without it; a header that
+  repeats a selected name; cells on or next to a rounding midpoint; a file
+  without its final newline, a CRLF file whose last line holds a quoted cell
+  (numpy's reader takes the whole file), a 25-byte cell and a ``1e400``
+  cell; and three inputs piped to ``detect /dev/stdin``, which give what the
+  same command on the path gives.
+- Bad settings and failures after the input is read, most with outputs
+  asked for in a new subdirectory, which must not appear: a missing or bad
+  input, ``spectrum --h 100`` on 40 rows, a constant input, a level with no
+  table entry, an even ``--smoothing-window``, ``--trim 0.7``,
+  ``--min-prominence -1`` or ``nan``, ``--skip-rows -1``, a level outside
+  (0, 1), and ``critval --table`` in a new directory, which is made.
+- Numerical edges: 200 x 3 inputs scaled by 1e-160 (a long-run covariance
+  whose inverse overflows) and 1e154 (a periodogram that overflows), under
+  every input subcommand, and by 1e160 (a curve whose sum of squares
+  overflows) under the norm_argmax estimate; a 200 x 2 input with columns at
+  1e-160 and 1e-244 (a covariance singular in floating point); a 200 x 3
+  input at 1e-100, whose curve and spectrum the writer forms with a power of
+  ten that is no double; and a 65,537 x 3 input, whose curve ends just past
+  a multiple of the 65,536-row chunk that every curve reader works in.
+- ``simulate``: two draws; configs with comments and blank lines, an empty,
+  repeated or unknown key; every branch of the recipe, and its errors in the
+  order they are checked; the truncation depth; a d below 1; ``--d 1 --m
+  12``; ``--rho 0.999``, a filter 34,521 taps deep; ``base`` at 1e-200·I and
+  at 1e300·I, which the writer formats one value at a time.
+- ``critval``: a cached value, misses at small budgets, and the two steps
+  that the missing-critical-value hint names, run in one directory.
+- ``bench``: every shipped grid, ``table1`` at its own size and the others
+  at ``--reps 2`` or ``3``; grids without ``reps``, with ``reps=0``, with an
+  empty key, with a name or cell holding ``../``, ``/`` or NUL; ``nope``
+  with and without a missing ``--table``; two-cell grids on two threads
+  whose second cell fails when read or in every replication; and a grid at
+  ``rho=0.999``.
+- Files that do not decode or parse: a CSV, a config and a grid holding a
+  0xff byte; tables without the ``paths`` column, with a foreign header and
+  with a non-numeric value.
+- Command lines the parser rejects, each with one ``error:`` line and exit
+  2: the bare ``mvcusum`` and one bad argument per subcommand; 11 commands
+  that pass the removed ``--two-pass`` flag, and after them each one's twin
+  without the flag, where the list lacks it; and the retired spellings,
+  ``--transform center`` under ``detect`` and ``spectrum``, the
+  ``--bandwidth`` alias of ``--h`` and the flag prefix ``--sc``. Also
+  ``detect --help``, which exits 0.
+- Budgets refused before any array is allocated: ``spectrum --freqs`` at
+  1e12, and ``critval`` with a grid or a path count past its cap.
+
+The ``rho=0.999`` filter is a convolution whose dot products OpenBLAS
+splits over its threads once they are that long, so the series it draws
+depend on the BLAS thread count. On a host with 2 or more cores, a tree that
+leaves numpy's BLAS at its default (one thread per core) can differ from one
+that loads it with one thread on two commands alone: the ``--rho 0.999``
+simulate, in the last digits of the series it writes, and the bench on that
+grid, in the counts and deviations it computes from its series.
 
 Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
   e.g. OLD_SRC = src/ of a checkout of the parent commit, NEW_SRC = src
@@ -149,11 +92,13 @@ from decimal import Decimal
 from fractions import Fraction
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
 
 IN = "../../../inputs/"  # the inputs, seen from a run directory
+MEMORY_CAP = 16 << 30  # bytes of address space per command
 
 
 def _write(path, text, newline="\n"):
@@ -345,7 +290,7 @@ def commands():
         ("critval", "--d", "5", "--alpha", "0.05"),
         ("bench", "table1", "--output-dir", "grid"),
     ]
-    # beyond the 49 above: the date column, missing inputs, config readers
+    # the date column, missing inputs, config readers
     cmds += [
         ("detect", IN + "dated.csv", "--scan"),
         ("detect", IN + "dated.csv", "--date-column", "Date", "--scan"),
@@ -367,8 +312,8 @@ def commands():
          "50", "--seed", "4", "--table", "t.csv"),
         ("detect", "--help"),
     ]
-    # beyond the 65 above: outputs of a bad input, rejected flag values and
-    # the norm_argmax pilot
+    # outputs of a bad input, rejected flag values and the removed norm_argmax
+    # pilot
     bad = IN + "badcell.csv"
     cmds += [
         ("detect", bad, "--emit-curve", "sub/curve.csv"),
@@ -383,8 +328,8 @@ def commands():
         ("detect", IN + "dated.csv", "--two-pass", "--method", "norm_argmax",
          "--scan"),
     ]
-    # beyond the 74 above: errors after the input is parsed, critval into a
-    # new directory, and the recipe and grid readers
+    # errors after the input is parsed, critval into a new directory, and the
+    # recipe and grid readers
     rows, const = IN + "rows40.csv", IN + "constant.csv"
     cmds += [
         ("spectrum", rows, "--h", "100", "--out", "spec/s.csv"),
@@ -407,12 +352,11 @@ def commands():
         ("bench", IN + "empty_key.grid", "--table", "missing.csv"),
         ("simulate", "--T", "40", "--m", "1"),
     ]
-    # beyond the 89 above: a long-run covariance too small to invert and one
-    # too large to be finite
+    # a long-run covariance too small to invert and one too large to be finite
     for name in ("tiny", "huge"):
         cmds += [("detect", IN + name + ".csv"),
                  ("spectrum", IN + name + ".csv")]
-    # beyond the 93 above: every other command that reads those two inputs
+    # every other command that reads those two inputs
     for name in ("tiny", "huge"):
         x = IN + name + ".csv"
         cmds += [("scan", x),
@@ -420,17 +364,17 @@ def commands():
                  ("estimate", x, "--method", "norm_argmax"),
                  ("detect", x, "--scan"),
                  ("detect", x, "--two-pass", "--method", "norm_argmax")]
-    # beyond the 103 above: a curve whose sum of squares overflows
+    # a curve whose sum of squares overflows
     vast = IN + "vast.csv"
     cmds += [("estimate", vast, "--method", "norm_argmax"),
              ("detect", vast, "--two-pass", "--method", "norm_argmax")]
-    # beyond the 105 above: windows in several chunks, and a grid with a
-    # failing cell run on two threads
+    # windows in several chunks, and a grid with a failing cell run on two
+    # threads
     cmds += [("spectrum", IN + "big.csv", "--freqs", "5000"),
              ("bench", IN + "singular.grid", "--output-dir", "g", "--threads",
               "2", "--always-estimate", "--keep-going")]
-    # beyond the 107 above: every branch of the simulation recipe, its
-    # errors in the order they are checked, and the other shipped grids
+    # every branch of the simulation recipe, its errors in the order they are
+    # checked, and the other shipped grids
     sim = ("simulate", "--d", "2", "--T", "300", "--m", "2", "--seed", "7")
     cmds += [
         sim + ("--rho", "0"),
@@ -453,8 +397,8 @@ def commands():
     ]
     cmds += [("bench", name, "--reps", "2", "--output-dir", "g")
              for name in ("table2", "table3", "table4")]
-    # beyond the 127 above: the truncation depth, a d below 1, grid names
-    # that leave the output directory, and files that do not decode or parse
+    # the truncation depth, a d below 1, grid names that leave the output
+    # directory, and files that do not decode or parse
     cmds += [
         sim + ("--tol", "3.9"),
         ("simulate", "--d", "2", "--T", "40", "--m", "0", "--tol", "10"),
@@ -472,9 +416,9 @@ def commands():
     ]
     cmds += [("detect", IN + "small.csv", "--table", IN + name + ".csv")
              for name in ("t_short", "t_xy", "t_abc")]
-    # beyond the 143 above: a covariance singular in floating point, a cell
-    # that fails at run time on two threads, a deep filter, a d below 1 with
-    # a delta, and the two commands of the missing-critical-value hint
+    # a covariance singular in floating point, a cell that fails at run time on
+    # two threads, a deep filter, a d below 1 with a delta, and the two
+    # commands of the missing-critical-value hint
     cmds += [(name, IN + "mixed.csv")
              for name in ("detect", "spectrum", "scan", "estimate")]
     cmds += [
@@ -486,36 +430,34 @@ def commands():
           "--grid", "200", "--table", "t.csv"),
          ("detect", IN + "rows40.csv", "--alpha", "0.07", "--table", "t.csv")),
     ]
-    # beyond the 151 above: the one-column window sum, and a curve that
-    # crosses a chunk boundary
+    # the one-column window sum, and a curve that crosses a chunk boundary
     cmds += [
         ("simulate", "--d", "1", "--T", "300", "--m", "12", "--seed", "7"),
         ("detect", IN + "chunk.csv", "--scan", "--emit-curve", "curve.csv"),
     ]
-    # beyond the 153 above: the norm_argmax estimate and the two-pass pilot,
-    # the other readers of that curve
+    # the norm_argmax estimate and the removed two-pass pilot, the other
+    # readers of that curve
     chunk = IN + "chunk.csv"
     cmds += [
         ("estimate", chunk, "--method", "norm_argmax"),
         ("detect", chunk, "--two-pass", "--method", "norm_argmax", "--scan",
          "--emit-curve", "curve.csv"),
     ]
-    # beyond the 155 above: each --two-pass command without that flag, where
-    # that twin is not in the list already
+    # each --two-pass command without that flag, where that twin is not in the
+    # list already
     twins = [tuple(a for a in cmd if a != "--two-pass") for cmd in cmds
              if "--two-pass" in cmd]
     cmds += [twin for twin in twins if twin not in cmds]
-    # beyond the 166 above: a selected name repeated in the header, and a
-    # level outside (0, 1)
+    # a selected name repeated in the header, and a level outside (0, 1)
     cmds += [
         ("detect", IN + "repeated.csv"),
         ("detect", IN + "repeated.csv", "--columns", "a"),
         ("detect", IN + "rows40.csv", "--alpha", "1.5"),
     ]
-    # beyond the 169 above: the bench path through a deep filter
+    # the bench path through a deep filter
     cmds += [("bench", IN + "deep.grid", "--reps", "2", "--output-dir", "g")]
-    # beyond the 170 above: written values across many decades, where 10**k
-    # is no double and, above 1e290, where the writer formats one at a time
+    # written values across many decades, where 10**k is no double and, above
+    # 1e290, where the writer formats one at a time
     deci = IN + "deci.csv"
     cmds += [
         ("detect", deci, "--scan", "--emit-curve", "curve.csv"),
@@ -523,7 +465,7 @@ def commands():
         ("simulate", "--config", IN + "base_tiny.cfg", "--out", "sim/x.csv"),
         ("simulate", "--config", IN + "base_vast.cfg", "--out", "sim/x.csv"),
     ]
-    # beyond the 174 above: command lines that do not parse
+    # command lines that do not parse
     small = IN + "small.csv"
     cmds += [
         (),
@@ -535,7 +477,7 @@ def commands():
         ("critval", "--alpha", "0.05"),
         ("bench", "table1", "--reps", "1.5"),
     ]
-    # beyond the 182 above: the edges of the plain-number CSV reader
+    # the edges of the plain-number CSV reader
     cmds += [
         ("detect", IN + "midpoint.csv", "--scan", "--emit-curve", "curve.csv"),
         ("spectrum", IN + "midpoint.csv", "--out", "spec.csv"),
@@ -544,9 +486,22 @@ def commands():
         ("detect", IN + "inf400.csv"),
         ("spectrum", IN + "wide.csv", "--out", "spec.csv"),
     ]
-    # beyond the 187 above: inputs sent on stdin through a pipe
+    # inputs sent on stdin through a pipe
     cmds += [("detect", "/dev/stdin", "<" + IN + name + ".csv")
              for name in ("small", "badcell", "underscore")]
+    # retired spellings: a transform value, a flag alias and a flag prefix
+    cmds += [
+        ("spectrum", small, "--transform", "center"),
+        ("spectrum", small, "--bandwidth", "3"),
+        ("detect", small, "--sc"),
+    ]
+    # budgets refused before any array is allocated
+    crit = ("critval", "--d", "2", "--alpha", "0.3")
+    cmds += [
+        ("spectrum", IN + "tiny.csv", "--freqs", "1000000000000"),
+        crit + ("--paths", "10", "--grid", "10000000000"),
+        crit + ("--paths", "1000000000000", "--grid", "2"),
+    ]
     return cmds
 
 
@@ -565,6 +520,10 @@ def _stdin(argv, cwd):
         return argv[:-1], fh.read()
 
 
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def run(src, cmd, cwd):
     os.makedirs(cwd)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -573,7 +532,8 @@ def run(src, cmd, cwd):
         argv, data = _stdin(argv, cwd)
         proc = subprocess.run([sys.executable, "-m", "mvcusum", *argv],
                               cwd=cwd, env=env, capture_output=True,
-                              input=data, timeout=900)
+                              input=data, timeout=900,
+                              preexec_fn=_cap_memory)
         codes.append(proc.returncode)
         out, err = out + proc.stdout, err + proc.stderr
     files = {}

@@ -48,7 +48,7 @@ if TYPE_CHECKING:
 
 __all__ = ["build_parser", "main"]
 
-_TRANSFORMS = ("none", "center", "log", "diff")
+_TRANSFORMS = ("none", "log", "diff")
 
 
 def _check_inputs(*paths) -> None:
@@ -60,19 +60,17 @@ def _check_inputs(*paths) -> None:
 
 
 def _apply_transform(series: MultivariateSeries, name: str) -> MultivariateSeries:
-    """Pre-analysis value transform: none, center, log, or diff.
+    """Pre-analysis value transform: none, log, or diff.
 
     ``diff`` drops the first row; ``log`` insists on strictly positive
     values rather than silently producing -inf.
     """
     import numpy as np
 
-    from .series import MultivariateSeries, center
+    from .series import MultivariateSeries
 
     if name == "none":
         return series
-    if name == "center":
-        return center(series)
     if name == "log":
         if np.any(series.values <= 0.0):
             raise DomainError("log transform needs strictly positive values")
@@ -188,12 +186,16 @@ def cmd_simulate(args) -> None:
 def cmd_spectrum(args) -> None:
     import numpy as np
 
+    from .simulate import _MAX_VALUES
     from .spectral import _spectrum_and_covariance, export_spectrum_csv
 
     _check_inputs(args.input)
     if args.freqs < 2:
         raise DomainError(f"need at least 2 frequencies, got {args.freqs}")
     series = _load_input(args)
+    if args.freqs * series.d ** 2 > _MAX_VALUES:
+        raise DomainError(f"{args.freqs} frequencies times d*d={series.d ** 2} "
+                          f"exceeds {_MAX_VALUES} spectrum values; lower --freqs")
     omegas = np.linspace(0.0, math.pi, args.freqs)
     spectrum, lr = _spectrum_and_covariance(series, args.h, omegas)
     out = _resolve_out(args, args.out)
@@ -338,8 +340,6 @@ def cmd_bench(args) -> None:
             else load_shipped_grid(args.grid))
     _check_inputs(args.table)
     table = _load_table(args.table)
-    if args.threads < 1:
-        raise DomainError(f"thread cap must be >= 1, got {args.threads}")
     if args.reps is not None:
         if args.reps < 1:
             raise DomainError(f"replication override must be >= 1, got {args.reps}")
@@ -384,8 +384,7 @@ def _add_input_flags(sub) -> None:
 
 
 def _add_bandwidth_flag(sub) -> None:
-    sub.add_argument("--h", "--bandwidth", dest="h", type=int, default=None,
-                     metavar="H",
+    sub.add_argument("--h", type=int, default=None, metavar="H",
                      help="periodogram smoothing half-width (default: "
                           "integer fourth root of T)")
 
@@ -412,7 +411,11 @@ def _add_scan_flags(sub) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors for `main` to report; subparsers share the class."""
+    """Raises usage errors for `main` to report and takes each flag only as
+    spelled in full; subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")

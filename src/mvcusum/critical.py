@@ -59,6 +59,10 @@ SHIPPED_GRIDS = ("table1", "table2", "table3", "table4", "h0")
 
 # Work-array budget for path simulation: chunk_rows * grid floats ~ 20 MB.
 _CHUNK_CELLS = 2_560_000
+# Budget caps: one path of the largest grid fills a chunk, and the suprema
+# of the most paths take 80 MB.
+_MAX_GRID = _CHUNK_CELLS
+_MAX_PATHS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,9 @@ def simulate_sup_bridges(d: int, paths: int, grid: int, seed: int) -> np.ndarray
     W0(t) = W(t) - t*W(1).  Paths are simulated in fixed-size chunks, each
     chunk owning an independent RNG stream spawned from the seed, so results
     are bit-reproducible and a parallel scheduler would reproduce them too.
+    Each stream is spawned as its chunk starts, so their memory does not
+    grow with the number of chunks; paths and grid are capped at
+    `_MAX_PATHS` and `_MAX_GRID`.
     """
     import numpy as np
 
@@ -89,20 +96,23 @@ def simulate_sup_bridges(d: int, paths: int, grid: int, seed: int) -> np.ndarray
         raise DomainError(f"dimension must be >= 1, got {d}")
     if paths < 1:
         raise DomainError(f"paths must be >= 1, got {paths}")
+    if paths > _MAX_PATHS:
+        raise DomainError(f"paths must be <= {_MAX_PATHS}, got {paths}")
     if grid < 2:
         raise DomainError(f"grid must be >= 2, got {grid}")
+    if grid > _MAX_GRID:
+        raise DomainError(f"grid must be <= {_MAX_GRID}, got {grid}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    chunk_rows = max(1, min(paths, _CHUNK_CELLS // grid))
-    n_chunks = -(-paths // chunk_rows)
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    chunk_rows = min(paths, _CHUNK_CELLS // grid)
+    root = np.random.SeedSequence(seed)
     ts = np.arange(1, grid + 1) / grid
     scale = 1.0 / math.sqrt(grid)
     out = np.empty(paths)
     done = 0
-    for child in children:
+    while done < paths:
         rows = min(chunk_rows, paths - done)
-        rng = np.random.default_rng(child)
+        rng = np.random.default_rng(root.spawn(1)[0])
         z = np.empty((rows, grid))
         acc = np.zeros((rows, grid))
         for _ in range(d):

@@ -199,18 +199,18 @@ def run_grid(
     always_estimate: bool = False,
     threads: int = 1,
 ):
-    """Run every cell of a grid with `run_cell`; rows come back in grid
-    order, and a failed cell never stops the grid. `write_grid_outputs`
-    writes the rows as files.
+    """Run every cell of a grid with `run_cell` on at most ``threads``
+    worker threads; rows come back in grid order, and a failed cell never
+    stops the grid. `write_grid_outputs` writes the rows as files.
     """
+    if threads < 1:
+        raise DomainError(f"thread cap must be >= 1, got {threads}")
 
     def one(cell: ExperimentCell) -> MetricsRow:
         return run_cell(cell, grid.alpha, table, always_estimate)
 
-    if threads > 1 and len(grid.cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, grid.cells))
-    return [one(cell) for cell in grid.cells]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one, grid.cells))
 
 
 def location_label(k_star: Optional[float]) -> str:

@@ -464,18 +464,6 @@ def test_spectrum_transform_diff_shortens_series(capsys, tmp_path):
     assert kv_lines(out)["T"] == "256"
 
 
-def test_spectrum_transform_center_changes_nothing_downstream(capsys, tmp_path):
-    path = tmp_path / "x.csv"
-    write_series(path, SimulationSpec(d=2, T=128, m=1, seed=6))
-    _, out_plain, _ = run_cli(capsys, "spectrum", path, "--output-dir", tmp_path)
-    _, out_centered, _ = run_cli(capsys, "spectrum", path, "--transform",
-                                 "center", "--output-dir", tmp_path)
-    # centering is re-done internally, so agreement is to roundoff, not bitwise
-    plain = [float(v) for v in kv_lines(out_plain)["sigma_0"].split(",")]
-    centered = [float(v) for v in kv_lines(out_centered)["sigma_0"].split(",")]
-    assert plain == pytest.approx(centered, rel=1e-12)
-
-
 def test_spectrum_constant_input_is_degenerate(capsys, tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text("a,b\n" + "1.0,2.0\n" * 64)
@@ -765,7 +753,7 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
           "--out", "y.csv"),
      "GridParseError: command line: cell 'simulate': DomainError: "
      "innovation_cov must be finite"),
-    # run_grid runs any cap below 2 on one thread; below 1 is a slip
+    # run_grid refuses a cap below 1, for the CLI and library callers alike
     ({}, ("bench", "table1", "--threads", "0"),
      "DomainError: thread cap must be >= 1, got 0"),
     ({}, ("bench", "table1", "--threads", "-3"),
@@ -782,6 +770,26 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
     # ahead of a bad cell
     ({"x.csv": "a\n1\nabc\n2\n"}, ("detect", "x.csv", "--alpha", "1.5"),
      "DomainError: level must be in (0, 1), got 1.5"),
+    # budgets that would otherwise end in a MemoryError, refused before any
+    # array is allocated
+    ({"x.csv": CONSTANT}, ("spectrum", "x.csv", "--freqs", "1000000000000"),
+     "DomainError: 1000000000000 frequencies times d*d=4 exceeds 100000000 "
+     "spectrum values; lower --freqs"),
+    ({}, ("critval", "--d", "2", "--alpha", "0.3", "--paths", "10", "--grid",
+          "10000000000"),
+     "DomainError: grid must be <= 2560000, got 10000000000"),
+    ({}, ("critval", "--d", "2", "--alpha", "0.3", "--paths",
+          "1000000000000", "--grid", "2"),
+     "DomainError: paths must be <= 10000000, got 1000000000000"),
+    # retired spellings: one value per transform, one name per flag, and
+    # every flag spelled in full
+    ({"x.csv": ROWS_40}, ("detect", "x.csv", "--transform", "center"),
+     "UsageError: mvcusum detect: argument --transform: invalid choice: "
+     "'center' (choose from 'none', 'log', 'diff')"),
+    ({"x.csv": ROWS_40}, ("spectrum", "x.csv", "--bandwidth", "3"),
+     "UsageError: mvcusum: unrecognized arguments: --bandwidth 3"),
+    ({"x.csv": ROWS_40}, ("detect", "x.csv", "--sc"),
+     "UsageError: mvcusum: unrecognized arguments: --sc"),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from mvcusum.critical import (
+    _CHUNK_CELLS,
+    _MAX_GRID,
+    _MAX_PATHS,
     CriticalEntry,
     CriticalValueTable,
     critical_value,
@@ -81,6 +85,36 @@ def test_bridges_domain_errors():
         simulate_sup_bridges(1, 10, 1, 1)
     with pytest.raises(DomainError):
         simulate_sup_bridges(1, 10, 10, -3)
+
+
+@pytest.mark.parametrize("paths, grid, line", [
+    (_MAX_PATHS + 1, 10, f"paths must be <= {_MAX_PATHS}, got {_MAX_PATHS + 1}"),
+    (10, _MAX_GRID + 1, f"grid must be <= {_MAX_GRID}, got {_MAX_GRID + 1}"),
+])
+def test_bridges_budget_caps_raise_before_allocating(paths, grid, line):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"^{line}$"):
+            simulate_sup_bridges(2, paths, grid, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_bridges_budget_caps_are_inclusive():
+    assert simulate_sup_bridges(1, 1, _MAX_GRID, 0).shape == (1,)
+
+
+def test_bridges_each_chunk_draws_its_own_spawned_stream():
+    # at grid 2 a chunk holds _CHUNK_CELLS // 2 paths, so one path more
+    # starts a second chunk, drawn from the seed's second spawned child
+    seed = 11
+    sups = simulate_sup_bridges(1, _CHUNK_CELLS // 2 + 1, 2, seed)
+    children = np.random.SeedSequence(seed).spawn(2)
+    for value, child in ((sups[0], children[0]), (sups[-1], children[1])):
+        w = np.cumsum(np.random.default_rng(child).standard_normal(2)) / math.sqrt(2)
+        assert value == pytest.approx((w[0] - 0.5 * w[1]) ** 2, rel=1e-12)
 
 
 def test_bridges_shape_and_positivity():

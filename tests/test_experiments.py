@@ -295,6 +295,11 @@ def test_run_grid_threads_match_sequential():
     assert run_grid(mini_grid(), table, threads=2) == run_grid(mini_grid(), table)
 
 
+def test_run_grid_refuses_a_thread_cap_below_one():
+    with pytest.raises(DomainError, match=r"^thread cap must be >= 1, got 0$"):
+        run_grid(mini_grid(), fake_table([(2, 0.05, 1e-9)]), threads=0)
+
+
 def test_run_grid_empty_grid(tmp_path):
     table = fake_table([])
     grid = ExperimentGrid(name="empty", cells=(), alpha=0.05)
