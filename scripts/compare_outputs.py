@@ -72,6 +72,12 @@ groups, roughly in the order of the comments in `commands`:
   ``detect --help``, which exits 0.
 - Budgets refused before any array is allocated: ``spectrum --freqs`` at
   1e12, and ``critval`` with a grid or a path count past its cap.
+- ``--output-dir`` under ``simulate``, ``spectrum``, ``detect
+  --emit-curve`` and ``scan``: only ``bench`` reads it, and the others name
+  each output file with ``--out``, ``--meta`` or ``--emit-curve``.
+- A field over the csv module's 131,072-character limit where that module
+  reads it: a header name, an unselected field of a file whose selected
+  ``nan`` sends it to the per-cell parser, and a critical-value table cell.
 
 The ``rho=0.999`` filter is a convolution whose dot products OpenBLAS
 splits over its threads once they are that long, so the series it draws
@@ -242,6 +248,10 @@ def write_inputs(root):
     text = _table(["a", "b", "c"], rows).splitlines()
     text[3] = "%.22f," % -1.234 + text[3].split(",", 1)[1]  # a 25-byte cell
     put("wide.csv", "\n".join(text) + "\n")
+    long = "x" * 140_000  # past the csv module's field limit
+    put("long_header.csv", f"a,{long}\n1,2\n3,4\n5,6\n")
+    put("long_field.csv", f"a,b,c\n1,2,{long}\nnan,3,4\n5,6,7\n")
+    put("long_table.csv", head + "1,0.05," + "1" * 140_000 + ",1,1,1,0.1\n")
 
 
 def commands():
@@ -501,6 +511,17 @@ def commands():
         ("spectrum", IN + "tiny.csv", "--freqs", "1000000000000"),
         crit + ("--paths", "10", "--grid", "10000000000"),
         crit + ("--paths", "1000000000000", "--grid", "2"),
+    ]
+    # --output-dir outside bench, and fields past the csv module's limit
+    cmds += [
+        ("simulate", "--d", "2", "--T", "16", "--m", "1", "--seed", "3",
+         "--out", "s.csv", "--output-dir", "sim"),
+        ("spectrum", small, "--output-dir", "spec"),
+        ("detect", small, "--emit-curve", "curve.csv", "--output-dir", "out"),
+        ("scan", small, "--output-dir", "out"),
+        ("detect", IN + "long_header.csv"),
+        ("detect", IN + "long_field.csv", "--columns", "a,b"),
+        ("detect", IN + "rows40.csv", "--table", IN + "long_table.csv"),
     ]
     return cmds
 

@@ -94,13 +94,12 @@ def _fmt_floats(arr) -> str:
     return ",".join(_fmt(v) for v in np.asarray(arr, dtype=float).ravel())
 
 
-def _resolve_out(args, path) -> str:
-    """Resolve an output path: relative paths land under --output-dir."""
+def _resolve_out(path) -> str:
+    """Make an output path's directory; a relative path is shown as ./path."""
     p = os.fspath(path)
     if not os.path.isabs(p):
-        p = os.path.join(args.output_dir or ".", p)
-    parent = os.path.dirname(p) or "."
-    os.makedirs(parent, exist_ok=True)
+        p = os.path.join(".", p)
+    os.makedirs(os.path.dirname(p), exist_ok=True)
     return p
 
 
@@ -169,8 +168,8 @@ def cmd_simulate(args) -> None:
     _check_inputs(args.config)
     spec = _read_spec(args.config, vars(args))
     series, t_star = gen_series(spec)
-    out = _resolve_out(args, args.out)
-    meta_out = _resolve_out(args, args.meta) if args.meta else out + ".meta"
+    out = _resolve_out(args.out)
+    meta_out = _resolve_out(args.meta) if args.meta else out + ".meta"
     write_csv(series, out)
     _write_sim_meta(meta_out, spec, t_star)
     print(f"series={out}")
@@ -198,7 +197,7 @@ def cmd_spectrum(args) -> None:
                           f"exceeds {_MAX_VALUES} spectrum values; lower --freqs")
     omegas = np.linspace(0.0, math.pi, args.freqs)
     spectrum, lr = _spectrum_and_covariance(series, args.h, omegas)
-    out = _resolve_out(args, args.out)
+    out = _resolve_out(args.out)
     export_spectrum_csv(out, omegas, spectrum)
     print(f"T={series.T}")
     print(f"d={series.d}")
@@ -231,7 +230,7 @@ def _write_curve(args, curve):
 
     if not args.emit_curve:
         return None
-    out = _resolve_out(args, args.emit_curve)
+    out = _resolve_out(args.emit_curve)
     engine.export_curve_csv(curve, out)
     return out
 
@@ -395,12 +394,6 @@ def _add_seed_flag(sub) -> None:
                           "deterministic default)")
 
 
-def _add_output_dir_flag(sub) -> None:
-    sub.add_argument("--output-dir", default=None, metavar="DIR",
-                     help="directory for relative output paths (default: "
-                          "current directory)")
-
-
 def _add_scan_flags(sub) -> None:
     sub.add_argument("--smoothing-window", type=int, default=None, metavar="W",
                      help="odd moving-average width for the scan (default: "
@@ -466,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--meta", default=None, metavar="FILE",
                      help="metadata sidecar path (default: <out>.meta)")
     _add_seed_flag(sim)
-    _add_output_dir_flag(sim)
     sim.set_defaults(func=cmd_simulate)
 
     spec = subs.add_parser(
@@ -483,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: 257)")
     spec.add_argument("--out", default="spectrum.csv", metavar="FILE",
                       help="output spectrum CSV (default: spectrum.csv)")
-    _add_output_dir_flag(spec)
     spec.set_defaults(func=cmd_spectrum)
 
     det = subs.add_parser(
@@ -511,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--emit-curve", default=None, metavar="FILE",
                      help="write the test curve to this CSV")
     _add_scan_flags(det)
-    _add_output_dir_flag(det)
     det.set_defaults(func=cmd_detect)
 
     est = subs.add_parser(
@@ -543,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     scn.add_argument("--emit-curve", default=None, metavar="FILE",
                      help="write the test curve to this CSV (the same file "
                           "as detect --emit-curve)")
-    _add_output_dir_flag(scn)
     scn.set_defaults(func=cmd_scan)
 
     crit = subs.add_parser(
@@ -586,7 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exit 0 even when some replications fail")
     ben.add_argument("--threads", type=int, default=1,
                      help="worker thread cap for bench cells (default: 1)")
-    _add_output_dir_flag(ben)
+    ben.add_argument("--output-dir", default=None, metavar="DIR",
+                     help="directory for relative output paths (default: "
+                          "current directory)")
     ben.set_defaults(func=cmd_bench)
     return parser
 

@@ -238,7 +238,7 @@ class CriticalValueTable:
         return problems
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["d", "alpha", "value", "paths", "grid", "seed", "stderr"])
             for d, alpha, e in self.rows():

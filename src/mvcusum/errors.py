@@ -4,9 +4,11 @@ Every error raised deliberately by this package derives from ToolkitError,
 so callers (and the CLI) can distinguish usage/data problems from genuine
 bugs. Class names double as machine-readable error categories. The module
 imports no numpy, and neither does `_open_text`, the text-file opener whose
-decode error names the file, so every reader of a text file can share it.
+decode and csv errors name the file, so every reader of a text file can
+share it.
 """
 
+import csv
 from contextlib import contextmanager
 
 __all__ = [
@@ -94,7 +96,8 @@ class CellFailures(ToolkitError):
 
 @contextmanager
 def _open_text(path, error, newline=None):
-    """``open(path, encoding="utf-8")``; a byte that is not UTF-8 raises
+    """``open(path, encoding="utf-8")``; a byte that is not UTF-8, or a
+    record the csv module refuses (a field over its size limit), raises
     ``error`` (a ToolkitError class) with a message naming the file."""
     try:
         with open(path, newline=newline, encoding="utf-8") as fh:
@@ -102,3 +105,5 @@ def _open_text(path, error, newline=None):
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise error(f"{path}: not UTF-8: {exc.reason} (byte 0x{byte:02x})") from None
+    except csv.Error as exc:
+        raise error(f"{path}: {exc}") from None

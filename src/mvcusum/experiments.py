@@ -245,7 +245,7 @@ def write_grid_outputs(grid: ExperimentGrid, rows, output_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     by_name = {cell.name: cell for cell in grid.cells}
 
-    with open(out / f"{grid.name}.csv", "w", newline="") as fh:
+    with open(out / f"{grid.name}.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(
             [
@@ -298,7 +298,7 @@ def write_grid_outputs(grid: ExperimentGrid, rows, output_dir) -> None:
         )
 
     completed = sum(1 for row in rows if not row.failures)
-    with open(out / "summary.txt", "w") as fh:
+    with open(out / "summary.txt", "w", encoding="utf-8") as fh:
         fh.write(f"grid={grid.name} alpha={grid.alpha:g} cells={len(rows)}\n")
         for row in rows:
             fh.write(

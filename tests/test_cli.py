@@ -146,10 +146,9 @@ def test_unknown_flag_is_usage_error(capsys, ha_csv):
      ("bench", "table1", "--table")],
     ids=["detect", "estimate", "scan", "spectrum", "bench"],
 )
-def test_missing_input_is_data_error(capsys, tmp_path, argv):
-    # estimate writes no file, so it takes no --output-dir
-    out_dir = () if argv[0] == "estimate" else ("--output-dir", tmp_path)
-    rc, _, err = run_cli(capsys, *argv, tmp_path / "absent.csv", *out_dir)
+def test_missing_input_is_data_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = run_cli(capsys, *argv, tmp_path / "absent.csv")
     assert rc == 2
     assert "error: FileNotFoundError: no such input file:" in err
     assert "absent.csv" in err
@@ -235,7 +234,7 @@ def test_simulate_writes_series_and_metadata(capsys, tmp_path):
     rc, out, _ = run_cli(
         capsys, "simulate", "--d", 2, "--T", 400, "--m", 3,
         "--delta", "1,1", "--k-star", "0.5", "--seed", 7,
-        "--out", "s.csv", "--output-dir", tmp_path,
+        "--out", tmp_path / "s.csv",
     )
     assert rc == 0
     lines = kv_lines(out)
@@ -269,7 +268,7 @@ def test_simulate_config_file_with_flag_overrides(capsys, tmp_path):
     conf.write_text("d=2\nT=300\nm=2\nseed=1\ndelta=1,1\nk_star=0.5\n")
     rc, out, _ = run_cli(
         capsys, "simulate", "--config", conf, "--T", 500, "--seed", 9,
-        "--out", "s.csv", "--output-dir", tmp_path,
+        "--out", tmp_path / "s.csv",
     )
     assert rc == 0
     assert kv_lines(out)["T"] == "500"
@@ -286,7 +285,7 @@ def test_simulate_config_file_with_flag_overrides(capsys, tmp_path):
 def test_simulate_base_identity_flag(capsys, tmp_path):
     rc, _, _ = run_cli(
         capsys, "simulate", "--d", 2, "--T", 50, "--m", 0,
-        "--base", "identity", "--out", "s.csv", "--output-dir", tmp_path,
+        "--base", "identity", "--out", tmp_path / "s.csv",
     )
     assert rc == 0
     meta = kv_lines((tmp_path / "s.csv.meta").read_text())
@@ -302,7 +301,7 @@ def test_simulate_base_identity_flag(capsys, tmp_path):
 def test_simulate_depth_is_smallest_with_tail_below_tol(capsys, tmp_path,
                                                          flags, k_max):
     rc, _, err = run_cli(capsys, "simulate", "--d", 2, "--T", 300, "--m", 2,
-                         *flags, "--out", "s.csv", "--output-dir", tmp_path)
+                         *flags, "--out", tmp_path / "s.csv")
     assert (rc, err) == (0, "")
     assert kv_lines((tmp_path / "s.csv.meta").read_text())["k_max"] == k_max
 
@@ -310,7 +309,7 @@ def test_simulate_depth_is_smallest_with_tail_below_tol(capsys, tmp_path,
 def test_simulate_refuses_a_filter_deeper_than_the_cap(capsys, tmp_path):
     # 3,914,375 presample rows for a 100-row series: refused before a draw
     rc, out, err = run_cli(capsys, "simulate", "--d", 2, "--T", 100, "--m", 0,
-                           "--rho", 0.99999, "--output-dir", tmp_path / "out")
+                           "--rho", 0.99999, "--out", tmp_path / "out" / "s.csv")
     assert (rc, out) == (2, "")
     assert err == ("error: DomainError: filter depth K_max=3914375 at "
                    "rho=0.99999 and tol=1e-12 exceeds 1000000 presample rows; "
@@ -322,7 +321,7 @@ def test_simulate_refuses_a_dependence_range_deeper_than_the_cap(capsys, tmp_pat
     # m + 1 Gaussian rows make each innovation: m counts against the cap
     rc, out, err = run_cli(capsys, "simulate", "--d", 2, "--T", 50,
                            "--m", 1_000_001, "--rho", 0,
-                           "--output-dir", tmp_path / "out")
+                           "--out", tmp_path / "out" / "s.csv")
     assert (rc, out) == (2, "")
     assert err == ("error: DomainError: filter depth K_max=0 plus dependence "
                    "range m=1000001 exceeds 1000000 presample rows; lower m\n")
@@ -332,7 +331,8 @@ def test_simulate_refuses_a_dependence_range_deeper_than_the_cap(capsys, tmp_pat
 def test_simulate_refuses_a_series_longer_than_the_cap(capsys, tmp_path):
     # refused before any draw: nothing of its size is allocated
     rc, out, err = run_cli(capsys, "simulate", "--d", 2, "--T", 10**13,
-                           "--m", 0, "--rho", 0, "--output-dir", tmp_path / "out")
+                           "--m", 0, "--rho", 0,
+                           "--out", tmp_path / "out" / "s.csv")
     assert (rc, out) == (2, "")
     assert err == ("error: GridParseError: command line: cell 'simulate': "
                    "DomainError: T=10000000000000 times d=2 exceeds 100000000 "
@@ -343,7 +343,7 @@ def test_simulate_refuses_a_series_longer_than_the_cap(capsys, tmp_path):
 def test_simulate_without_break_reports_none(capsys, tmp_path):
     rc, out, _ = run_cli(
         capsys, "simulate", "--d", 1, "--T", 60, "--m", 1,
-        "--out", "s.csv", "--output-dir", tmp_path,
+        "--out", tmp_path / "s.csv",
     )
     assert rc == 0
     assert kv_lines(out)["t_star"] == "none"
@@ -352,28 +352,31 @@ def test_simulate_without_break_reports_none(capsys, tmp_path):
     assert meta["t_star"] == "none"
 
 
-def test_simulate_missing_required_key_is_data_error(capsys, tmp_path):
-    rc, _, err = run_cli(capsys, "simulate", "--T", 100, "--output-dir", tmp_path)
+def test_simulate_missing_required_key_is_data_error(capsys, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = run_cli(capsys, "simulate", "--T", 100)
     assert rc == 2
     assert "error: GridParseError" in err
     assert "missing required key 'd'" in err
 
 
-def test_simulate_bad_config_line_reports_lineno(capsys, tmp_path):
+def test_simulate_bad_config_line_reports_lineno(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     conf = tmp_path / "sim.conf"
     conf.write_text("d=2\nT 300\n")
-    rc, _, err = run_cli(capsys, "simulate", "--config", conf,
-                         "--output-dir", tmp_path)
+    rc, _, err = run_cli(capsys, "simulate", "--config", conf)
     assert rc == 2
     assert "error: GridParseError" in err
     assert f"{conf}:2:" in err
 
 
-def test_simulate_config_skips_blank_and_comment_lines(capsys, tmp_path):
+def test_simulate_config_skips_blank_and_comment_lines(capsys, tmp_path,
+                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
     conf = tmp_path / "sim.conf"
     conf.write_text("# a comment\nd=2\n\nT=40\n# T=50\nm=0\n")
-    rc, out, _ = run_cli(capsys, "simulate", "--config", conf,
-                         "--output-dir", tmp_path)
+    rc, out, _ = run_cli(capsys, "simulate", "--config", conf)
     assert rc == 0
     assert kv_lines(out)["T"] == "40"
 
@@ -384,11 +387,12 @@ def test_simulate_config_skips_blank_and_comment_lines(capsys, tmp_path):
      ("d=2\n=5\n", 2, "expected key=value, got '=5'")],
     ids=["key-repeated-across-blank-line", "empty-key"],
 )
-def test_simulate_config_line_errors(capsys, tmp_path, text, line, message):
+def test_simulate_config_line_errors(capsys, tmp_path, monkeypatch, text, line,
+                                     message):
+    monkeypatch.chdir(tmp_path)
     conf = tmp_path / "sim.conf"
     conf.write_text(text)
-    rc, _, err = run_cli(capsys, "simulate", "--config", conf,
-                         "--output-dir", tmp_path)
+    rc, _, err = run_cli(capsys, "simulate", "--config", conf)
     assert rc == 2
     assert err == f"error: GridParseError: {conf}:{line}: {message}\n"
 
@@ -398,7 +402,7 @@ def test_simulate_is_bit_reproducible(capsys, tmp_path):
         rc, _, _ = run_cli(
             capsys, "simulate", "--d", 2, "--T", 200, "--m", 2,
             "--delta", "1,0", "--k-star", "0.25", "--seed", 4,
-            "--out", "s.csv", "--output-dir", tmp_path / sub,
+            "--out", tmp_path / sub / "s.csv",
         )
         assert rc == 0
     assert (tmp_path / "one" / "s.csv").read_bytes() == \
@@ -407,15 +411,19 @@ def test_simulate_is_bit_reproducible(capsys, tmp_path):
         (tmp_path / "two" / "s.csv.meta").read_bytes()
 
 
-def test_output_dir_left_alone_for_absolute_paths(capsys, tmp_path):
+def test_output_dir_left_alone_for_absolute_paths(capsys, tmp_path, monkeypatch):
+    # an absolute --out is written and printed as given, not under the
+    # working directory
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
     target = tmp_path / "elsewhere" / "s.csv"
-    rc, _, _ = run_cli(
-        capsys, "simulate", "--d", 1, "--T", 40, "--m", 0,
-        "--out", target, "--output-dir", tmp_path / "ignored",
+    rc, out, _ = run_cli(
+        capsys, "simulate", "--d", 1, "--T", 40, "--m", 0, "--out", target,
     )
     assert rc == 0
     assert target.exists()
-    assert not (tmp_path / "ignored" / "s.csv").exists()
+    assert kv_lines(out)["series"] == str(target)
+    assert list((tmp_path / "cwd").iterdir()) == []
 
 
 # --------------------------------------------------------------- spectrum
@@ -425,7 +433,7 @@ def test_spectrum_reports_longrun_covariance_and_writes_grid(capsys, tmp_path):
     path = tmp_path / "x.csv"
     series, _ = write_series(path, SimulationSpec(d=2, T=256, m=2, seed=3))
     rc, out, _ = run_cli(capsys, "spectrum", path, "--h", 3, "--freqs", 9,
-                         "--out", "spec.csv", "--output-dir", tmp_path)
+                         "--out", tmp_path / "spec.csv")
     assert rc == 0
     lines = kv_lines(out)
     assert lines["T"] == "256"
@@ -447,27 +455,29 @@ def test_spectrum_reports_longrun_covariance_and_writes_grid(capsys, tmp_path):
     assert float(rows[1][1]) == pytest.approx(lr.sigma[0, 0] / (2 * math.pi))
 
 
-def test_spectrum_default_bandwidth_is_fourth_root(capsys, tmp_path):
+def test_spectrum_default_bandwidth_is_fourth_root(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "x.csv"
     write_series(path, SimulationSpec(d=1, T=256, m=0, seed=3))
-    rc, out, _ = run_cli(capsys, "spectrum", path, "--output-dir", tmp_path)
+    rc, out, _ = run_cli(capsys, "spectrum", path)
     assert rc == 0
     assert kv_lines(out)["h_used"] == "4"
 
 
-def test_spectrum_transform_diff_shortens_series(capsys, tmp_path):
+def test_spectrum_transform_diff_shortens_series(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "x.csv"
     write_series(path, SimulationSpec(d=1, T=257, m=0, seed=3))
-    rc, out, _ = run_cli(capsys, "spectrum", path, "--transform", "diff",
-                         "--output-dir", tmp_path)
+    rc, out, _ = run_cli(capsys, "spectrum", path, "--transform", "diff")
     assert rc == 0
     assert kv_lines(out)["T"] == "256"
 
 
-def test_spectrum_constant_input_is_degenerate(capsys, tmp_path):
+def test_spectrum_constant_input_is_degenerate(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "flat.csv"
     path.write_text("a,b\n" + "1.0,2.0\n" * 64)
-    rc, _, err = run_cli(capsys, "spectrum", path, "--output-dir", tmp_path)
+    rc, _, err = run_cli(capsys, "spectrum", path)
     assert rc == 2
     assert "error: DegenerateSpectrum" in err
 
@@ -483,15 +493,17 @@ def scaled_csv(tmp_path, scale):
 @pytest.mark.parametrize("argv", [("detect",), ("detect", "--scan"), ("scan",),
                                   ("spectrum",)])
 @pytest.mark.parametrize("scale", [1e-160, 1e154, 1e160])
-def test_unrepresentable_covariance_is_degenerate(capsys, tmp_path, argv, scale):
+def test_unrepresentable_covariance_is_degenerate(capsys, tmp_path, monkeypatch,
+                                                  argv, scale):
     # at 1e-160 the estimate is subnormal and its inverse overflows; at 1e154
     # and 1e160 the periodogram overflows. None may become a nan statistic,
     # and the error line is all that reaches stderr: no numpy warning comes
     # first.
+    monkeypatch.chdir(tmp_path)
     path = scaled_csv(tmp_path, scale)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc, out, err = run_cli(capsys, *argv, path, "--output-dir", tmp_path)
+        rc, out, err = run_cli(capsys, *argv, path)
     assert rc == 2
     why = ("has no finite inverse; input values are too small" if scale < 1
            else "is not finite; input values are too large")
@@ -555,10 +567,9 @@ def test_estimate_whose_partial_sums_overflow_prints_one_error_line(
 # ----------------------------------------------------------------- detect
 
 
-def test_detect_rejects_and_localizes_simulated_break(capsys, tmp_path, ha_csv, cv2_csv):
+def test_detect_rejects_and_localizes_simulated_break(capsys, ha_csv, cv2_csv):
     path, _, t_star = ha_csv
-    rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv,
-                         "--output-dir", tmp_path)
+    rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv)
     assert rc == 0
     lines = kv_lines(out)
     assert lines["reject"] == "true"
@@ -571,8 +582,7 @@ def test_detect_rejects_and_localizes_simulated_break(capsys, tmp_path, ha_csv, 
 def test_detect_under_null_accepts(capsys, tmp_path, cv2_csv):
     path = tmp_path / "h0.csv"
     write_series(path, SimulationSpec(d=2, T=600, m=2, seed=SEED_H0))
-    rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv,
-                         "--output-dir", tmp_path)
+    rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv)
     assert rc == 0
     lines = kv_lines(out)
     assert lines["reject"] == "false"
@@ -582,8 +592,7 @@ def test_detect_under_null_accepts(capsys, tmp_path, cv2_csv):
 def test_detect_constant_csv_is_degenerate(capsys, tmp_path, cv2_csv):
     path = tmp_path / "flat.csv"
     path.write_text("a,b\n" + "3.0,4.0\n" * 64)
-    rc, _, err = run_cli(capsys, "detect", path, "--table", cv2_csv,
-                         "--output-dir", tmp_path)
+    rc, _, err = run_cli(capsys, "detect", path, "--table", cv2_csv)
     assert rc == 2
     assert "error: DegenerateSpectrum" in err
 
@@ -591,8 +600,7 @@ def test_detect_constant_csv_is_degenerate(capsys, tmp_path, cv2_csv):
 def test_detect_missing_critical_value_mentions_critval(capsys, tmp_path, ha_csv):
     path, _, _ = ha_csv
     table = table_file(tmp_path / "cv9.csv", [(9, 0.05, 3.0)])
-    rc, _, err = run_cli(capsys, "detect", path, "--table", table,
-                         "--output-dir", tmp_path)
+    rc, _, err = run_cli(capsys, "detect", path, "--table", table)
     assert rc == 2
     assert "error: MissingCriticalValue" in err
     assert "critval" in err
@@ -610,7 +618,7 @@ def test_detect_two_pass_is_a_usage_error(capsys, tmp_path, ha_csv):
 def test_detect_emit_curve_writes_quadform_curve(capsys, tmp_path, ha_csv, cv2_csv):
     path, series, _ = ha_csv
     rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv,
-                         "--emit-curve", "curve.csv", "--output-dir", tmp_path)
+                         "--emit-curve", tmp_path / "curve.csv")
     assert rc == 0
     assert kv_lines(out)["curve"] == str(tmp_path / "curve.csv")
     with open(tmp_path / "curve.csv", newline="") as fh:
@@ -640,7 +648,7 @@ def test_detect_builds_covariance_and_curve_once(capsys, tmp_path, monkeypatch,
     path, _, _ = ha_csv
     calls = count_calls(monkeypatch)
     rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv, "--scan",
-                         "--emit-curve", "curve.csv", "--output-dir", tmp_path)
+                         "--emit-curve", tmp_path / "curve.csv")
     assert rc == 0
     lines = kv_lines(out)
     assert lines["reject"] == "true" and "t_hat" in lines
@@ -669,8 +677,7 @@ def test_detect_scan_lists_extrema(capsys, tmp_path, cv2_csv):
     path = tmp_path / "prices.csv"
     write_price_csv(path)
     table = table_file(tmp_path / "cv5.csv", [(5, 0.05, 5.0)])
-    rc, out, _ = run_cli(capsys, "detect", path, "--scan", "--table", table,
-                         "--output-dir", tmp_path)
+    rc, out, _ = run_cli(capsys, "detect", path, "--scan", "--table", table)
     assert rc == 0
     lines = kv_lines(out)
     assert lines["d"] == "5"
@@ -683,7 +690,7 @@ def test_detect_transform_log_requires_positive_values(capsys, tmp_path, cv2_csv
     rows = "\n".join(f"{v},{-v}" for v in np.linspace(1, 2, 64))
     path.write_text("a,b\n" + rows + "\n")
     rc, _, err = run_cli(capsys, "detect", path, "--transform", "log",
-                         "--table", cv2_csv, "--output-dir", tmp_path)
+                         "--table", cv2_csv)
     assert rc == 2
     assert "error: DomainError" in err
 
@@ -790,6 +797,20 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
      "UsageError: mvcusum: unrecognized arguments: --bandwidth 3"),
     ({"x.csv": ROWS_40}, ("detect", "x.csv", "--sc"),
      "UsageError: mvcusum: unrecognized arguments: --sc"),
+    # an output path is spelled once: --out, --meta and --emit-curve name
+    # the file, and only bench, which names its own files, reads --output-dir
+    ({}, ("simulate", "--d", "1", "--T", "10", "--m", "0", "--output-dir",
+          "o"), "UsageError: mvcusum: unrecognized arguments: --output-dir o"),
+    ({"x.csv": ROWS_40}, ("spectrum", "x.csv", "--output-dir", "o"),
+     "UsageError: mvcusum: unrecognized arguments: --output-dir o"),
+    ({"x.csv": ROWS_40}, ("detect", "x.csv", "--emit-curve", "c.csv",
+                          "--output-dir", "o"),
+     "UsageError: mvcusum: unrecognized arguments: --output-dir o"),
+    ({"x.csv": ROWS_40}, ("scan", "x.csv", "--output-dir", "o"),
+     "UsageError: mvcusum: unrecognized arguments: --output-dir o"),
+    # 40 rows make a curve of 41 points
+    ({"x.csv": ROWS_40}, ("scan", "x.csv", "--smoothing-window", "43"),
+     "DomainError: smoothing window 43 exceeds curve length 41"),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)
@@ -816,6 +837,7 @@ def test_missing_critical_value_hint_round_trip(capsys, tmp_path, monkeypatch):
 
 
 _TABLE_HEAD = b"d,alpha,value,paths,grid,seed,stderr\n"
+_WIDE = b"x" * 140_000  # past the csv module's 131,072-character field limit
 _CRITVAL = ("critval", "--d", "2", "--alpha", "0.05", "--table", "t.csv")
 
 
@@ -853,10 +875,20 @@ _CRITVAL = ("critval", "--d", "2", "--alpha", "0.05", "--table", "t.csv")
      ("bench", "g.grid", "--output-dir", "out"),
      "GridParseError: g.grid:1: name may not contain '/', '\\' or NUL, "
      "got 'g\\x00x'"),
+    # a field over the csv module's limit, wherever the csv module reads it
+    ({"h.csv": b"a," + _WIDE + b"\n1,2\n3,4\n"}, ("detect", "h.csv"),
+     "DomainError: h.csv: field larger than field limit (131072)"),
+    ({"f.csv": b"a,b,c\n1,2," + _WIDE + b"\nnan,3,4\n5,6,7\n"},
+     ("detect", "f.csv", "--columns", "a,b"),
+     "DomainError: f.csv: field larger than field limit (131072)"),
+    ({"t.csv": _TABLE_HEAD + b"1,0.05," + b"1" * 140_000 + b",1,1,1,0.1\n",
+      "x.csv": ROWS_40.encode()}, ("detect", "x.csv", "--table", "t.csv"),
+     "DomainError: t.csv: field larger than field limit (131072)"),
 ], ids=["csv-not-utf8", "config-not-utf8", "grid-not-utf8", "table-not-utf8",
         "table-missing-column", "table-foreign-header", "table-bad-cell",
         "table-short-row", "grid-name-escapes", "cell-name-slash",
-        "grid-name-nul"])
+        "grid-name-nul", "csv-wide-header", "csv-wide-field-beside-bad-cell",
+        "table-wide-value"])
 def test_unreadable_file_is_a_data_error(capsys, tmp_path, monkeypatch, files,
                                          argv, line):
     # one error line naming the file, and nothing written
@@ -874,7 +906,7 @@ def test_detect_column_subset(capsys, tmp_path):
     table = table_file(tmp_path / "cv2.csv", [(2, 0.05, 2.5)])
     rc, out, _ = run_cli(
         capsys, "detect", path, "--columns", "Opening Price,Closing Price",
-        "--table", table, "--output-dir", tmp_path,
+        "--table", table,
     )
     assert rc == 0
     assert kv_lines(out)["d"] == "2"
@@ -950,7 +982,7 @@ def test_scan_locates_both_breaks(capsys, tmp_path):
         w = csv.writer(fh)
         w.writerow(["x0", "x1"])
         w.writerows([format(v, ".17g") for v in row] for row in x)
-    rc, out, _ = run_cli(capsys, "scan", path, "--output-dir", tmp_path)
+    rc, out, _ = run_cli(capsys, "scan", path)
     assert rc == 0
     maxima = []
     for line in out.splitlines():
@@ -960,10 +992,9 @@ def test_scan_locates_both_breaks(capsys, tmp_path):
     assert any(abs(k - 800) <= 60 for k in maxima)
 
 
-def test_scan_respects_prominence_floor(capsys, tmp_path, ha_csv):
+def test_scan_respects_prominence_floor(capsys, ha_csv):
     path, _, _ = ha_csv
-    rc, out, _ = run_cli(capsys, "scan", path, "--min-prominence", "1e9",
-                         "--output-dir", tmp_path)
+    rc, out, _ = run_cli(capsys, "scan", path, "--min-prominence", "1e9")
     assert rc == 0
     assert kv_lines(out)["extrema_count"] == "0"
 
@@ -976,24 +1007,23 @@ def test_scan_rejects_nan_prominence_floor(capsys, tmp_path, ha_csv):
     assert err == "error: DomainError: prominence floor must be >= 0, got nan\n"
 
 
-def test_scan_rejects_even_window(capsys, tmp_path, ha_csv):
+def test_scan_rejects_even_window(capsys, ha_csv):
     path, _, _ = ha_csv
-    rc, _, err = run_cli(capsys, "scan", path, "--smoothing-window", "4",
-                         "--output-dir", tmp_path)
+    rc, _, err = run_cli(capsys, "scan", path, "--smoothing-window", "4")
     assert rc == 2
     assert "error: DomainError" in err
 
 
 def test_scan_emit_curve(capsys, tmp_path, ha_csv):
     path, series, _ = ha_csv
-    rc, out, _ = run_cli(capsys, "scan", path, "--emit-curve", "q.csv",
-                         "--output-dir", tmp_path)
+    rc, out, _ = run_cli(capsys, "scan", path, "--emit-curve",
+                         tmp_path / "q.csv")
     assert rc == 0
     assert (tmp_path / "q.csv").exists()
     assert "smoothing_window=" in out
     # the scan exports the unsmoothed test curve, byte for byte as detect does
-    rc, _, _ = run_cli(capsys, "detect", path, "--emit-curve", "d.csv",
-                       "--output-dir", tmp_path)
+    rc, _, _ = run_cli(capsys, "detect", path, "--emit-curve",
+                       tmp_path / "d.csv")
     assert rc == 0
     assert (tmp_path / "q.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
 
@@ -1426,6 +1456,30 @@ def test_deep_filter_bits_do_not_depend_on_blas_threads(tmp_path):
         assert result.returncode == 0, result.stderr
         written.append(out.read_bytes())
     assert written[0] == written[1]
+
+
+def test_bench_outputs_are_utf8_whatever_the_locale(tmp_path):
+    # a cell name outside ASCII, under the C locale without UTF-8 mode,
+    # where open() would otherwise encode as ASCII: the table and summary
+    # are the bytes of a UTF-8 run
+    (tmp_path / "g.grid").write_text(
+        "name=g\nalpha=0.05\nd=2\nT=64\nm=1\nreps=1\n\ncell=café\n",
+        encoding="utf-8")
+    ascii_locale = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+                    "LC_ALL": "C", "PYTHONIOENCODING": "utf-8"}
+    written = []
+    for out, locale in (("ascii", ascii_locale), ("utf8", {"PYTHONUTF8": "1"})):
+        result = subprocess.run(
+            [sys.executable, "-m", "mvcusum", "bench", "g.grid",
+             "--output-dir", out],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            env={**_child_env(), **locale},
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        written.append([(tmp_path / out / name).read_bytes()
+                        for name in ("g.csv", "summary.txt")])
+    assert written[0] == written[1]
+    assert "cell=café ".encode() in written[0][1]
 
 
 @pytest.mark.skipif(shutil.which("mvcusum") is None,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mvcusum.engine import cusum, export_curve_csv, quadform
+from mvcusum.errors import DomainError
 from mvcusum.experiments import MetricsRow, parse_grid, write_grid_outputs
 from mvcusum.series import _CHUNK_ROWS, MultivariateSeries, write_csv
 from mvcusum.spectral import export_spectrum_csv, long_run_covariance, smoothed_spectrum
@@ -90,6 +91,14 @@ def test_export_spectrum_csv_bytes_match_reference(tmp_path):
         rows.append(row)
     _reference_csv(tmp_path / "ref.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_export_spectrum_csv_refuses_no_frequencies(tmp_path):
+    # no rows would leave the spectrum's dimension unknown: refused, and
+    # no file written
+    with pytest.raises(DomainError, match="^nothing to export: no frequencies given$"):
+        export_spectrum_csv(tmp_path / "new.csv", [], np.empty((0, 2, 2)))
+    assert not (tmp_path / "new.csv").exists()
 
 
 def test_histogram_file_bytes_match_reference(tmp_path):

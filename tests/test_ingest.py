@@ -224,6 +224,32 @@ def test_plain_files_never_reach_numpys_reader(tmp_path, monkeypatch):
         np.testing.assert_array_equal(s.values, x)
 
 
+def test_a_line_longer_than_a_chunk_is_read_whole(tmp_path, monkeypatch):
+    # two unselected 70,000-character fields make the first data line longer
+    # than one read: it is carried into the next, so the plain reader is
+    # handed whole lines only, and the values are the per-cell parser's
+    wide = "7" * 70_000
+    text = f"a,b,c,d\n1.5,{wide},{wide},-2\n3,4,5,6e-3\n"
+    assert len(text) > series._PLAIN_CHUNK
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    handed = []
+    parse = series._parse_plain
+
+    def recorded(data, width, usecols):
+        handed.append(data)
+        return parse(data, width, usecols)
+
+    monkeypatch.setattr(series, "_parse_plain", recorded)
+    fallbacks = _count_fallbacks(monkeypatch)
+    fast = _outcome(path, ["a", "d"], {})
+    assert handed and all(data.endswith(b"\n") for data in handed)
+    assert not fallbacks
+    monkeypatch.setattr(series, "_read_values", lambda *args: None)
+    assert fast == _outcome(path, ["a", "d"], {})
+    assert fast[1] == (2, 2)
+
+
 def test_a_quote_after_many_chunks_rereads_the_file(tmp_path, monkeypatch):
     # the lines read before the quote are read again, not kept twice
     x = np.random.default_rng(41).normal(size=(2_000, 2))

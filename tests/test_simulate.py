@@ -104,9 +104,14 @@ def _brute_k_max(rho, tol):
     (0.5, 3.9, 0),  # tols above the tail after depth 0
     (0.5, 10.0, 0),
     (0.5, math.inf, 0),
+    # the closed form rounds up to 47: the step down finds 46
+    (0.5, math.nextafter(0.5 ** 46, math.inf), 46),
 ])
 def test_geometric_kmax_is_smallest_depth(rho, tol, k_max):
     assert SimulationSpec(2, 100, 0, rho=rho, tol=tol).K_max == k_max
+    tail = lambda k: rho ** (k + 1) / (1 - rho)  # sum_{j > k} rho^j
+    assert tail(k_max) < tol
+    assert k_max == 0 or tail(k_max - 1) >= tol
 
 
 @given(st.floats(min_value=0.0, max_value=0.99),
@@ -159,6 +164,8 @@ def test_exchangeable_cov():
     np.testing.assert_array_equal(np.diag(R), np.ones(3))
     assert R[0, 1] == R[2, 0] == 0.5
     np.testing.assert_array_equal(R, R.T)
+    with pytest.raises(DomainError, match=r"^d must be >= 1, got 0$"):
+        exchangeable_cov(0, 0.5)
 
 
 # ---------------------------------------------------------------- spec validation
@@ -183,6 +190,16 @@ def test_spec_rejects_bad_kstar():
 def test_spec_rejects_negative_m():
     with pytest.raises(DomainError):
         spec_of(m=-1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("tol", 0.0, "tail tolerance must be positive, got 0.0"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+])
+def test_spec_rejects_out_of_domain_scalars(field, value, message):
+    with pytest.raises(DomainError) as exc:
+        spec_of(**{field: value})
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]],

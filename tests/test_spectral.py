@@ -14,7 +14,7 @@ from mvcusum.errors import (
     TooShort,
     ToolkitError,
 )
-from mvcusum.series import MultivariateSeries, center
+from mvcusum.series import MultivariateSeries
 from mvcusum.spectral import (
     _spectrum_and_covariance,
     default_bandwidth,
@@ -55,11 +55,17 @@ def _series(rng, T, d, scale=1.0):
     return MultivariateSeries(rng.normal(size=(T, d)) * scale)
 
 
+def _centered(rng, T, d):
+    """T x d standard normals less their column means."""
+    x = rng.normal(size=(T, d))
+    return MultivariateSeries(x - x.mean(axis=0))
+
+
 # ---------------------------------------------------------------- dft
 
 
 def test_dft_zero_series():
-    c = center(MultivariateSeries(np.zeros((16, 2))))
+    c = MultivariateSeries(np.zeros((16, 2)))  # centered already
     pg = dft(c, full_grid(16))
     assert np.all(pg.ordinates == 0)
 
@@ -67,7 +73,7 @@ def test_dft_zero_series():
 def test_dft_hand_value_two_points():
     # X = {1, -1}: W(pi) = (1/sqrt 2)(e^{i pi} - e^{2 i pi}) = -2/sqrt 2,
     # so I(pi) = 2
-    c = center(MultivariateSeries(np.array([[1.0], [-1.0]])))
+    c = MultivariateSeries(np.array([[1.0], [-1.0]]))  # centered already
     pg = dft(c, [1])
     np.testing.assert_allclose(pg.ordinates[0][0, 0], 2.0, rtol=1e-12)
 
@@ -75,7 +81,7 @@ def test_dft_hand_value_two_points():
 @pytest.mark.parametrize("T,d", [(8, 1), (17, 2), (64, 2), (101, 3), (256, 2)])
 def test_dft_matches_direct_oracle(T, d):
     rng = np.random.default_rng(100 + T + d)
-    c = center(_series(rng, T, d))
+    c = _centered(rng, T, d)
     js, mats = direct_periodogram(c.values)
     pg = dft(c, js)
     np.testing.assert_array_equal(pg.js, js)
@@ -89,7 +95,8 @@ def test_dft_matches_direct_oracle(T, d):
 @pytest.mark.parametrize("T,d", [(2, 1), (7, 1), (64, 2), (100, 3), (999, 4)])
 def test_parseval(T, d):
     rng = np.random.default_rng(T * 7 + d)
-    cent = center(MultivariateSeries(rng.normal(size=(T, d)) * 3.0))
+    x = rng.normal(size=(T, d)) * 3.0
+    cent = MultivariateSeries(x - x.mean(axis=0))
     pg = dft(cent, full_grid(T))
     lhs = np.trace(pg.ordinates.sum(axis=0)).real
     rhs = float((cent.values**2).sum())
@@ -98,7 +105,7 @@ def test_parseval(T, d):
 
 def test_periodogram_hermitian_psd():
     rng = np.random.default_rng(3)
-    pg = dft(center(_series(rng, 50, 3)), full_grid(50))
+    pg = dft(_centered(rng, 50, 3), full_grid(50))
     for a in range(len(pg.js)):
         M = pg.ordinates[a]
         assert np.array_equal(M, np.conj(M.T))  # exactly Hermitian (rank-1)
@@ -109,7 +116,7 @@ def test_periodogram_hermitian_psd():
 @pytest.mark.parametrize("T", [9, 16])
 def test_periodogram_conjugate_symmetry(T):
     rng = np.random.default_rng(T)
-    c = center(_series(rng, T, 2))
+    c = _centered(rng, T, 2)
     js = np.arange(0, T // 2 + 1)
     np.testing.assert_array_equal(
         dft(c, -js).ordinates, np.conj(dft(c, js).ordinates)
@@ -118,7 +125,7 @@ def test_periodogram_conjugate_symmetry(T):
 
 def test_periodogram_index_wraps():
     rng = np.random.default_rng(9)
-    pg = dft(center(_series(rng, 10, 1)), [7, -3, 12, 2])
+    pg = dft(_centered(rng, 10, 1), [7, -3, 12, 2])
     # grid is 10-periodic in j
     np.testing.assert_array_equal(pg.ordinates[0], pg.ordinates[1])
     np.testing.assert_array_equal(pg.ordinates[2], pg.ordinates[3])
@@ -129,7 +136,7 @@ def test_dft_wrapped_indices_match_full_grid(T):
     # indices below -N/2, above N/2 and at or past N land on the full-grid
     # ordinate of their residue, bit for bit
     rng = np.random.default_rng(200 + T)
-    c = center(_series(rng, T, 3))
+    c = _centered(rng, T, 3)
     full = dft(c, full_grid(T))
     js = np.array([-T - 3, -T // 2 - 1, -(T - 1), T // 2 + 1, T - 1, T,
                    T + 2, 3 * T + 1])
@@ -197,7 +204,7 @@ def test_smoothed_omega_domain():
 def test_smoothed_matches_manual_window(omega):
     # oracle: explicit loop over the window with modular ordinate lookup
     rng = np.random.default_rng(17)
-    c = center(_series(rng, 37, 2))
+    c = _centered(rng, 37, 2)
     pg = dft(c, full_grid(37))
     h = 4
     f = smoothed_spectrum(c, h, [omega])[0]
@@ -285,7 +292,7 @@ def test_covariance_read_at_zero_whatever_the_frequencies():
 
 def test_smoothed_negative_omega_conjugate():
     rng = np.random.default_rng(23)
-    c = center(_series(rng, 64, 3))
+    c = _centered(rng, 64, 3)
     for om in (0.3, 1.2, 2.9):
         np.testing.assert_array_equal(
             smoothed_spectrum(c, 5, [-om]), np.conj(smoothed_spectrum(c, 5, [om]))
@@ -294,7 +301,7 @@ def test_smoothed_negative_omega_conjugate():
 
 def test_smoothed_hermitian_everywhere():
     rng = np.random.default_rng(29)
-    c = center(_series(rng, 128, 3))
+    c = _centered(rng, 128, 3)
     for f in smoothed_spectrum(c, 6, np.linspace(0, np.pi, 9)):
         np.testing.assert_allclose(f, np.conj(f.T), atol=1e-12)
 
@@ -316,8 +323,8 @@ def test_smoothed_white_noise_level():
     # T=16384, h=11. seed chosen by scanning 0..49 for margin (see scan note
     # in tests/README-seeds.txt); computation itself is untouched.
     rng = np.random.default_rng(SEED_WHITE)
-    s = MultivariateSeries(rng.standard_normal((16384, 1)))
-    f0 = smoothed_spectrum(center(s), 11, [0.0])[0]
+    x = rng.standard_normal((16384, 1))
+    f0 = smoothed_spectrum(MultivariateSeries(x - x.mean(axis=0)), 11, [0.0])[0]
     assert 2 * np.pi * f0[0, 0].real == pytest.approx(1.0, abs=0.15)
 
 
@@ -326,7 +333,8 @@ def test_smoothed_ma1_closed_form():
     rng = np.random.default_rng(SEED_MA1)
     z = rng.standard_normal(16385)
     x = z[1:] + 0.5 * z[:-1]
-    f0 = smoothed_spectrum(center(MultivariateSeries(x[:, None])), 11, [0.0])[0]
+    x = x[:, None]
+    f0 = smoothed_spectrum(MultivariateSeries(x - x.mean(axis=0)), 11, [0.0])[0]
     want = 1.5**2 / (2 * np.pi)
     assert f0[0, 0].real == pytest.approx(want, abs=0.06)
     assert want == pytest.approx(0.3581, abs=2e-4)
