@@ -78,6 +78,14 @@ groups, roughly in the order of the comments in `commands`:
 - A field over the csv module's 131,072-character limit where that module
   reads it: a header name, an unselected field of a file whose selected
   ``nan`` sends it to the per-cell parser, and a critical-value table cell.
+- Missing inputs, each reported by the reader that opens it: two faults in
+  one command (a missing input with a missing ``--table``, with ``--alpha
+  2`` and with ``--freqs 1``), of which the other is reported; an empty
+  ``--table`` or ``--config`` path; ``bench table1 --reps 1 --output-dir
+  table1`` run twice in one directory; ``bench mydir`` once ``simulate``
+  has made ``mydir``; a grid piped to ``bench /dev/stdin``; and
+  ``--skip-rows 3000000`` on the 16 x 3 input, whose skipping ends with
+  the file.
 
 The ``rho=0.999`` filter is a convolution whose dot products OpenBLAS
 splits over its threads once they are that long, so the series it draws
@@ -522,6 +530,22 @@ def commands():
         ("detect", IN + "long_header.csv"),
         ("detect", IN + "long_field.csv", "--columns", "a,b"),
         ("detect", IN + "rows40.csv", "--table", IN + "long_table.csv"),
+    ]
+    # missing inputs met by their readers, a directory named like a grid, a
+    # grid on a pipe, and a skip past the end of the file
+    cmds += [
+        ("detect", "absent.csv", "--table", "absent_t.csv"),
+        ("detect", "absent.csv", "--alpha", "2"),
+        ("spectrum", "absent.csv", "--freqs", "1"),
+        ("detect", small, "--table", ""),
+        ("simulate", "--config", ""),
+        (("bench", "table1", "--reps", "1", "--output-dir", "table1"),
+         ("bench", "table1", "--reps", "1", "--output-dir", "table1")),
+        (("simulate", "--d", "2", "--T", "16", "--m", "1", "--seed", "3",
+          "--out", "mydir/s.csv"),
+         ("bench", "mydir")),
+        ("bench", "/dev/stdin", "--output-dir", "g", "<" + IN + "noreps.grid"),
+        ("detect", small, "--skip-rows", "3000000"),
     ]
     return cmds
 

@@ -51,14 +51,6 @@ __all__ = ["build_parser", "main"]
 _TRANSFORMS = ("none", "log", "diff")
 
 
-def _check_inputs(*paths) -> None:
-    """Fail on a missing input file before any work or output happens;
-    a None path (an input flag not given) is skipped."""
-    for path in paths:
-        if path is not None and not os.path.exists(path):
-            raise FileNotFoundError(f"no such input file: {path}")
-
-
 def _apply_transform(series: MultivariateSeries, name: str) -> MultivariateSeries:
     """Pre-analysis value transform: none, log, or diff.
 
@@ -104,7 +96,7 @@ def _resolve_out(path) -> str:
 
 
 def _load_table(path) -> CriticalValueTable:
-    return CriticalValueTable.load_csv(path) if path else default_table()
+    return default_table() if path is None else CriticalValueTable.load_csv(path)
 
 
 def _load_input(args) -> MultivariateSeries:
@@ -165,7 +157,6 @@ def cmd_simulate(args) -> None:
     from .series import write_csv
     from .simulate import gen_series
 
-    _check_inputs(args.config)
     spec = _read_spec(args.config, vars(args))
     series, t_star = gen_series(spec)
     out = _resolve_out(args.out)
@@ -188,7 +179,6 @@ def cmd_spectrum(args) -> None:
     from .simulate import _MAX_VALUES
     from .spectral import _spectrum_and_covariance, export_spectrum_csv
 
-    _check_inputs(args.input)
     if args.freqs < 2:
         raise DomainError(f"need at least 2 frequencies, got {args.freqs}")
     series = _load_input(args)
@@ -241,7 +231,6 @@ def cmd_detect(args) -> None:
     printed, so a failing step prints nothing and writes nothing."""
     from . import engine
 
-    _check_inputs(args.input, args.table)
     table = _load_table(args.table)
     _check_level(args.alpha)
     series = _load_input(args)
@@ -272,7 +261,6 @@ def cmd_estimate(args) -> None:
     from . import engine
     from .spectral import long_run_covariance
 
-    _check_inputs(args.input)
     series = _load_input(args)
     curve = engine.cusum(series)
     if args.method == "quadform_argmax":
@@ -285,7 +273,6 @@ def cmd_scan(args) -> None:
     from . import engine
     from .spectral import long_run_covariance
 
-    _check_inputs(args.input)
     series = _load_input(args)
     lr = long_run_covariance(series, args.h)
     curve = engine.quadform(engine.cusum(series), lr)
@@ -301,17 +288,17 @@ def cmd_scan(args) -> None:
 
 
 def cmd_critval(args) -> None:
-    if args.table and not os.path.exists(args.table):
-        table = CriticalValueTable()  # a new --table file starts empty
+    if not args.table:
+        table = default_table()
+    elif os.path.exists(args.table):
+        table = CriticalValueTable.load_csv(args.table)
     else:
-        table = _load_table(args.table)
+        table = CriticalValueTable()  # a new --table file starts empty
     cached = table.get(args.d, args.alpha) is not None
     critical_value(args.d, args.alpha, table, args.paths, args.grid, args.seed)
     entry = table.get(args.d, args.alpha)
     if args.table and not cached:
-        # like every other output path, the table's directory is made for it
-        os.makedirs(os.path.dirname(args.table) or ".", exist_ok=True)
-        table.save_csv(args.table)
+        table.save_csv(_resolve_out(args.table))
     print(f"d={args.d}")
     print(f"alpha={_fmt(args.alpha)}")
     print(f"value={_fmt(entry.value)}")
@@ -335,9 +322,9 @@ def cmd_bench(args) -> None:
         write_grid_outputs,
     )
 
-    grid = (load_grid(args.grid) if os.path.exists(args.grid)
-            else load_shipped_grid(args.grid))
-    _check_inputs(args.table)
+    path = args.grid  # a file, a pipe or a FIFO, else a shipped grid's name
+    grid = (load_grid(path) if os.path.exists(path) and not os.path.isdir(path)
+            else load_shipped_grid(path))
     table = _load_table(args.table)
     if args.reps is not None:
         if args.reps < 1:

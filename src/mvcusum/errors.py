@@ -4,8 +4,8 @@ Every error raised deliberately by this package derives from ToolkitError,
 so callers (and the CLI) can distinguish usage/data problems from genuine
 bugs. Class names double as machine-readable error categories. The module
 imports no numpy, and neither does `_open_text`, the text-file opener whose
-decode and csv errors name the file, so every reader of a text file can
-share it.
+missing-file, decode and csv errors name the file, so every reader of a
+text file can share it.
 """
 
 import csv
@@ -96,11 +96,16 @@ class CellFailures(ToolkitError):
 
 @contextmanager
 def _open_text(path, error, newline=None):
-    """``open(path, encoding="utf-8")``; a byte that is not UTF-8, or a
-    record the csv module refuses (a field over its size limit), raises
-    ``error`` (a ToolkitError class) with a message naming the file."""
+    """``open(path, encoding="utf-8")``; a missing file raises
+    FileNotFoundError naming it, and a byte that is not UTF-8, or a record
+    the csv module refuses (a field over its size limit), raises ``error``
+    (a ToolkitError class) with a message naming the file."""
     try:
-        with open(path, newline=newline, encoding="utf-8") as fh:
+        fh = open(path, newline=newline, encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):  # x.csv/y names no file
+        raise FileNotFoundError(f"no such input file: {path}") from None
+    try:
+        with fh:
             yield fh
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]

@@ -535,7 +535,7 @@ def _read_spec(path, overrides) -> SimulationSpec:
     and an overriding value by its flag, ``--k-star`` for ``k_star``.
     """
     kv = {}
-    if path:
+    if path is not None:
         with _open_text(path, GridParseError) as fh:
             kv = {key: (lineno, value)
                   for block in _key_value_blocks(fh, path, _SPEC_KEYS,

@@ -113,10 +113,12 @@ def _pick(path, header, columns, date_column):
 def _records(fh, skip_rows):
     """A csv.reader over fh past the skipped records and the header row,
     and the stripped header (None when the file ends first). Records, not
-    lines, are counted, so a quoted newline does not shift the header."""
+    lines, are counted, so a quoted newline does not shift the header; the
+    skipping stops at the end of the file."""
     reader = csv.reader(fh)
     for _ in range(skip_rows):
-        next(reader, None)
+        if next(reader, None) is None:
+            break
     header = next(reader, None)
     return reader, None if header is None else [h.strip() for h in header]
 
@@ -153,6 +155,8 @@ def load_csv(path, columns: Sequence[str] = (), date_column: Optional[str] = Non
 
     Raises
     ------
+    FileNotFoundError
+        No file at ``path``: ``no such input file: <path>``.
     MissingColumn
         The file has no header row, no value column, or a requested column
         (or the named date column) is not in the header.

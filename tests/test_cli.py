@@ -16,6 +16,8 @@ import mvcusum
 from mvcusum import cli, engine, spectral
 from mvcusum.critical import CriticalEntry, CriticalValueTable, default_table
 from mvcusum.engine import cusum, estimate_changepoint, quadform
+from mvcusum.errors import DomainError, _open_text
+from mvcusum.experiments import _read_spec, load_grid
 from mvcusum.series import load_csv, write_csv
 from mvcusum.simulate import SimulationSpec, gen_series
 from mvcusum.spectral import long_run_covariance
@@ -143,15 +145,37 @@ def test_unknown_flag_is_usage_error(capsys, ha_csv):
 @pytest.mark.parametrize(
     "argv",
     [("detect",), ("estimate",), ("scan",), ("spectrum",),
-     ("bench", "table1", "--table")],
-    ids=["detect", "estimate", "scan", "spectrum", "bench"],
+     ("bench", "table1", "--table"), ("simulate", "--config"),
+     ("detect", "x.csv", "--table")],
+    ids=["detect", "estimate", "scan", "spectrum", "bench", "simulate-config",
+         "detect-table"],
 )
 def test_missing_input_is_data_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").write_text(ROWS_40)
     rc, _, err = run_cli(capsys, *argv, tmp_path / "absent.csv")
     assert rc == 2
     assert "error: FileNotFoundError: no such input file:" in err
     assert "absent.csv" in err
+
+
+@pytest.mark.parametrize("read", [
+    load_csv, CriticalValueTable.load_csv, load_grid,
+    lambda path: _read_spec(path, {}),
+], ids=["load_csv", "table", "load_grid", "read_spec"])
+def test_library_readers_name_a_missing_file(tmp_path, read):
+    # the opener every reader shares words it as the command line does
+    path = tmp_path / "absent.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        read(path)
+    assert str(info.value) == f"no such input file: {path}"
+
+
+def test_open_text_maps_only_its_own_missing_file(tmp_path):
+    (tmp_path / "x.csv").write_text("a\n")
+    with pytest.raises(FileNotFoundError, match="^inner$"):
+        with _open_text(tmp_path / "x.csv", DomainError):
+            raise FileNotFoundError("inner")
 
 
 MISSING = "error: FileNotFoundError: no such input file: absent.csv"
@@ -811,6 +835,25 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
     # 40 rows make a curve of 41 points
     ({"x.csv": ROWS_40}, ("scan", "x.csv", "--smoothing-window", "43"),
      "DomainError: smoothing window 43 exceeds curve length 41"),
+    # two faults: each reader reports a missing file when it opens it, so
+    # the table (read first) and the settings checked before the input is
+    # read are reported ahead of a missing input
+    ({}, ("detect", "absent.csv", "--table", "absent_t.csv"),
+     "FileNotFoundError: no such input file: absent_t.csv"),
+    ({}, ("detect", "absent.csv", "--alpha", "2"),
+     "DomainError: level must be in (0, 1), got 2.0"),
+    ({}, ("spectrum", "absent.csv", "--freqs", "1"),
+     "DomainError: need at least 2 frequencies, got 1"),
+    # a path through a file names no file
+    ({"x.csv": ROWS_40}, ("detect", "x.csv/y.csv"),
+     "FileNotFoundError: no such input file: x.csv/y.csv"),
+    # an empty path names no file; it is not the flag left out
+    ({"x.csv": ROWS_40}, ("detect", "x.csv", "--table", ""),
+     "FileNotFoundError: no such input file: "),
+    ({}, ("simulate", "--config", ""),
+     "FileNotFoundError: no such input file: "),
+    ({}, ("bench", "table1", "--table", ""),
+     "FileNotFoundError: no such input file: "),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)
@@ -1187,6 +1230,40 @@ def test_bench_unknown_grid_name_is_data_error(capsys, tmp_path):
     assert "table1" in err
 
 
+def test_bench_runs_again_into_its_own_output_directory(capsys, tmp_path,
+                                                       monkeypatch):
+    # a directory named like a shipped grid does not hide that grid
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        rc, out, _ = run_cli(capsys, "bench", "table1", "--reps", 1,
+                             "--output-dir", "table1")
+        assert rc == 0
+        assert out.endswith("completed=10/10\n")
+
+
+def test_bench_on_a_directory_is_no_grid(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mydir").mkdir()
+    rc, out, err = run_cli(capsys, "bench", "mydir")
+    assert (rc, out) == (2, "")
+    assert err == ("error: DomainError: no grid file or shipped grid named "
+                   "'mydir'; shipped grids: table1, table2, table3, table4, "
+                   "h0\n")
+
+
+def test_bench_reads_a_grid_from_a_pipe(capsys, tmp_path, cv2_csv):
+    r, w = os.pipe()
+    with open(w, "w") as fh:
+        fh.write(MINI_GRID)  # far less than a pipe's buffer
+    try:
+        rc, out, _ = run_cli(capsys, "bench", f"/dev/fd/{r}", "--table",
+                             cv2_csv, "--output-dir", tmp_path)
+    finally:
+        os.close(r)
+    assert rc == 0
+    assert kv_lines(out)["grid"] == "mini"
+
+
 def test_bench_is_bit_reproducible_across_threads(capsys, tmp_path, cv2_csv):
     grid = tmp_path / "mini.grid"
     grid.write_text(MINI_GRID)
@@ -1227,6 +1304,19 @@ def _child_env():
     old = env.get("PYTHONPATH")
     env["PYTHONPATH"] = pkg_root + (os.pathsep + old if old else "")
     return env
+
+
+def test_skip_rows_stop_at_the_end_of_the_file(tmp_path):
+    # in a child process, so a skip that runs on fails the test, not the suite
+    (tmp_path / "tiny.csv").write_text("a,b\n1,2\n3,4\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "mvcusum", "detect", "tiny.csv", "--skip-rows",
+         "1000000000000"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=30,
+        env=_child_env(),
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: MissingColumn: tiny.csv: no header row\n")
 
 
 def test_module_entrypoint_subprocess(tmp_path):
