@@ -56,10 +56,12 @@ groups, roughly in the order of the comments in `commands`:
   that the missing-critical-value hint names, run in one directory.
 - ``bench``: every shipped grid, ``table1`` at its own size and the others
   at ``--reps 2`` or ``3``; grids without ``reps``, with ``reps=0``, with an
-  empty key, with a name or cell holding ``../``, ``/`` or NUL; ``nope``
-  with and without a missing ``--table``; two-cell grids on two threads
-  whose second cell fails when read or in every replication; and a grid at
-  ``rho=0.999``.
+  empty key, with a name holding ``../`` or NUL, and with a cell holding
+  ``/``; ``nope`` with and without a missing ``--table``; two-cell grids on
+  two threads whose second cell fails when read or in every replication;
+  and a grid at ``rho=0.999``. Only the grid name is part of a file name
+  (``<name>.csv`` and ``<name>_hist.csv``); a cell name labels rows, and
+  may hold ``/``, ``\\`` and NUL.
 - Files that do not decode or parse: a CSV, a config and a grid holding a
   0xff byte; tables without the ``paths`` column, with a foreign header and
   with a non-numeric value.
@@ -86,6 +88,11 @@ groups, roughly in the order of the comments in `commands`:
   has made ``mydir``; a grid piped to ``bench /dev/stdin``; and
   ``--skip-rows 3000000`` on the 16 x 3 input, whose skipping ends with
   the file.
+- Names: a grid whose cell name has 300 characters, run with
+  ``--always-estimate``, which writes its three files; a grid whose name
+  has 300 characters, refused when it is read; and ``detect`` on the 16 x 3
+  input with a column selected twice and with ``--columns X --date-column
+  X``, both refused.
 
 The ``rho=0.999`` filter is a convolution whose dot products OpenBLAS
 splits over its threads once they are that long, so the series it draws
@@ -203,6 +210,8 @@ def write_inputs(root):
     put("escape.grid", "name=../escaped\n" + cell)
     put("slash.grid", "name=g\n" + cell.replace("cell=a", "cell=a/b"))
     put("nul.grid", "name=g\0x\n" + cell)
+    put("long_cell.grid", "name=g\n" + cell.replace("cell=a", "cell=" + "c" * 300))
+    put("long_name.grid", "name=" + "n" * 300 + "\n" + cell)
     with open(os.path.join(root, "ff.csv"), "wb") as fh:
         fh.write(b"a,b\n1,2\n3,\xff\n5,6\n")
     with open(os.path.join(root, "ff.cfg"), "wb") as fh:
@@ -546,6 +555,15 @@ def commands():
          ("bench", "mydir")),
         ("bench", "/dev/stdin", "--output-dir", "g", "<" + IN + "noreps.grid"),
         ("detect", small, "--skip-rows", "3000000"),
+    ]
+    # a cell name too long for a file name, a grid name too long for one,
+    # and a column selected twice or as the date column
+    cmds += [
+        ("bench", IN + "long_cell.grid", "--output-dir", "out",
+         "--always-estimate"),
+        ("bench", IN + "long_name.grid", "--output-dir", "out"),
+        ("detect", small, "--columns", "x0,x0"),
+        ("detect", small, "--columns", "x1", "--date-column", "x1"),
     ]
     return cmds
 

@@ -547,8 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a benchmark grid of simulation cells",
         description="Run every cell of a benchmark grid (a file, or a "
                     "shipped name: " + ", ".join(SHIPPED_GRIDS) + ") and "
-                    "write the per-cell table, estimate histograms, and a "
-                    "summary into the output directory.")
+                    "write the per-cell table, one histogram file of the "
+                    "break estimates, and a summary into the output "
+                    "directory.")
     ben.add_argument("grid", help="grid file path or shipped grid name")
     ben.add_argument("--reps", type=int, default=None,
                      help="override the replication count of every cell")
@@ -563,8 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--threads", type=int, default=1,
                      help="worker thread cap for bench cells (default: 1)")
     ben.add_argument("--output-dir", default=None, metavar="DIR",
-                     help="directory for relative output paths (default: "
-                          "current directory)")
+                     help="directory for <name>.csv, <name>_hist.csv and "
+                          "summary.txt, where <name> is the grid's name "
+                          "(default: current directory)")
     ben.set_defaults(func=cmd_bench)
     return parser
 

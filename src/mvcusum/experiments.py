@@ -40,15 +40,19 @@ A cell block beyond ``cell`` and ``reps`` is a simulation recipe: ``d``,
 keys, read by the same builder (`_read_spec`), so this module alone knows
 the format.
 
-A ``name`` or ``cell`` value becomes part of an output file name, so it may
-not hold ``/``, ``\\`` or a NUL byte.
+The grid ``name`` is the stem of every output file name (see
+`write_grid_outputs`), so it may not hold ``/``, ``\\`` or a NUL byte, must
+be encodable by the file system, and may not make a file name longer than
+255 bytes. A ``cell`` value names a row, never a file, and may hold any
+character.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import re
+import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -59,7 +63,6 @@ import numpy as np
 
 from .critical import SHIPPED_GRIDS, CriticalValueTable
 from .errors import DomainError, GridParseError, ToolkitError, _open_text
-from .series import _write_table
 from .simulate import SimulationSpec, exchangeable_cov, gen_series
 
 __all__ = [
@@ -224,22 +227,18 @@ def location_label(k_star: Optional[float]) -> str:
     return f"{k_star:g}T"
 
 
-def _hist_root(grid_name: str) -> str:
-    m = re.fullmatch(r"table(\w*)", grid_name)
-    return f"hist{m.group(1)}" if m else f"{grid_name}_hist"
-
-
 def write_grid_outputs(grid: ExperimentGrid, rows, output_dir) -> None:
     """Emit the grid's artifacts into a directory.
 
     ``<name>.csv``: one row per cell with the benchmark-table columns
     (change, m-dependence, location, the three deviation metrics) plus the
     raw mean square, reject count, replication count, and failure count.
-    ``hist<N>_<cell>.csv`` (or ``<name>_hist_<cell>.csv`` for grids not
-    named table<N>): the individual break estimates of each estimating
-    replication, for conditional-distribution histograms. ``summary.txt``:
-    one line per cell and a completion tally. All floats use 17 significant
-    digits so reruns are byte-comparable.
+    ``<name>_hist.csv``: columns ``cell,t_hat``, one row per break estimate
+    (cells in grid order, replications in run order), for
+    conditional-distribution histograms; written even when nothing was
+    estimated, as its header alone. ``summary.txt``: one line per cell and
+    a completion tally. All floats use 17 significant digits so reruns are
+    byte-comparable.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -287,15 +286,12 @@ def write_grid_outputs(grid: ExperimentGrid, rows, output_dir) -> None:
                 ]
             )
 
-    root = _hist_root(grid.name)
-    for row in rows:
-        if not row.estimates:
-            continue
-        _write_table(
-            out / f"{root}_{row.cell_id}.csv",
-            ["t_hat"],
-            [[np.array(row.estimates, np.float64)]],
-        )
+    with open(out / f"{grid.name}_hist.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["cell", "t_hat"])
+        for row in rows:
+            w.writerows([row.cell_id, t] for t in row.estimates)
 
     completed = sum(1 for row in rows if not row.failures)
     with open(out / "summary.txt", "w", encoding="utf-8") as fh:
@@ -354,11 +350,27 @@ def _parse_floats(lineno: int, value: str, source: str, key: str, size: int):
     return flat
 
 
-def _file_name_part(lineno: int, value: str, source: str, key: str) -> str:
-    """``value``, checked to be usable inside an output file name."""
+# the longest output file name is <name>_hist.csv, and most file systems
+# take at most 255 bytes in one file name
+_NAME_MAX_BYTES = 255 - len("_hist.csv")
+
+
+def _file_name_part(lineno: int, value: str, source: str) -> str:
+    """The grid name ``value``, checked to be usable as the stem of every
+    output file name."""
     if any(c in value for c in "/\\\0"):
-        raise GridParseError(f"{source}:{lineno}: {key} may not contain "
+        raise GridParseError(f"{source}:{lineno}: name may not contain "
                              f"'/', '\\' or NUL, got {value!r}")
+    try:
+        size = len(os.fsencode(value))
+    except UnicodeEncodeError:
+        raise GridParseError(
+            f"{source}:{lineno}: name is not encodable by the file system "
+            f"encoding {sys.getfilesystemencoding()!r}, got {value!r}"
+        ) from None
+    if size > _NAME_MAX_BYTES:
+        raise GridParseError(f"{source}:{lineno}: name may be at most "
+                             f"{_NAME_MAX_BYTES} bytes, got {size}")
     return value
 
 
@@ -485,7 +497,7 @@ def parse_grid(text: str, source: str = "<string>") -> ExperimentGrid:
     if blocks and not any(key == "cell" for _, key, _ in blocks[0]):
         for lineno, key, value in blocks[0]:
             if key == "name":
-                name = _file_name_part(lineno, value, source, key)
+                name = _file_name_part(lineno, value, source)
             elif key == "alpha":
                 alpha = _parse_float(lineno, value, source)
             else:
@@ -505,7 +517,7 @@ def parse_grid(text: str, source: str = "<string>") -> ExperimentGrid:
                 raise GridParseError(
                     f"{source}:{lineno}: key {key!r} only valid in the header block"
                 )
-        cell_name = _file_name_part(*keys.pop("cell"), source, "cell")
+        cell_name = keys.pop("cell")[1]
         if cell_name in seen:
             raise GridParseError(
                 f"{source}:{block[0][0]}: duplicate cell {cell_name!r}"

@@ -105,6 +105,11 @@ def _pick(path, header, columns, date_column):
         if header.count(name) > 1:
             raise DomainError(f"{path}: column {name!r} appears "
                               f"{header.count(name)} times in the header")
+        if columns.count(name) > 1:
+            raise DomainError(f"{path}: column {name!r} is selected "
+                              f"{columns.count(name)} times")
+        if name == date_column:
+            raise DomainError(f"{path}: column {name!r} is the date column")
     if date_column is not None:
         _index(path, header, date_column, "date column")
     return columns, usecols
@@ -139,8 +144,9 @@ def load_csv(path, columns: Sequence[str] = (), date_column: Optional[str] = Non
         CSV file: comma separated, '"' quoting, one header row, '.'
         decimals, UTF-8, no comment character.
     columns : sequence of str
-        The numeric columns to load, in output order, each named once in
-        the header; empty means every column but the date column.
+        The numeric columns to load, in output order, each named once here
+        and once in the header, and none of them ``date_column``; empty
+        means every column but the date column.
     date_column : str, optional
         A column left out and never read; when None, one named 'date' in any
         case, if the header has one.
@@ -169,7 +175,8 @@ def load_csv(path, columns: Sequence[str] = (), date_column: Optional[str] = Non
         Fewer than 2 data rows.
     DomainError
         ``skip_rows`` is negative, a selected name appears more than once in
-        the header, or the file is not UTF-8.
+        the header or in ``columns``, a selected name is ``date_column``,
+        or the file is not UTF-8.
 
     Notes
     -----

@@ -854,6 +854,13 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
      "FileNotFoundError: no such input file: "),
     ({}, ("bench", "table1", "--table", ""),
      "FileNotFoundError: no such input file: "),
+    # a column selected twice would be read in two places
+    ({"d.csv": "a,b\n1,2\n4,5\n"}, ("detect", "d.csv", "--columns", "a,a"),
+     "DomainError: d.csv: column 'a' is selected 2 times"),
+    # the date column is left out, so it is never read as a value column
+    ({"d.csv": "a,b\n1,2\n4,5\n"}, ("detect", "d.csv", "--columns", "b",
+                                   "--date-column", "b"),
+     "DomainError: d.csv: column 'b' is the date column"),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)
@@ -910,10 +917,6 @@ _CRITVAL = ("critval", "--d", "2", "--alpha", "0.05", "--table", "t.csv")
      ("bench", "g.grid", "--output-dir", "out"),
      "GridParseError: g.grid:1: name may not contain '/', '\\' or NUL, "
      "got '../escaped'"),
-    ({"g.grid": b"name=g\n" + _CELL.encode().replace(b"cell=a", b"cell=a/b")},
-     ("bench", "g.grid", "--output-dir", "out", "--always-estimate"),
-     "GridParseError: g.grid:3: cell may not contain '/', '\\' or NUL, "
-     "got 'a/b'"),
     ({"g.grid": b"name=g\0x\n" + _CELL.encode()},
      ("bench", "g.grid", "--output-dir", "out"),
      "GridParseError: g.grid:1: name may not contain '/', '\\' or NUL, "
@@ -929,8 +932,7 @@ _CRITVAL = ("critval", "--d", "2", "--alpha", "0.05", "--table", "t.csv")
      "DomainError: t.csv: field larger than field limit (131072)"),
 ], ids=["csv-not-utf8", "config-not-utf8", "grid-not-utf8", "table-not-utf8",
         "table-missing-column", "table-foreign-header", "table-bad-cell",
-        "table-short-row", "grid-name-escapes", "cell-name-slash",
-        "grid-name-nul", "csv-wide-header", "csv-wide-field-beside-bad-cell",
+        "table-short-row", "grid-name-escapes", "grid-name-nul", "csv-wide-header", "csv-wide-field-beside-bad-cell",
         "table-wide-value"])
 def test_unreadable_file_is_a_data_error(capsys, tmp_path, monkeypatch, files,
                                          argv, line):
@@ -1193,9 +1195,28 @@ def test_bench_reps_override_and_histograms(capsys, tmp_path, cv2_csv):
     header = rows[0]
     reps_col = header.index("replications")
     assert {row[reps_col] for row in rows[1:]} == {"1"}
-    hist = (out_dir / "mini_hist_shift.csv").read_text().splitlines()
-    assert hist[0] == "t_hat"
-    assert len(hist) == 2
+    hist = (out_dir / "mini_hist.csv").read_text().splitlines()
+    assert hist[0] == "cell,t_hat"
+    assert [line.split(",")[0] for line in hist[1:]] == ["shift", "null"]
+
+
+def test_bench_cell_names_are_no_file_names(capsys, tmp_path):
+    # a cell name is a row label only: path separators, NUL and a name
+    # longer than any file name run, and the grid writes its three files
+    names = ["a/b", "a\\b", "a\0b", "c" * 300]
+    (tmp_path / "g.grid").write_text(
+        "name=g\nd=2\nT=64\nm=1\nreps=1\n"
+        + "".join(f"\ncell={name}\n" for name in names))
+    out_dir = tmp_path / "out"
+    rc, out, _ = run_cli(capsys, "bench", tmp_path / "g.grid",
+                         "--always-estimate", "--output-dir", out_dir)
+    assert rc == 0
+    assert out.endswith("completed=4/4\n")
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "g.csv", "g_hist.csv", "summary.txt"]
+    with open(out_dir / "g_hist.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[1:]] == names
 
 
 def test_bench_cell_failures_exit_nonzero_without_keep_going(capsys, tmp_path, cv2_csv):
@@ -1272,7 +1293,7 @@ def test_bench_is_bit_reproducible_across_threads(capsys, tmp_path, cv2_csv):
                            "--always-estimate", "--threads", threads,
                            "--output-dir", tmp_path / sub)
         assert rc == 0
-    for name in ("mini.csv", "summary.txt", "mini_hist_shift.csv"):
+    for name in ("mini.csv", "summary.txt", "mini_hist.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
 
@@ -1550,8 +1571,8 @@ def test_deep_filter_bits_do_not_depend_on_blas_threads(tmp_path):
 
 def test_bench_outputs_are_utf8_whatever_the_locale(tmp_path):
     # a cell name outside ASCII, under the C locale without UTF-8 mode,
-    # where open() would otherwise encode as ASCII: the table and summary
-    # are the bytes of a UTF-8 run
+    # where open() would otherwise encode as ASCII: the table, histogram
+    # and summary are the bytes of a UTF-8 run
     (tmp_path / "g.grid").write_text(
         "name=g\nalpha=0.05\nd=2\nT=64\nm=1\nreps=1\n\ncell=café\n",
         encoding="utf-8")
@@ -1561,15 +1582,35 @@ def test_bench_outputs_are_utf8_whatever_the_locale(tmp_path):
     for out, locale in (("ascii", ascii_locale), ("utf8", {"PYTHONUTF8": "1"})):
         result = subprocess.run(
             [sys.executable, "-m", "mvcusum", "bench", "g.grid",
-             "--output-dir", out],
+             "--always-estimate", "--output-dir", out],
             capture_output=True, text=True, cwd=tmp_path, timeout=120,
             env={**_child_env(), **locale},
         )
         assert (result.returncode, result.stderr) == (0, "")
         written.append([(tmp_path / out / name).read_bytes()
-                        for name in ("g.csv", "summary.txt")])
+                        for name in ("g.csv", "g_hist.csv", "summary.txt")])
     assert written[0] == written[1]
-    assert "cell=café ".encode() in written[0][1]
+    assert "\r\ncafé,".encode() in written[0][1]
+    assert "cell=café ".encode() in written[0][2]
+
+
+def test_bench_refuses_a_grid_name_the_locale_cannot_encode(tmp_path):
+    # the grid name is the stem of every output file name, so one the file
+    # system encoding cannot spell is refused when the grid is read
+    (tmp_path / "g.grid").write_text(
+        "name=café\nd=2\nT=64\nm=1\nreps=1\n\ncell=a\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "mvcusum", "bench", "g.grid",
+         "--always-estimate", "--output-dir", "out"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env={**_child_env(), "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+             "LC_ALL": "C", "PYTHONIOENCODING": "utf-8"},
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: GridParseError: g.grid:1: name is not encodable by the file "
+        "system encoding 'ascii', got 'café'\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.skipif(shutil.which("mvcusum") is None,

@@ -224,6 +224,15 @@ def test_cache_miss_stores_provenance_and_is_deterministic():
     assert critical_value(1, 0.10, table=CriticalValueTable(), **b) == v1
 
 
+@pytest.mark.filterwarnings("error")
+def test_one_path_stores_a_zero_stderr():
+    # one supremum leaves no spread to estimate the quantile's density
+    # from: the error is 0, with no division by zero on the way
+    table = CriticalValueTable()
+    critical_value(1, 0.05, table, paths=1, grid=2, seed=0)
+    assert table.get(1, 0.05).stderr_estimate == 0.0
+
+
 def test_critical_value_matches_quantile_definition():
     v = critical_value(2, 0.25, paths=500, grid=50, seed=2)
     sups = simulate_sup_bridges(2, 500, 50, 2)

@@ -1,7 +1,8 @@
-"""Byte-exact checks of the numeric CSV writers (series, curve, spectrum and
-histogram files) against a reference: the per-cell writer they replaced,
-which passes ``format(v, ".17g")`` strings through ``csv.writer``.  Value
-round-trips alone would not see a change of line end, quoting or digits."""
+"""Byte-exact checks of the numeric CSV writers (series, curve and spectrum
+files) against a reference: the per-cell writer they replaced, which passes
+``format(v, ".17g")`` strings through ``csv.writer``; and of the bench
+histogram file against the same reference.  Value round-trips alone would
+not see a change of line end, quoting or digits."""
 
 import csv
 
@@ -102,9 +103,16 @@ def test_export_spectrum_csv_refuses_no_frequencies(tmp_path):
 
 
 def test_histogram_file_bytes_match_reference(tmp_path):
-    grid = parse_grid("name=table9\n\ncell=a\nd=2\nT=64\nm=1\nreps=4\n")
-    estimates = (1, 32, 63, 10**9)
-    row = MetricsRow("a", 0.5, 0.5, 0.5, 0.25, 4, 4, estimates=estimates)
-    write_grid_outputs(grid, [row], tmp_path)
-    _reference_csv(tmp_path / "ref.csv", ["t_hat"], [[t] for t in estimates])
-    assert (tmp_path / "hist9_a.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # cells in grid order, a name that needs quoting quoted, and no row for
+    # a cell without estimates; with no estimates at all, the header alone
+    grid = parse_grid('name=table9\nd=2\nT=64\nm=1\nreps=4\n\ncell=a\n\n'
+                      'cell=b,"c"\n\ncell=none\n')
+    estimates = {"a": (1, 32, 63, 10**9), 'b,"c"': (7,), "none": ()}
+    rows = [MetricsRow(cell, 0.5, 0.5, 0.5, 0.25, 4, 4, estimates=ts)
+            for cell, ts in estimates.items()]
+    for out, rows in ((tmp_path / "all", rows), (tmp_path / "empty", rows[2:])):
+        write_grid_outputs(grid, rows, out)
+        _reference_csv(out / "ref.csv", ["cell", "t_hat"],
+                       [[row.cell_id, t] for row in rows for t in row.estimates])
+        assert (out / "table9_hist.csv").read_bytes() == (out / "ref.csv").read_bytes()
+    assert (tmp_path / "empty" / "table9_hist.csv").read_bytes() == b"cell,t_hat\r\n"

@@ -113,7 +113,9 @@ CASES = [
      ["a"], {"date_column": "date"}, True, "NonNumericCell"),
     ("date-column-clean", 'date,a\n"2020-01-01",1\n 2020-01-02 ,2\n',
      ["a"], {"date_column": "date"}, False, None),
-    ("duplicate-column", "a,b\n1,2\n3,4\n", ["b", "b", "a"], {}, False, None),
+    # a name selected twice would read one column in two places
+    ("duplicate-column", "a,b\n1,2\n3,4\n", ["b", "b", "a"], {}, False,
+     "DomainError"),
     ("all-but-date-column", 'a,Date,b\n1,"2020-01-01",2\n3,x,4\n', [], {},
      False, None),
     ("no-header", "", ["a"], {}, False, "MissingColumn"),

@@ -159,6 +159,12 @@ def test_geometric_base_shape_checked():
         spec_of(d=2, base=np.eye(3))
 
 
+def test_spec_rejects_cov_of_the_wrong_shape():
+    with pytest.raises(DimensionMismatch) as exc:
+        SimulationSpec(d=2, T=10, m=0, innovation_cov=np.eye(3))
+    assert str(exc.value) == "innovation_cov must be (2, 2), got (3, 3)"
+
+
 def test_exchangeable_cov():
     R = exchangeable_cov(3, 0.5)
     np.testing.assert_array_equal(np.diag(R), np.ones(3))
@@ -195,6 +201,7 @@ def test_spec_rejects_negative_m():
 @pytest.mark.parametrize("field, value, message", [
     ("tol", 0.0, "tail tolerance must be positive, got 0.0"),
     ("seed", -1, "seed must be >= 0, got -1"),
+    ("d", 0, "d must be >= 1, got 0"),
 ])
 def test_spec_rejects_out_of_domain_scalars(field, value, message):
     with pytest.raises(DomainError) as exc:

@@ -70,6 +70,12 @@ def test_dft_zero_series():
     assert np.all(pg.ordinates == 0)
 
 
+def test_dft_refuses_one_row():
+    with pytest.raises(TooShort) as exc:
+        dft(MultivariateSeries(np.ones((1, 2))), [0])
+    assert str(exc.value) == "need at least 2 observations, got 1"
+
+
 def test_dft_hand_value_two_points():
     # X = {1, -1}: W(pi) = (1/sqrt 2)(e^{i pi} - e^{2 i pi}) = -2/sqrt 2,
     # so I(pi) = 2
