@@ -93,6 +93,10 @@ groups, roughly in the order of the comments in `commands`:
   has 300 characters, refused when it is read; and ``detect`` on the 16 x 3
   input with a column selected twice and with ``--columns X --date-column
   X``, both refused.
+- A bandwidth below d/2: an iid 500 x 10 input, whose default h is 4, under
+  ``detect``, ``scan`` and ``estimate`` at the default h (refused: Sigma_hat
+  has rank at most 2h = 8) and at ``--h 5`` (2h = d, accepted), and under
+  ``spectrum`` and the norm_argmax estimate, which read no inverse.
 
 The ``rho=0.999`` filter is a convolution whose dot products OpenBLAS
 splits over its threads once they are that long, so the series it draws
@@ -269,6 +273,9 @@ def write_inputs(root):
     put("long_header.csv", f"a,{long}\n1,2\n3,4\n5,6\n")
     put("long_field.csv", f"a,b,c\n1,2,{long}\nnan,3,4\n5,6,7\n")
     put("long_table.csv", head + "1,0.05," + "1" * 140_000 + ",1,1,1,0.1\n")
+    rng = random.Random(37)
+    put("iid10.csv", _table([f"x{j}" for j in range(10)], [
+        [rng.gauss(0.0, 1.0) for _ in range(10)] for _ in range(500)]))
 
 
 def commands():
@@ -565,6 +572,11 @@ def commands():
         ("detect", small, "--columns", "x0,x0"),
         ("detect", small, "--columns", "x1", "--date-column", "x1"),
     ]
+    # a bandwidth below d/2, at the default h = 4 and at h = 5, where 2h = d
+    iid10 = IN + "iid10.csv"
+    cmds += [(name, iid10) + h for h in ((), ("--h", "5"))
+             for name in ("detect", "scan", "estimate")]
+    cmds += [("spectrum", iid10), ("estimate", iid10, "--method", "norm_argmax")]
     return cmds
 
 

@@ -35,7 +35,8 @@ _EXPORTS = {name: module for module, names in {
     "series": ("MultivariateSeries", "center", "load_csv", "write_csv"),
     "engine": ("ChangePointEstimate", "CusumCurve", "ExtremaScan", "Extremum",
                "TestResult", "cusum", "estimate_changepoint",
-               "export_curve_csv", "quadform", "scan_extrema"),
+               "export_curve_csv", "quadform", "scan_extrema",
+               "studentize"),
     "critical": ("CriticalEntry", "CriticalValueTable", "critical_value",
                  "default_table", "simulate_sup_bridges"),
     "simulate": ("SimulationSpec", "exchangeable_cov", "gen_series"),

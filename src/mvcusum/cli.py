@@ -14,8 +14,10 @@ Errors print one machine-parseable line to stderr: ``error: <Category>:
 <message>``.  `main` alone picks the exit code and prints that line: the
 parser raises `UsageError` rather than print its usage, and a ``cmd_*``
 returns nothing or raises (`bench` raises `CellFailures` once its outputs
-are written).  All file outputs are plain CSV or key=value text, and every
-subcommand is bit-reproducible given the same flags and seed.
+are written).  Stdout writes a character its encoding lacks as its
+backslash escape, so no line fails to print.  All file outputs are plain
+CSV or key=value text, and every subcommand is bit-reproducible given the
+same flags and seed.
 
 The module imports only the standard library, `errors` and `critical`, and
 each ``cmd_*`` imports the modules it runs, so ``--help``, a usage error and
@@ -25,6 +27,7 @@ a ``critval`` answered from the table never load numpy.
 from __future__ import annotations
 
 import argparse
+import codecs
 import math
 import os
 import sys
@@ -257,25 +260,23 @@ def cmd_detect(args) -> None:
 
 def cmd_estimate(args) -> None:
     """Only ``quadform_argmax`` reads the long-run covariance and the
-    quadratic form, so only it builds them."""
+    quadratic form, so only it studentizes the curve."""
     from . import engine
-    from .spectral import long_run_covariance
 
     series = _load_input(args)
-    curve = engine.cusum(series)
     if args.method == "quadform_argmax":
-        curve = engine.quadform(curve, long_run_covariance(series, args.h))
+        curve = engine.studentize(series, args.h)[1]
+    else:
+        curve = engine.cusum(series)
     _print_estimate(engine.estimate_changepoint(curve, method=args.method,
                                                 trim=args.trim))
 
 
 def cmd_scan(args) -> None:
     from . import engine
-    from .spectral import long_run_covariance
 
     series = _load_input(args)
-    lr = long_run_covariance(series, args.h)
-    curve = engine.quadform(engine.cusum(series), lr)
+    curve = engine.studentize(series, args.h)[1]
     scan = engine.scan_extrema(curve, args.smoothing_window,
                                args.min_prominence, args.trim)
     curve_out = _write_curve(args, curve)
@@ -344,6 +345,7 @@ def cmd_bench(args) -> None:
               f"failures={len(row.failures)}")
     print(f"grid={grid.name}")
     print(f"wrote {os.path.join(out_dir, grid.name + '.csv')}")
+    print(f"wrote {os.path.join(out_dir, grid.name + '_hist.csv')}")
     print(f"wrote {os.path.join(out_dir, 'summary.txt')}")
     completed = sum(1 for row in rows if not row.failures)
     print(f"completed={completed}/{len(rows)}")
@@ -571,8 +573,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _escape_unencodable(exc):
+    """Error handler for stdout: a character its encoding lacks (a
+    non-ASCII cell name under the C locale) is written as its backslash
+    escape, and a lone surrogate that carries an undecodable byte of a
+    command-line path as that byte, as ``surrogateescape`` writes it."""
+    out = b""
+    for ch in exc.object[exc.start:exc.end]:
+        if "\udc80" <= ch <= "\udcff":
+            out += bytes([ord(ch) - 0xDC00])
+        else:
+            out += ch.encode("ascii", "backslashreplace")
+    return out, exc.end
+
+
+codecs.register_error("mvcusum.stdout", _escape_unencodable)
+
+
 def main(argv=None) -> int:
     code = 0
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(errors="mvcusum.stdout")
     try:
         try:
             args = build_parser().parse_args(argv)

@@ -1,6 +1,11 @@
 """CUSUM curve, studentized test statistic, change-point estimators, and the
 local-extrema scan for multiple changes.
 
+One path leads from a series to its studentized curve: `studentize` forms
+the long-run covariance, then the `cusum` curve and its `quadform`.  The
+test, the scan and the quadratic-form estimate all read the curve it
+returns, so they read the curve the test decided on.
+
 The running statistic is evaluated on the grid t = k/N, k = 0..N, where the
 integer prefix structure makes the endpoint values exactly zero and constant
 inputs cancel exactly.  The test compares the supremum of the studentized
@@ -30,6 +35,7 @@ __all__ = [
     "export_curve_csv",
     "quadform",
     "scan_extrema",
+    "studentize",
     "test",
 ]
 
@@ -179,6 +185,33 @@ def quadform(curve: CusumCurve, sigma: LongRunCovariance) -> CusumCurve:
     return replace(curve, q=q)
 
 
+def studentize(
+    series: MultivariateSeries, h: int | None = None
+) -> tuple[LongRunCovariance, CusumCurve]:
+    """The long-run covariance of the whole series at bandwidth ``h`` and
+    the ``cusum(series)`` curve studentized by it (q filled): the one path
+    from a series to the curve that the test, the scan and the
+    quadratic-form estimate read.
+
+    Sigma_hat averages 2h+1 periodogram ordinates, one of them zero after
+    centering and the rest h conjugate pairs, so its rank is at most 2h: a
+    bandwidth with 2h < d raises DomainError naming the smallest admissible
+    h, ceil(d/2), rather than let the ridge stand in for the missing
+    directions.  Sigma_hat is formed before the curve, so the curve is not
+    held while its periodogram is.  Propagates DegenerateSpectrum from
+    covariance estimation.
+    """
+    lr = long_run_covariance(series, h)
+    d = series.d
+    if 2 * lr.h_used < d:
+        raise DomainError(
+            f"bandwidth h={lr.h_used} leaves the long-run covariance of d={d} "
+            f"columns singular (rank at most 2h={2 * lr.h_used}); "
+            f"use --h {-(-d // 2)} or more"
+        )
+    return lr, quadform(cusum(series), lr)
+
+
 def test(
     series: MultivariateSeries,
     alpha: float,
@@ -188,17 +221,14 @@ def test(
     """Mean-shift test: sup of the studentized quadratic form against the
     cached critical value for (d, alpha).
 
-    One long-run covariance of the whole series, at bandwidth ``h``,
-    studentizes the ``cusum(series)`` curve, so under the null the
-    statistic tends to the sup of a sum of d squared Brownian bridges, the
-    law the critical value comes from.  That value is looked up, never
+    The curve comes from `studentize` at bandwidth ``h``, so under the null
+    the statistic tends to the sup of a sum of d squared Brownian bridges,
+    the law the critical value comes from.  That value is looked up, never
     simulated here; a missing entry raises MissingCriticalValue, whose
-    message names the commands that add it.  Propagates DegenerateSpectrum
-    from covariance estimation.
+    message names the commands that add it.
     """
     value = cv.lookup(series.d, alpha)
-    lr = long_run_covariance(series, h)
-    curve = quadform(cusum(series), lr)
+    lr, curve = studentize(series, h)
     statistic = float(curve.q.max())
     return TestResult(
         statistic=statistic,

@@ -18,7 +18,7 @@ from mvcusum.critical import CriticalEntry, CriticalValueTable, default_table
 from mvcusum.engine import cusum, estimate_changepoint, quadform
 from mvcusum.errors import DomainError, _open_text
 from mvcusum.experiments import _read_spec, load_grid
-from mvcusum.series import load_csv, write_csv
+from mvcusum.series import MultivariateSeries, load_csv, write_csv
 from mvcusum.simulate import SimulationSpec, gen_series
 from mvcusum.spectral import long_run_covariance
 
@@ -666,17 +666,26 @@ def count_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("command", ["detect", "scan", "estimate"])
 def test_detect_builds_covariance_and_curve_once(capsys, tmp_path, monkeypatch,
-                                                 ha_csv, cv2_csv):
-    # the test's curve feeds the estimate, the scan and the export
+                                                 ha_csv, cv2_csv, command):
+    # one studentized curve per command: under detect it feeds the test, the
+    # estimate, the scan and the export
     path, _, _ = ha_csv
     calls = count_calls(monkeypatch)
-    rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv, "--scan",
-                         "--emit-curve", tmp_path / "curve.csv")
+    curve = tmp_path / "curve.csv"
+    flags = {"detect": ("--table", cv2_csv, "--scan", "--emit-curve", curve),
+             "scan": ("--emit-curve", curve),
+             "estimate": ("--method", "quadform_argmax")}[command]
+    rc, out, _ = run_cli(capsys, command, path, *flags)
     assert rc == 0
     lines = kv_lines(out)
-    assert lines["reject"] == "true" and "t_hat" in lines
-    assert "extrema_count" in lines and "curve" in lines
+    if command == "detect":
+        assert lines["reject"] == "true"
+    if command != "scan":
+        assert "t_hat" in lines
+    if command != "estimate":
+        assert "extrema_count" in lines and "curve" in lines
     assert calls == {"cusum": 1, "quadform": 1, "long_run_covariance": 1}
 
 
@@ -695,6 +704,74 @@ def test_norm_estimate_builds_no_covariance_or_quadform(capsys, tmp_path,
     rc, _, err = run_cli(capsys, "estimate", short, "--method", "norm_argmax")
     assert rc == 2
     assert err == "error: TooShort: need at least 3 observations, got 2\n"
+
+
+def write_iid_csv(path, T=80, d=5, seed=3):
+    """iid N(0, 1) columns x0..x{d-1}: at T = 80 the default h is 2."""
+    x = np.random.default_rng(seed).normal(size=(T, d))
+    write_csv(MultivariateSeries(x, labels=tuple(f"x{j}" for j in range(d))),
+              path)
+    return path
+
+
+SINGULAR_AT_H2 = ("error: DomainError: bandwidth h=2 leaves the long-run "
+                  "covariance of d=5 columns singular (rank at most 2h=4); "
+                  "use --h 3 or more\n")
+
+
+@pytest.mark.parametrize("h_flags", [(), ("--h", "2")], ids=["default-h", "h=2"])
+@pytest.mark.parametrize("columns, refused", [("x0,x1,x2,x3,x4", True),
+                                              ("x0,x1,x2,x3", False)],
+                         ids=["2h=d-1", "2h=d"])
+@pytest.mark.parametrize("command", ["detect", "scan", "estimate"])
+def test_bandwidth_below_half_of_d_is_refused(capsys, tmp_path, command,
+                                              columns, refused, h_flags):
+    # Σ̂ has rank at most 2h, so at 2h < d the statistic would be read off
+    # the ridge; the test, the scan and the estimate refuse it alike
+    path = write_iid_csv(tmp_path / "iid.csv")
+    curve = tmp_path / "sub" / "curve.csv"
+    flags = {"detect": ("--emit-curve", curve), "scan": ("--emit-curve", curve),
+             "estimate": ()}[command]
+    rc, out, err = run_cli(capsys, command, path, "--columns", columns,
+                           *h_flags, *flags)
+    if refused:
+        assert (rc, out, err) == (2, "", SINGULAR_AT_H2)
+        assert not curve.parent.exists()
+    else:
+        assert (rc, err) == (0, "")
+
+
+def test_spectrum_and_norm_estimate_read_no_inverse(capsys, tmp_path):
+    # at 2h < d the spectrum and the norm_argmax estimate still run: neither
+    # reads the inverse of Σ̂
+    path = write_iid_csv(tmp_path / "iid.csv")
+    rc, out, err = run_cli(capsys, "spectrum", path, "--out",
+                           tmp_path / "spec.csv")
+    assert (rc, err) == (0, "")
+    assert kv_lines(out)["h_used"] == "2" and kv_lines(out)["d"] == "5"
+    rc, out, err = run_cli(capsys, "estimate", path, "--method", "norm_argmax")
+    assert (rc, err) == (0, "")
+    assert kv_lines(out)["method"] == "norm_argmax"
+
+
+def test_bench_counts_a_refused_replication_as_a_failure(capsys, tmp_path):
+    # T = 80 gives h = 2: the d = 5 cell's replication is refused and
+    # recorded, and the d = 4 cell runs
+    (tmp_path / "g.grid").write_text(
+        "name=g\nT=80\nm=0\nrho=0\nreps=1\n\n"
+        "cell=wide\nd=5\n\ncell=narrow\nd=4\n")
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(capsys, "bench", tmp_path / "g.grid", "--keep-going",
+                           "--output-dir", out_dir)
+    assert (rc, err) == (0, "")
+    assert "cell wide: reject 0/1 mean_abs_dev=nan failures=1\n" in out
+    assert "failures=0\n" in out.split("cell narrow: ")[1]
+    assert out.endswith(f"wrote {out_dir}{os.sep}g.csv\n"
+                        f"wrote {out_dir}{os.sep}g_hist.csv\n"
+                        f"wrote {out_dir}{os.sep}summary.txt\n"
+                        "completed=1/2\n")
+    summary = (out_dir / "summary.txt").read_text(encoding="utf-8")
+    assert "failure wide: rep 0: " + SINGULAR_AT_H2[len("error: "):] in summary
 
 
 def test_detect_scan_lists_extrema(capsys, tmp_path, cv2_csv):
@@ -1592,6 +1669,40 @@ def test_bench_outputs_are_utf8_whatever_the_locale(tmp_path):
     assert written[0] == written[1]
     assert "\r\ncafé,".encode() in written[0][1]
     assert "cell=café ".encode() in written[0][2]
+
+
+def test_stdout_under_an_ascii_locale(tmp_path):
+    # under the C locale without UTF-8 mode stdout is ASCII: a cell name
+    # outside it prints as its backslash escape, and an output directory
+    # given as bytes that do not decode prints as those bytes
+    (tmp_path / "g.grid").write_text(
+        "name=g\nd=2\nT=64\nm=1\nreps=1\n\ncell=café\n", encoding="utf-8")
+    env = {**_child_env(), "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "LC_ALL": "C"}
+    env.pop("PYTHONIOENCODING", None)
+    out_dir = "outé".encode()
+    with open(tmp_path / "stdout", "wb") as fh:
+        result = subprocess.run(
+            [sys.executable, "-m", "mvcusum", "bench", "g.grid",
+             "--always-estimate", "--output-dir", out_dir],
+            stdout=fh, stderr=subprocess.PIPE, cwd=tmp_path, timeout=120,
+            env=env)
+    out = (tmp_path / "stdout").read_bytes()
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert out.startswith(b"cell caf\\xe9: reject ")
+    assert out.endswith(b"grid=g\n" + b"".join(
+        b"wrote " + out_dir + b"/" + name + b"\n"
+        for name in (b"g.csv", b"g_hist.csv", b"summary.txt"))
+        + b"completed=1/1\n")
+    assert sorted(os.listdir(tmp_path / os.fsdecode(out_dir))) == [
+        "g.csv", "g_hist.csv", "summary.txt"]
+    # an error naming such a path stays one line on stderr
+    result = subprocess.run(
+        [sys.executable, "-m", "mvcusum", "detect", "absent_é.csv".encode()],
+        capture_output=True, cwd=tmp_path, timeout=120, env=env)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == (b"error: FileNotFoundError: no such input file: "
+                             b"absent_\\udcc3\\udca9.csv\n")
 
 
 def test_bench_refuses_a_grid_name_the_locale_cannot_encode(tmp_path):

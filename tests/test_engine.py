@@ -339,6 +339,36 @@ def test_test_bandwidth_passthrough():
     assert res.sigma.h_used == 3
 
 
+@pytest.mark.parametrize("h", [2, None], ids=["h=2", "default-h"])
+@pytest.mark.parametrize("d, refused", [(5, True), (4, False)],
+                         ids=["2h=d-1", "2h=d"])
+def test_test_refuses_a_bandwidth_below_half_of_d(h, d, refused):
+    # at T = 80 the default h is 2, and Σ̂ has rank at most 2h = 4: five
+    # columns would leave it singular but for its ridge, so every null
+    # would reject; four columns are the most that h = 2 can studentize
+    s = _h0_series(T=80, d=d, seed=7)
+    table = fake_table(d, 0.05, 2.0)
+    if refused:
+        with pytest.raises(DomainError) as err:
+            engine.test(s, 0.05, table, h=h)
+        assert str(err.value) == (
+            "bandwidth h=2 leaves the long-run covariance of d=5 columns "
+            "singular (rank at most 2h=4); use --h 3 or more")
+    else:
+        res = engine.test(s, 0.05, table, h=h)
+        assert res.sigma.h_used == 2 and res.sigma.ridge_applied == 0.0
+
+
+def test_studentize_is_the_curve_of_the_test():
+    s = _h0_series(seed=8)
+    lr, curve = engine.studentize(s, h=3)
+    assert lr.h_used == 3
+    np.testing.assert_array_equal(curve.q, quadform(cusum(s), lr).q)
+    res = engine.test(s, 0.05, fake_table(2, 0.05, 2.0), h=3)
+    np.testing.assert_array_equal(res.curve.q, curve.q)
+    np.testing.assert_array_equal(res.sigma.sigma_inv, lr.sigma_inv)
+
+
 def test_test_statistic_detects_big_shift():
     # note: with the full-sample covariance the statistic saturates near
     # N/(16 * window mass) as the shift grows (the step inflates the
