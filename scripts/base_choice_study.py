@@ -13,9 +13,8 @@ import time
 
 import numpy as np
 
-from mvcusum.engine import cusum, estimate_changepoint, quadform
+from mvcusum.engine import estimate_changepoint, studentize
 from mvcusum.simulate import SimulationSpec, exchangeable_cov, gen_series
-from mvcusum.spectral import long_run_covariance
 
 REPS = 30
 T = 8000
@@ -39,7 +38,7 @@ def run(base, delta, label):
             seed=1000 + rep,
         )
         series, t_star = gen_series(spec)
-        curve = quadform(cusum(series), long_run_covariance(series))
+        curve = studentize(series)[1]
         stats.append(curve.q.max())
         est = estimate_changepoint(curve, method="quadform_argmax")
         devs.append(abs(est.t_hat - t_star))

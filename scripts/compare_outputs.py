@@ -97,6 +97,12 @@ groups, roughly in the order of the comments in `commands`:
   ``detect``, ``scan`` and ``estimate`` at the default h (refused: Sigma_hat
   has rank at most 2h = 8) and at ``--h 5`` (2h = d, accepted), and under
   ``spectrum`` and the norm_argmax estimate, which read no inverse.
+- Critical-value tables holding a row that ``critval`` never writes: a
+  ``nan`` value, a ``-inf`` value, a repeated (d, alpha) and a level of
+  1.5, each under ``detect --table`` on the 16 x 3 input, ``bench table1
+  --reps 1 --table`` and ``critval --d 2 --alpha 0.05 --table`` (refused
+  when the table is read); and ``detect --trim 0.7`` on an input that the
+  test does not reject (refused before the input is read).
 
 The ``rho=0.999`` filter is a convolution whose dot products OpenBLAS
 splits over its threads once they are that long, so the series it draws
@@ -276,6 +282,16 @@ def write_inputs(root):
     rng = random.Random(37)
     put("iid10.csv", _table([f"x{j}" for j in range(10)], [
         [rng.gauss(0.0, 1.0) for _ in range(10)] for _ in range(500)]))
+    # tables with a row that no table writer makes, each keyed at d = 2 (the
+    # bench grids) and d = 3 (small.csv); every one holds (2, 0.05), so
+    # critval answers it from the table and writes nothing
+    for name, value in (("nan", "nan"), ("neginf", "-inf")):
+        put(f"t_{name}.csv", head + f"2,0.05,{value},200000,10000,4,0.005\n"
+            f"3,0.05,{value},200000,10000,5,0.005\n")
+    good = "2,0.05,2.4,200000,10000,4,0.005\n3,0.05,2.9,200000,10000,5,0.005\n"
+    put("t_repeat.csv", head + good + "2,0.05,9.9,200000,10000,4,0.005\n"
+        "3,0.05,9.9,200000,10000,5,0.005\n")
+    put("t_alpha.csv", head + good + "2,1.5,1,200000,10000,4,0.005\n")
 
 
 def commands():
@@ -577,6 +593,16 @@ def commands():
     cmds += [(name, iid10) + h for h in ((), ("--h", "5"))
              for name in ("detect", "scan", "estimate")]
     cmds += [("spectrum", iid10), ("estimate", iid10, "--method", "norm_argmax")]
+    # tables with a non-finite value, a repeated (d, alpha) or a level outside
+    # (0, 1), under each reader; and a trim outside [0, 0.5) on an input the
+    # test does not reject
+    for name in ("nan", "neginf", "repeat", "alpha"):
+        t = IN + f"t_{name}.csv"
+        cmds += [("detect", small, "--table", t),
+                 ("bench", "table1", "--reps", "1", "--table", t,
+                  "--output-dir", "g"),
+                 ("critval", "--d", "2", "--alpha", "0.05", "--table", t)]
+    cmds += [("detect", IN + "rows40.csv", "--trim", "0.7")]
     return cmds
 
 

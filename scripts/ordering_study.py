@@ -4,9 +4,8 @@ filter, exchangeable(0.5) innovations, d=2, quadform argmax)."""
 
 import numpy as np
 
-from mvcusum.engine import cusum, estimate_changepoint, quadform
+from mvcusum.engine import estimate_changepoint, studentize
 from mvcusum.simulate import SimulationSpec, exchangeable_cov, gen_series
-from mvcusum.spectral import long_run_covariance
 
 REPS = 30
 
@@ -24,7 +23,7 @@ def cell(T, m, delta, k_star, seed0=1000):
             seed=seed0 + rep,
         )
         series, t_star = gen_series(spec)
-        curve = quadform(cusum(series), long_run_covariance(series))
+        curve = studentize(series)[1]
         est = estimate_changepoint(curve, method="quadform_argmax")
         devs.append(abs(est.t_hat - t_star))
     return float(np.mean(devs))

@@ -11,9 +11,8 @@ import time
 
 import numpy as np
 
-from mvcusum.engine import cusum, estimate_changepoint, quadform
+from mvcusum.engine import estimate_changepoint, studentize
 from mvcusum.simulate import SimulationSpec, exchangeable_cov, gen_series
-from mvcusum.spectral import long_run_covariance
 
 
 def mean_abs_dev(T, seeds):
@@ -29,8 +28,7 @@ def mean_abs_dev(T, seeds):
             seed=s,
         )
         series, t_star = gen_series(spec)
-        est = estimate_changepoint(
-            quadform(cusum(series), long_run_covariance(series)))
+        est = estimate_changepoint(studentize(series)[1])
         devs.append(abs(est.t_hat - t_star))
     return float(np.mean(devs))
 

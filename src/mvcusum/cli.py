@@ -236,6 +236,7 @@ def cmd_detect(args) -> None:
 
     table = _load_table(args.table)
     _check_level(args.alpha)
+    engine._check_trim(args.trim)
     series = _load_input(args)
     result = engine.test(series, args.alpha, table, h=args.h)
     est = scan = None
@@ -289,12 +290,10 @@ def cmd_scan(args) -> None:
 
 
 def cmd_critval(args) -> None:
-    if not args.table:
-        table = default_table()
-    elif os.path.exists(args.table):
-        table = CriticalValueTable.load_csv(args.table)
-    else:
+    if args.table and not os.path.exists(args.table):
         table = CriticalValueTable()  # a new --table file starts empty
+    else:
+        table = _load_table(args.table or None)  # an empty --table: none
     cached = table.get(args.d, args.alpha) is not None
     critical_value(args.d, args.alpha, table, args.paths, args.grid, args.seed)
     entry = table.get(args.d, args.alpha)
@@ -333,10 +332,9 @@ def cmd_bench(args) -> None:
         grid = replace(grid, cells=tuple(
             replace(cell, replications=args.reps) for cell in grid.cells
         ))
-    out_dir = args.output_dir or "."
     rows = run_grid(grid, table, always_estimate=args.always_estimate,
                     threads=args.threads)
-    write_grid_outputs(grid, rows, out_dir)
+    paths = write_grid_outputs(grid, rows, args.output_dir or ".")
     failures = 0
     for row in rows:
         failures += len(row.failures)
@@ -344,9 +342,8 @@ def cmd_bench(args) -> None:
               f"mean_abs_dev={_fmt(row.abs_deviation)} "
               f"failures={len(row.failures)}")
     print(f"grid={grid.name}")
-    print(f"wrote {os.path.join(out_dir, grid.name + '.csv')}")
-    print(f"wrote {os.path.join(out_dir, grid.name + '_hist.csv')}")
-    print(f"wrote {os.path.join(out_dir, 'summary.txt')}")
+    for path in paths:
+        print(f"wrote {path}")
     completed = sum(1 for row in rows if not row.failures)
     print(f"completed={completed}/{len(rows)}")
     if failures and not args.keep_going:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from importlib import resources
 from typing import TYPE_CHECKING
 
@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     MissingColumn,
     MissingCriticalValue,
+    NonFinite,
     NonNumericCell,
     _open_text,
 )
@@ -206,12 +207,6 @@ class CriticalValueTable:
     def put(self, d: int, alpha: float, entry: CriticalEntry) -> None:
         self.entries[(d, alpha)] = entry
 
-    def rows(self):
-        """Entries as (d, alpha, entry), sorted by dimension then by level
-        descending (larger alpha = smaller value first)."""
-        for (d, alpha) in sorted(self.entries, key=lambda k: (k[0], -k[1])):
-            yield d, alpha, self.entries[(d, alpha)]
-
     def check_monotone(self) -> list[str]:
         """Violations of the structural ordering: values strictly increase
         in d at fixed alpha and strictly decrease in alpha at fixed d."""
@@ -238,27 +233,24 @@ class CriticalValueTable:
         return problems
 
     def save_csv(self, path) -> None:
+        """Write the entries in the columns of `_TABLE_COLUMNS`, sorted by
+        dimension then by level descending (larger alpha = smaller value
+        first); floats at 17 significant digits."""
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            w.writerow(["d", "alpha", "value", "paths", "grid", "seed", "stderr"])
-            for d, alpha, e in self.rows():
-                w.writerow(
-                    [
-                        d,
-                        format(alpha, ".17g"),
-                        format(e.value, ".17g"),
-                        e.paths,
-                        e.grid,
-                        e.seed,
-                        format(e.stderr_estimate, ".17g"),
-                    ]
-                )
+            w.writerow(_TABLE_COLUMNS)
+            for d, alpha in sorted(self.entries, key=lambda k: (k[0], -k[1])):
+                cells = (d, alpha, *astuple(self.entries[(d, alpha)]))
+                w.writerow(format(cell, ".17g") if kind is float else cell
+                           for cell, kind in zip(cells, _TABLE_COLUMNS.values()))
 
     @classmethod
     def load_csv(cls, path) -> "CriticalValueTable":
         """Read a table written by `save_csv`. Raises MissingColumn,
-        NonNumericCell or (for a file that is not UTF-8) DomainError, each
-        naming the file."""
+        NonNumericCell, NonFinite (a float cell that is not finite) or
+        DomainError (a d below 1, a level outside (0, 1), a repeated (d,
+        alpha), or a file that is not UTF-8), each naming the file and, for
+        a row, its 1-based number among the data rows."""
         table = cls()
         with _open_text(path, DomainError, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -267,15 +259,34 @@ class CriticalValueTable:
                 if name not in header:
                     raise MissingColumn(f"{path}: column {name!r} not in header {header}")
             for row_no, row in enumerate(reader, start=1):
-                d, alpha, *entry = (_table_cell(path, row_no, name, parse, row[name])
-                                    for name, parse in _TABLE_COLUMNS.items())
+                cells = [_table_cell(path, row_no, name, parse, row[name])
+                         for name, parse in _TABLE_COLUMNS.items()]
+                d, alpha, *entry = cells
+                where = f"{path}: row {row_no}"
+                if d < 1:
+                    raise DomainError(f"{where}: dimension must be >= 1, got {d}")
+                if not 0.0 < alpha < 1.0:
+                    raise DomainError(f"{where}: level must be in (0, 1), got {alpha}")
+                for (name, kind), cell in zip(_TABLE_COLUMNS.items(), cells):
+                    if kind is float and not math.isfinite(cell):
+                        raise _in_file(path, NonFinite(row_no, name))
+                if table.get(d, alpha) is not None:
+                    raise DomainError(f"{where}: d={d}, alpha={alpha} repeats "
+                                      "an earlier row")
                 table.put(d, alpha, CriticalEntry(*entry))
         return table
 
 
-# the columns of a table file, in `save_csv` order, and their types
+# the columns of a table file, in file order, and their types: the
+# `CriticalEntry` fields after the (d, alpha) key
 _TABLE_COLUMNS = {"d": int, "alpha": float, "value": float, "paths": int,
                   "grid": int, "seed": int, "stderr": float}
+
+
+def _in_file(path, err):
+    """``err`` with its message prefixed by the file, as MissingColumn's is."""
+    err.args = (f"{path}: {err}",)
+    return err
 
 
 def _table_cell(path, row_no, name, parse, cell):
@@ -283,8 +294,7 @@ def _table_cell(path, row_no, name, parse, cell):
         return parse(cell)
     except (TypeError, ValueError):  # TypeError: None, a short row's cell
         err = NonNumericCell(row_no, name, "" if cell is None else cell)
-        err.args = (f"{path}: {err}",)  # name the file, as MissingColumn does
-        raise err from None
+        raise _in_file(path, err) from None
 
 
 def critical_value(

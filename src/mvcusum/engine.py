@@ -247,9 +247,13 @@ def _q(curve: CusumCurve) -> np.ndarray:
     return curve.q
 
 
-def _interior_bounds(N: int, trim: float) -> tuple[int, int]:
+def _check_trim(trim: float) -> None:
     if not 0.0 <= trim < 0.5:
         raise DomainError(f"trim fraction must be in [0, 0.5), got {trim}")
+
+
+def _interior_bounds(N: int, trim: float) -> tuple[int, int]:
+    _check_trim(trim)
     lo = max(1, math.ceil(trim * N))
     hi = min(N - 1, math.floor((1.0 - trim) * N))
     if lo > hi:

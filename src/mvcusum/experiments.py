@@ -227,7 +227,8 @@ def location_label(k_star: Optional[float]) -> str:
     return f"{k_star:g}T"
 
 
-def write_grid_outputs(grid: ExperimentGrid, rows, output_dir) -> None:
+def write_grid_outputs(grid: ExperimentGrid, rows,
+                       output_dir) -> tuple[str, str, str]:
     """Emit the grid's artifacts into a directory.
 
     ``<name>.csv``: one row per cell with the benchmark-table columns
@@ -238,13 +239,16 @@ def write_grid_outputs(grid: ExperimentGrid, rows, output_dir) -> None:
     conditional-distribution histograms; written even when nothing was
     estimated, as its header alone. ``summary.txt``: one line per cell and
     a completion tally. All floats use 17 significant digits so reruns are
-    byte-comparable.
+    byte-comparable. Returns the three paths, in that order, each the file
+    name joined to ``output_dir`` by `os.path.join`.
     """
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    paths = tuple(os.path.join(output_dir, name) for name in
+                  (f"{grid.name}.csv", f"{grid.name}_hist.csv", "summary.txt"))
+    table_path, hist_path, summary_path = paths
+    Path(output_dir).mkdir(parents=True, exist_ok=True)
     by_name = {cell.name: cell for cell in grid.cells}
 
-    with open(out / f"{grid.name}.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(table_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(
             [
@@ -286,15 +290,14 @@ def write_grid_outputs(grid: ExperimentGrid, rows, output_dir) -> None:
                 ]
             )
 
-    with open(out / f"{grid.name}_hist.csv", "w", newline="",
-              encoding="utf-8") as fh:
+    with open(hist_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["cell", "t_hat"])
         for row in rows:
             w.writerows([row.cell_id, t] for t in row.estimates)
 
     completed = sum(1 for row in rows if not row.failures)
-    with open(out / "summary.txt", "w", encoding="utf-8") as fh:
+    with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(f"grid={grid.name} alpha={grid.alpha:g} cells={len(rows)}\n")
         for row in rows:
             fh.write(
@@ -308,6 +311,7 @@ def write_grid_outputs(grid: ExperimentGrid, rows, output_dir) -> None:
             for failure in row.failures:
                 fh.write(f"failure {row.cell_id}: {failure}\n")
         fh.write(f"completed={completed}/{len(rows)}\n")
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -1007,10 +1007,33 @@ _CRITVAL = ("critval", "--d", "2", "--alpha", "0.05", "--table", "t.csv")
     ({"t.csv": _TABLE_HEAD + b"1,0.05," + b"1" * 140_000 + b",1,1,1,0.1\n",
       "x.csv": ROWS_40.encode()}, ("detect", "x.csv", "--table", "t.csv"),
      "DomainError: t.csv: field larger than field limit (131072)"),
+    # a table row that no table writer makes, which would decide the test
+    ({"t.csv": _TABLE_HEAD + b"1,0.1,1.5,1,1,1,0\n1,0.05,nan,1,1,1,0\n",
+      "x.csv": ROWS_40.encode()}, ("detect", "x.csv", "--table", "t.csv"),
+     "NonFinite: t.csv: non-finite value at row 2, column 'value'"),
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,-inf,1,1,1,0\n",
+      "g.grid": _CELL.encode()},
+     ("bench", "g.grid", "--table", "t.csv", "--output-dir", "out"),
+     "NonFinite: t.csv: non-finite value at row 1, column 'value'"),
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,1,1,1,inf\n"}, _CRITVAL,
+     "NonFinite: t.csv: non-finite value at row 1, column 'stderr'"),
+    ({"t.csv": _TABLE_HEAD + b"1,0.05,2.4,1,1,1,0\n1,0.050,9.9,1,1,1,0\n",
+      "x.csv": ROWS_40.encode()}, ("detect", "x.csv", "--table", "t.csv"),
+     "DomainError: t.csv: row 2: d=1, alpha=0.05 repeats an earlier row"),
+    ({"t.csv": _TABLE_HEAD + b"0,0.05,2.4,1,1,1,0\n2,0.05,2.4,1,1,1,0\n"},
+     _CRITVAL, "DomainError: t.csv: row 1: dimension must be >= 1, got 0"),
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,1,1,1,0\n2,1.5,1,1,1,1,0\n",
+      "g.grid": _CELL.encode()},
+     ("bench", "g.grid", "--table", "t.csv", "--output-dir", "out"),
+     "DomainError: t.csv: row 2: level must be in (0, 1), got 1.5"),
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,1,1,1,0\n2,nan,1,1,1,1,0\n"},
+     _CRITVAL, "DomainError: t.csv: row 2: level must be in (0, 1), got nan"),
 ], ids=["csv-not-utf8", "config-not-utf8", "grid-not-utf8", "table-not-utf8",
         "table-missing-column", "table-foreign-header", "table-bad-cell",
         "table-short-row", "grid-name-escapes", "grid-name-nul", "csv-wide-header", "csv-wide-field-beside-bad-cell",
-        "table-wide-value"])
+        "table-wide-value", "table-nan-value", "table-minus-inf-value",
+        "table-inf-stderr", "table-repeated-key", "table-d-0",
+        "table-alpha-1.5", "table-alpha-nan"])
 def test_unreadable_file_is_a_data_error(capsys, tmp_path, monkeypatch, files,
                                          argv, line):
     # one error line naming the file, and nothing written
@@ -1020,6 +1043,20 @@ def test_unreadable_file_is_a_data_error(capsys, tmp_path, monkeypatch, files,
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, out, err) == (2, "", f"error: {line}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def test_detect_checks_trim_before_reading_the_input(capsys, tmp_path,
+                                                     cv2_csv):
+    # a trim outside [0, 0.5) is an error whether or not the test rejects
+    path = tmp_path / "h0.csv"
+    write_series(path, SimulationSpec(d=2, T=400, m=2, seed=SEED_H0))
+    line = "error: DomainError: trim fraction must be in [0, 0.5), got 0.7\n"
+    for source in (path, tmp_path / "absent.csv"):
+        rc, out, err = run_cli(capsys, "detect", source, "--table", cv2_csv,
+                               "--trim", "0.7")
+        assert (rc, out, err) == (2, "", line)
+    rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv)
+    assert rc == 0 and kv_lines(out)["reject"] == "false"
 
 
 def test_detect_column_subset(capsys, tmp_path):

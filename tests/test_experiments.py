@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -304,7 +305,9 @@ def test_run_grid_empty_grid(tmp_path):
     table = fake_table([])
     grid = ExperimentGrid(name="empty", cells=(), alpha=0.05)
     rows = run_grid(grid, table)
-    write_grid_outputs(grid, rows, tmp_path)
+    paths = write_grid_outputs(grid, rows, tmp_path)
+    assert paths == tuple(os.path.join(tmp_path, name) for name in
+                          ("empty.csv", "empty_hist.csv", "summary.txt"))
     assert rows == []
     text = (tmp_path / "empty.csv").read_text()
     assert text.count("\n") == 1  # header only
