@@ -103,6 +103,13 @@ groups, roughly in the order of the comments in `commands`:
   --reps 1 --table`` and ``critval --d 2 --alpha 0.05 --table`` (refused
   when the table is read); and ``detect --trim 0.7`` on an input that the
   test does not reject (refused before the input is read).
+- Critical-value tables whose provenance no simulation has (paths 0, grid
+  1, seed -3, stderr -0.5) or whose 5% values lie below their 10% values,
+  each under the same three commands (refused when the table is read); and
+  ``critval --d 1 --alpha 0.01 --paths 1 --grid 2 --seed 0 --table t.csv``
+  followed by ``critval --d 1 --alpha 0.1 --paths 200 --grid 50 --table
+  t.csv``, whose computed 10% value lies above the stored 1% one (refused
+  before anything is printed or written).
 
 The ``rho=0.999`` filter is a convolution whose dot products OpenBLAS
 splits over its threads once they are that long, so the series it draws
@@ -292,6 +299,18 @@ def write_inputs(root):
     put("t_repeat.csv", head + good + "2,0.05,9.9,200000,10000,4,0.005\n"
         "3,0.05,9.9,200000,10000,5,0.005\n")
     put("t_alpha.csv", head + good + "2,1.5,1,200000,10000,4,0.005\n")
+    # provenance that no simulation has: each row of `good` with one cell
+    # (paths, grid, seed or stderr) changed
+    for name, i, cell in (("paths0", 3, "0"), ("grid1", 4, "1"),
+                          ("seedneg", 5, "-3"), ("stderrneg", 6, "-0.5")):
+        rows = [r.split(",") for r in good.splitlines()]
+        for r in rows:
+            r[i] = cell
+        put(f"t_{name}.csv", head + "".join(",".join(r) + "\n" for r in rows))
+    # values whose 5% point lies below their 10% point
+    put("t_order.csv", head + "2,0.05,1.8,200000,10000,4,0.005\n"
+        "2,0.1,2.5,200000,10000,4,0.005\n3,0.05,2.3,200000,10000,5,0.005\n"
+        "3,0.1,2.9,200000,10000,5,0.005\n")
 
 
 def commands():
@@ -603,6 +622,19 @@ def commands():
                   "--output-dir", "g"),
                  ("critval", "--d", "2", "--alpha", "0.05", "--table", t)]
     cmds += [("detect", IN + "rows40.csv", "--trim", "0.7")]
+    # tables with a path count, grid, seed or stderr that no simulation has,
+    # or with values out of their order, under each reader; and a critval
+    # miss whose value would put the file it extends out of order
+    for name in ("paths0", "grid1", "seedneg", "stderrneg", "order"):
+        t = IN + f"t_{name}.csv"
+        cmds += [("detect", small, "--table", t),
+                 ("bench", "table1", "--reps", "1", "--table", t,
+                  "--output-dir", "g"),
+                 ("critval", "--d", "2", "--alpha", "0.05", "--table", t)]
+    cmds += [(("critval", "--d", "1", "--alpha", "0.01", "--paths", "1",
+               "--grid", "2", "--seed", "0", "--table", "t.csv"),
+              ("critval", "--d", "1", "--alpha", "0.1", "--paths", "200",
+               "--grid", "50", "--table", "t.csv"))]
     return cmds
 
 

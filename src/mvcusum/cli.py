@@ -298,6 +298,7 @@ def cmd_critval(args) -> None:
     critical_value(args.d, args.alpha, table, args.paths, args.grid, args.seed)
     entry = table.get(args.d, args.alpha)
     if args.table and not cached:
+        table._check_ordered(args.table)
         table.save_csv(_resolve_out(args.table))
     print(f"d={args.d}")
     print(f"alpha={_fmt(args.alpha)}")

@@ -79,6 +79,22 @@ def default_seed(d: int) -> int:
     return _SEED_BASE + d
 
 
+def _check_budget(d: int, paths: int, grid: int, seed: int) -> None:
+    """Refuse a dimension, path count, grid or seed that no simulation runs."""
+    if d < 1:
+        raise DomainError(f"dimension must be >= 1, got {d}")
+    if paths < 1:
+        raise DomainError(f"paths must be >= 1, got {paths}")
+    if paths > _MAX_PATHS:
+        raise DomainError(f"paths must be <= {_MAX_PATHS}, got {paths}")
+    if grid < 2:
+        raise DomainError(f"grid must be >= 2, got {grid}")
+    if grid > _MAX_GRID:
+        raise DomainError(f"grid must be <= {_MAX_GRID}, got {grid}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+
+
 def simulate_sup_bridges(d: int, paths: int, grid: int, seed: int) -> np.ndarray:
     """Per-path suprema of the sum of d squared Brownian bridges.
 
@@ -93,18 +109,7 @@ def simulate_sup_bridges(d: int, paths: int, grid: int, seed: int) -> np.ndarray
     """
     import numpy as np
 
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    if paths < 1:
-        raise DomainError(f"paths must be >= 1, got {paths}")
-    if paths > _MAX_PATHS:
-        raise DomainError(f"paths must be <= {_MAX_PATHS}, got {paths}")
-    if grid < 2:
-        raise DomainError(f"grid must be >= 2, got {grid}")
-    if grid > _MAX_GRID:
-        raise DomainError(f"grid must be <= {_MAX_GRID}, got {grid}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    _check_budget(d, paths, grid, seed)
     chunk_rows = min(paths, _CHUNK_CELLS // grid)
     root = np.random.SeedSequence(seed)
     ts = np.arange(1, grid + 1) / grid
@@ -232,6 +237,13 @@ class CriticalValueTable:
                     )
         return problems
 
+    def _check_ordered(self, where) -> None:
+        """Raise DomainError, prefixed by ``where``, naming the first
+        violation of `check_monotone`."""
+        problems = self.check_monotone()
+        if problems:
+            raise DomainError(f"{where}: {problems[0]}")
+
     def save_csv(self, path) -> None:
         """Write the entries in the columns of `_TABLE_COLUMNS`, sorted by
         dimension then by level descending (larger alpha = smaller value
@@ -248,9 +260,11 @@ class CriticalValueTable:
     def load_csv(cls, path) -> "CriticalValueTable":
         """Read a table written by `save_csv`. Raises MissingColumn,
         NonNumericCell, NonFinite (a float cell that is not finite) or
-        DomainError (a d below 1, a level outside (0, 1), a repeated (d,
-        alpha), or a file that is not UTF-8), each naming the file and, for
-        a row, its 1-based number among the data rows."""
+        DomainError (a d, path count, grid or seed that `_check_budget`
+        refuses, a level outside (0, 1), a negative stderr, a repeated (d,
+        alpha), values that break the ordering of `check_monotone`, or a
+        file that is not UTF-8), each naming the file and, for a row, its
+        1-based number among the data rows."""
         table = cls()
         with _open_text(path, DomainError, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -261,19 +275,23 @@ class CriticalValueTable:
             for row_no, row in enumerate(reader, start=1):
                 cells = [_table_cell(path, row_no, name, parse, row[name])
                          for name, parse in _TABLE_COLUMNS.items()]
-                d, alpha, *entry = cells
+                d, alpha, value, paths, grid, seed, stderr = cells
                 where = f"{path}: row {row_no}"
-                if d < 1:
-                    raise DomainError(f"{where}: dimension must be >= 1, got {d}")
-                if not 0.0 < alpha < 1.0:
-                    raise DomainError(f"{where}: level must be in (0, 1), got {alpha}")
+                try:
+                    _check_budget(d, paths, grid, seed)
+                    _check_level(alpha)
+                except DomainError as exc:
+                    raise _in_file(where, exc) from None
                 for (name, kind), cell in zip(_TABLE_COLUMNS.items(), cells):
                     if kind is float and not math.isfinite(cell):
                         raise _in_file(path, NonFinite(row_no, name))
+                if stderr < 0.0:
+                    raise DomainError(f"{where}: stderr must be >= 0, got {stderr}")
                 if table.get(d, alpha) is not None:
                     raise DomainError(f"{where}: d={d}, alpha={alpha} repeats "
                                       "an earlier row")
-                table.put(d, alpha, CriticalEntry(*entry))
+                table.put(d, alpha, CriticalEntry(value, paths, grid, seed, stderr))
+        table._check_ordered(path)
         return table
 
 
@@ -284,7 +302,8 @@ _TABLE_COLUMNS = {"d": int, "alpha": float, "value": float, "paths": int,
 
 
 def _in_file(path, err):
-    """``err`` with its message prefixed by the file, as MissingColumn's is."""
+    """``err`` with its message prefixed by ``path`` (the file, or the file
+    and a row), as MissingColumn's is."""
     err.args = (f"{path}: {err}",)
     return err
 

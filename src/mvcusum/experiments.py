@@ -324,28 +324,21 @@ _SPEC_KEYS = ("d", "T", "m", "rho", "tol", "base", "cov", "delta", "k_star",
 _CELL_KEYS = {"cell", "reps", *_SPEC_KEYS}
 
 
-def _parse_int(lineno: int, value: str, source: str) -> int:
+def _parse(kind, lineno: int, value: str, source: str):
+    """``value`` read as ``kind``, int or float."""
     try:
-        return int(value)
+        return kind(value)
     except ValueError:
+        what = "an integer" if kind is int else "a number"
         raise GridParseError(
-            f"{source}:{lineno}: expected an integer, got {value!r}"
-        ) from None
-
-
-def _parse_float(lineno: int, value: str, source: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise GridParseError(
-            f"{source}:{lineno}: expected a number, got {value!r}"
+            f"{source}:{lineno}: expected {what}, got {value!r}"
         ) from None
 
 
 def _parse_floats(lineno: int, value: str, source: str, key: str, size: int):
     """The comma-separated numbers of ``key``, which must be ``size``."""
     flat = np.array(
-        [_parse_float(lineno, part.strip(), source) for part in value.split(",")]
+        [_parse(float, lineno, part.strip(), source) for part in value.split(",")]
     )
     if flat.size != size:
         raise GridParseError(
@@ -394,18 +387,17 @@ def _build_spec(name: str, kv: dict, source: str, counts=()):
     the spec itself rejects.
     """
 
-    def take(key, default=None):
+    def take(key, default):
         return kv.pop(key, (None, default))
 
     required = ("d", "T", "m", *counts)
     for key in required:
         if key not in kv:
             raise GridParseError(f"{source}: cell {name!r}: missing required key {key!r}")
-    d, T, m, *extra = (_parse_int(*kv.pop(key), source) for key in required)
+    d, T, m, *extra = (_parse(int, *kv.pop(key), source) for key in required)
     # keys the recipe leaves out take the SimulationSpec defaults
-    given = {key: parse(*kv.pop(key), source)
-             for key, parse in (("rho", _parse_float), ("tol", _parse_float),
-                                ("seed", _parse_int))
+    given = {key: _parse(kind, *kv.pop(key), source)
+             for key, kind in (("rho", float), ("tol", float), ("seed", int))
              if key in kv}
     if d < 1:  # the spec's own check, made before d sizes base, cov or delta
         raise _cell_error(source, name, DomainError(f"d must be >= 1, got {d}"))
@@ -422,7 +414,7 @@ def _build_spec(name: str, kv: dict, source: str, counts=()):
     if raw_cov == "eye":
         cov = None
     elif raw_cov.startswith("exch:"):
-        off = _parse_float(line_cov, raw_cov[len("exch:"):], source)
+        off = _parse(float, line_cov, raw_cov[len("exch:"):], source)
         try:
             cov = exchangeable_cov(d, off)
         except ToolkitError as exc:
@@ -430,15 +422,12 @@ def _build_spec(name: str, kv: dict, source: str, counts=()):
     else:
         cov = _parse_floats(line_cov, raw_cov, source, "cov", d * d).reshape(d, d)
 
-    line_delta, raw_delta = take("delta")
-    delta = None
-    if raw_delta is not None and raw_delta != "none":
-        delta = _parse_floats(line_delta, raw_delta, source, "delta", d)
+    line_delta, raw_delta = take("delta", "none")
+    delta = (None if raw_delta == "none"
+             else _parse_floats(line_delta, raw_delta, source, "delta", d))
 
-    line_ks, raw_ks = take("k_star")
-    k_star = None
-    if raw_ks is not None and raw_ks != "none":
-        k_star = _parse_float(line_ks, raw_ks, source)
+    line_ks, raw_ks = take("k_star", "none")
+    k_star = None if raw_ks == "none" else _parse(float, line_ks, raw_ks, source)
 
     try:
         spec = SimulationSpec(d=d, T=T, m=m, base=base, innovation_cov=cov,
@@ -503,7 +492,7 @@ def parse_grid(text: str, source: str = "<string>") -> ExperimentGrid:
             if key == "name":
                 name = _file_name_part(lineno, value, source)
             elif key == "alpha":
-                alpha = _parse_float(lineno, value, source)
+                alpha = _parse(float, lineno, value, source)
             else:
                 defaults[key] = (lineno, value)
         start = 1

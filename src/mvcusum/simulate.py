@@ -70,6 +70,17 @@ def exchangeable_cov(d, off):
     return out
 
 
+def _checked_array(name, value, shape, default):
+    """A write-protected float64 copy of ``value`` (of ``default()`` when
+    None), checked to have ``shape`` and finite entries."""
+    arr = np.array(default() if value is None else value, dtype=np.float64)
+    if arr.shape != shape:
+        raise DimensionMismatch(f"{name} must be {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    return _frozen(arr)
+
+
 @dataclass(frozen=True)
 class SimulationSpec:
     """Complete, validated recipe for one synthetic series.
@@ -127,12 +138,8 @@ class SimulationSpec:
             raise DomainError(f"decay rate must be in [0, 1), got {rho}")
         if not tol > 0.0:
             raise DomainError(f"tail tolerance must be positive, got {tol}")
-        base = (1.0 - rho) * np.eye(d) if self.base is None else self.base
-        base = np.array(base, dtype=np.float64)
-        if base.shape != (d, d):
-            raise DimensionMismatch(f"base must be ({d}, {d}), got {base.shape}")
-        if not np.all(np.isfinite(base)):
-            raise DomainError("base must be finite")
+        object.__setattr__(self, "base", _checked_array(
+            "base", self.base, (d, d), lambda: (1.0 - rho) * np.eye(d)))
         # the tail after depth K is rho**(K + 1) / (1 - rho): from the closed
         # form, step with that predicate to the smallest depth it passes
         k_max = 0
@@ -144,7 +151,6 @@ class SimulationSpec:
         while rho ** (k_max + 1) / (1.0 - rho) >= tol:
             k_max += 1
         object.__setattr__(self, "rho", float(rho))
-        object.__setattr__(self, "base", _frozen(base))
         object.__setattr__(self, "K_max", k_max)
         if self.T < 2:
             raise DomainError(f"T must be >= 2, got {self.T}")
@@ -155,30 +161,17 @@ class SimulationSpec:
             raise DomainError(f"dependence range m must be >= 0, got {self.m}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        cov = self.innovation_cov
-        cov = np.eye(d) if cov is None else np.asarray(cov, dtype=np.float64)
-        if cov.shape != (d, d):
-            raise DimensionMismatch(
-                f"innovation_cov must be ({d}, {d}), got {cov.shape}"
-            )
-        if not np.all(np.isfinite(cov)):
-            raise DomainError("innovation_cov must be finite")
+        cov = _checked_array("innovation_cov", self.innovation_cov, (d, d),
+                             lambda: np.eye(d))
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
             raise DomainError("innovation_cov must be symmetric")
         try:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise DomainError("innovation_cov must be positive definite") from None
-        object.__setattr__(self, "innovation_cov", _frozen(np.array(cov, np.float64)))
-        delta = self.delta
-        delta = np.zeros(d) if delta is None else np.asarray(delta, np.float64)
-        if delta.shape != (d,):
-            raise DimensionMismatch(
-                f"delta must have shape ({d},), got {delta.shape}"
-            )
-        if not np.all(np.isfinite(delta)):
-            raise DomainError("delta must be finite")
-        object.__setattr__(self, "delta", _frozen(np.array(delta, np.float64)))
+        object.__setattr__(self, "innovation_cov", cov)
+        object.__setattr__(self, "delta", _checked_array(
+            "delta", self.delta, (d,), lambda: np.zeros(d)))
         if self.k_star is not None and not 0.0 < self.k_star < 1.0:
             raise DomainError(
                 f"break fraction must be in (0, 1), got {self.k_star}"

@@ -14,7 +14,8 @@ import pytest
 
 import mvcusum
 from mvcusum import cli, engine, spectral
-from mvcusum.critical import CriticalEntry, CriticalValueTable, default_table
+from mvcusum.critical import (CriticalEntry, CriticalValueTable,
+                              critical_value, default_table)
 from mvcusum.engine import cusum, estimate_changepoint, quadform
 from mvcusum.errors import DomainError, _open_text
 from mvcusum.experiments import _read_spec, load_grid
@@ -987,7 +988,7 @@ _CRITVAL = ("critval", "--d", "2", "--alpha", "0.05", "--table", "t.csv")
      "MissingColumn: t.csv: column 'd' not in header ['x', 'y']"),
     ({"t.csv": _TABLE_HEAD + b"2,0.05,abc,1,1,1,0.1\n"}, _CRITVAL,
      "NonNumericCell: t.csv: row 1, column 'value': 'abc' is not numeric"),
-    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.2,1,1,1,0.1\n2,0.1\n"}, _CRITVAL,
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.2,1,2,1,0.1\n2,0.1\n"}, _CRITVAL,
      "NonNumericCell: t.csv: row 2, column 'value': empty cell is not "
      "numeric"),
     ({"g.grid": b"name=../escaped\n" + _CELL.encode()},
@@ -1008,32 +1009,66 @@ _CRITVAL = ("critval", "--d", "2", "--alpha", "0.05", "--table", "t.csv")
       "x.csv": ROWS_40.encode()}, ("detect", "x.csv", "--table", "t.csv"),
      "DomainError: t.csv: field larger than field limit (131072)"),
     # a table row that no table writer makes, which would decide the test
-    ({"t.csv": _TABLE_HEAD + b"1,0.1,1.5,1,1,1,0\n1,0.05,nan,1,1,1,0\n",
+    ({"t.csv": _TABLE_HEAD + b"1,0.1,1.5,1,2,1,0\n1,0.05,nan,1,2,1,0\n",
       "x.csv": ROWS_40.encode()}, ("detect", "x.csv", "--table", "t.csv"),
      "NonFinite: t.csv: non-finite value at row 2, column 'value'"),
-    ({"t.csv": _TABLE_HEAD + b"2,0.05,-inf,1,1,1,0\n",
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,-inf,1,2,1,0\n",
       "g.grid": _CELL.encode()},
      ("bench", "g.grid", "--table", "t.csv", "--output-dir", "out"),
      "NonFinite: t.csv: non-finite value at row 1, column 'value'"),
-    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,1,1,1,inf\n"}, _CRITVAL,
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,1,2,1,inf\n"}, _CRITVAL,
      "NonFinite: t.csv: non-finite value at row 1, column 'stderr'"),
-    ({"t.csv": _TABLE_HEAD + b"1,0.05,2.4,1,1,1,0\n1,0.050,9.9,1,1,1,0\n",
+    ({"t.csv": _TABLE_HEAD + b"1,0.05,2.4,1,2,1,0\n1,0.050,9.9,1,2,1,0\n",
       "x.csv": ROWS_40.encode()}, ("detect", "x.csv", "--table", "t.csv"),
      "DomainError: t.csv: row 2: d=1, alpha=0.05 repeats an earlier row"),
     ({"t.csv": _TABLE_HEAD + b"0,0.05,2.4,1,1,1,0\n2,0.05,2.4,1,1,1,0\n"},
      _CRITVAL, "DomainError: t.csv: row 1: dimension must be >= 1, got 0"),
-    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,1,1,1,0\n2,1.5,1,1,1,1,0\n",
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,1,2,1,0\n2,1.5,1,1,2,1,0\n",
       "g.grid": _CELL.encode()},
      ("bench", "g.grid", "--table", "t.csv", "--output-dir", "out"),
      "DomainError: t.csv: row 2: level must be in (0, 1), got 1.5"),
-    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,1,1,1,0\n2,nan,1,1,1,1,0\n"},
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,1,2,1,0\n2,nan,1,1,2,1,0\n"},
      _CRITVAL, "DomainError: t.csv: row 2: level must be in (0, 1), got nan"),
+    # provenance that no simulation has, and values out of their order
+    ({"t.csv": _TABLE_HEAD + b"1,0.05,1.8,0,2,1,0\n",
+      "x.csv": ROWS_40.encode()}, ("detect", "x.csv", "--table", "t.csv"),
+     "DomainError: t.csv: row 1: paths must be >= 1, got 0"),
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,10000001,2,1,0\n",
+      "g.grid": _CELL.encode()},
+     ("bench", "g.grid", "--table", "t.csv", "--output-dir", "out"),
+     "DomainError: t.csv: row 1: paths must be <= 10000000, got 10000001"),
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,1,1,1,0\n"}, _CRITVAL,
+     "DomainError: t.csv: row 1: grid must be >= 2, got 1"),
+    ({"t.csv": _TABLE_HEAD + b"1,0.05,1.8,1,2560001,1,0\n",
+      "x.csv": ROWS_40.encode()}, ("detect", "x.csv", "--table", "t.csv"),
+     "DomainError: t.csv: row 1: grid must be <= 2560000, got 2560001"),
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,1,2,-3,0\n",
+      "g.grid": _CELL.encode()},
+     ("bench", "g.grid", "--table", "t.csv", "--output-dir", "out"),
+     "DomainError: t.csv: row 1: seed must be >= 0, got -3"),
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,1,2,1,-0.5\n"}, _CRITVAL,
+     "DomainError: t.csv: row 1: stderr must be >= 0, got -0.5"),
+    ({"t.csv": _TABLE_HEAD + b"1,0.05,1.8,1,2,1,0\n1,0.1,2.5,1,2,1,0\n",
+      "x.csv": ROWS_40.encode()}, ("detect", "x.csv", "--table", "t.csv"),
+     "DomainError: t.csv: d=1: value at alpha=0.05 (1.8) not above "
+     "alpha=0.1 (2.5)"),
+    ({"t.csv": _TABLE_HEAD + b"2,0.05,2.4,1,2,1,0\n3,0.05,2,1,2,1,0\n",
+      "g.grid": _CELL.encode()},
+     ("bench", "g.grid", "--table", "t.csv", "--output-dir", "out"),
+     "DomainError: t.csv: alpha=0.05: value at d=3 (2.0) not above d=2 (2.4)"),
+    ({"t.csv": _TABLE_HEAD + b"2,0.01,2.4,1,2,1,0\n2,0.05,2.4,1,2,1,0\n"},
+     _CRITVAL, "DomainError: t.csv: d=2: value at alpha=0.01 (2.4) not above "
+     "alpha=0.05 (2.4)"),
 ], ids=["csv-not-utf8", "config-not-utf8", "grid-not-utf8", "table-not-utf8",
         "table-missing-column", "table-foreign-header", "table-bad-cell",
         "table-short-row", "grid-name-escapes", "grid-name-nul", "csv-wide-header", "csv-wide-field-beside-bad-cell",
         "table-wide-value", "table-nan-value", "table-minus-inf-value",
         "table-inf-stderr", "table-repeated-key", "table-d-0",
-        "table-alpha-1.5", "table-alpha-nan"])
+        "table-alpha-1.5", "table-alpha-nan", "table-paths-0",
+        "table-paths-over-cap", "table-grid-1", "table-grid-over-cap",
+        "table-seed-minus-3", "table-stderr-minus-0.5",
+        "table-value-rises-with-level", "table-value-falls-with-d",
+        "table-value-flat-in-level"])
 def test_unreadable_file_is_a_data_error(capsys, tmp_path, monkeypatch, files,
                                          argv, line):
     # one error line naming the file, and nothing written
@@ -1236,6 +1271,23 @@ def test_critval_cache_hit_leaves_table_untouched(capsys, tmp_path):
                          "--table", table)
     assert rc == 0
     assert kv_lines(out)["source"] == "cache"
+    assert table.read_bytes() == before
+    assert os.stat(table).st_mtime_ns == 1
+
+
+def test_critval_refuses_an_entry_that_breaks_the_table_order(
+        capsys, tmp_path):
+    # the computed 10% value lies above the stored 5% one: nothing is
+    # printed, and the table is left as it was
+    table = table_file(tmp_path / "cv.csv", [(1, 0.05, 0.5)])
+    os.utime(table, ns=(1, 1))
+    before = table.read_bytes()
+    rc, out, err = run_cli(capsys, "critval", "--d", 1, "--alpha", "0.1",
+                           "--paths", 200, "--grid", 50, "--table", table)
+    value = critical_value(1, 0.1, paths=200, grid=50)
+    assert (rc, out) == (2, "")
+    assert err == (f"error: DomainError: {table}: d=1: value at alpha=0.05 "
+                   f"(0.5) not above alpha=0.1 ({value!r})\n")
     assert table.read_bytes() == before
     assert os.stat(table).st_mtime_ns == 1
 

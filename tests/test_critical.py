@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +282,37 @@ def test_monotonicity_checker_accepts_clean_table():
         table.put(d, 0.05, _entry(v))
         table.put(d, 0.01, _entry(v + 1.0))
     assert table.check_monotone() == []
+
+
+def _build_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "build_default_table.py"
+    spec = importlib.util.spec_from_file_location("build_default_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_build_script_writes_a_table_that_loads(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    argv = ["--dims", "1..3", "--paths", "200", "--grid", "50", "--out", str(out)]
+    assert _build_script().main(argv) == 0
+    table = CriticalValueTable.load_csv(out)
+    assert sorted(table.entries) == sorted(
+        (d, a) for d in (1, 2, 3) for a in (0.10, 0.05, 0.01))
+    for (d, alpha), entry in table.entries.items():
+        assert entry.value == critical_value(d, alpha, paths=200, grid=50)
+        assert (entry.paths, entry.grid, entry.seed) == (200, 50, default_seed(d))
+
+
+def test_build_script_writes_nothing_out_of_order(tmp_path, capsys):
+    # one path gives every level the same quantile, which is not above the
+    # next level's
+    out = tmp_path / "t.csv"
+    argv = ["--dims", "1", "--alphas", "0.1,0.05", "--paths", "1", "--grid",
+            "2", "--out", str(out)]
+    assert _build_script().main(argv) == 1
+    assert not out.exists()
+    assert "d=1: value at alpha=0.05" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- shipped table

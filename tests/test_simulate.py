@@ -232,6 +232,32 @@ def test_spec_rejects_non_finite(field, value):
     assert str(exc.value) == f"{name} must be finite"
 
 
+@pytest.mark.parametrize("field, default, shape_error", [
+    ("base", 0.5 * np.eye(2), "base must be (2, 2), got (3, 3)"),
+    ("innovation_cov", np.eye(2), "innovation_cov must be (2, 2), got (3, 3)"),
+    ("delta", np.zeros(2), "delta must be (2,), got (3,)"),
+])
+def test_spec_array_fields_follow_one_rule(field, default, shape_error):
+    # an omitted field takes its default (base: (1 - rho) * I at rho = 0.5)
+    spec = SimulationSpec(d=2, T=10, m=0)
+    np.testing.assert_array_equal(getattr(spec, field), default)
+    # a given one is stored as a write-protected float64 copy
+    given = default.astype(int).tolist()
+    stored = getattr(SimulationSpec(d=2, T=10, m=0, **{field: given}), field)
+    assert stored.dtype == np.float64 and not stored.flags.writeable
+    np.testing.assert_array_equal(stored, given)
+    # then checked for its shape, and for finite entries
+    wrong = np.ones(tuple(n + 1 for n in default.shape))
+    with pytest.raises(DimensionMismatch) as exc:
+        SimulationSpec(d=2, T=10, m=0, **{field: wrong})
+    assert str(exc.value) == shape_error
+    bad = default.copy()
+    bad[(0,) * bad.ndim] = math.inf
+    with pytest.raises(DomainError) as exc:
+        SimulationSpec(d=2, T=10, m=0, **{field: bad})
+    assert str(exc.value) == f"{field} must be finite"
+
+
 # ---------------------------------------------------------------- innovations
 
 
