@@ -110,6 +110,10 @@ groups, roughly in the order of the comments in `commands`:
   followed by ``critval --d 1 --alpha 0.1 --paths 200 --grid 50 --table
   t.csv``, whose computed 10% value lies above the stored 1% one (refused
   before anything is printed or written).
+- ``critval --d 2 --alpha 0.05 --table ""``, a level the shipped table
+  holds, and ``critval --d 2 --alpha 0.3 --paths 200 --grid 50 --table
+  ""``, one it lacks: an empty path names no file, as under ``detect`` and
+  ``bench``, and is refused before anything is simulated.
 
 The ``rho=0.999`` filter is a convolution whose dot products OpenBLAS
 splits over its threads once they are that long, so the series it draws
@@ -635,6 +639,9 @@ def commands():
                "--grid", "2", "--seed", "0", "--table", "t.csv"),
               ("critval", "--d", "1", "--alpha", "0.1", "--paths", "200",
                "--grid", "50", "--table", "t.csv"))]
+    # an empty --table under critval, on a hit and on a miss
+    cmds += [("critval", "--d", "2", "--alpha", "0.05", "--table", ""),
+             crit + ("--paths", "200", "--grid", "50", "--table", "")]
     return cmds
 
 

@@ -293,13 +293,13 @@ def cmd_critval(args) -> None:
     if args.table and not os.path.exists(args.table):
         table = CriticalValueTable()  # a new --table file starts empty
     else:
-        table = _load_table(args.table or None)  # an empty --table: none
+        table = _load_table(args.table)
     cached = table.get(args.d, args.alpha) is not None
     critical_value(args.d, args.alpha, table, args.paths, args.grid, args.seed)
     entry = table.get(args.d, args.alpha)
     if args.table and not cached:
-        table._check_ordered(args.table)
-        table.save_csv(_resolve_out(args.table))
+        _resolve_out(args.table)  # makes the table's directory
+        table.save_csv(args.table)
     print(f"d={args.d}")
     print(f"alpha={_fmt(args.alpha)}")
     print(f"value={_fmt(entry.value)}")

@@ -210,6 +210,16 @@ class CriticalValueTable:
         return entry.value
 
     def put(self, d: int, alpha: float, entry: CriticalEntry) -> None:
+        """Store ``entry`` under (d, alpha). Raises DomainError for a d, budget
+        or level no simulation has, a non-finite value or stderr, or stderr < 0."""
+        _check_budget(d, entry.paths, entry.grid, entry.seed)
+        _check_level(alpha)
+        stderr = entry.stderr_estimate
+        for name, cell in (("value", entry.value), ("stderr", stderr)):
+            if not math.isfinite(cell):
+                raise DomainError(f"{name} must be finite, got {cell}")
+        if stderr < 0.0:
+            raise DomainError(f"stderr must be >= 0, got {stderr}")
         self.entries[(d, alpha)] = entry
 
     def check_monotone(self) -> list[str]:
@@ -237,17 +247,14 @@ class CriticalValueTable:
                     )
         return problems
 
-    def _check_ordered(self, where) -> None:
-        """Raise DomainError, prefixed by ``where``, naming the first
-        violation of `check_monotone`."""
-        problems = self.check_monotone()
-        if problems:
-            raise DomainError(f"{where}: {problems[0]}")
-
     def save_csv(self, path) -> None:
         """Write the entries in the columns of `_TABLE_COLUMNS`, sorted by
         dimension then by level descending (larger alpha = smaller value
-        first); floats at 17 significant digits."""
+        first); floats at 17 significant digits. A table that breaks the
+        ordering of `check_monotone` raises DomainError naming ``path`` and
+        the first violation, before the file is opened."""
+        if problems := self.check_monotone():
+            raise DomainError(f"{path}: {problems[0]}")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(_TABLE_COLUMNS)
@@ -259,12 +266,11 @@ class CriticalValueTable:
     @classmethod
     def load_csv(cls, path) -> "CriticalValueTable":
         """Read a table written by `save_csv`. Raises MissingColumn,
-        NonNumericCell, NonFinite (a float cell that is not finite) or
-        DomainError (a d, path count, grid or seed that `_check_budget`
-        refuses, a level outside (0, 1), a negative stderr, a repeated (d,
-        alpha), values that break the ordering of `check_monotone`, or a
-        file that is not UTF-8), each naming the file and, for a row, its
-        1-based number among the data rows."""
+        NonNumericCell, NonFinite (a value or stderr that is not finite) or
+        DomainError (a row that `put` refuses, a repeated (d, alpha), values
+        that break the ordering of `check_monotone`, or a file that is not
+        UTF-8), each naming the file and, for a row, its 1-based number
+        among the data rows."""
         table = cls()
         with _open_text(path, DomainError, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -276,22 +282,18 @@ class CriticalValueTable:
                 cells = [_table_cell(path, row_no, name, parse, row[name])
                          for name, parse in _TABLE_COLUMNS.items()]
                 d, alpha, value, paths, grid, seed, stderr = cells
-                where = f"{path}: row {row_no}"
-                try:
-                    _check_budget(d, paths, grid, seed)
-                    _check_level(alpha)
-                except DomainError as exc:
-                    raise _in_file(where, exc) from None
-                for (name, kind), cell in zip(_TABLE_COLUMNS.items(), cells):
-                    if kind is float and not math.isfinite(cell):
+                for name, cell in (("value", value), ("stderr", stderr)):
+                    if not math.isfinite(cell):
                         raise _in_file(path, NonFinite(row_no, name))
-                if stderr < 0.0:
-                    raise DomainError(f"{where}: stderr must be >= 0, got {stderr}")
                 if table.get(d, alpha) is not None:
-                    raise DomainError(f"{where}: d={d}, alpha={alpha} repeats "
-                                      "an earlier row")
-                table.put(d, alpha, CriticalEntry(value, paths, grid, seed, stderr))
-        table._check_ordered(path)
+                    raise DomainError(f"{path}: row {row_no}: d={d}, alpha={alpha} "
+                                      "repeats an earlier row")
+                try:
+                    table.put(d, alpha, CriticalEntry(value, paths, grid, seed, stderr))
+                except DomainError as exc:
+                    raise _in_file(f"{path}: row {row_no}", exc) from None
+        if problems := table.check_monotone():
+            raise DomainError(f"{path}: {problems[0]}")
         return table
 
 

@@ -27,6 +27,7 @@ particular (m, K_max) combination needs, beyond the rows it actually adds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -131,6 +132,10 @@ class SimulationSpec:
     K_max: int = field(init=False)
 
     def __post_init__(self):
+        for name in ("d", "T", "m", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value}")
         d, rho, tol = self.d, self.rho, self.tol
         if d < 1:
             raise DomainError(f"d must be >= 1, got {d}")

@@ -284,6 +284,43 @@ def test_monotonicity_checker_accepts_clean_table():
     assert table.check_monotone() == []
 
 
+@pytest.mark.parametrize("d, alpha, entry, message", [
+    (1, 0.05, CriticalEntry(1.8, 0, 2, 1, 0.0), "paths must be >= 1, got 0"),
+    (1, 0.05, CriticalEntry(1.8, 1, 1, 1, 0.0), "grid must be >= 2, got 1"),
+    (1, 0.05, CriticalEntry(1.8, 1, 2, -3, 0.0), "seed must be >= 0, got -3"),
+    (1, 0.05, CriticalEntry(1.8, 1, 2, 1, -0.5), "stderr must be >= 0, got -0.5"),
+    (1, 0.05, CriticalEntry(math.nan, 1, 2, 1, 0.0), "value must be finite, got nan"),
+    (1, 1.5, CriticalEntry(1.8, 1, 2, 1, 0.0), "level must be in (0, 1), got 1.5"),
+    (0, 0.05, CriticalEntry(1.8, 1, 2, 1, 0.0), "dimension must be >= 1, got 0"),
+    # every provenance cell out of range: the first checked is named
+    (1, 0.05, CriticalEntry(1.8, 0, 1, -3, -0.5), "paths must be >= 1, got 0"),
+], ids=["paths-0", "grid-1", "seed-minus-3", "stderr-minus-0.5", "value-nan",
+        "alpha-1.5", "d-0", "all-provenance"])
+def test_put_refuses_a_row_that_load_csv_refuses(d, alpha, entry, message):
+    table = CriticalValueTable()
+    with pytest.raises(DomainError) as exc:
+        table.put(d, alpha, entry)
+    assert str(exc.value) == message
+    assert table.entries == {}
+
+
+@pytest.mark.parametrize("before", [None, b"old bytes\n"], ids=["new", "existing"])
+def test_save_csv_writes_nothing_out_of_order(tmp_path, before):
+    # one path at 1% gives a value below the 10% value of 200 paths
+    table = CriticalValueTable()
+    critical_value(1, 0.01, table, paths=1, grid=2, seed=0)
+    critical_value(1, 0.1, table, paths=200, grid=50)
+    path = tmp_path / "t.csv"
+    if before is not None:
+        path.write_bytes(before)
+    with pytest.raises(DomainError) as exc:
+        table.save_csv(path)
+    assert str(exc.value) == (
+        f"{path}: d=1: value at alpha=0.01 (0.6842376211614418) not above "
+        "alpha=0.1 (1.2877107656486486)")
+    assert (path.read_bytes() if path.exists() else None) == before
+
+
 def _build_script():
     path = Path(__file__).resolve().parent.parent / "scripts" / "build_default_table.py"
     spec = importlib.util.spec_from_file_location("build_default_table", path)

@@ -209,6 +209,21 @@ def test_spec_rejects_out_of_domain_scalars(field, value, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("field, value", [
+    ("T", 10.5), ("m", 0.5), ("d", 2.0), ("d", True), ("seed", 1.0)])
+def test_spec_refuses_a_count_that_is_not_an_integer(field, value):
+    # named before any other fault, here the tolerance of 0
+    with pytest.raises(DomainError) as exc:
+        spec_of(tol=0.0, **{field: value})
+    assert str(exc.value) == f"{field} must be an integer, got {value}"
+
+
+def test_spec_takes_numpy_integers():
+    spec = spec_of(d=np.int64(2), T=np.int32(10), m=np.uint8(1),
+                   seed=np.int64(3))
+    assert (spec.d, spec.T, spec.m, spec.seed) == (2, 10, 1, 3)
+
+
 @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]],
                          ids=["indefinite", "singular"])
 def test_spec_rejects_cov_without_cholesky_factor(cov):
