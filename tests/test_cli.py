@@ -932,12 +932,6 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
      "FileNotFoundError: no such input file: "),
     ({}, ("bench", "table1", "--table", ""),
      "FileNotFoundError: no such input file: "),
-    # critval too, on a level the shipped table holds and on one it lacks,
-    # which is refused before anything is simulated
-    ({}, ("critval", "--d", "2", "--alpha", "0.05", "--table", ""),
-     "FileNotFoundError: no such input file: "),
-    ({}, ("critval", "--d", "2", "--alpha", "0.3", "--paths", "200", "--grid",
-          "50", "--table", ""), "FileNotFoundError: no such input file: "),
     # a column selected twice would be read in two places
     ({"d.csv": "a,b\n1,2\n4,5\n"}, ("detect", "d.csv", "--columns", "a,a"),
      "DomainError: d.csv: column 'a' is selected 2 times"),
@@ -945,6 +939,13 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
     ({"d.csv": "a,b\n1,2\n4,5\n"}, ("detect", "d.csv", "--columns", "b",
                                    "--date-column", "b"),
      "DomainError: d.csv: column 'b' is the date column"),
+    # an empty path names no file for critval either, on a level the shipped
+    # table holds and on one it lacks, which is refused before anything is
+    # simulated
+    ({}, ("critval", "--d", "2", "--alpha", "0.05", "--table", ""),
+     "FileNotFoundError: no such input file: "),
+    ({}, ("critval", "--d", "2", "--alpha", "0.3", "--paths", "200", "--grid",
+          "50", "--table", ""), "FileNotFoundError: no such input file: "),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)
