@@ -114,6 +114,10 @@ groups, roughly in the order of the comments in `commands`:
   holds, and ``critval --d 2 --alpha 0.3 --paths 200 --grid 50 --table
   ""``, one it lacks: an empty path names no file, as under ``detect`` and
   ``bench``, and is refused before anything is simulated.
+- A missing input with one bad setting that needs no data, which is refused
+  before the input is read: ``scan --trim 0.7``, ``estimate --trim 0.7``,
+  ``scan --smoothing-window 4``, ``detect --scan --min-prominence -1`` and
+  ``spectrum --h 0``.
 
 The ``rho=0.999`` filter is a convolution whose dot products OpenBLAS
 splits over its threads once they are that long, so the series it draws
@@ -642,6 +646,13 @@ def commands():
     # an empty --table under critval, on a hit and on a miss
     cmds += [("critval", "--d", "2", "--alpha", "0.05", "--table", ""),
              crit + ("--paths", "200", "--grid", "50", "--table", "")]
+    # a missing input with one bad setting that needs no data, which is
+    # refused first
+    cmds += [("scan", "absent.csv", "--trim", "0.7"),
+             ("estimate", "absent.csv", "--trim", "0.7"),
+             ("scan", "absent.csv", "--smoothing-window", "4"),
+             ("detect", "absent.csv", "--scan", "--min-prominence", "-1"),
+             ("spectrum", "absent.csv", "--h", "0")]
     return cmds
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import math
 import os
 import sys
 from dataclasses import replace
@@ -177,19 +176,18 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_spectrum(args) -> None:
-    import numpy as np
-
     from .simulate import _MAX_VALUES
-    from .spectral import _spectrum_and_covariance, export_spectrum_csv
+    from .spectral import (_check_bandwidth, _spectrum_and_covariance,
+                           export_spectrum_csv)
 
     if args.freqs < 2:
         raise DomainError(f"need at least 2 frequencies, got {args.freqs}")
+    _check_bandwidth(args.h)
     series = _load_input(args)
     if args.freqs * series.d ** 2 > _MAX_VALUES:
         raise DomainError(f"{args.freqs} frequencies times d*d={series.d ** 2} "
                           f"exceeds {_MAX_VALUES} spectrum values; lower --freqs")
-    omegas = np.linspace(0.0, math.pi, args.freqs)
-    spectrum, lr = _spectrum_and_covariance(series, args.h, omegas)
+    omegas, spectrum, lr = _spectrum_and_covariance(series, args.h, args.freqs)
     out = _resolve_out(args.out)
     export_spectrum_csv(out, omegas, spectrum)
     print(f"T={series.T}")
@@ -232,11 +230,14 @@ def cmd_detect(args) -> None:
     """Test, then estimate (on rejection) and scan (with --scan). Every
     result is computed and the curve written before the first line is
     printed, so a failing step prints nothing and writes nothing."""
-    from . import engine
+    from . import engine, spectral
 
     table = _load_table(args.table)
     _check_level(args.alpha)
     engine._check_trim(args.trim)
+    spectral._check_bandwidth(args.h)
+    if args.scan:
+        engine._check_scan(args.smoothing_window, args.min_prominence)
     series = _load_input(args)
     result = engine.test(series, args.alpha, table, h=args.h)
     est = scan = None
@@ -261,9 +262,12 @@ def cmd_detect(args) -> None:
 
 def cmd_estimate(args) -> None:
     """Only ``quadform_argmax`` reads the long-run covariance and the
-    quadratic form, so only it studentizes the curve."""
-    from . import engine
+    quadratic form, so only it studentizes the curve and reads --h."""
+    from . import engine, spectral
 
+    if args.method == "quadform_argmax":
+        spectral._check_bandwidth(args.h)
+    engine._check_trim(args.trim)
     series = _load_input(args)
     if args.method == "quadform_argmax":
         curve = engine.studentize(series, args.h)[1]
@@ -274,8 +278,11 @@ def cmd_estimate(args) -> None:
 
 
 def cmd_scan(args) -> None:
-    from . import engine
+    from . import engine, spectral
 
+    spectral._check_bandwidth(args.h)
+    engine._check_scan(args.smoothing_window, args.min_prominence)
+    engine._check_trim(args.trim)
     series = _load_input(args)
     curve = engine.studentize(series, args.h)[1]
     scan = engine.scan_extrema(curve, args.smoothing_window,

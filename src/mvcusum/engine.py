@@ -302,6 +302,17 @@ def estimate_changepoint(
     )
 
 
+def _check_scan(window, prominence) -> None:
+    """Refuse a smoothing window that is not an odd integer >= 1 and a
+    prominence floor below 0 or nan; None, which asks for the default,
+    passes."""
+    if window is not None and (int(window) != window or window < 1
+                               or window % 2 == 0):
+        raise DomainError(f"smoothing window must be odd and >= 1, got {window}")
+    if prominence is not None and not prominence >= 0:  # nan fails this too
+        raise DomainError(f"prominence floor must be >= 0, got {prominence}")
+
+
 def _smooth(q: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average of odd width ``window`` <= len(q), q reflected
     at each end: ``np.convolve(np.pad(q, window // 2, mode="reflect"), ...)``
@@ -379,18 +390,17 @@ def scan_extrema(
     """
     q = _q(curve)
     N = curve.N
+    _check_scan(smoothing_window, min_prominence)
+    _check_trim(trim)
     if smoothing_window is None:
         smoothing_window = 2 * _int_fourth_root(N) + 1
     w = smoothing_window
-    if int(w) != w or w < 1 or w % 2 == 0:
-        raise DomainError(f"smoothing window must be odd and >= 1, got {w}")
     if w > len(q):
         raise DomainError(f"smoothing window {w} exceeds curve length {len(q)}")
     sm = _smooth(q, int(w))
     if min_prominence is None:
         min_prominence = 0.1 * float(sm.max() - sm.min())
-    if not min_prominence >= 0:  # NaN fails this too
-        raise DomainError(f"prominence floor must be >= 0, got {min_prominence}")
+        _check_scan(None, min_prominence)  # nan where the curve is not finite
     lo, hi = _interior_bounds(N, trim)
     found = []
     for kind, sign in (("max", 1.0), ("min", -1.0)):

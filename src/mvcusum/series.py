@@ -505,9 +505,6 @@ def _parse_cells(fh, skip_rows, columns, usecols):
 
 
 _CHUNK_ROWS = 2_000  # the kernel's arrays stay in cache: 2x slower at 10,000 rows
-# Below this many values a chunk is formatted by the % operator: the
-# kernel's fixed cost, about 150 us a call, pays off from about 250 values.
-_KERNEL_MIN_VALUES = 256
 
 
 def _write_table(path, header, blocks) -> None:
@@ -516,24 +513,21 @@ def _write_table(path, header, blocks) -> None:
     digits, so a reload round-trips every value exactly.
 
     The header goes through csv.writer, for its quoting and line ends.
-    Floats never need quoting, so the rows are formatted a chunk at a time,
-    by `_format_rows` or, for a small chunk, `_format_rows_percent`; the
-    columns are stacked per chunk too, so no copy of the whole table is
-    made."""
+    Floats never need quoting, so the rows are formatted a chunk at a time
+    by `_format_rows`; the columns are stacked per chunk too, so no copy of
+    the whole table is made."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for columns in blocks:
             for lo in range(0, len(columns[0]), _CHUNK_ROWS):
                 chunk = np.column_stack([c[lo:lo + _CHUNK_ROWS] for c in columns])
-                small = chunk.size < _KERNEL_MIN_VALUES
-                fh.write((_format_rows_percent if small else _format_rows)(chunk))
+                fh.write(_format_rows(chunk))
 
 
 def _format_rows_percent(chunk) -> str:
     """The rows of a 2-D array as CSV lines: each value as ``'%.17g'``
     prints it, comma separated, each row ended by CRLF. The reference for
-    `_format_rows`, and the path of a chunk that is small or holds a nan or
-    an inf."""
+    `_format_rows`, and its path for a chunk that holds a nan or an inf."""
     rows, width = chunk.shape
     line = ",".join(["%.17g"] * width) + "\r\n"
     return (line * rows) % tuple(chunk.ravel().tolist())

@@ -5,9 +5,10 @@ The long-run covariance of a stationary multivariate series equals 2*pi times
 its spectral density at frequency zero, so the estimation chain here is:
 one real FFT of the mean-corrected series per `dft` call -> the 2h+1
 matrix-periodogram ordinates around each requested frequency (and no
-others) -> their flat average, the smoothed spectrum -> long-run covariance
-(with an eigenvalue floor so the inverse stays usable on near-degenerate
-input).
+others) -> their flat average, the smoothed spectrum -> long-run covariance,
+read from the first window of the grid, at frequency zero, so no window is
+evaluated twice (with an eigenvalue floor so the inverse stays usable on
+near-degenerate input).
 """
 
 from __future__ import annotations
@@ -119,6 +120,13 @@ def default_bandwidth(T: int) -> int:
     return _int_fourth_root(T)
 
 
+def _check_bandwidth(h) -> None:
+    """Refuse a bandwidth that is not a positive integer; None, which asks
+    for the default, passes."""
+    if h is not None and (int(h) != h or h < 1):
+        raise DomainError(f"bandwidth must be a positive integer, got {h}")
+
+
 def smoothed_spectrum(series: MultivariateSeries, h: int, omegas) -> np.ndarray:
     """Smoothed spectral density at each frequency in omegas, shape (n, d, d).
 
@@ -132,8 +140,7 @@ def smoothed_spectrum(series: MultivariateSeries, h: int, omegas) -> np.ndarray:
     where omega < 0 are conjugated.
     """
     N, d = series.values.shape
-    if int(h) != h or h < 1:
-        raise DomainError(f"bandwidth must be a positive integer, got {h}")
+    _check_bandwidth(h)
     h = int(h)
     if 2 * h + 1 > N:
         raise BandwidthTooLarge(
@@ -167,20 +174,21 @@ def long_run_covariance(
     the floor, and the ridge size is reported.  A non-finite estimate, or an
     inverse that is singular or not finite, raises DegenerateSpectrum.
     """
-    return _spectrum_and_covariance(series, h, [])[1]
+    return _spectrum_and_covariance(series, h, 1)[2]
 
 
-def _spectrum_and_covariance(series, h, omegas):
-    """The smoothed spectrum at omegas and the long-run covariance, from one
-    periodogram: the window at frequency 0 is evaluated with the others and
-    Sigma_hat is read from it, so omegas may hold any frequencies or none."""
+def _spectrum_and_covariance(series, h, freqs):
+    """The grid omegas = linspace(0, pi, freqs), the smoothed spectrum on it
+    and the long-run covariance, from one periodogram: Sigma_hat is read
+    from the grid's first window, at frequency 0."""
     T, d = series.values.shape
     if T < 16:
         raise TooShort(f"need at least 16 observations, got {T}")
     h_used = default_bandwidth(T) if h is None else h
+    omegas = np.linspace(0.0, math.pi, freqs)
     # an overflowing periodogram is reported by the finiteness check below
     with np.errstate(all="ignore"):
-        f = smoothed_spectrum(series, h_used, np.append(0.0, omegas))
+        f = smoothed_spectrum(series, h_used, omegas)
         sigma = _TWO_PI * f[0].real
         sigma = (sigma + sigma.T) / 2.0
     if not np.all(np.isfinite(sigma)):
@@ -204,7 +212,7 @@ def _spectrum_and_covariance(series, h, omegas):
             "long-run covariance has no finite inverse; input values are too small"
         )
     inv = (inv + inv.T) / 2.0
-    return f[1:], LongRunCovariance(
+    return omegas, f, LongRunCovariance(
         sigma=sigma, sigma_inv=inv, ridge_applied=ridge, h_used=int(h_used), N=T
     )
 
@@ -213,7 +221,7 @@ def export_spectrum_csv(path, omegas, matrices) -> None:
     """Write smoothed-spectrum matrices to CSV: one row per frequency, with
     the d*d entries flattened row-major as interleaved real/imaginary
     columns."""
-    f = np.asarray(matrices)
+    f = np.ascontiguousarray(matrices, dtype=np.complex128)
     if len(f) == 0:
         raise DomainError("nothing to export: no frequencies given")
     n, d = f.shape[:2]
@@ -221,5 +229,5 @@ def export_spectrum_csv(path, omegas, matrices) -> None:
     for p in range(d):
         for q in range(d):
             header += [f"re_{p}_{q}", f"im_{p}_{q}"]
-    reim = np.stack([f.real, f.imag], -1).reshape(n, -1)
+    reim = f.view(np.float64).reshape(n, -1)  # the re/im pairs f holds
     _write_table(path, header, [[np.asarray(omegas, np.float64), reim]])

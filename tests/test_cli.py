@@ -489,6 +489,25 @@ def test_spectrum_default_bandwidth_is_fourth_root(capsys, tmp_path, monkeypatch
     assert kv_lines(out)["h_used"] == "4"
 
 
+def test_spectrum_evaluates_each_window_once(capsys, tmp_path, monkeypatch):
+    # the grid starts at frequency 0 and Sigma_hat is read from that window,
+    # so --freqs 257 sends 257 windows of 2h+1 ordinates to the periodogram
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "x.csv"
+    write_series(path, SimulationSpec(d=2, T=256, m=0, seed=3))
+    shapes = []
+
+    def recorded(series, js, _dft=spectral.dft):
+        shapes.append(np.shape(js))
+        return _dft(series, js)
+
+    monkeypatch.setattr(spectral, "dft", recorded)
+    rc, _, _ = run_cli(capsys, "spectrum", path, "--h", "3", "--freqs", "257")
+    assert rc == 0
+    assert sum(rows for rows, _ in shapes) == 257
+    assert {width for _, width in shapes} == {2 * 3 + 1}
+
+
 def test_spectrum_transform_diff_shortens_series(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "x.csv"
@@ -1089,16 +1108,51 @@ def test_unreadable_file_is_a_data_error(capsys, tmp_path, monkeypatch, files,
 
 def test_detect_checks_trim_before_reading_the_input(capsys, tmp_path,
                                                      cv2_csv):
-    # a trim outside [0, 0.5) is an error whether or not the test rejects
+    # a trim outside [0, 0.5) is an error whether or not the test rejects,
+    # under each command that reads one, before the input is read
     path = tmp_path / "h0.csv"
     write_series(path, SimulationSpec(d=2, T=400, m=2, seed=SEED_H0))
     line = "error: DomainError: trim fraction must be in [0, 0.5), got 0.7\n"
-    for source in (path, tmp_path / "absent.csv"):
-        rc, out, err = run_cli(capsys, "detect", source, "--table", cv2_csv,
-                               "--trim", "0.7")
-        assert (rc, out, err) == (2, "", line)
+    for command in (("detect", "--table", cv2_csv), ("scan",), ("estimate",)):
+        for source in (path, tmp_path / "absent.csv"):
+            rc, out, err = run_cli(capsys, command[0], source, *command[1:],
+                                   "--trim", "0.7")
+            assert (rc, out, err) == (2, "", line)
     rc, out, _ = run_cli(capsys, "detect", path, "--table", cv2_csv)
     assert rc == 0 and kv_lines(out)["reject"] == "false"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("detect", "--h", "0"), "bandwidth must be a positive integer, got 0"),
+    (("scan", "--h", "0"), "bandwidth must be a positive integer, got 0"),
+    (("estimate", "--h", "0"), "bandwidth must be a positive integer, got 0"),
+    (("spectrum", "--h", "0"), "bandwidth must be a positive integer, got 0"),
+    (("detect", "--scan", "--smoothing-window", "4"),
+     "smoothing window must be odd and >= 1, got 4"),
+    (("scan", "--smoothing-window", "4"),
+     "smoothing window must be odd and >= 1, got 4"),
+    (("detect", "--scan", "--min-prominence", "-1"),
+     "prominence floor must be >= 0, got -1.0"),
+    (("scan", "--min-prominence", "-1"),
+     "prominence floor must be >= 0, got -1.0"),
+], ids=["detect-h", "scan-h", "estimate-h", "spectrum-h", "detect-window",
+        "scan-window", "detect-prominence", "scan-prominence"])
+def test_settings_are_refused_before_reading_the_input(capsys, tmp_path, argv,
+                                                       message):
+    rc, out, err = run_cli(capsys, argv[0], tmp_path / "absent.csv", *argv[1:])
+    assert (rc, out, err) == (2, "", f"error: DomainError: {message}\n")
+
+
+def test_settings_a_command_does_not_read_are_not_checked(capsys, ha_csv,
+                                                          cv2_csv):
+    # the norm_argmax estimate reads no bandwidth, and detect without
+    # --scan no scan setting
+    path, _, _ = ha_csv
+    for argv in (("estimate", path, "--method", "norm_argmax", "--h", "0"),
+                 ("detect", path, "--table", cv2_csv, "--smoothing-window",
+                  "4", "--min-prominence", "-1")):
+        rc, _, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, "")
 
 
 def test_detect_column_subset(capsys, tmp_path):

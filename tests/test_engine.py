@@ -628,6 +628,20 @@ def test_scan_even_window_rejected():
         _scanned(_two_shift_series(), smoothing_window=4)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"trim": 0.7}, "trim fraction must be in"),
+    ({"min_prominence": -1}, "prominence floor must be >= 0"),
+])
+def test_scan_refuses_a_setting_before_smoothing(monkeypatch, kw, message):
+    # a setting that needs no data is refused before the curve is smoothed
+    def smooth(q, window):
+        raise AssertionError("the curve was smoothed")
+
+    monkeypatch.setattr(engine, "_smooth", smooth)
+    with pytest.raises(DomainError, match=message):
+        _scanned(_two_shift_series(), **kw)
+
+
 def test_scan_requires_q():
     c = cusum(_two_shift_series())
     with pytest.raises(DomainError):

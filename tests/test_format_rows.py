@@ -79,15 +79,14 @@ def _short_decimals(rng):
     return np.array([float(f"{m}e{e}") for m, e in zip(mant, exps)])
 
 
-@pytest.mark.parametrize("family", [
-    "random_bits", "powers_of_ten", "ties", "near_ties", "quarters",
-    "integers", "short_decimals", "special",
-])
-@pytest.mark.parametrize("width", [1, 3])
-def test_kernel_text_equals_percent_g17(family, width):
-    rng = np.random.default_rng(2024)
+FAMILIES = ["random_bits", "powers_of_ten", "ties", "near_ties", "quarters",
+            "integers", "short_decimals", "special"]
+
+
+def _family(name, rng, bits=100_000):
+    """The finite values of one family, each with its negation."""
     values = {
-        "random_bits": lambda: _random_bits(rng, 100_000),
+        "random_bits": lambda: _random_bits(rng, bits),
         "powers_of_ten": _powers_of_ten,
         "ties": lambda: _ties(rng),
         "near_ties": _near_ties,
@@ -95,11 +94,27 @@ def test_kernel_text_equals_percent_g17(family, width):
         "integers": lambda: _integers(rng),
         "short_decimals": lambda: _short_decimals(rng),
         "special": lambda: np.array([0.0, -0.0] + SPECIAL),
-    }[family]()
+    }[name]()
     values = values[np.isfinite(values)]
-    values = np.concatenate([values, -values])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("width", [1, 3])
+def test_kernel_text_equals_percent_g17(family, width):
+    values = _family(family, np.random.default_rng(2024))
     chunk = values[: len(values) // width * width].reshape(-1, width)
     _assert_same_text(chunk)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_small_chunks_text_equals_percent_g17(family):
+    # the CSV writers hand the kernel chunks of every size, one value too
+    rng = np.random.default_rng(2025)
+    values = np.resize(rng.permutation(_family(family, rng, bits=1000)), 144)
+    for rows, width in ((1, 1), (1, 9), (16, 3)):
+        for chunk in values.reshape(-1, rows, width):
+            _assert_same_text(chunk)
 
 
 def _assert_same_text(chunk):

@@ -288,12 +288,16 @@ def test_smoothed_spectrum_bit_equals_window_loop(monkeypatch):
 
 
 def test_covariance_read_at_zero_whatever_the_frequencies():
+    # Sigma_hat is read from the first window of the grid linspace(0, pi,
+    # freqs), bit for bit what long_run_covariance gives
     s = _series(np.random.default_rng(43), 300, 3)
-    f, lr = _spectrum_and_covariance(s, 4, [0.7, 0.0])
     want = long_run_covariance(s, 4)
-    np.testing.assert_array_equal(lr.sigma, want.sigma)
-    np.testing.assert_array_equal(lr.sigma_inv, want.sigma_inv)
-    np.testing.assert_array_equal(f, smoothed_spectrum(s, 4, [0.7, 0.0]))
+    for freqs in (1, 2, 5):
+        omegas, f, lr = _spectrum_and_covariance(s, 4, freqs)
+        np.testing.assert_array_equal(omegas, np.linspace(0.0, np.pi, freqs))
+        np.testing.assert_array_equal(lr.sigma, want.sigma)
+        np.testing.assert_array_equal(lr.sigma_inv, want.sigma_inv)
+        np.testing.assert_array_equal(f, smoothed_spectrum(s, 4, omegas))
 
 
 def test_smoothed_negative_omega_conjugate():
