@@ -118,6 +118,11 @@ groups, roughly in the order of the comments in `commands`:
   before the input is read: ``scan --trim 0.7``, ``estimate --trim 0.7``,
   ``scan --smoothing-window 4``, ``detect --scan --min-prominence -1`` and
   ``spectrum --h 0``.
+- Settings checked as the parser reads them: a bad one that the command
+  does not read (``estimate --method norm_argmax --h 0``, ``detect
+  --smoothing-window 4 --min-prominence -1`` without ``--scan``), two in
+  both orders (``--h 0 --trim 0.7``), one beside a missing ``--table`` or
+  an unknown grid, and ``--h 0 --h 3``.
 
 The ``rho=0.999`` filter is a convolution whose dot products OpenBLAS
 splits over its threads once they are that long, so the series it draws
@@ -653,6 +658,18 @@ def commands():
              ("scan", "absent.csv", "--smoothing-window", "4"),
              ("detect", "absent.csv", "--scan", "--min-prominence", "-1"),
              ("spectrum", "absent.csv", "--h", "0")]
+    # settings checked as the parser reads them: one the command does not
+    # read, the first of two, one ahead of a missing --table or grid, and
+    # the first value of a repeated flag
+    cmds += [("estimate", small, "--method", "norm_argmax", "--h", "0"),
+             ("detect", small, "--smoothing-window", "4", "--min-prominence",
+              "-1"),
+             ("scan", "absent.csv", "--h", "0", "--trim", "0.7"),
+             ("scan", "absent.csv", "--trim", "0.7", "--h", "0"),
+             ("detect", "absent.csv", "--table", "absent_t.csv", "--alpha",
+              "2"),
+             ("bench", "nogrid", "--reps", "0"),
+             ("scan", "absent.csv", "--h", "0", "--h", "3")]
     return cmds
 
 

@@ -19,6 +19,11 @@ backslash escape, so no line fails to print.  All file outputs are plain
 CSV or key=value text, and every subcommand is bit-reproducible given the
 same flags and seed.
 
+Each setting that needs no data is checked as the parser reads it (its
+argparse type calls the setting's check in `errors`), in command-line
+order before any file is opened; a check that needs the data runs once the
+input is read.
+
 The module imports only the standard library, `errors` and `critical`, and
 each ``cmd_*`` imports the modules it runs, so ``--help``, a usage error and
 a ``critval`` answered from the table never load numpy.
@@ -38,12 +43,13 @@ from .critical import (
     DEFAULT_PATHS,
     SHIPPED_GRIDS,
     CriticalValueTable,
-    _check_level,
     critical_value,
     default_table,
 )
-from .errors import (CellFailures, DomainError, ToolkitError, TooShort,
-                     UsageError)
+from .errors import (_MAX_VALUES, CellFailures, DomainError, ToolkitError,
+                     TooShort, UsageError, _check_bandwidth, _check_freqs,
+                     _check_level, _check_prominence, _check_reps,
+                     _check_trim, _check_window)
 
 if TYPE_CHECKING:
     from .series import MultivariateSeries
@@ -176,13 +182,8 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_spectrum(args) -> None:
-    from .simulate import _MAX_VALUES
-    from .spectral import (_check_bandwidth, _spectrum_and_covariance,
-                           export_spectrum_csv)
+    from .spectral import _spectrum_and_covariance, export_spectrum_csv
 
-    if args.freqs < 2:
-        raise DomainError(f"need at least 2 frequencies, got {args.freqs}")
-    _check_bandwidth(args.h)
     series = _load_input(args)
     if args.freqs * series.d ** 2 > _MAX_VALUES:
         raise DomainError(f"{args.freqs} frequencies times d*d={series.d ** 2} "
@@ -230,14 +231,9 @@ def cmd_detect(args) -> None:
     """Test, then estimate (on rejection) and scan (with --scan). Every
     result is computed and the curve written before the first line is
     printed, so a failing step prints nothing and writes nothing."""
-    from . import engine, spectral
+    from . import engine
 
     table = _load_table(args.table)
-    _check_level(args.alpha)
-    engine._check_trim(args.trim)
-    spectral._check_bandwidth(args.h)
-    if args.scan:
-        engine._check_scan(args.smoothing_window, args.min_prominence)
     series = _load_input(args)
     result = engine.test(series, args.alpha, table, h=args.h)
     est = scan = None
@@ -263,11 +259,8 @@ def cmd_detect(args) -> None:
 def cmd_estimate(args) -> None:
     """Only ``quadform_argmax`` reads the long-run covariance and the
     quadratic form, so only it studentizes the curve and reads --h."""
-    from . import engine, spectral
+    from . import engine
 
-    if args.method == "quadform_argmax":
-        spectral._check_bandwidth(args.h)
-    engine._check_trim(args.trim)
     series = _load_input(args)
     if args.method == "quadform_argmax":
         curve = engine.studentize(series, args.h)[1]
@@ -278,11 +271,8 @@ def cmd_estimate(args) -> None:
 
 
 def cmd_scan(args) -> None:
-    from . import engine, spectral
+    from . import engine
 
-    spectral._check_bandwidth(args.h)
-    engine._check_scan(args.smoothing_window, args.min_prominence)
-    engine._check_trim(args.trim)
     series = _load_input(args)
     curve = engine.studentize(series, args.h)[1]
     scan = engine.scan_extrema(curve, args.smoothing_window,
@@ -335,8 +325,6 @@ def cmd_bench(args) -> None:
             else load_shipped_grid(path))
     table = _load_table(args.table)
     if args.reps is not None:
-        if args.reps < 1:
-            raise DomainError(f"replication override must be >= 1, got {args.reps}")
         grid = replace(grid, cells=tuple(
             replace(cell, replications=args.reps) for cell in grid.cells
         ))
@@ -376,8 +364,20 @@ def _add_input_flags(sub) -> None:
                      help="pre-analysis transform (default: none)")
 
 
+def _checked(parse, check):
+    """An argparse type: ``parse`` the text, then ``check`` the value. It
+    carries ``parse``'s name, so bad text reads ``invalid int value``."""
+    def convert(text):
+        value = parse(text)
+        check(value)
+        return value
+    convert.__name__ = parse.__name__
+    return convert
+
+
 def _add_bandwidth_flag(sub) -> None:
-    sub.add_argument("--h", type=int, default=None, metavar="H",
+    sub.add_argument("--h", type=_checked(int, _check_bandwidth),
+                     default=None, metavar="H",
                      help="periodogram smoothing half-width (default: "
                           "integer fourth root of T)")
 
@@ -389,10 +389,13 @@ def _add_seed_flag(sub) -> None:
 
 
 def _add_scan_flags(sub) -> None:
-    sub.add_argument("--smoothing-window", type=int, default=None, metavar="W",
+    sub.add_argument("--smoothing-window", type=_checked(int, _check_window),
+                     default=None, metavar="W",
                      help="odd moving-average width for the scan (default: "
                           "2*floor(T^(1/4))+1)")
-    sub.add_argument("--min-prominence", type=float, default=None, metavar="P",
+    sub.add_argument("--min-prominence",
+                     type=_checked(float, _check_prominence),
+                     default=None, metavar="P",
                      help="prominence floor for scan extrema (default: 10%% "
                           "of the smoothed curve's range)")
 
@@ -464,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "an evenly spaced frequency grid.")
     _add_input_flags(spec)
     _add_bandwidth_flag(spec)
-    spec.add_argument("--freqs", type=int, default=257, metavar="N",
+    spec.add_argument("--freqs", type=_checked(int, _check_freqs),
+                      default=257, metavar="N",
                       help="number of grid frequencies in [0, pi] "
                            "(default: 257)")
     spec.add_argument("--out", default="spectrum.csv", metavar="FILE",
@@ -480,15 +484,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "breaks, --emit-curve exports the test curve.")
     _add_input_flags(det)
     _add_bandwidth_flag(det)
-    det.add_argument("--alpha", type=float, default=0.05,
-                     help="significance level (default: 0.05)")
+    det.add_argument("--alpha", type=_checked(float, _check_level),
+                     default=0.05, help="significance level (default: 0.05)")
     det.add_argument("--table", default=None, metavar="FILE",
                      help="critical-value table CSV (default: the shipped "
                           "table)")
     det.add_argument("--method", choices=("quadform_argmax", "norm_argmax"),
                      default="quadform_argmax",
                      help="change-point estimator (default: quadform_argmax)")
-    det.add_argument("--trim", type=float, default=0.0,
+    det.add_argument("--trim", type=_checked(float, _check_trim), default=0.0,
                      help="fraction of the grid excluded at each end for "
                           "estimates and scans (default: 0)")
     det.add_argument("--scan", action="store_true",
@@ -508,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--method", choices=("quadform_argmax", "norm_argmax"),
                      default="quadform_argmax",
                      help="estimator (default: quadform_argmax)")
-    est.add_argument("--trim", type=float, default=0.0,
+    est.add_argument("--trim", type=_checked(float, _check_trim), default=0.0,
                      help="fraction of the grid excluded at each end "
                           "(default: 0)")
     est.set_defaults(func=cmd_estimate)
@@ -521,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(scn)
     _add_bandwidth_flag(scn)
     _add_scan_flags(scn)
-    scn.add_argument("--trim", type=float, default=0.0,
+    scn.add_argument("--trim", type=_checked(float, _check_trim), default=0.0,
                      help="fraction of the grid excluded at each end "
                           "(default: 0)")
     scn.add_argument("--emit-curve", default=None, metavar="FILE",
@@ -537,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "miss; with --table the result is persisted back to "
                     "the file.")
     crit.add_argument("--d", type=int, required=True, help="dimension")
-    crit.add_argument("--alpha", type=float, default=0.05,
-                      help="significance level (default: 0.05)")
+    crit.add_argument("--alpha", type=_checked(float, _check_level),
+                      default=0.05, help="significance level (default: 0.05)")
     crit.add_argument("--paths", type=int, default=DEFAULT_PATHS,
                       help=f"Monte Carlo paths (default: {DEFAULT_PATHS})")
     crit.add_argument("--grid", type=int, default=DEFAULT_GRID,
@@ -558,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "break estimates, and a summary into the output "
                     "directory.")
     ben.add_argument("grid", help="grid file path or shipped grid name")
-    ben.add_argument("--reps", type=int, default=None,
+    ben.add_argument("--reps", type=_checked(int, _check_reps), default=None,
                      help="override the replication count of every cell")
     ben.add_argument("--table", default=None, metavar="FILE",
                      help="critical-value table CSV (default: the shipped "

@@ -24,6 +24,7 @@ from .errors import (
     MissingCriticalValue,
     NonFinite,
     NonNumericCell,
+    _check_level,
     _open_text,
 )
 
@@ -181,11 +182,6 @@ def _entry(sups: np.ndarray, alpha: float, grid: int, seed: int) -> CriticalEntr
         seed=seed,
         stderr_estimate=_quantile_stderr(sups, p),
     )
-
-
-def _check_level(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {alpha}")
 
 
 class CriticalValueTable:

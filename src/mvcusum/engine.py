@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .critical import CriticalValueTable
-from .errors import DimensionMismatch, DomainError, TooShort
+from .errors import (DimensionMismatch, DomainError, TooShort,
+                     _check_prominence, _check_trim, _check_window)
 from .series import MultivariateSeries, _frozen, _write_table
 from .spectral import LongRunCovariance, _int_fourth_root, long_run_covariance
 
@@ -247,11 +248,6 @@ def _q(curve: CusumCurve) -> np.ndarray:
     return curve.q
 
 
-def _check_trim(trim: float) -> None:
-    if not 0.0 <= trim < 0.5:
-        raise DomainError(f"trim fraction must be in [0, 0.5), got {trim}")
-
-
 def _interior_bounds(N: int, trim: float) -> tuple[int, int]:
     _check_trim(trim)
     lo = max(1, math.ceil(trim * N))
@@ -300,17 +296,6 @@ def estimate_changepoint(
     return ChangePointEstimate(
         k_hat=k / N, t_hat=k, method=method, curve_value=float(values[k])
     )
-
-
-def _check_scan(window, prominence) -> None:
-    """Refuse a smoothing window that is not an odd integer >= 1 and a
-    prominence floor below 0 or nan; None, which asks for the default,
-    passes."""
-    if window is not None and (int(window) != window or window < 1
-                               or window % 2 == 0):
-        raise DomainError(f"smoothing window must be odd and >= 1, got {window}")
-    if prominence is not None and not prominence >= 0:  # nan fails this too
-        raise DomainError(f"prominence floor must be >= 0, got {prominence}")
 
 
 def _smooth(q: np.ndarray, window: int) -> np.ndarray:
@@ -390,7 +375,8 @@ def scan_extrema(
     """
     q = _q(curve)
     N = curve.N
-    _check_scan(smoothing_window, min_prominence)
+    _check_window(smoothing_window)
+    _check_prominence(min_prominence)
     _check_trim(trim)
     if smoothing_window is None:
         smoothing_window = 2 * _int_fourth_root(N) + 1
@@ -400,7 +386,7 @@ def scan_extrema(
     sm = _smooth(q, int(w))
     if min_prominence is None:
         min_prominence = 0.1 * float(sm.max() - sm.min())
-        _check_scan(None, min_prominence)  # nan where the curve is not finite
+        _check_prominence(min_prominence)  # nan where the curve is not finite
     lo, hi = _interior_bounds(N, trim)
     found = []
     for kind, sign in (("max", 1.0), ("min", -1.0)):

@@ -6,6 +6,10 @@ bugs. Class names double as machine-readable error categories. The module
 imports no numpy, and neither does `_open_text`, the text-file opener whose
 missing-file, decode and csv errors name the file, so every reader of a
 text file can share it.
+
+It also holds the one check of each setting that needs no data, which the
+library functions and the CLI's parser both call, and `_MAX_VALUES`, the
+value budget of the largest arrays a setting sizes.
 """
 
 import csv
@@ -112,3 +116,47 @@ def _open_text(path, error, newline=None):
         raise error(f"{path}: not UTF-8: {exc.reason} (byte 0x{byte:02x})") from None
     except csv.Error as exc:
         raise error(f"{path}: {exc}") from None
+
+
+# Most values in one array that a setting sizes: T * d in a simulated
+# series, whose draw holds several float64 copies of it, 800 MB each at the
+# cap, and freqs * d * d in a spectrum.
+_MAX_VALUES = 100_000_000
+
+
+# The checks of the settings that need no data, each raising DomainError;
+# None, where a setting takes it, asks for the default and passes.
+def _check_bandwidth(h) -> None:
+    if h is not None and (int(h) != h or h < 1):
+        raise DomainError(f"bandwidth must be a positive integer, got {h}")
+
+
+def _check_level(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"level must be in (0, 1), got {alpha}")
+
+
+def _check_trim(trim: float) -> None:
+    if not 0.0 <= trim < 0.5:
+        raise DomainError(f"trim fraction must be in [0, 0.5), got {trim}")
+
+
+def _check_window(window) -> None:
+    if window is not None and (int(window) != window or window < 1
+                               or window % 2 == 0):
+        raise DomainError(f"smoothing window must be odd and >= 1, got {window}")
+
+
+def _check_prominence(prominence) -> None:
+    if prominence is not None and not prominence >= 0:  # nan fails this too
+        raise DomainError(f"prominence floor must be >= 0, got {prominence}")
+
+
+def _check_freqs(freqs: int) -> None:
+    if freqs < 2:
+        raise DomainError(f"need at least 2 frequencies, got {freqs}")
+
+
+def _check_reps(reps: int) -> None:
+    if reps < 1:
+        raise DomainError(f"replication override must be >= 1, got {reps}")

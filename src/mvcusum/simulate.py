@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatch, DomainError
+from .errors import _MAX_VALUES, DimensionMismatch, DomainError
 from .series import MultivariateSeries, _frozen
 
 __all__ = [
@@ -48,9 +48,6 @@ __all__ = [
 # proportion, whatever T is (rho = 0.99999 at the default tol needs
 # 3,914,375 rows for any series length).
 _MAX_DEPTH = 1_000_000
-# Most values T * d in one series: the draw holds several float64 copies of
-# it, 800 MB each at the cap.
-_MAX_VALUES = 100_000_000
 
 
 def exchangeable_cov(d, off):

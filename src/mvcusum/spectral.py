@@ -23,6 +23,7 @@ from .errors import (
     DegenerateSpectrum,
     DomainError,
     TooShort,
+    _check_bandwidth,
 )
 from .series import MultivariateSeries, _frozen, _write_table
 
@@ -118,13 +119,6 @@ def default_bandwidth(T: int) -> int:
     if T < 16:
         raise TooShort(f"need at least 16 observations for a bandwidth, got {T}")
     return _int_fourth_root(T)
-
-
-def _check_bandwidth(h) -> None:
-    """Refuse a bandwidth that is not a positive integer; None, which asks
-    for the default, passes."""
-    if h is not None and (int(h) != h or h < 1):
-        raise DomainError(f"bandwidth must be a positive integer, got {h}")
 
 
 def smoothed_spectrum(series: MultivariateSeries, h: int, omegas) -> np.ndarray:

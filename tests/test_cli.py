@@ -965,6 +965,20 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
      "FileNotFoundError: no such input file: "),
     ({}, ("critval", "--d", "2", "--alpha", "0.3", "--paths", "200", "--grid",
           "50", "--table", ""), "FileNotFoundError: no such input file: "),
+    # a setting is checked as the parser reads it, so it is reported ahead
+    # of a missing --table and of a grid that names no file or shipped grid
+    ({}, ("detect", "absent.csv", "--table", "absent_t.csv", "--alpha", "2"),
+     "DomainError: level must be in (0, 1), got 2.0"),
+    ({}, ("bench", "nogrid", "--reps", "0"),
+     "DomainError: replication override must be >= 1, got 0"),
+    # text that does not parse is still argparse's own line
+    ({}, ("scan", "absent.csv", "--h", "x"),
+     "UsageError: mvcusum scan: argument --h: invalid int value: 'x'"),
+    ({}, ("scan", "absent.csv", "--trim", "x"),
+     "UsageError: mvcusum scan: argument --trim: invalid float value: 'x'"),
+    ({}, ("spectrum", "absent.csv", "--freqs", "1.5"),
+     "UsageError: mvcusum spectrum: argument --freqs: invalid int value: "
+     "'1.5'"),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)
@@ -1135,24 +1149,39 @@ def test_detect_checks_trim_before_reading_the_input(capsys, tmp_path,
      "prominence floor must be >= 0, got -1.0"),
     (("scan", "--min-prominence", "-1"),
      "prominence floor must be >= 0, got -1.0"),
+    # of two bad settings, the first on the command line is reported, and
+    # a repeated flag is checked at each value
+    (("scan", "--h", "0", "--trim", "0.7"),
+     "bandwidth must be a positive integer, got 0"),
+    (("scan", "--trim", "0.7", "--h", "0"),
+     "trim fraction must be in [0, 0.5), got 0.7"),
+    (("scan", "--h", "0", "--h", "3"),
+     "bandwidth must be a positive integer, got 0"),
 ], ids=["detect-h", "scan-h", "estimate-h", "spectrum-h", "detect-window",
-        "scan-window", "detect-prominence", "scan-prominence"])
+        "scan-window", "detect-prominence", "scan-prominence", "h-then-trim",
+        "trim-then-h", "repeated-h"])
 def test_settings_are_refused_before_reading_the_input(capsys, tmp_path, argv,
                                                        message):
     rc, out, err = run_cli(capsys, argv[0], tmp_path / "absent.csv", *argv[1:])
     assert (rc, out, err) == (2, "", f"error: DomainError: {message}\n")
 
 
-def test_settings_a_command_does_not_read_are_not_checked(capsys, ha_csv,
-                                                          cv2_csv):
+def test_settings_a_command_does_not_read_are_still_checked(capsys, ha_csv,
+                                                            cv2_csv):
     # the norm_argmax estimate reads no bandwidth, and detect without
-    # --scan no scan setting
+    # --scan no scan setting, but a bad value is refused all the same
     path, _, _ = ha_csv
-    for argv in (("estimate", path, "--method", "norm_argmax", "--h", "0"),
-                 ("detect", path, "--table", cv2_csv, "--smoothing-window",
-                  "4", "--min-prominence", "-1")):
-        rc, _, err = run_cli(capsys, *argv)
-        assert (rc, err) == (0, "")
+    for argv, message in (
+        (("estimate", path, "--method", "norm_argmax", "--h", "0"),
+         "bandwidth must be a positive integer, got 0"),
+        (("detect", path, "--table", cv2_csv, "--smoothing-window", "4",
+          "--min-prominence", "-1"),
+         "smoothing window must be odd and >= 1, got 4"),
+        (("detect", path, "--table", cv2_csv, "--min-prominence", "-1"),
+         "prominence floor must be >= 0, got -1.0"),
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out, err) == (2, "", f"error: DomainError: {message}\n")
 
 
 def test_detect_column_subset(capsys, tmp_path):
@@ -1682,7 +1711,11 @@ mvcusum.default_table()
 report.append(("default_table()", 0, "numpy" in sys.modules))
 from mvcusum import cli
 for argv in (["critval", "--d", "5", "--alpha", "0.05"], ["--help"],
-             ["detect", "x.csv", "--transform", "nope"]):
+             ["detect", "x.csv", "--transform", "nope"],
+             ["detect", "x.csv", "--h", "3", "--trim", "0.1", "--alpha", "0.1",
+              "--smoothing-window", "5", "--min-prominence", "1",
+              "--transform", "nope"],
+             ["scan", "x.csv", "--h", "0"]):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(argv)
@@ -1705,6 +1738,9 @@ def test_import_and_cached_critval_load_no_numpy(tmp_path):
         ["critval --d 5 --alpha 0.05", 0, False],
         ["--help", 0, False],
         ["detect x.csv --transform nope", 2, False],
+        ["detect x.csv --h 3 --trim 0.1 --alpha 0.1 --smoothing-window 5 "
+         "--min-prominence 1 --transform nope", 2, False],
+        ["scan x.csv --h 0", 2, False],
     ]
 
 
