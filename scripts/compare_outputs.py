@@ -123,6 +123,9 @@ groups, roughly in the order of the comments in `commands`:
   --smoothing-window 4 --min-prominence -1`` without ``--scan``), two in
   both orders (``--h 0 --trim 0.7``), one beside a missing ``--table`` or
   an unknown grid, and ``--h 0 --h 3``.
+- The other data-free settings, refused as the parser reads them:
+  ``--threads 0``, ``--skip-rows -1`` and ``critval``'s budget at a cached
+  level; and a byte-order mark before a dated CSV and before a grid.
 
 The ``rho=0.999`` filter is a convolution whose dot products OpenBLAS
 splits over its threads once they are that long, so the series it draws
@@ -204,7 +207,9 @@ def write_inputs(root):
         prices.append([f"2019-{1 + (i // 28) % 12:02d}-{1 + i % 28:02d}"]
                       + [format(v + shift, ".6f") for v in level])
     head = ["Date", "Open", "High", "Low", "Close", "Volume"]
-    put("dated.csv", "\n".join(",".join(r) for r in [head] + prices) + "\n")
+    dated = "\n".join(",".join(r) for r in [head] + prices) + "\n"
+    put("dated.csv", dated)
+    put("bom_dated.csv", "\ufeff" + dated)  # Excel's "CSV UTF-8"
     put("undated.csv",
         "\n".join(",".join(r[1:]) for r in [head] + prices) + "\n")
 
@@ -238,6 +243,7 @@ def write_inputs(root):
         "seed=5\n")
     cell = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
     put("escape.grid", "name=../escaped\n" + cell)
+    put("bom.grid", "\ufeffname=bom\n" + cell)
     put("slash.grid", "name=g\n" + cell.replace("cell=a", "cell=a/b"))
     put("nul.grid", "name=g\0x\n" + cell)
     put("long_cell.grid", "name=g\n" + cell.replace("cell=a", "cell=" + "c" * 300))
@@ -670,6 +676,18 @@ def commands():
               "2"),
              ("bench", "nogrid", "--reps", "0"),
              ("scan", "absent.csv", "--h", "0", "--h", "3")]
+    # the other data-free settings, each ahead of a missing grid or table or
+    # of a table that holds the answer, and a byte-order mark before a CSV
+    # and a grid
+    cached = ("critval", "--d", "2", "--alpha", "0.05")
+    cmds += [("bench", "nogrid", "--threads", "0"),
+             ("detect", "absent.csv", "--table", "absent_t.csv",
+              "--skip-rows", "-1"),
+             cached + ("--paths", "0"),
+             cached + ("--grid", "1"),
+             cached + ("--seed", "-1"),
+             ("detect", IN + "bom_dated.csv", "--scan"),
+             ("bench", IN + "bom.grid", "--output-dir", "g")]
     return cmds
 
 

@@ -20,9 +20,10 @@ CSV or key=value text, and every subcommand is bit-reproducible given the
 same flags and seed.
 
 Each setting that needs no data is checked as the parser reads it (its
-argparse type calls the setting's check in `errors`), in command-line
-order before any file is opened; a check that needs the data runs once the
-input is read.
+argparse type calls the library's check of it), in command-line order
+before any file is opened; a check that needs the data runs once the input
+is read. ``simulate``'s recipe flags are the one exception: the recipe
+builder checks them with the keys of the config file.
 
 The module imports only the standard library, `errors` and `critical`, and
 each ``cmd_*`` imports the modules it runs, so ``--help``, a usage error and
@@ -43,12 +44,16 @@ from .critical import (
     DEFAULT_PATHS,
     SHIPPED_GRIDS,
     CriticalValueTable,
+    _check_dimension,
+    _check_grid,
+    _check_paths,
     critical_value,
     default_table,
 )
 from .errors import (_MAX_VALUES, CellFailures, DomainError, ToolkitError,
                      TooShort, UsageError, _check_bandwidth, _check_freqs,
                      _check_level, _check_prominence, _check_reps,
+                     _check_seed, _check_skip_rows, _check_threads,
                      _check_trim, _check_window)
 
 if TYPE_CHECKING:
@@ -357,7 +362,8 @@ def _add_input_flags(sub) -> None:
     sub.add_argument("--date-column", default=None, metavar="NAME",
                      help="date column, left out of the values (default: "
                           "a column named 'date', if present)")
-    sub.add_argument("--skip-rows", type=int, default=0, metavar="N",
+    sub.add_argument("--skip-rows", type=_checked(int, _check_skip_rows),
+                     default=0, metavar="N",
                      help="CSV records to skip before the header row "
                           "(default: 0)")
     sub.add_argument("--transform", choices=_TRANSFORMS, default="none",
@@ -380,12 +386,6 @@ def _add_bandwidth_flag(sub) -> None:
                      default=None, metavar="H",
                      help="periodogram smoothing half-width (default: "
                           "integer fourth root of T)")
-
-
-def _add_seed_flag(sub) -> None:
-    sub.add_argument("--seed", type=int, default=None,
-                     help="integer seed override (default: per-command "
-                          "deterministic default)")
 
 
 def _add_scan_flags(sub) -> None:
@@ -455,7 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output series CSV (default: series.csv)")
     sim.add_argument("--meta", default=None, metavar="FILE",
                      help="metadata sidecar path (default: <out>.meta)")
-    _add_seed_flag(sim)
+    sim.add_argument("--seed", type=int, default=None,
+                     help="integer seed override (default: per-command "
+                          "deterministic default)")
     sim.set_defaults(func=cmd_simulate)
 
     spec = subs.add_parser(
@@ -540,17 +542,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulating it at the given Monte Carlo budget on a "
                     "miss; with --table the result is persisted back to "
                     "the file.")
-    crit.add_argument("--d", type=int, required=True, help="dimension")
+    crit.add_argument("--d", type=_checked(int, _check_dimension),
+                      required=True, help="dimension")
     crit.add_argument("--alpha", type=_checked(float, _check_level),
                       default=0.05, help="significance level (default: 0.05)")
-    crit.add_argument("--paths", type=int, default=DEFAULT_PATHS,
+    crit.add_argument("--paths", type=_checked(int, _check_paths),
+                      default=DEFAULT_PATHS,
                       help=f"Monte Carlo paths (default: {DEFAULT_PATHS})")
-    crit.add_argument("--grid", type=int, default=DEFAULT_GRID,
+    crit.add_argument("--grid", type=_checked(int, _check_grid),
+                      default=DEFAULT_GRID,
                       help=f"time-grid resolution (default: {DEFAULT_GRID})")
     crit.add_argument("--table", default=None, metavar="FILE",
                       help="table CSV to read and extend (default: the "
                            "shipped table, read-only)")
-    _add_seed_flag(crit)
+    crit.add_argument("--seed", type=_checked(int, _check_seed), default=None,
+                      help="integer seed override (default: per-command "
+                           "deterministic default)")
     crit.set_defaults(func=cmd_critval)
 
     ben = subs.add_parser(
@@ -572,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "only on rejections")
     ben.add_argument("--keep-going", action="store_true",
                      help="exit 0 even when some replications fail")
-    ben.add_argument("--threads", type=int, default=1,
+    ben.add_argument("--threads", type=_checked(int, _check_threads),
+                     default=1,
                      help="worker thread cap for bench cells (default: 1)")
     ben.add_argument("--output-dir", default=None, metavar="DIR",
                      help="directory for <name>.csv, <name>_hist.csv and "

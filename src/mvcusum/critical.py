@@ -24,7 +24,9 @@ from .errors import (
     MissingCriticalValue,
     NonFinite,
     NonNumericCell,
+    _bounds,
     _check_level,
+    _check_seed,
     _open_text,
 )
 
@@ -65,6 +67,10 @@ _CHUNK_CELLS = 2_560_000
 # of the most paths take 80 MB.
 _MAX_GRID = _CHUNK_CELLS
 _MAX_PATHS = 10_000_000
+# the checks of a simulation's budget, which critval's parser calls too
+_check_dimension = _bounds("dimension", 1)
+_check_paths = _bounds("paths", 1, _MAX_PATHS)
+_check_grid = _bounds("grid", 2, _MAX_GRID)
 
 
 @dataclass(frozen=True)
@@ -82,18 +88,10 @@ def default_seed(d: int) -> int:
 
 def _check_budget(d: int, paths: int, grid: int, seed: int) -> None:
     """Refuse a dimension, path count, grid or seed that no simulation runs."""
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    if paths < 1:
-        raise DomainError(f"paths must be >= 1, got {paths}")
-    if paths > _MAX_PATHS:
-        raise DomainError(f"paths must be <= {_MAX_PATHS}, got {paths}")
-    if grid < 2:
-        raise DomainError(f"grid must be >= 2, got {grid}")
-    if grid > _MAX_GRID:
-        raise DomainError(f"grid must be <= {_MAX_GRID}, got {grid}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    _check_dimension(d)
+    _check_paths(paths)
+    _check_grid(grid)
+    _check_seed(seed)
 
 
 def simulate_sup_bridges(d: int, paths: int, grid: int, seed: int) -> np.ndarray:
@@ -214,8 +212,7 @@ class CriticalValueTable:
         for name, cell in (("value", entry.value), ("stderr", stderr)):
             if not math.isfinite(cell):
                 raise DomainError(f"{name} must be finite, got {cell}")
-        if stderr < 0.0:
-            raise DomainError(f"stderr must be >= 0, got {stderr}")
+        _bounds("stderr", 0)(stderr)
         self.entries[(d, alpha)] = entry
 
     def check_monotone(self) -> list[str]:

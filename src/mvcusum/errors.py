@@ -7,13 +7,15 @@ imports no numpy, and neither does `_open_text`, the text-file opener whose
 missing-file, decode and csv errors name the file, so every reader of a
 text file can share it.
 
-It also holds the one check of each setting that needs no data, which the
-library functions and the CLI's parser both call, and `_MAX_VALUES`, the
-value budget of the largest arrays a setting sizes.
+It also holds the check of each setting that needs no data, which the
+library and the CLI's parser both call; `_bounds`, which builds each
+integer bound; and `_MAX_VALUES`, the value budget of a setting's arrays.
 """
 
 import csv
 from contextlib import contextmanager
+
+_ENCODING = "utf-8-sig"  # of text inputs: a leading byte-order mark is dropped
 
 __all__ = [
     "ToolkitError",
@@ -100,12 +102,12 @@ class CellFailures(ToolkitError):
 
 @contextmanager
 def _open_text(path, error, newline=None):
-    """``open(path, encoding="utf-8")``; a missing file raises
+    """``open(path, encoding=_ENCODING)``; a missing file raises
     FileNotFoundError naming it, and a byte that is not UTF-8, or a record
     the csv module refuses (a field over its size limit), raises ``error``
     (a ToolkitError class) with a message naming the file."""
     try:
-        fh = open(path, newline=newline, encoding="utf-8")
+        fh = open(path, newline=newline, encoding=_ENCODING)
     except (FileNotFoundError, NotADirectoryError):  # x.csv/y names no file
         raise FileNotFoundError(f"no such input file: {path}") from None
     try:
@@ -126,6 +128,17 @@ _MAX_VALUES = 100_000_000
 
 # The checks of the settings that need no data, each raising DomainError;
 # None, where a setting takes it, asks for the default and passes.
+def _bounds(what, least, most=None):
+    """The check that a value lies in [least, most] (no top when most is
+    None), whose message names ``what`` and the bound it breaks."""
+    def check(value) -> None:
+        if value is not None and value < least:
+            raise DomainError(f"{what} must be >= {least}, got {value}")
+        if value is not None and most is not None and value > most:
+            raise DomainError(f"{what} must be <= {most}, got {value}")
+    return check
+
+
 def _check_bandwidth(h) -> None:
     if h is not None and (int(h) != h or h < 1):
         raise DomainError(f"bandwidth must be a positive integer, got {h}")
@@ -157,6 +170,7 @@ def _check_freqs(freqs: int) -> None:
         raise DomainError(f"need at least 2 frequencies, got {freqs}")
 
 
-def _check_reps(reps: int) -> None:
-    if reps < 1:
-        raise DomainError(f"replication override must be >= 1, got {reps}")
+_check_reps = _bounds("replication override", 1)
+_check_threads = _bounds("thread cap", 1)
+_check_skip_rows = _bounds("skip_rows", 0)
+_check_seed = _bounds("seed", 0)

@@ -62,8 +62,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .critical import SHIPPED_GRIDS, CriticalValueTable
-from .errors import DomainError, GridParseError, ToolkitError, _open_text
-from .simulate import SimulationSpec, exchangeable_cov, gen_series
+from .errors import (DomainError, GridParseError, ToolkitError, _bounds,
+                     _check_threads, _open_text)
+from .simulate import SimulationSpec, _check_d, exchangeable_cov, gen_series
 
 __all__ = [
     "ExperimentCell",
@@ -90,11 +91,7 @@ class ExperimentCell:
     replications: int
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise DomainError(
-                f"cell {self.name!r}: replications must be >= 1, "
-                f"got {self.replications}"
-            )
+        _bounds("replications", 1)(self.replications)
 
 
 @dataclass(frozen=True)
@@ -206,8 +203,7 @@ def run_grid(
     worker threads; rows come back in grid order, and a failed cell never
     stops the grid. `write_grid_outputs` writes the rows as files.
     """
-    if threads < 1:
-        raise DomainError(f"thread cap must be >= 1, got {threads}")
+    _check_threads(threads)
 
     def one(cell: ExperimentCell) -> MetricsRow:
         return run_cell(cell, grid.alpha, table, always_estimate)
@@ -399,8 +395,10 @@ def _build_spec(name: str, kv: dict, source: str, counts=()):
     given = {key: _parse(kind, *kv.pop(key), source)
              for key, kind in (("rho", float), ("tol", float), ("seed", int))
              if key in kv}
-    if d < 1:  # the spec's own check, made before d sizes base, cov or delta
-        raise _cell_error(source, name, DomainError(f"d must be >= 1, got {d}"))
+    try:  # the spec's own check, made before d sizes base, cov or delta
+        _check_d(d)
+    except DomainError as exc:
+        raise _cell_error(source, name, exc) from None
 
     line_base, raw_base = take("base", "unit_gain")
     if raw_base == "unit_gain":

@@ -29,6 +29,8 @@ from .errors import (
     NonFinite,
     NonNumericCell,
     TooShort,
+    _ENCODING,
+    _check_skip_rows,
     _open_text,
 )
 
@@ -190,11 +192,10 @@ def load_csv(path, columns: Sequence[str] = (), date_column: Optional[str] = Non
     spellings (``1_000``, non-ASCII digits) and names the row and column of
     a bad cell. All three give every value the bits that ``float`` gives it.
     """
-    if skip_rows < 0:
-        raise DomainError(f"skip_rows must be >= 0, got {skip_rows}")
+    _check_skip_rows(skip_rows)
     with _open_text(path, DomainError, newline="") as raw:
         fh = raw if raw.seekable() else io.TextIOWrapper(
-            tempfile.TemporaryFile(), encoding="utf-8", newline="")
+            tempfile.TemporaryFile(), encoding=_ENCODING, newline="")
         with fh:
             if fh is not raw:  # as bytes: decoding, and naming a bad byte, stay here
                 shutil.copyfileobj(raw.buffer, fh.buffer)

@@ -34,7 +34,8 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import _MAX_VALUES, DimensionMismatch, DomainError
+from .errors import (_MAX_VALUES, DimensionMismatch, DomainError, _bounds,
+                     _check_seed)
 from .series import MultivariateSeries, _frozen
 
 __all__ = [
@@ -49,6 +50,8 @@ __all__ = [
 # 3,914,375 rows for any series length).
 _MAX_DEPTH = 1_000_000
 
+_check_d = _bounds("d", 1)
+
 
 def exchangeable_cov(d, off):
     """Covariance with unit diagonal and constant off-diagonal ``off``.
@@ -56,8 +59,7 @@ def exchangeable_cov(d, off):
     Positive definite iff ``-1/(d-1) < off < 1`` (any off for d = 1), and
     that range is enforced here.
     """
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    _check_d(d)
     lo = -1.0 / (d - 1) if d > 1 else -math.inf
     if not (lo < off < 1.0) and d > 1:
         raise DomainError(
@@ -134,8 +136,7 @@ class SimulationSpec:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {value}")
         d, rho, tol = self.d, self.rho, self.tol
-        if d < 1:
-            raise DomainError(f"d must be >= 1, got {d}")
+        _check_d(d)
         if not 0.0 <= rho < 1.0:
             raise DomainError(f"decay rate must be in [0, 1), got {rho}")
         if not tol > 0.0:
@@ -154,15 +155,12 @@ class SimulationSpec:
             k_max += 1
         object.__setattr__(self, "rho", float(rho))
         object.__setattr__(self, "K_max", k_max)
-        if self.T < 2:
-            raise DomainError(f"T must be >= 2, got {self.T}")
+        _bounds("T", 2)(self.T)
         if self.T * d > _MAX_VALUES:
             raise DomainError(f"T={self.T} times d={d} exceeds {_MAX_VALUES} "
                               f"values in one series; lower T or d")
-        if self.m < 0:
-            raise DomainError(f"dependence range m must be >= 0, got {self.m}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        _bounds("dependence range m", 0)(self.m)
+        _check_seed(self.seed)
         cov = _checked_array("innovation_cov", self.innovation_cov, (d, d),
                              lambda: np.eye(d))
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):

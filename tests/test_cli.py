@@ -881,7 +881,7 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
           "--out", "y.csv"),
      "GridParseError: command line: cell 'simulate': DomainError: "
      "innovation_cov must be finite"),
-    # run_grid refuses a cap below 1, for the CLI and library callers alike
+    # the parser refuses a thread cap below 1 with run_grid's own check
     ({}, ("bench", "table1", "--threads", "0"),
      "DomainError: thread cap must be >= 1, got 0"),
     ({}, ("bench", "table1", "--threads", "-3"),
@@ -979,6 +979,19 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
     ({}, ("spectrum", "absent.csv", "--freqs", "1.5"),
      "UsageError: mvcusum spectrum: argument --freqs: invalid int value: "
      "'1.5'"),
+    # every other data-free setting too: the thread cap ahead of a grid that
+    # names nothing, --skip-rows ahead of a missing --table, and critval's
+    # budget on a level the shipped table holds
+    ({}, ("bench", "nogrid", "--threads", "0"),
+     "DomainError: thread cap must be >= 1, got 0"),
+    ({}, ("detect", "absent.csv", "--table", "absent_t.csv", "--skip-rows",
+          "-1"), "DomainError: skip_rows must be >= 0, got -1"),
+    ({}, ("critval", "--d", "2", "--alpha", "0.05", "--paths", "0"),
+     "DomainError: paths must be >= 1, got 0"),
+    ({}, ("critval", "--d", "2", "--alpha", "0.05", "--grid", "1"),
+     "DomainError: grid must be >= 2, got 1"),
+    ({}, ("critval", "--d", "2", "--alpha", "0.05", "--seed", "-1"),
+     "DomainError: seed must be >= 0, got -1"),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)
@@ -1541,6 +1554,48 @@ def test_bench_reads_a_grid_from_a_pipe(capsys, tmp_path, cv2_csv):
     assert kv_lines(out)["grid"] == "mini"
 
 
+_DATED = "Date,a,b\n" + "".join(f"2020-01-{1 + i % 28:02d},{i % 7},{i % 5}\n"
+                                  for i in range(40))
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("detect", "IN", "--scan"), _DATED),
+    (("detect", "PIPE", "--scan"), _DATED),
+    (("bench", "IN", "--output-dir", "out"), MINI_GRID),
+    (("simulate", "--config", "IN", "--out", "s.csv"), "d=2\nT=40\nm=1\n"),
+    (("critval", "--d", "2", "--alpha", "0.3", "--paths", "200", "--grid",
+      "50", "--table", "IN"),
+     "d,alpha,value,paths,grid,seed,stderr\n2,0.05,2.4,200000,10000,4,0.005\n"),
+], ids=["csv", "csv-pipe", "grid", "config", "table"])
+def test_a_byte_order_mark_is_read_past(capsys, tmp_path, monkeypatch, argv,
+                                        text):
+    # Excel's "CSV UTF-8" starts a file with U+FEFF: every reader drops it,
+    # so the run gives what the same file without it gives, and the table
+    # critval extends is written back without it
+    runs = []
+    for bom in ("", "\ufeff"):
+        run = tmp_path / ("bom" if bom else "plain")
+        run.mkdir()
+        monkeypatch.chdir(run)
+        data = (bom + text).encode("utf-8")
+        (run / "IN").write_bytes(data)
+        r, w = os.pipe()
+        with open(w, "wb") as fh:
+            fh.write(data)  # far less than a pipe's buffer
+        try:
+            rc, out, err = run_cli(capsys, *(f"/dev/fd/{r}" if a == "PIPE"
+                                             else a for a in argv))
+        finally:
+            os.close(r)
+        files = {p.relative_to(run): p.read_bytes() for p in run.rglob("*")
+                 if p.is_file()}
+        if files[Path("IN")] == data:  # not written back
+            del files[Path("IN")]
+        runs.append((rc, out, err, files))
+    assert (runs[0][0], runs[0][2]) == (0, "")
+    assert runs[1] == runs[0]
+
+
 def test_bench_is_bit_reproducible_across_threads(capsys, tmp_path, cv2_csv):
     grid = tmp_path / "mini.grid"
     grid.write_text(MINI_GRID)
@@ -1715,7 +1770,8 @@ for argv in (["critval", "--d", "5", "--alpha", "0.05"], ["--help"],
              ["detect", "x.csv", "--h", "3", "--trim", "0.1", "--alpha", "0.1",
               "--smoothing-window", "5", "--min-prominence", "1",
               "--transform", "nope"],
-             ["scan", "x.csv", "--h", "0"]):
+             ["scan", "x.csv", "--h", "0"],
+             ["critval", "--d", "2", "--alpha", "0.05", "--paths", "0"]):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(argv)
@@ -1741,6 +1797,7 @@ def test_import_and_cached_critval_load_no_numpy(tmp_path):
         ["detect x.csv --h 3 --trim 0.1 --alpha 0.1 --smoothing-window 5 "
          "--min-prominence 1 --transform nope", 2, False],
         ["scan x.csv --h 0", 2, False],
+        ["critval --d 2 --alpha 0.05 --paths 0", 2, False],
     ]
 
 

@@ -564,7 +564,7 @@ def test_parse_grid_invalid_spec_names_cell():
      ("cell=a\nd=2\nT=64\nm=1\nreps=0\nrho=2\n",
       "g: cell 'a': DomainError: decay rate must be in [0, 1), got 2.0"),
      ("cell=a\nd=2\nT=64\nm=1\nreps=0\n",
-      "g: cell 'a': DomainError: cell 'a': replications must be >= 1, got 0")],
+      "g: cell 'a': DomainError: replications must be >= 1, got 0")],
 )
 def test_parse_grid_error_precedence(text, message):
     with pytest.raises(GridParseError) as exc:
