@@ -1,32 +1,24 @@
 """One-off study: the four structural orderings of the estimator's mean
 absolute deviation under the shipped defaults (unit-DC-gain geometric
-filter, exchangeable(0.5) innovations, d=2, quadform argmax)."""
+filter, exchangeable(0.5) innovations, d=2, quadform argmax). Each cell is
+one `experiments.run_cell` call that estimates on all 30 replications."""
 
 import numpy as np
 
-from mvcusum.engine import estimate_changepoint, studentize
-from mvcusum.simulate import SimulationSpec, exchangeable_cov, gen_series
+from mvcusum.critical import default_table
+from mvcusum.experiments import ExperimentCell, run_cell
+from mvcusum.simulate import SimulationSpec, exchangeable_cov
 
 REPS = 30
 
 
 def cell(T, m, delta, k_star, seed0=1000):
-    devs = []
-    for rep in range(REPS):
-        spec = SimulationSpec(
-            d=2,
-            T=T,
-            m=m,
-            innovation_cov=exchangeable_cov(2, 0.5),
-            delta=np.asarray(delta, float),
-            k_star=k_star,
-            seed=seed0 + rep,
-        )
-        series, t_star = gen_series(spec)
-        curve = studentize(series)[1]
-        est = estimate_changepoint(curve, method="quadform_argmax")
-        devs.append(abs(est.t_hat - t_star))
-    return float(np.mean(devs))
+    spec = SimulationSpec(d=2, T=T, m=m, innovation_cov=exchangeable_cov(2, 0.5),
+                          delta=np.asarray(delta, float), k_star=k_star, seed=seed0)
+    row = run_cell(ExperimentCell("ordering", spec, REPS), 0.05, default_table(),
+                   always_estimate=True)
+    assert not row.failures, row.failures
+    return row.abs_deviation
 
 
 weak = (0.5, 0.2)

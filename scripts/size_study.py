@@ -1,15 +1,16 @@
 """Study: the test's null rejection rate at the default bandwidth
 h = floor(T^(1/4)), the table of README §"Size at finite h".
 
-Each cell runs `engine.test` at 5% on R iid N(0, I_d) series,
-``gen_series(SimulationSpec(d, T, m=0, rho=0.0, seed=r))`` for r = 0..R-1,
-and prints the share that reject. R is 1,000 for d in {1, 5} and 500
+Each cell is one `experiments.run_cell` call, the seeded replication loop
+that `bench` runs: R iid N(0, I_d) series, ``SimulationSpec(d, T, m=0,
+rho=0.0, seed=r)`` for r = 0..R-1, each tested with `engine.test` at 5%;
+the share that reject is printed. R is 1,000 for d in {1, 5} and 500
 otherwise, so one standard error at 5% is 0.7-1.0 points. The critical
 values come from the shipped table, whose entries sit a little below the
 exact quantiles of the limit law, so the rates here read 0-1.6 points
 above the README's, which were measured against the exact ones.
 
-Seeded and deterministic; about 35 s on a 2-core host. Run from the
+Seeded and deterministic; about 30-45 s on a 2-core host. Run from the
 repository root:
 
     PYTHONPATH=src python scripts/size_study.py
@@ -18,8 +19,8 @@ repository root:
 import time
 
 from mvcusum.critical import default_table
-from mvcusum.engine import test
-from mvcusum.simulate import SimulationSpec, gen_series
+from mvcusum.experiments import ExperimentCell, run_cell
+from mvcusum.simulate import SimulationSpec
 from mvcusum.spectral import default_bandwidth
 
 ALPHA = 0.05
@@ -35,11 +36,10 @@ CELLS = {  # d -> the T measured
 
 
 def rejection_rate(d, T, reps, table):
-    rejects = sum(
-        test(gen_series(SimulationSpec(d, T, m=0, rho=0.0, seed=r))[0], ALPHA,
-             table).reject
-        for r in range(reps))
-    return rejects / reps
+    cell = ExperimentCell("null", SimulationSpec(d, T, m=0, rho=0.0), reps)
+    row = run_cell(cell, ALPHA, table)
+    assert not row.failures, row.failures
+    return row.reject_count / reps
 
 
 def main():

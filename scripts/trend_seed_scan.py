@@ -2,8 +2,9 @@
 
 For the strong-shift, m=10, mid-sample configuration, compare the mean
 absolute localization error at T=16000 against T=8000 over 30 paired
-seeded replications.  The doubled-length mean must not exceed the
-shorter-length mean by more than 10 index units.  Used once to choose
+seeded replications, each mean one `experiments.run_cell` call that
+estimates on every replication.  The doubled-length mean must not exceed
+the shorter-length mean by more than 10 index units.  Used once to choose
 the pinned seed block for the regression test.
 """
 
@@ -11,33 +12,24 @@ import time
 
 import numpy as np
 
-from mvcusum.engine import estimate_changepoint, studentize
-from mvcusum.simulate import SimulationSpec, exchangeable_cov, gen_series
+from mvcusum.critical import default_table
+from mvcusum.experiments import ExperimentCell, run_cell
+from mvcusum.simulate import SimulationSpec, exchangeable_cov
 
 
-def mean_abs_dev(T, seeds):
-    devs = []
-    for s in seeds:
-        spec = SimulationSpec(
-            d=2,
-            T=T,
-            m=10,
-            innovation_cov=exchangeable_cov(2, 0.5),
-            delta=np.array([0.5, 1.2]),
-            k_star=0.5,
-            seed=s,
-        )
-        series, t_star = gen_series(spec)
-        est = estimate_changepoint(studentize(series)[1])
-        devs.append(abs(est.t_hat - t_star))
-    return float(np.mean(devs))
+def mean_abs_dev(T, base):
+    spec = SimulationSpec(d=2, T=T, m=10, innovation_cov=exchangeable_cov(2, 0.5),
+                          delta=np.array([0.5, 1.2]), k_star=0.5, seed=base)
+    row = run_cell(ExperimentCell("trend", spec, 30), 0.05, default_table(),
+                   always_estimate=True)
+    assert not row.failures, row.failures
+    return row.abs_deviation
 
 
 for base in (0, 100, 1000, 2000):
-    seeds = range(base, base + 30)
     t0 = time.time()
-    m8 = mean_abs_dev(8000, seeds)
-    m16 = mean_abs_dev(16000, seeds)
+    m8 = mean_abs_dev(8000, base)
+    m16 = mean_abs_dev(16000, base)
     ok = m16 <= m8 + 10.0
     print(
         f"base={base}: mean8k={m8:.2f} mean16k={m16:.2f} "

@@ -94,9 +94,7 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_floats(arr) -> str:
-    import numpy as np
-
-    return ",".join(_fmt(v) for v in np.asarray(arr, dtype=float).ravel())
+    return ",".join(_fmt(v) for v in arr.ravel())
 
 
 def _resolve_out(path) -> str:

@@ -328,12 +328,12 @@ def critical_value(
     stored back into the table when one was given.
     """
     _check_level(alpha)
+    seed = default_seed(d) if seed is None else seed
+    _check_budget(d, paths, grid, seed)  # on a hit too, so both refuse alike
     if table is not None:
         hit = table.get(d, alpha)
         if hit is not None:
             return hit.value
-    if seed is None:
-        seed = default_seed(d)
     entry = _entry(simulate_sup_bridges(d, paths, grid, seed), alpha, grid, seed)
     if table is not None:
         table.put(d, alpha, entry)

@@ -274,15 +274,16 @@ def estimate_changepoint(
     N = curve.N
     if N < 3:
         raise TooShort(f"need at least 3 observations, got {N}")
+    lo, hi = _interior_bounds(N, trim)
     if method == "norm_argmax":
         # scaled exactly, by a power of two, so that the largest entry is in
         # [0.5, 1): no square overflows, and none that counts underflows
         e = np.frexp(np.max([np.abs(s).max() for _, s in curve.blocks()]))[1]
         values = np.empty(N + 1)
-        for lo, s in curve.blocks():
+        for at, s in curve.blocks():  # not lo: it bounds the candidates
             with np.errstate(over="ignore"):
                 norms = np.linalg.norm(np.ldexp(s, -e), axis=1)
-                values[lo : lo + len(s)] = np.ldexp(norms, e)
+                values[at : at + len(s)] = np.ldexp(norms, e)
         if not np.all(np.isfinite(values)):
             raise DomainError("curve norm is not finite; input values are too large")
     elif method == "quadform_argmax":
@@ -291,7 +292,6 @@ def estimate_changepoint(
         raise DomainError(
             f"unknown method {method!r}; use norm_argmax or quadform_argmax"
         )
-    lo, hi = _interior_bounds(N, trim)
     k = lo + int(np.argmax(values[lo : hi + 1]))
     return ChangePointEstimate(
         k_hat=k / N, t_hat=k, method=method, curve_value=float(values[k])
@@ -377,7 +377,7 @@ def scan_extrema(
     N = curve.N
     _check_window(smoothing_window)
     _check_prominence(min_prominence)
-    _check_trim(trim)
+    lo, hi = _interior_bounds(N, trim)
     if smoothing_window is None:
         smoothing_window = 2 * _int_fourth_root(N) + 1
     w = smoothing_window
@@ -387,7 +387,6 @@ def scan_extrema(
     if min_prominence is None:
         min_prominence = 0.1 * float(sm.max() - sm.min())
         _check_prominence(min_prominence)  # nan where the curve is not finite
-    lo, hi = _interior_bounds(N, trim)
     found = []
     for kind, sign in (("max", 1.0), ("min", -1.0)):
         for i, p in zip(*_peaks(sm, min_prominence)):

@@ -140,7 +140,7 @@ def _bounds(what, least, most=None):
 
 
 def _check_bandwidth(h) -> None:
-    if h is not None and (int(h) != h or h < 1):
+    if h is None or int(h) != h or h < 1:
         raise DomainError(f"bandwidth must be a positive integer, got {h}")
 
 

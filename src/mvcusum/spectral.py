@@ -93,8 +93,13 @@ def dft(series: MultivariateSeries, js) -> Periodogram:
     N, d = X.shape
     if N < 2:
         raise TooShort(f"need at least 2 observations, got {N}")
+    js = np.asarray(js).reshape(-1)
+    # refused before the cast, which truncates 2.7 to 2 and (1+0j) to 1
+    bad = js[(js != np.round(js)) | ~(abs(js) < 2.0**63) | np.iscomplexobj(js)]
+    if len(bad):
+        raise DomainError(f"frequency index must be an int64 integer, got {bad[0]}")
+    js = js.astype(np.int64)
     mean = X.mean(axis=0)
-    js = np.array(js, dtype=np.int64).reshape(-1)
     n = np.mod(js, N)
     low = n <= N // 2
     at = np.where(low, n, N - n)

@@ -992,6 +992,12 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
      "DomainError: grid must be >= 2, got 1"),
     ({}, ("critval", "--d", "2", "--alpha", "0.05", "--seed", "-1"),
      "DomainError: seed must be >= 0, got -1"),
+    # the trim is checked before the curve is smoothed, so a trim that
+    # leaves no interior point of 41 is reported ahead of a window wider
+    # than the curve's 42 points
+    ({"x.csv": ROWS_40 + "3\n"}, ("scan", "x.csv", "--trim", "0.49",
+                                  "--smoothing-window", "45"),
+     "DomainError: trim 0.49 leaves no interior candidates for N=41"),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)

@@ -92,16 +92,25 @@ def test_bridges_domain_errors():
 @pytest.mark.parametrize("paths, grid, line", [
     (_MAX_PATHS + 1, 10, f"paths must be <= {_MAX_PATHS}, got {_MAX_PATHS + 1}"),
     (10, _MAX_GRID + 1, f"grid must be <= {_MAX_GRID}, got {_MAX_GRID + 1}"),
+    (0, 1, "paths must be >= 1, got 0"),
+    (10, 1, "grid must be >= 2, got 1"),
 ])
 def test_bridges_budget_caps_raise_before_allocating(paths, grid, line):
-    tracemalloc.start()
-    try:
-        with pytest.raises(DomainError, match=f"^{line}$"):
-            simulate_sup_bridges(2, paths, grid, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
+    # critical_value refuses a budget on a table hit as on a miss: the
+    # shipped table holds (2, 0.05), an empty one does not
+    table = default_table()
+    for refuse in (lambda: simulate_sup_bridges(2, paths, grid, 0),
+                   lambda: critical_value(2, 0.05, table, paths, grid, 0),
+                   lambda: critical_value(2, 0.05, CriticalValueTable(), paths,
+                                          grid, 0)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"^{line}$"):
+                refuse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 def test_bridges_budget_caps_are_inclusive():

@@ -76,6 +76,24 @@ def test_dft_refuses_one_row():
     assert str(exc.value) == "need at least 2 observations, got 1"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("js, shown", [
+    ([2.7], "2.7"), ([1, np.nan], "nan"), ([-np.inf], "-inf"),
+    ([1e300], "1e+300"), (np.array([2**63], np.uint64), "9223372036854775808"),
+    (np.array([1 + 0j]), "(1+0j)"),
+], ids=["fraction", "nan", "minus-inf", "past-int64", "uint64-past-int64",
+        "complex"])
+def test_dft_refuses_an_index_that_is_not_an_integer(js, shown):
+    # refused with no numpy warning, not cast to the integer below it
+    s = MultivariateSeries(np.arange(16.0).reshape(8, 2) ** 2)
+    with pytest.raises(DomainError) as exc:
+        dft(s, js)
+    assert str(exc.value) == f"frequency index must be an int64 integer, got {shown}"
+    # a whole number written as a float is still its integer
+    np.testing.assert_array_equal(dft(s, [2.0, -1.0]).ordinates,
+                                  dft(s, [2, -1]).ordinates)
+
+
 def test_dft_hand_value_two_points():
     # X = {1, -1}: W(pi) = (1/sqrt 2)(e^{i pi} - e^{2 i pi}) = -2/sqrt 2,
     # so I(pi) = 2
@@ -198,6 +216,14 @@ def test_smoothed_bandwidth_too_large():
     rng = np.random.default_rng(0)
     with pytest.raises(BandwidthTooLarge):
         smoothed_spectrum(_series(rng, 10, 1), 5, [0.0])  # 2*5+1 = 11 > 10
+
+
+def test_smoothed_refuses_no_bandwidth():
+    # None asks no caller's default here: the caller resolves it first
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError) as exc:
+        smoothed_spectrum(_series(rng, 32, 1), None, [0.0])
+    assert str(exc.value) == "bandwidth must be a positive integer, got None"
 
 
 def test_smoothed_omega_domain():
