@@ -481,6 +481,7 @@ def commands():
         sim + ("--rho", "1.5", "--tol", "0"),
         ("simulate", "--d", "2", "--T", "1", "--m", "-1", "--tol", "0"),
         ("simulate", "--d", "2", "--T", "1", "--m", "-1", "--seed", "-1"),
+        ("simulate", "--d", "2", "--T", "40", "--m", "-1"),
         ("bench", "h0", "--reps", "3", "--output-dir", "g"),
     ]
     cmds += [("bench", name, "--reps", "2", "--output-dir", "g")

@@ -137,7 +137,7 @@ def kolmogorov_tail(x: float) -> float:
     """Analytic d=1 tail: P(sup of one squared bridge > x), via the
     alternating series 2 * sum_{k>=1} (-1)^(k+1) exp(-2 k^2 x), summed until
     a term drops below 1e-14."""
-    if x <= 0:
+    if not x > 0:  # nan too, whose terms never fall below the cutoff
         raise DomainError(f"threshold must be positive, got {x}")
     total = 0.0
     k = 1
@@ -212,7 +212,8 @@ class CriticalValueTable:
         for name, cell in (("value", entry.value), ("stderr", stderr)):
             if not math.isfinite(cell):
                 raise DomainError(f"{name} must be finite, got {cell}")
-        _bounds("stderr", 0)(stderr)
+        if not stderr >= 0:
+            raise DomainError(f"stderr must be >= 0, got {stderr}")
         self.entries[(d, alpha)] = entry
 
     def check_monotone(self) -> list[str]:

@@ -383,7 +383,7 @@ def scan_extrema(
     w = smoothing_window
     if w > len(q):
         raise DomainError(f"smoothing window {w} exceeds curve length {len(q)}")
-    sm = _smooth(q, int(w))
+    sm = _smooth(q, w)
     if min_prominence is None:
         min_prominence = 0.1 * float(sm.max() - sm.min())
         _check_prominence(min_prominence)  # nan where the curve is not finite

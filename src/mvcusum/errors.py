@@ -8,11 +8,13 @@ missing-file, decode and csv errors name the file, so every reader of a
 text file can share it.
 
 It also holds the check of each setting that needs no data, which the
-library and the CLI's parser both call; `_bounds`, which builds each
-integer bound; and `_MAX_VALUES`, the value budget of a setting's arrays.
+library and the CLI's parser both call; `_is_int`, the one test of a count;
+`_bounds`, which builds each integer bound on it; and `_MAX_VALUES`, the
+value budget of a setting's arrays.
 """
 
 import csv
+import numbers
 from contextlib import contextmanager
 
 _ENCODING = "utf-8-sig"  # of text inputs: a leading byte-order mark is dropped
@@ -126,21 +128,27 @@ def _open_text(path, error, newline=None):
 _MAX_VALUES = 100_000_000
 
 
+def _is_int(v) -> bool:  # a Python or numpy integer; a bool is no count
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 # The checks of the settings that need no data, each raising DomainError;
-# None, where a setting takes it, asks for the default and passes.
+# None asks for the default and passes _check_window and _check_prominence.
 def _bounds(what, least, most=None):
-    """The check that a value lies in [least, most] (no top when most is
-    None), whose message names ``what`` and the bound it breaks."""
+    """The check that a value is an integer in [least, most] (no top when
+    most is None), whose message names ``what`` and the rule it breaks."""
     def check(value) -> None:
-        if value is not None and value < least:
+        if not _is_int(value):
+            raise DomainError(f"{what} must be an integer, got {value}")
+        if value < least:
             raise DomainError(f"{what} must be >= {least}, got {value}")
-        if value is not None and most is not None and value > most:
+        if most is not None and value > most:
             raise DomainError(f"{what} must be <= {most}, got {value}")
     return check
 
 
 def _check_bandwidth(h) -> None:
-    if h is None or int(h) != h or h < 1:
+    if not _is_int(h) or h < 1:
         raise DomainError(f"bandwidth must be a positive integer, got {h}")
 
 
@@ -155,8 +163,7 @@ def _check_trim(trim: float) -> None:
 
 
 def _check_window(window) -> None:
-    if window is not None and (int(window) != window or window < 1
-                               or window % 2 == 0):
+    if window is not None and not (_is_int(window) and window % 2 and window > 0):
         raise DomainError(f"smoothing window must be odd and >= 1, got {window}")
 
 

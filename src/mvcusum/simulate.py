@@ -27,7 +27,6 @@ particular (m, K_max) combination needs, beyond the rows it actually adds.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -131,12 +130,11 @@ class SimulationSpec:
     K_max: int = field(init=False)
 
     def __post_init__(self):
-        for name in ("d", "T", "m", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value}")
         d, rho, tol = self.d, self.rho, self.tol
         _check_d(d)
+        _bounds("T", 2)(self.T)
+        _bounds("m", 0)(self.m)
+        _check_seed(self.seed)
         if not 0.0 <= rho < 1.0:
             raise DomainError(f"decay rate must be in [0, 1), got {rho}")
         if not tol > 0.0:
@@ -155,12 +153,9 @@ class SimulationSpec:
             k_max += 1
         object.__setattr__(self, "rho", float(rho))
         object.__setattr__(self, "K_max", k_max)
-        _bounds("T", 2)(self.T)
         if self.T * d > _MAX_VALUES:
             raise DomainError(f"T={self.T} times d={d} exceeds {_MAX_VALUES} "
                               f"values in one series; lower T or d")
-        _bounds("dependence range m", 0)(self.m)
-        _check_seed(self.seed)
         cov = _checked_array("innovation_cov", self.innovation_cov, (d, d),
                              lambda: np.eye(d))
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):

@@ -95,7 +95,8 @@ def dft(series: MultivariateSeries, js) -> Periodogram:
         raise TooShort(f"need at least 2 observations, got {N}")
     js = np.asarray(js).reshape(-1)
     # refused before the cast, which truncates 2.7 to 2 and (1+0j) to 1
-    bad = js[(js != np.round(js)) | ~(abs(js) < 2.0**63) | np.iscomplexobj(js)]
+    bad = js if js.dtype.kind not in "iuf" else js[
+        (js != np.round(js)) | ~(abs(js) < 2.0**63)]
     if len(bad):
         raise DomainError(f"frequency index must be an int64 integer, got {bad[0]}")
     js = js.astype(np.int64)
@@ -140,7 +141,6 @@ def smoothed_spectrum(series: MultivariateSeries, h: int, omegas) -> np.ndarray:
     """
     N, d = series.values.shape
     _check_bandwidth(h)
-    h = int(h)
     if 2 * h + 1 > N:
         raise BandwidthTooLarge(
             f"smoothing window 2h+1 = {2 * h + 1} exceeds series length {N}"

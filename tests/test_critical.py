@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from mvcusum.critical import (
@@ -40,6 +42,8 @@ def test_tail_domain():
         kolmogorov_tail(0.0)
     with pytest.raises(DomainError):
         kolmogorov_tail(-1.0)
+    with pytest.raises(DomainError):
+        kolmogorov_tail(math.nan)  # whose series never drops below its cutoff
 
 
 def test_tail_leading_term_value():
@@ -303,14 +307,46 @@ def test_monotonicity_checker_accepts_clean_table():
     (0, 0.05, CriticalEntry(1.8, 1, 2, 1, 0.0), "dimension must be >= 1, got 0"),
     # every provenance cell out of range: the first checked is named
     (1, 0.05, CriticalEntry(1.8, 0, 1, -3, -0.5), "paths must be >= 1, got 0"),
+    # a count that is not an integer, which save_csv would write unreadably
+    (2.5, 0.05, CriticalEntry(1.8, 1, 2, 1, 0.0), "dimension must be an integer, got 2.5"),
+    (True, 0.05, CriticalEntry(1.8, 1, 2, 1, 0.0), "dimension must be an integer, got True"),
+    (1, 0.05, CriticalEntry(1.8, 10.5, 2, 1, 0.0), "paths must be an integer, got 10.5"),
+    (1, 0.05, CriticalEntry(1.8, None, 2, 1, 0.0), "paths must be an integer, got None"),
+    (1, 0.05, CriticalEntry(1.8, 1, 2, math.nan, 0.0), "seed must be an integer, got nan"),
 ], ids=["paths-0", "grid-1", "seed-minus-3", "stderr-minus-0.5", "value-nan",
-        "alpha-1.5", "d-0", "all-provenance"])
+        "alpha-1.5", "d-0", "all-provenance", "d-2.5", "d-True", "paths-10.5",
+        "paths-None", "seed-nan"])
 def test_put_refuses_a_row_that_load_csv_refuses(d, alpha, entry, message):
     table = CriticalValueTable()
     with pytest.raises(DomainError) as exc:
         table.put(d, alpha, entry)
     assert str(exc.value) == message
     assert table.entries == {}
+
+
+# a count drawn from integers, numpy integers and values no count is
+_COUNTS = st.one_of(st.integers(1, 10**6), st.integers(1, 10**6).map(np.int64),
+                    st.one_of(st.floats(), st.booleans(), st.none(),
+                              st.just(np.True_)))
+
+
+@given(st.lists(st.tuples(_COUNTS, st.floats(0.001, 0.999), _COUNTS, _COUNTS,
+                          _COUNTS, st.floats(0.0, 1e300)), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_every_table_put_accepts_round_trips(tmp_path_factory, rows):
+    table = CriticalValueTable()
+    for d, alpha, paths, grid, seed, stderr in rows:
+        # strictly up in d and down in alpha where d is a number
+        number = isinstance(d, (int, float, np.integer))
+        value = 2.0 * d + 1.0 - alpha if number else 1.0
+        try:
+            table.put(d, alpha, CriticalEntry(value, paths, grid, seed, stderr))
+        except DomainError:
+            pass
+    assume(not table.check_monotone())
+    path = tmp_path_factory.mktemp("rt") / "t.csv"
+    table.save_csv(path)
+    assert CriticalValueTable.load_csv(path).entries == table.entries
 
 
 @pytest.mark.parametrize("before", [None, b"old bytes\n"], ids=["new", "existing"])

@@ -81,8 +81,10 @@ def test_dft_refuses_one_row():
     ([2.7], "2.7"), ([1, np.nan], "nan"), ([-np.inf], "-inf"),
     ([1e300], "1e+300"), (np.array([2**63], np.uint64), "9223372036854775808"),
     (np.array([1 + 0j]), "(1+0j)"),
+    # not held as a real number, or a bool
+    ([2**70], str(2**70)), (["a"], "a"), ([None], "None"), ([True], "True"),
 ], ids=["fraction", "nan", "minus-inf", "past-int64", "uint64-past-int64",
-        "complex"])
+        "complex", "past-any-dtype", "string", "none", "bool"])
 def test_dft_refuses_an_index_that_is_not_an_integer(js, shown):
     # refused with no numpy warning, not cast to the integer below it
     s = MultivariateSeries(np.arange(16.0).reshape(8, 2) ** 2)
