@@ -225,12 +225,12 @@ def test(
     The curve comes from `studentize` at bandwidth ``h``, so under the null
     the statistic tends to the sup of a sum of d squared Brownian bridges,
     the law the critical value comes from.  That value is looked up, never
-    simulated here; a missing entry raises MissingCriticalValue, whose
-    message names the commands that add it.
+    simulated, after the statistic: a data fault is reported before a
+    missing entry's MissingCriticalValue, which names the commands to add it.
     """
-    value = cv.lookup(series.d, alpha)
     lr, curve = studentize(series, h)
     statistic = float(curve.q.max())
+    value = cv.lookup(series.d, alpha)
     return TestResult(
         statistic=statistic,
         critical_value=value,
@@ -276,11 +276,11 @@ def estimate_changepoint(
         raise TooShort(f"need at least 3 observations, got {N}")
     lo, hi = _interior_bounds(N, trim)
     if method == "norm_argmax":
-        # scaled exactly, by a power of two, so that the largest entry is in
-        # [0.5, 1): no square overflows, and none that counts underflows
-        e = np.frexp(np.max([np.abs(s).max() for _, s in curve.blocks()]))[1]
         values = np.empty(N + 1)
         for at, s in curve.blocks():  # not lo: it bounds the candidates
+            # scaled exactly, by a power of two, to put the block's largest
+            # entry in [0.5, 1): no square overflows, none that counts underflows
+            e = np.frexp(np.abs(s).max())[1]
             with np.errstate(over="ignore"):
                 norms = np.linalg.norm(np.ldexp(s, -e), axis=1)
                 values[at : at + len(s)] = np.ldexp(norms, e)

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -183,6 +184,11 @@ MISSING = "error: FileNotFoundError: no such input file: absent.csv"
 BAD_CELL = "a\n1\nx\n"
 ROWS_40 = "a\n" + "".join(f"{i % 7}\n" for i in range(40))
 CONSTANT = "a,b\n" + "1,2\n" * 40
+# iid 500 x 10: the default h = 4 leaves Sigma_hat of d = 10 columns singular
+IID_500X10 = "".join(
+    [",".join(f"c{j}" for j in range(10)) + "\n"]
+    + [",".join(map(repr, row)) + "\n"
+       for row in np.random.default_rng(SEED_H0).normal(size=(500, 10)).tolist()])
 
 
 @pytest.mark.parametrize(
@@ -212,6 +218,10 @@ CONSTANT = "a,b\n" + "1,2\n" * 40
       "error: DegenerateSpectrum"),
      (("detect", "bad.csv", "--alpha", "0.07", "--emit-curve", "sub/curve.csv"),
       ROWS_40, "error: MissingCriticalValue"),
+     # the statistic comes before the table lookup, so a fault of the data
+     # is reported ahead of a missing entry
+     (("detect", "bad.csv", "--alpha", "0.07", "--emit-curve", "sub/curve.csv"),
+      IID_500X10, "error: DomainError: bandwidth h=4"),
      (("detect", "bad.csv", "--scan", "--smoothing-window", "4",
        "--emit-curve", "sub/curve.csv"), ROWS_40,
       "error: DomainError: smoothing window must be odd"),
@@ -222,7 +232,8 @@ CONSTANT = "a,b\n" + "1,2\n" * 40
     ids=["detect", "scan", "spectrum", "simulate", "detect-bad-cell",
          "scan-bad-cell", "spectrum-bad-cell", "simulate-unknown-key",
          "negative-skip-rows", "spectrum-bandwidth", "detect-constant",
-         "scan-constant", "detect-missing-critval", "detect-even-window",
+         "scan-constant", "detect-missing-critval",
+         "detect-rank-before-missing-critval", "detect-even-window",
          "detect-trim", "detect-negative-prominence"],
 )
 def test_missing_input_creates_no_output_directory(capsys, tmp_path, monkeypatch,
@@ -998,6 +1009,12 @@ _CELL = "\ncell=a\nd=2\nT=64\nm=1\nreps=1\n"
     ({"x.csv": ROWS_40 + "3\n"}, ("scan", "x.csv", "--trim", "0.49",
                                   "--smoothing-window", "45"),
      "DomainError: trim 0.49 leaves no interior candidates for N=41"),
+    # two faults: h = 4 cannot studentize d = 10 columns, and the shipped
+    # table has no (10, 0.07) entry.  The value is read after the statistic,
+    # so the line asks for a wider bandwidth, not for a Monte Carlo run.
+    ({"x.csv": IID_500X10}, ("detect", "x.csv", "--alpha", "0.07"),
+     "DomainError: bandwidth h=4 leaves the long-run covariance of d=10 "
+     "columns singular (rank at most 2h=8); use --h 5 or more"),
 ])
 def test_error_lines_exact(capsys, tmp_path, monkeypatch, files, argv, line):
     monkeypatch.chdir(tmp_path)
@@ -1980,3 +1997,16 @@ def test_console_script_help():
                             text=True, timeout=60)
     assert result.returncode == 0
     assert "simulate" in result.stdout
+
+
+def test_console_script_entry_point_resolves(capsys):
+    # the [project.scripts] line an install turns into `mvcusum`, read as
+    # text (tomllib is not in Python 3.10) and resolved without installing
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    lines = [ln for ln in section.splitlines() if ln.strip()]
+    assert lines == ['mvcusum = "mvcusum.cli:main"']
+    module, _, name = lines[0].split('"')[1].partition(":")
+    main = getattr(importlib.import_module(module), name)
+    assert main(["--help"]) == 0
+    assert "simulate" in capsys.readouterr().out

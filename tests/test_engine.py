@@ -234,9 +234,15 @@ def whole_array_export(path, s, q):
     series._write_table(path, header, [[k, k / N, q, q / N, s]])
 
 
-@pytest.mark.parametrize("N", [16, 65_535, 65_536, 65_537, 131_073, 1_000_000])
-@pytest.mark.parametrize("d", [1, 2, 5, 10])
-def test_curve_and_q_bit_identical_to_whole_array_formulas(N, d, tmp_path):
+@pytest.mark.parametrize("N, d, scales", [
+    *[pytest.param(N, d, None, id=f"{d}-{N}") for d in [1, 2, 5, 10]
+      for N in [16, 65_535, 65_536, 65_537, 131_073, 1_000_000]],
+    # row segments at 1e-150, 1 and 1e155: the curve's squares overflow
+    # unless each block is scaled, by its own power of two, which must keep
+    # the bits of the whole curve's norms
+    pytest.param(200_000, 3, (1e-150, 1.0, 1e155), id="3-200000-mixed-scale"),
+])
+def test_curve_and_q_bit_identical_to_whole_array_formulas(N, d, scales, tmp_path):
     # block edges at 65,536 rows fall inside, on and just past the curve;
     # at N = 131,073 the last of three blocks has 2 rows.  Every reader
     # forms the curve block by block, and each must give the bits of the
@@ -244,6 +250,8 @@ def test_curve_and_q_bit_identical_to_whole_array_formulas(N, d, tmp_path):
     rng = np.random.default_rng(N + d)
     X = rng.normal(size=(N, d)) + 3.0
     X[N // 2 :] -= 0.5
+    for i, c in enumerate(scales or ()):
+        X[i * N // 3 : (i + 1) * N // 3] *= c
     A = rng.normal(size=(d, d))
     lr = manual_lr(A @ A.T + 0.5 * np.eye(d))
     curve = quadform(cusum(MultivariateSeries(X)), lr)
@@ -317,6 +325,16 @@ def test_test_constant_series_degenerate():
 def test_test_missing_critical_value():
     with pytest.raises(MissingCriticalValue):
         engine.test(_h0_series(), 0.05, CriticalValueTable())
+
+
+def test_test_reports_a_rank_fault_before_a_missing_critical_value():
+    # two faults: the default h = 4 at T = 500 leaves Sigma_hat of d = 10
+    # columns singular, and the table has no (10, 0.07) entry.  The value is
+    # read after the statistic, so the fault of the data is the one raised.
+    table = default_table()
+    assert table.get(10, 0.07) is None
+    with pytest.raises(DomainError, match=r"^bandwidth h=4 .* use --h 5 or more$"):
+        engine.test(_h0_series(T=500, d=10), 0.07, table)
 
 
 def test_test_statistic_is_sup_of_quadform():
